@@ -3,12 +3,12 @@ growth entropy, and the systole/volume/rigidity bound calculators."""
 
 __version__ = "0.1.0"
 
-from .words import Generator, Word, WordError
+from .words import Word, WordError
 from .oracles import (GroupOracle, OracleError, make_cyclic, make_free,
-                      make_free_abelian, make_table, oracle_multiply)
+                      make_free_abelian, make_table)
 from .splitting import (ElementarityVerdict, HnnNotSupportedError, NormalForm,
                         SpecError, SplittingSpec, classify_elementarity,
-                        load_spec, normal_form, spec_from_dict, syllable_length)
+                        load_spec, spec_from_dict)
 from .tree import (AcylindricityCheck, ElementClass, EllipticElementError,
                    TreeVertex, VertexRegion, act, axis_window, ball,
                    base_vertex, check_acylindricity, classify, fix_diameter_lb,

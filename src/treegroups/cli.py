@@ -225,8 +225,6 @@ def build_parser() -> _Parser:
             p.add_argument("--group", required=True, metavar="FILE",
                            help="splitting spec JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized subcommands (fixed default)")
 
     p = sub.add_parser("classify", help="elliptic/hyperbolic verdict and tau")
     common(p)
@@ -254,7 +252,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("acyl-check", help="falsify or stay consistent with k-acylindricity")
     common(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--length", type=int, default=6, help="max word length to enumerate")
+    p.add_argument("--length", type=int, default=6,
+                   help="max edge-group word length to enumerate")
     p.add_argument("--radius", type=int, default=8)
     p.set_defaults(func=_cmd_acyl_check)
 

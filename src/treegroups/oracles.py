@@ -18,7 +18,7 @@ import itertools
 from math import gcd
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .words import Generator, Word, WordError, valid_gen_name
+from .words import Word, WordError, shortlex, valid_gen_name
 
 # A subgroup element expressed over the subgroup's abstract generators.
 CWord = Tuple[Tuple[int, int], ...]
@@ -310,15 +310,13 @@ class _LatticeSubgroup(DesignatedSubgroup):
         self.n = n
         self.k = k
 
-    def _reduce(self, vec: List[int], collect: bool = False):
-        coeffs = []
+    def _reduce(self, vec: Sequence[int]) -> List[int]:
         v = list(vec)
         for r, c in self.pivots:
             q = v[c] // self.rows[r][c]
             if q:
                 v = [a - q * b for a, b in zip(v, self.rows[r][:self.n])]
-            coeffs.append((r, q))
-        return v, coeffs
+        return v
 
     def contains(self, x: Word) -> bool:
         v = list(self.oracle._vector(self.oracle.canonical(x)))
@@ -345,8 +343,8 @@ class _LatticeSubgroup(DesignatedSubgroup):
         return tuple((j, c) for j, c in enumerate(gen_coeffs) if c)
 
     def coset_rep(self, x: Word) -> Word:
-        v, _ = self._reduce(list(self.oracle._vector(self.oracle.canonical(x))))
-        return self.oracle._from_vector(v)
+        o = self.oracle
+        return o._from_vector(self._reduce(o._vector(o.canonical(x))))
 
     def index(self) -> Optional[int]:
         if len(self.pivots) < self.n:
@@ -362,8 +360,7 @@ class _LatticeSubgroup(DesignatedSubgroup):
             ranges = [range(diag[c]) for c in range(self.n)]
             reps = []
             for combo in itertools.product(*ranges):
-                v, _ = self._reduce(list(combo))
-                reps.append(self.oracle._from_vector(v))
+                reps.append(self.oracle._from_vector(self._reduce(combo)))
                 if cap is not None and len(reps) >= cap:
                     return reps, False
             return reps, True
@@ -374,11 +371,10 @@ class _LatticeSubgroup(DesignatedSubgroup):
             for combo in itertools.product(range(-shell, shell + 1), repeat=self.n):
                 if max((abs(a) for a in combo), default=0) != shell:
                     continue
-                v, _ = self._reduce(list(combo))
-                key = tuple(v)
+                key = tuple(self._reduce(combo))
                 if key not in seen:
                     seen.add(key)
-                    reps.append(self.oracle._from_vector(v))
+                    reps.append(self.oracle._from_vector(key))
                     if len(reps) >= cap:
                         return reps, False
 
@@ -466,7 +462,8 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
     def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         cap = cap if cap is not None else 16
         reps: List[Word] = []
-        for w in self.oracle.enumerate_shortlex():
+        for units in shortlex(self.oracle.gen_names):
+            w = units_word(units)
             if self.coset_rep(w) == w:
                 reps.append(w)
                 if len(reps) >= cap:
@@ -524,7 +521,6 @@ class GroupOracle:
             raise OracleError(f"duplicate generator names: {gens}")
         self.gen_names = tuple(gens)
         self.group_id = group_id
-        self.generators = tuple(Generator(g, group_id) for g in gens)
 
     def _check(self, w: Word) -> Word:
         for name in w.gen_names():
@@ -743,21 +739,6 @@ class FreeOracle(GroupOracle):
         units = word_units(w)
         return (len(units), tuple((self._pos[n], 0 if e > 0 else 1) for n, e in units))
 
-    def enumerate_shortlex(self) -> Iterator[Word]:
-        """All reduced words in shortlex order (infinite)."""
-        alphabet = [(g, 1) for g in self.gen_names] + [(g, -1) for g in self.gen_names]
-        alphabet.sort(key=lambda u: (self._pos[u[0]], 0 if u[1] > 0 else 1))
-        frontier: List[Tuple[Unit, ...]] = [()]
-        while frontier:
-            nxt = []
-            for units in frontier:
-                yield units_word(units)
-                for a in alphabet:
-                    if units and units[-1][0] == a[0] and units[-1][1] == -a[1]:
-                        continue
-                    nxt.append(units + (a,))
-            frontier = nxt
-
     def element_order(self, w: Word) -> Optional[int]:
         return 1 if self.canonical(w).is_empty else None
 
@@ -787,8 +768,3 @@ def make_free(rank: int, gens: Sequence[str], group_id: str = "G") -> FreeOracle
 def make_table(elements: Sequence[str], table: Sequence[Sequence[int]],
                gens: Optional[Sequence[str]] = None, group_id: str = "G") -> TableOracle:
     return TableOracle(elements, table, gens, group_id)
-
-
-def oracle_multiply(oracle: GroupOracle, u: Word, v: Word) -> Word:
-    """Canonical-form product in the given base group."""
-    return oracle.multiply(u, v)

@@ -9,13 +9,14 @@ normal forms, tree vertices and certificates are reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .oracles import (CWord, DesignatedSubgroup, GroupOracle, OracleError,
                       make_cyclic, make_free, make_free_abelian, make_table)
-from .words import Word, WordError
+from .words import Word, WordError, shortlex
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -31,6 +32,15 @@ class SpecError(ValueError):
 
 class HnnNotSupportedError(SpecError):
     """HNN extensions are an extension point, not part of the supported core."""
+
+
+def _check_kind(kind: object) -> None:
+    if kind == "hnn":
+        raise HnnNotSupportedError(
+            "HNN extensions are not supported (Britton normal forms are an "
+            "extension point); use kind 'free_product' or 'amalgam'")
+    if kind not in ("free_product", "amalgam"):
+        raise SpecError(f"unknown splitting kind: {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -61,13 +71,6 @@ class NormalForm:
     def __hash__(self) -> int:
         return hash((self.syllables, self.tail_image_a))
 
-    def as_word(self) -> Word:
-        """Reassemble a plain word (tail through the A-side embedding)."""
-        out = Word()
-        for s in self.syllables:
-            out = out * s.word
-        return out * self.tail_image_a
-
     def __str__(self) -> str:
         parts = [str(s) for s in self.syllables]
         if not self.tail_image_a.is_empty:
@@ -86,12 +89,7 @@ class SplittingSpec:
     def __init__(self, kind: str, factor_a: GroupOracle, factor_b: GroupOracle,
                  edge_gens: Sequence[str] = (), into_a: Sequence[Word] = (),
                  into_b: Sequence[Word] = (), declared_k: Optional[int] = None):
-        if kind not in ("free_product", "amalgam"):
-            if kind == "hnn":
-                raise HnnNotSupportedError(
-                    "HNN extensions are not supported (Britton normal forms are "
-                    "an extension point); only free_product and amalgam kinds exist")
-            raise SpecError(f"unknown splitting kind: {kind!r}")
+        _check_kind(kind)
         self.kind = kind
         self.factor_a = factor_a
         self.factor_b = factor_b
@@ -135,23 +133,9 @@ class SplittingSpec:
 
     def _check_edge_identification(self) -> None:
         """Bounded isomorphism sanity check: short edge words are trivial on
-        one side iff trivial on the other (generators and products up to
-        length 4)."""
-        k = len(self.edge_gens)
-        alphabet = [(i, 1) for i in range(k)] + [(i, -1) for i in range(k)]
-        words: List[CWord] = [()]
-        frontier: List[CWord] = [()]
-        for _ in range(4):
-            nxt = []
-            for cw in frontier:
-                for a in alphabet:
-                    w2 = cw + (a,)
-                    nxt.append(w2)
-            words.extend(nxt)
-            frontier = nxt
-            if len(words) > 5000:
-                break
-        for cw in words:
+        one side iff trivial on the other (reduced words up to length 4, at
+        most 5000 of them)."""
+        for cw in itertools.islice(shortlex(range(len(self.edge_gens)), 4), 5000):
             ta = self.sub_a.embed(cw).is_empty
             tb = self.sub_b.embed(cw).is_empty
             if ta != tb:
@@ -267,14 +251,6 @@ class SplittingSpec:
         return None
 
 
-def normal_form(spec: SplittingSpec, w: Word) -> NormalForm:
-    return spec.normal_form(w)
-
-
-def syllable_length(nf: NormalForm) -> int:
-    return len(nf.syllables)
-
-
 # ---------------------------------------------------------------------------
 # elementarity
 # ---------------------------------------------------------------------------
@@ -343,10 +319,7 @@ def spec_from_dict(doc: dict) -> SplittingSpec:
     if not isinstance(doc, dict):
         raise SpecError("splitting spec must be a JSON object")
     kind = doc.get("kind")
-    if kind == "hnn":
-        raise HnnNotSupportedError(
-            "HNN extensions are not supported (Britton normal forms are an "
-            "extension point); use kind 'free_product' or 'amalgam'")
+    _check_kind(kind)
     factors = doc.get("factors")
     if not isinstance(factors, list) or len(factors) != 2:
         raise SpecError("splitting spec needs exactly two factors")

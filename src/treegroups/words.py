@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 GEN_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -25,18 +25,6 @@ class WordError(ValueError):
 
 def valid_gen_name(name: str) -> bool:
     return bool(GEN_NAME_RE.match(name))
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A named generator tagged with the group it belongs to."""
-
-    name: str
-    group_id: str
-
-    def __post_init__(self) -> None:
-        if not valid_gen_name(self.name):
-            raise WordError(f"invalid generator name: {self.name!r}")
 
 
 def _merge(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
@@ -140,3 +128,23 @@ class Word:
 
 
 IDENTITY = Word()
+
+
+def shortlex(symbols: Sequence[Hashable],
+             max_len: Optional[int] = None) -> Iterator[Tuple[Tuple[Hashable, int], ...]]:
+    """Freely reduced words over ``symbols`` in shortlex order, as unit tuples.
+
+    A unit is ``(symbol, 1)`` or ``(symbol, -1)``; the alphabet runs through
+    the symbols in order, each before its inverse.  The empty word comes
+    first; the levels stop after ``max_len`` letters (never when None).
+    """
+    alphabet = [(s, e) for s in symbols for e in (1, -1)]
+    level: List[Tuple[Tuple[Hashable, int], ...]] = [()]
+    length = 0
+    while level:
+        yield from level
+        if length == max_len:
+            return
+        length += 1
+        level = [u + (a,) for u in level for a in alphabet
+                 if not u or u[-1] != (a[0], -a[1])]

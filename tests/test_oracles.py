@@ -4,7 +4,7 @@ import pytest
 
 from treegroups.oracles import (OracleError, cyclic_decompose, make_cyclic,
                                 make_free, make_free_abelian, make_table,
-                                oracle_multiply, primitive_root, word_units)
+                                primitive_root, word_units)
 from treegroups.words import Word, WordError
 
 from conftest import random_word
@@ -62,6 +62,13 @@ def test_duplicate_generators_rejected():
         make_free(2, ["x", "x"])
 
 
+def test_generator_name_validation():
+    make_free(1, ["a_1"])
+    for bad in ("1a", ""):
+        with pytest.raises(OracleError):
+            make_free(1, [bad])
+
+
 def test_free_reduction_and_membership():
     f = make_free(2, ["x", "y"])
     assert f.is_identity(W("x x^-1"))
@@ -72,11 +79,11 @@ def test_free_reduction_and_membership():
 
 
 def test_oracle_multiply_examples():
-    assert oracle_multiply(make_cyclic(3, "b"), W("b^2"), W("b^2")) == W("b")
+    assert make_cyclic(3, "b").multiply(W("b^2"), W("b^2")) == W("b")
     ab = make_free_abelian(2, ["x", "y"])
-    assert oracle_multiply(ab, W("x y"), W("x^-1")) == W("y")
+    assert ab.multiply(W("x y"), W("x^-1")) == W("y")
     f = make_free(2, ["x", "y"])
-    assert oracle_multiply(f, W("x y"), W("y^-1 x")) == W("x^2")
+    assert f.multiply(W("x y"), W("y^-1 x")) == W("x^2")
 
 
 def test_exponents_do_not_overflow():

@@ -5,7 +5,8 @@ import pytest
 from treegroups.oracles import make_cyclic
 from treegroups.splitting import (HnnNotSupportedError, SpecError,
                                   SplittingSpec, classify_elementarity,
-                                  normal_form, spec_from_dict, syllable_length)
+                                  spec_from_dict)
+from treegroups.tree import TreeVertex
 from treegroups.words import Word, WordError
 
 from conftest import random_word
@@ -13,28 +14,33 @@ from conftest import random_word
 W = Word.parse
 
 
+def nf_word(nf):
+    """The element of a normal form as a plain word (tail via factor A)."""
+    return TreeVertex("A", nf.syllables).rep_word() * nf.tail_image_a
+
+
 def test_normal_form_alternating_example(z2z3):
-    nf = normal_form(z2z3, W("a b a b^-1"))
+    nf = z2z3.normal_form(W("a b a b^-1"))
     assert [str(s.word) for s in nf.syllables] == ["a", "b", "a", "b^2"]
     assert [s.side for s in nf.syllables] == ["A", "B", "A", "B"]
-    assert syllable_length(nf) == 4
+    assert len(nf.syllables) == 4
     assert nf.tail_image_a.is_empty
 
 
 def test_normal_form_trivial(z2z3):
     assert z2z3.is_trivial(W("a a"))
-    assert syllable_length(normal_form(z2z3, Word())) == 0
-    assert syllable_length(normal_form(z2z3, W("a b a"))) == 3
+    assert len(z2z3.normal_form(Word()).syllables) == 0
+    assert len(z2z3.normal_form(W("a b a")).syllables) == 3
 
 
 def test_edge_generator_substitution(f2_amalgam):
     # the edge element c is identified with a: same normal form
-    nf_c = normal_form(f2_amalgam, W("c"))
-    assert nf_c == normal_form(f2_amalgam, W("a"))
-    assert syllable_length(nf_c) == 0
+    nf_c = f2_amalgam.normal_form(W("c"))
+    assert nf_c == f2_amalgam.normal_form(W("a"))
+    assert len(nf_c.syllables) == 0
     assert nf_c.tail_image_a == W("a")
     # the abstract edge generator name works in input words too
-    assert normal_form(f2_amalgam, W("t")) == nf_c
+    assert f2_amalgam.normal_form(W("t")) == nf_c
 
 
 def test_normal_form_idempotent(z2z3, klein, f2_amalgam):
@@ -43,7 +49,7 @@ def test_normal_form_idempotent(z2z3, klein, f2_amalgam):
         for _ in range(100):
             w = random_word(rng, spec.gen_names, 6)
             nf = spec.normal_form(w)
-            again = spec.normal_form(nf.as_word())
+            again = spec.normal_form(nf_word(nf))
             assert nf == again
 
 
@@ -52,7 +58,7 @@ def test_normal_form_soundness_500_random(z2z3, z3z4, klein, f2_amalgam):
     for spec in (z2z3, z3z4, klein, f2_amalgam):
         for _ in range(500):
             w = random_word(rng, spec.gen_names, 6)
-            assert spec.is_trivial(w * spec.normal_form(w).as_word().inverse())
+            assert spec.is_trivial(w * nf_word(spec.normal_form(w)).inverse())
 
 
 def test_normal_form_uniqueness(z2z3, klein, f2_amalgam):
@@ -71,9 +77,9 @@ def test_syllable_length_subadditive(z2z3, z3z4, klein, f2_amalgam):
         for _ in range(150):
             u = random_word(rng, spec.gen_names, 5)
             v = random_word(rng, spec.gen_names, 5)
-            su = syllable_length(spec.normal_form(u))
-            sv = syllable_length(spec.normal_form(v))
-            assert syllable_length(spec.normal_form(u * v)) <= su + sv
+            su = len(spec.normal_form(u).syllables)
+            sv = len(spec.normal_form(v).syllables)
+            assert len(spec.normal_form(u * v).syllables) <= su + sv
 
 
 def test_elementarity(z2z3, z2z2, triv_z5, klein, f2_amalgam):

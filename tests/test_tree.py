@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from treegroups.oracles import make_free
+from treegroups.splitting import SplittingSpec
 from treegroups.tree import (EllipticElementError, act, axis_window, ball,
                              base_vertex, check_acylindricity, classify,
                              fix_diameter_lb, fixed_set, geodesic, neighbors,
@@ -319,6 +321,19 @@ def test_check_acylindricity(z2z3, klein, f2_amalgam):
     assert chk.witness_diameter > 5
     chk = check_acylindricity(f2_amalgam, 2, 5, 6)
     assert chk.verdict == "consistent" and not chk.certified
+
+
+def test_check_acylindricity_finds_long_edge_elements():
+    # F2 *_{(ab)^3 = (cd)^2} F2: (ab)^3 fixes the B-vertices (ab)^j B, so its
+    # fixed set is wide, yet no word of <= 3 factor letters is a conjugate of
+    # an edge element; one edge-group letter reaches it
+    spec = SplittingSpec("amalgam", make_free(2, ["a", "b"], "A"),
+                         make_free(2, ["c", "d"], "B"), ["t"],
+                         [W("a b a b a b")], [W("c d c d")])
+    chk = check_acylindricity(spec, 2, word_length=3, radius=3)
+    assert chk.falsified
+    assert chk.witness == W("a b") ** 3
+    assert chk.witness_diameter > 2
 
 
 def test_check_acylindricity_validates_inputs(z2z3):

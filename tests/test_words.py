@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treegroups.words import Generator, Word, WordError
+from treegroups.words import Word, WordError, shortlex
 
 W = Word.parse
 
@@ -49,14 +49,6 @@ def test_conjugation():
     assert w.conjugated_by(t) == t.inverse() * w * t
 
 
-def test_generator_name_validation():
-    Generator("a_1", "A")
-    with pytest.raises(WordError):
-        Generator("1a", "A")
-    with pytest.raises(WordError):
-        Generator("", "A")
-
-
 @given(words)
 def test_words_stay_merged_and_roundtrip(w):
     for (g1, _), (g2, _) in zip(w.letters, w.letters[1:]):
@@ -70,3 +62,20 @@ def test_concatenation_associative_and_invertible(u, v, w):
     assert (u * v) * w == u * (v * w)
     assert (u * v).inverse() == v.inverse() * u.inverse()
     assert (u * u.inverse() * v) == v
+
+
+def _shortlex_key(units, symbols):
+    return (len(units), [(symbols.index(s), 0 if e > 0 else 1) for s, e in units])
+
+
+@given(st.integers(1, 3), st.integers(1, 4))
+def test_shortlex_levels(r, n):
+    symbols = "abc"[:r]
+    words = list(shortlex(symbols, n))
+    assert words[0] == ()
+    level = [u for u in words if len(u) == n]
+    assert len(level) == 2 * r * (2 * r - 1) ** (n - 1)
+    for u in words:
+        assert all(x != (y[0], -y[1]) for x, y in zip(u, u[1:]))
+    keys = [_shortlex_key(u, symbols) for u in words]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
