@@ -28,9 +28,6 @@ class OracleError(ValueError):
     """Invalid oracle construction or misuse."""
 
 
-_MISS = object()  # cache sentinel (None is a valid cached value)
-
-
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     """Return (g, u, v) with u*a + v*b = g = gcd(a, b), g >= 0."""
     old_r, r = a, b
@@ -59,10 +56,6 @@ def word_units(w: Word) -> Tuple[Unit, ...]:
         step = 1 if exp > 0 else -1
         out.extend((name, step) for _ in range(abs(exp)))
     return tuple(out)
-
-
-def units_word(units: Sequence[Unit]) -> Word:
-    return Word.of(units)
 
 
 def invert_units(units: Sequence[Unit]) -> Tuple[Unit, ...]:
@@ -113,7 +106,11 @@ class DesignatedSubgroup:
         raise NotImplementedError
 
     def coset_rep(self, x: Word) -> Word:
-        """Canonical representative of the left coset x*H."""
+        """Canonical representative of the left coset x*H.
+
+        The representative of H itself is the identity, so
+        ``coset_rep(x).is_empty == contains(x)``; normal forms rely on it.
+        """
         raise NotImplementedError
 
     def index(self) -> Optional[int]:
@@ -357,12 +354,11 @@ class _LatticeSubgroup(DesignatedSubgroup):
     def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         if self.index() is not None:
             diag = {c: self.rows[r][c] for r, c in self.pivots}
-            ranges = [range(diag[c]) for c in range(self.n)]
-            reps = []
-            for combo in itertools.product(*ranges):
-                reps.append(self.oracle._from_vector(self._reduce(combo)))
-                if cap is not None and len(reps) >= cap:
-                    return reps, False
+            combos = itertools.product(*(range(diag[c]) for c in range(self.n)))
+            reps = [self.oracle._from_vector(self._reduce(combo)) for combo in
+                    itertools.islice(combos, None if cap is None else cap + 1)]
+            if cap is not None and len(reps) > cap:
+                return reps[:cap], False
             return reps, True
         cap = cap if cap is not None else 32
         reps: List[Word] = []
@@ -394,67 +390,57 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
                 "designated subgroups of free factors must be cyclic "
                 f"(got {len(self.image_words)} generators)")
         self.w = self.image_words[0] if self.image_words else Word()
-        self.w_units = word_units(self.w)
-        self.prefix, self.core = cyclic_decompose(self.w_units)
-        self.trivial = not self.w_units
-        self._pow_cache: dict = {}
-        self._rep_cache: dict = {}
+        self.prefix, self.core = cyclic_decompose(word_units(self.w))
+        self.trivial = self.w.is_empty
+        self._memo: dict = {}
 
-    def _power_of_w(self, x: Word) -> Optional[int]:
-        if x.is_empty:
-            return 0
-        if self.trivial:
-            return None
-        hit = self._pow_cache.get(x.letters, _MISS)
-        if hit is not _MISS:
-            return hit
-        out = None
-        xu = word_units(x)
-        lw = len(self.core)
-        extra = len(xu) - 2 * len(self.prefix)
-        if extra > 0 and extra % lw == 0:
-            k = extra // lw
-            for cand in (k, -k):
-                if self.oracle.canonical(self.w ** cand) == x:
-                    out = cand
-                    break
-        self._pow_cache[x.letters] = out
-        return out
+    def _reduce(self, x: Word) -> Tuple[int, Word]:
+        """Return (k, x w^k) with x w^k the shortlex-least element of x<w>.
 
-    def contains(self, x: Word) -> bool:
-        return self._power_of_w(self.oracle.canonical(x)) is not None
-
-    def decompose(self, x: Word) -> CWord:
-        k = self._power_of_w(self.oracle.canonical(x))
-        if k is None:
-            raise OracleError(f"{x} is not in the designated subgroup")
-        return ((0, k),) if k else ()
-
-    def coset_rep(self, x: Word) -> Word:
+        Write w = p c p^-1 with c cyclically reduced and let y = x p, so
+        x w^k = y c^k p^-1.  In the Cayley tree the points q_k = y c^k lie
+        |c| apart on one line, and p^-1 leaves that line at once (w is
+        reduced).  So |x w^k| = d(1, pi) + d(pi, q_k) + |p| whenever q_k is
+        not the projection pi of 1 onto the line, and is smaller when it is.
+        Reading y backwards, the path to 1 follows the line for L steps in
+        direction s: L is the length of the longest suffix of y that is also
+        a suffix of ... c^-s c^-s, for the one s in {+1, -1} where it is
+        nonzero (both cannot be, as c is cyclically reduced).  The points
+        nearest pi, hence every element of least length, are at
+        k = s*floor(L/|c|) and s*ceil(L/|c|); for L = 0 only k = 0 remains.
+        The memo holds (k, x w^k) per x.
+        """
         x = self.oracle.canonical(x)
-        if self.trivial:
-            return x
-        hit = self._rep_cache.get(x.letters)
+        hit = self._memo.get(x.letters)
         if hit is not None:
             return hit
-        # x * w^k can only shrink while the power eats into x: a bounded
-        # window around k = 0 surely contains every shortlex minimum
-        span = (len(word_units(x)) + len(self.w_units)) // max(1, len(self.core)) + 2
-        candidates = []
-        w_inv = self.w.inverse()
-        cur = x
-        for _ in range(span + 1):
-            candidates.append(cur)
-            cur = cur * self.w
-        cur = x * w_inv
-        for _ in range(span):
-            candidates.append(cur)
-            cur = cur * w_inv
-        min_len = min(c.letter_length() for c in candidates)
-        shortest = [c for c in candidates if c.letter_length() == min_len]
-        best = min(shortest, key=self.oracle._shortlex_key)
-        self._rep_cache[x.letters] = best
-        return best
+        ks = {0}
+        if not self.trivial:
+            back = word_units(x * Word.of(self.prefix))[::-1]
+            n = len(self.core)
+            for s, c in ((1, self.core), (-1, invert_units(self.core))):
+                L = 0
+                while L < len(back) and back[L] == (c[L % n][0], -c[L % n][1]):
+                    L += 1
+                if L:
+                    ks = {s * (L // n), s * -(-L // n)}
+                    break
+        hit = min(((k, x * self.w ** k) for k in ks),
+                  key=lambda kr: self.oracle._shortlex_key(kr[1]))
+        self._memo[x.letters] = hit
+        return hit
+
+    def contains(self, x: Word) -> bool:
+        return self._reduce(x)[1].is_empty
+
+    def decompose(self, x: Word) -> CWord:
+        k, rep = self._reduce(x)
+        if not rep.is_empty:
+            raise OracleError(f"{x} is not in the designated subgroup")
+        return ((0, -k),) if k else ()
+
+    def coset_rep(self, x: Word) -> Word:
+        return self._reduce(x)[1]
 
     def index(self) -> Optional[int]:
         return None
@@ -463,7 +449,7 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
         cap = cap if cap is not None else 16
         reps: List[Word] = []
         for units in shortlex(self.oracle.gen_names):
-            w = units_word(units)
+            w = Word.of(units)
             if self.coset_rep(w) == w:
                 reps.append(w)
                 if len(reps) >= cap:
@@ -493,8 +479,8 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
                     break
             if hit is None:
                 continue
-            base = units_word(ux + cx[:hit] + invert_units(self.prefix))
-            rho_w = units_word(self.prefix + rho + invert_units(self.prefix))
+            base = Word.of(ux + cx[:hit] + invert_units(self.prefix))
+            rho_w = Word.of(self.prefix + rho + invert_units(self.prefix))
             for m in range(s):
                 t = self.coset_rep(base * (rho_w ** m))
                 if t.letters not in seen:

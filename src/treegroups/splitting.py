@@ -221,12 +221,11 @@ class SplittingSpec:
         y = factor.multiply(sub.embed(tail), piece)
         if syllables and syllables[-1].side == side:
             y = factor.multiply(syllables.pop().word, y)
-        if sub.contains(y):
-            return sub.decompose(y)
         rep = sub.coset_rep(y)
-        rest = factor.multiply(factor.invert(rep), y)
-        syllables.append(Syllable(side, rep))
-        return sub.decompose(rest)
+        if not rep.is_empty:
+            syllables.append(Syllable(side, rep))
+            y = factor.multiply(factor.invert(rep), y)
+        return sub.decompose(y)
 
     def is_trivial(self, w: Word) -> bool:
         return self.normal_form(w).is_trivial

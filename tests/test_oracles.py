@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegroups.oracles import (OracleError, cyclic_decompose, make_cyclic,
                                 make_free, make_free_abelian, make_table,
@@ -17,15 +19,20 @@ V4 = (["e", "i", "j", "k"],
 
 
 def all_oracles():
+    """Every oracle kind, each with generator lists of its designated
+    subgroups: residue (Z/n and Z), table, lattice (finite and infinite
+    index), free cyclic, and the trivial subgroup."""
     return [
-        make_cyclic(2, "a"),
-        make_cyclic(3, "b"),
-        make_cyclic(1, "t"),
-        make_cyclic(12, "r"),
-        make_free_abelian(2, ["x", "y"]),
-        make_free(2, ["x", "y"]),
-        make_free(1, ["z"]),
-        make_table(*V4),
+        (make_cyclic(2, "a"), [[], ["a"]]),
+        (make_cyclic(3, "b"), [[], ["b"]]),
+        (make_cyclic(1, "t"), [[], ["t"]]),
+        (make_cyclic(12, "r"), [[], ["r^8", "r^6"], ["r^3"]]),
+        (make_free_abelian(2, ["x", "y"]),
+         [[], ["x^2", "y^2"], ["x^2", "y^3"], ["x"], ["x y^2"]]),
+        (make_free(2, ["x", "y"]),
+         [[], ["x"], ["x y x^-1"], ["x y x y"], ["y^-1 x^3 y"]]),
+        (make_free(1, ["z"]), [[], ["z^3"]]),
+        (make_table(*V4), [[], ["i"], ["i", "j"]]),
     ]
 
 
@@ -96,7 +103,7 @@ def test_exponents_do_not_overflow():
 
 def test_associativity_random_triples():
     rng = random.Random(7)
-    for o in all_oracles():
+    for o, _ in all_oracles():
         for _ in range(120):
             u, v, w = (random_word(rng, o.gen_names, 6) for _ in range(3))
             assert o.multiply(o.multiply(u, v), w) == o.multiply(u, o.multiply(v, w))
@@ -104,7 +111,7 @@ def test_associativity_random_triples():
 
 def test_inverse_identity_1000_random_words():
     rng = random.Random(11)
-    for o in all_oracles():
+    for o, _ in all_oracles():
         for _ in range(1000):
             u = random_word(rng, o.gen_names, 5)
             assert o.is_identity(o.multiply(u, o.invert(u)))
@@ -198,6 +205,60 @@ def test_lattice_subgroup():
     assert coord.index() is None
     assert coord.contains(W("x^5"))
     assert not coord.contains(W("x y"))
+
+
+def test_lattice_transversal_cap_at_index():
+    # a cap equal to the index still returns a complete transversal
+    lat = make_free_abelian(2, ["x", "y"]).designated_subgroup([W("x^2"), W("y^2")])
+    reps, complete = lat.transversal(4)
+    assert len(reps) == 4 and complete
+    reps, complete = lat.transversal(3)
+    assert len(reps) == 3 and not complete
+    reps, complete = lat.transversal()
+    assert len(reps) == 4 and complete
+
+
+def test_coset_rep_is_identity_exactly_on_the_subgroup():
+    rng = random.Random(13)
+    for o, subgroups in all_oracles():
+        for gens in subgroups:
+            sub = o.designated_subgroup([W(g) for g in gens])
+            for _ in range(100):
+                y = random_word(rng, o.gen_names, 6)
+                assert sub.coset_rep(y).is_empty == sub.contains(y)
+                cw = [(rng.randrange(len(gens)), rng.randint(-3, 3)) for _ in gens]
+                member = sub.embed(tuple(cw))
+                assert sub.contains(member) and sub.coset_rep(member).is_empty
+                assert sub.coset_rep(o.multiply(y, member)) == sub.coset_rep(y)
+
+
+def bruteforce_reduce(sub, x):
+    """(k, x w^k) of least shortlex key over the window |k| <= (|x| + |w|)/|core| + 2."""
+    span = (x.letter_length() + sub.w.letter_length()) // len(sub.core) + 2
+    return min(((k, x * sub.w ** k) for k in range(-span, span + 1)),
+               key=lambda kr: sub.oracle._shortlex_key(kr[1]))
+
+
+free_words = st.lists(st.tuples(st.sampled_from("xy"), st.integers(-4, 4).filter(bool)),
+                      max_size=8).map(Word.of)
+
+
+@settings(max_examples=400, deadline=None)
+@given(w=st.sampled_from(["x", "y^-1", "x y", "x^2", "x y x y", "x y x^-1",
+                          "y^-1 x^3 y", "x y^-1 x y^-1 x y^-1", "x^2 y x^-2 y"]),
+       x=free_words, k=st.integers(-5, 5))
+def test_free_cyclic_reduction_matches_bruteforce(w, x, k):
+    sub = make_free(2, ["x", "y"]).designated_subgroup([W(w)])
+    for y in (x, x * sub.w ** k, sub.w ** k):
+        k_ref, rep = bruteforce_reduce(sub, y)
+        assert sub.coset_rep(y) == rep
+        assert sub.contains(y) == rep.is_empty
+        if rep.is_empty:
+            assert sub.decompose(y) == (((0, -k_ref),) if k_ref else ())
+            assert sub.embed(sub.decompose(y)) == y
+        else:
+            with pytest.raises(OracleError):
+                sub.decompose(y)
 
 
 def test_free_cyclic_subgroup_general_word():

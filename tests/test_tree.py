@@ -159,6 +159,20 @@ def test_classify_examples(z2z3, f2):
     assert cls_xy.verdict == "hyperbolic" and cls_xy.tau == 2
 
 
+def test_classify_large_exponent_in_free_factor():
+    # F2 *_{ab=c} F2: a^20000 is its own representative modulo <a b>, and
+    # c = a b is left as the tail
+    spec = SplittingSpec("amalgam", make_free(2, ["a", "b"], "A"),
+                         make_free(2, ["c", "d"], "B"), ["t"],
+                         [W("a b")], [W("c")])
+    g = W("a^20000 c")
+    nf = spec.normal_form(g)
+    assert str(nf) == "[a^20000][a b]"
+    assert nf.tail == ((0, 1),)
+    cls = classify(spec, g)
+    assert cls.verdict == "elliptic" and cls.tau == 0
+
+
 def test_classify_base_independent(z2z3, z3z4, klein):
     rng = random.Random(18)
     for spec in (z2z3, z3z4, klein):
