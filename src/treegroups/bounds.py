@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
-
 HIGH_PRECISION_TRIGGER = 30.0
 HIGH_PRECISION_DPS = 60
 
@@ -41,6 +39,7 @@ def s0_core(x: float, mode: str = "auto") -> float:
         if x > 700.0:
             return 0.0  # e^x overflows a double; the true value underflows anyway
         return math.log1p(4.0 / math.expm1(x))
+    import mpmath  # here, so that importing the package does not load it
     with mpmath.workdps(HIGH_PRECISION_DPS):
         return float(mpmath.log1p(4 / mpmath.expm1(mpmath.mpf(x))))
 

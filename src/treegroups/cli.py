@@ -21,8 +21,7 @@ from .freeness import (CertificationFailure, WitnessInputError,
                        witness_elliptic_pair, witness_hyperbolic_pair)
 from .growth import (analytic_root_estimate, ball_series_free_group,
                      ball_series_free_semigroup, bcg_lower_bound,
-                     entropy_from_counts, free_group_entropy_root,
-                     semigroup_entropy_root)
+                     entropy_from_counts)
 from .manifolds import (DichotomyError, ManifoldError, classify_manifold,
                         load_manifold, systole_bound_for)
 from .splitting import SpecError, load_spec
@@ -163,12 +162,11 @@ def _cmd_entropy(args) -> int:
     radii = [i * step for i in range(count + 1)]
     if args.kind == "group":
         series = ball_series_free_group(l1, l2, radii)
-        root = free_group_entropy_root(l1, l2)
     else:
         series = ball_series_free_semigroup(l1, l2, radii)
-        root = semigroup_entropy_root(l1, l2)
     est = entropy_from_counts(series)
     root_est = analytic_root_estimate(args.kind, l1, l2)
+    root = root_est.lower
     payload = {
         "kind": args.kind,
         "weights": [l1, l2],
@@ -286,8 +284,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dichotomy", help="geometric vs acylindrical decision")
     common(p, group=False)
-    p.add_argument("manifold", nargs="?", metavar="FILE")
-    p.add_argument("--manifold", dest="manifold_flag", metavar="FILE")
+    p.add_argument("manifold", metavar="FILE")
     p.add_argument("--entropy", type=float, default=None)
     p.add_argument("--diam", type=float, default=None)
     p.add_argument("--dim", type=int, default=3)
@@ -301,10 +298,6 @@ def run(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "dichotomy":
-            args.manifold = args.manifold or args.manifold_flag
-            if not args.manifold:
-                raise CliInputError("a manifold description file is required")
         return args.func(args)
     except (CliInputError, SpecError, ManifoldError, DichotomyError, WordError,
             WitnessInputError, EllipticElementError, CertificationFailure,

@@ -20,8 +20,8 @@ from typing import List, Optional, Tuple
 
 from .splitting import SplittingSpec
 from .tree import (ElementClass, TreeVertex, VertexRegion, act, axis_window,
-                   classify, fixed_set, geodesic, on_axis, region_diameter,
-                   region_distance, t_set)
+                   classify, element_order, fixed_set, geodesic, on_axis,
+                   region_diameter, region_distance, t_set)
 from .words import Word
 
 
@@ -107,7 +107,7 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
     if spec.is_trivial(w1) or spec.is_trivial(w2):
         return False, "a witness generator is trivial"
     witnesses = (w1, w2)
-    orders = (spec.element_order(w1), spec.element_order(w2))
+    orders = (element_order(spec, w1), element_order(spec, w2))
 
     def descend(prefix: Word, last: Optional[int], budget: int) -> Optional[str]:
         for i in (0, 1):

@@ -233,22 +233,6 @@ class SplittingSpec:
     def equal(self, u: Word, v: Word) -> bool:
         return self.normal_form(u) == self.normal_form(v)
 
-    def element_order(self, w: Word, cap: int = 64) -> Optional[int]:
-        """Order of w in the whole group (None if infinite or > cap).
-
-        Torsion elements are conjugates of torsion factor elements, so the
-        normal-form power walk terminates fast when the order is finite.
-        """
-        nf = self.normal_form(w)
-        if nf.is_trivial:
-            return 1
-        acc = w
-        for n in range(2, cap + 1):
-            acc = acc * w
-            if self.is_trivial(acc):
-                return n
-        return None
-
 
 # ---------------------------------------------------------------------------
 # elementarity

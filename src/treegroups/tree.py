@@ -190,6 +190,23 @@ def _factor_element(spec: SplittingSpec, side: str, w: Word) -> Optional[Word]:
     return None
 
 
+def element_order(spec: SplittingSpec, g: Word) -> Optional[int]:
+    """Order of g in the whole group; None when it is infinite.
+
+    A finite-order isometry of a tree fixes a vertex (Serre, Trees, §I.6),
+    so hyperbolic g has infinite order.  Elliptic g fixes classify's witness
+    vertex hX, so x = h^-1 g h lies in the factor X and g, a conjugate of x,
+    has the order of x in X.
+    """
+    cls = classify(spec, g)
+    if cls.is_hyperbolic:
+        return None
+    v = cls.witness_vertex
+    x = _factor_element(spec, v.side, v.rep_word().inverse() * g * v.rep_word())
+    assert x is not None, "fixed vertex must conjugate g into its factor"
+    return spec.factor(v.side).element_order(x)
+
+
 def fixed_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
               radius: int = 8, neighbor_cap: Optional[int] = 16) -> VertexRegion:
     """Fix(g) intersected with ball(base, radius).
@@ -197,8 +214,9 @@ def fixed_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
     Exhaustive except when g is the identity on a non-locally-finite tree or
     a conjugator solver reports an infinite solution family (flagged).
     Fixed-point sets of nontrivial elliptic elements are connected subtrees,
-    so they are explored by BFS over fixed neighbors from the point of Fix(g)
-    closest to the base.
+    so they are explored by BFS over fixed neighbors from classify's witness
+    vertex: the midpoint of [base, g base], which is the projection of the
+    base onto Fix(g).
     """
     if base is None:
         base = base_vertex(spec)
@@ -208,15 +226,8 @@ def fixed_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
     cls = classify(spec, g, base)
     if cls.is_hyperbolic:
         return VertexRegion(base, radius, (), True)
-    chain = geodesic(spec, base, cls.witness_vertex)
-    start = None
-    start_dist = None
-    for i, v in enumerate(chain):
-        if act(spec, g, v) == v:
-            start, start_dist = v, i
-            break
-    assert start is not None, "midpoint of [v, gv] must be fixed for elliptic g"
-    if start_dist > radius:
+    start = cls.witness_vertex
+    if tree_distance(spec, base, start) > radius:
         return VertexRegion(base, radius, (), True)
 
     exhaustive = True
@@ -248,7 +259,8 @@ def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
           neighbor_cap: Optional[int] = 16) -> VertexRegion:
     """Union of Fix(g^n) over 1 <= n <= max_power with g^n nontrivial.
 
-    Fix(g^-n) = Fix(g^n), so positive powers suffice.  The region is flagged
+    Fix(g^-n) = Fix(g^n), so positive powers suffice, and g^n is trivial
+    exactly when the order of g divides n.  The region is flagged
     exhaustive only when every window was exhaustive and g has finite order
     covered by max_power.
     """
@@ -256,13 +268,13 @@ def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
         raise ValueError("max_power must be >= 1")
     if base is None:
         base = base_vertex(spec)
-    order = spec.element_order(g)
+    order = element_order(spec, g)
     members: Set[TreeVertex] = set()
     exhaustive = True
     acc = Word()
     for n in range(1, max_power + 1):
         acc = acc * g
-        if spec.is_trivial(acc):
+        if order is not None and n % order == 0:
             continue
         region = fixed_set(spec, acc, base, radius, neighbor_cap)
         members.update(region.members)
@@ -313,17 +325,17 @@ def on_axis(spec: SplittingSpec, h: Word, tau: int, v: TreeVertex) -> bool:
 
 
 def region_diameter(spec: SplittingSpec, region: VertexRegion):
-    """Diameter of the member set; -inf for an empty region."""
-    if not region.members:
-        return -math.inf
-    best = 0
+    """Diameter of the member set; -inf for an empty region.
+
+    Double sweep: in a tree, a member v farthest from any member u ends a
+    longest path between members (connected or not), so the diameter is the
+    largest distance from v.
+    """
     vs = region.members
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            d = tree_distance(spec, vs[i], vs[j])
-            if d > best:
-                best = d
-    return best
+    if not vs:
+        return -math.inf
+    far = max(vs, key=lambda v: tree_distance(spec, vs[0], v))
+    return max(tree_distance(spec, far, v) for v in vs)
 
 
 def region_distance(spec: SplittingSpec, r1: VertexRegion, r2: VertexRegion):

@@ -23,6 +23,13 @@ def z3z4():
 
 
 @pytest.fixture(scope="session")
+def z70z3():
+    # Z/70 * Z/3: element orders up to 70
+    return SplittingSpec("free_product", make_cyclic(70, "a", "A"),
+                         make_cyclic(3, "b", "B"))
+
+
+@pytest.fixture(scope="session")
 def z2z2():
     return SplittingSpec("free_product", make_cyclic(2, "a", "A"),
                          make_cyclic(2, "b", "B"))

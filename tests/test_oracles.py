@@ -297,6 +297,26 @@ def test_free_cyclic_conjugators_of_proper_power_root():
         assert sub.contains(W("x y x y").conjugated_by(t))
 
 
+@settings(max_examples=150, deadline=None)
+@given(w=st.sampled_from(["x", "y^-1", "x y", "x^2", "x y x y", "x y x^-1",
+                          "y^-1 x^3 y"]),
+       x=free_words, k=st.integers(-3, 3).filter(bool), conjugate=st.booleans())
+def test_free_cyclic_conjugator_cosets_match_transversal_scan(w, x, k, conjugate):
+    sub = make_free(2, ["x", "y"]).designated_subgroup([W(w)])
+    if conjugate:  # x w^k x^-1 has conjugators into <w>
+        x = x * sub.w ** k * x.inverse()
+    if sub.oracle.canonical(x).is_empty:
+        return
+    reps, complete = sub.conjugator_cosets(x)
+    assert complete
+    for t in reps:
+        assert sub.contains(x.conjugated_by(t))
+    scan, _ = sub.transversal(200)
+    for t in scan[:200]:
+        if sub.contains(sub.oracle.canonical(x.conjugated_by(t))):
+            assert t in reps
+
+
 def test_cyclic_word_utilities():
     units = word_units(W("x y x^-1"))
     prefix, core = cyclic_decompose(units)

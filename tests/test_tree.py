@@ -2,17 +2,20 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegroups.oracles import make_free
 from treegroups.splitting import SplittingSpec
-from treegroups.tree import (EllipticElementError, act, axis_window, ball,
-                             base_vertex, check_acylindricity, classify,
+from treegroups.tree import (EllipticElementError, VertexRegion, act,
+                             axis_window, ball, base_vertex,
+                             check_acylindricity, classify, element_order,
                              fix_diameter_lb, fixed_set, geodesic, neighbors,
                              region_diameter, region_distance, t_set,
                              tree_distance, vertex_of)
 from treegroups.words import Word
 
-from conftest import min_displacement_bruteforce, random_word
+from conftest import min_displacement_bruteforce, random_elliptic, random_word
 
 W = Word.parse
 
@@ -200,6 +203,44 @@ def test_classify_agrees_with_bruteforce(z2z3, klein):
             assert best == cls.tau
 
 
+def test_elliptic_witness_is_projection_onto_fixed_set(z2z3, z3z4, klein,
+                                                       f2_amalgam):
+    # the fixed vertex nearest v is the midpoint of [v, gv]
+    rng = random.Random(23)
+    for spec in (z2z3, z3z4, klein, f2_amalgam):
+        for _ in range(25):
+            g = random_elliptic(spec, rng)
+            v = act(spec, random_word(rng, spec.gen_names, 4),
+                    base_vertex(spec, rng.choice(["A", "B"])))
+            cls = classify(spec, g, v)
+            p = cls.witness_vertex
+            assert not cls.is_hyperbolic and act(spec, g, p) == p
+            assert 2 * tree_distance(spec, v, p) == tree_distance(spec, v, act(spec, g, v))
+
+
+def power_walk_order(spec, g, limit=80):
+    """Reference: the least n <= limit with g^n trivial, else None."""
+    acc = Word()
+    for n in range(1, limit + 1):
+        acc = acc * g
+        if spec.is_trivial(acc):
+            return n
+    return None
+
+
+def test_element_order_matches_power_walk(z2z3, z3z4, klein, f2_amalgam, z70z3):
+    rng = random.Random(24)
+    seen = set()
+    for spec in (z2z3, z3z4, klein, f2_amalgam, z70z3):
+        for i in range(24):
+            g = (random_elliptic(spec, rng, 2) if i % 2
+                 else random_word(rng, spec.gen_names, 4))
+            order = element_order(spec, g)
+            assert order == power_walk_order(spec, g), str(g)
+            seen.add(order)
+    assert {None, 1, 2, 3, 70} <= seen
+
+
 def test_translation_identity(z2z3, z3z4, klein, f2):
     rng = random.Random(20)
     for spec in (z2z3, z3z4, klein, f2):
@@ -300,6 +341,13 @@ def test_t_set_examples(z2z3, klein):
     assert not t2.exhaustive_within_radius  # infinite order: powers not covered
 
 
+def test_t_set_exhaustive_for_order_above_64(z70z3):
+    A = base_vertex(z70z3, "A")
+    region = t_set(z70z3, W("a"), A, radius=3, max_power=69)
+    assert region.members == (A,)
+    assert region.exhaustive_within_radius  # order 70: powers 1..69 covered
+
+
 def test_axis_examples(z2z3):
     A, B = base_vertex(z2z3, "A"), base_vertex(z2z3, "B")
     region = axis_window(z2z3, W("a b"), A, 4)
@@ -324,6 +372,24 @@ def test_fix_diameter_lb(z2z3, klein):
     assert fix_diameter_lb(z2z3, W("a"), radius=5) == 0
     assert fix_diameter_lb(klein, W("a^2"), radius=6) == 12
     assert fix_diameter_lb(z2z3, W("a b"), radius=5) == -math.inf
+
+
+def test_region_diameter_is_pairwise_max(z2z3, klein, f2_amalgam):
+    # random member sets of small balls, most of them disconnected
+    windows = [(spec, sorted(ball(spec, base_vertex(spec), 3, neighbor_cap=3)[0], key=str))
+               for spec in (z2z3, klein, f2_amalgam)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def check(data):
+        spec, vertices = data.draw(st.sampled_from(windows))
+        members = data.draw(st.lists(st.sampled_from(vertices), unique=True, max_size=12))
+        region = VertexRegion(vertices[0], 3, tuple(members), False)
+        pairwise = max((tree_distance(spec, u, v) for u in members for v in members),
+                       default=-math.inf)
+        assert region_diameter(spec, region) == pairwise
+
+    check()
 
 
 def test_check_acylindricity(z2z3, klein, f2_amalgam):
