@@ -134,10 +134,8 @@ class DesignatedSubgroup:
 
     def embed(self, cw: CWord) -> Word:
         """Image in the ambient oracle of an abstract subgroup word."""
-        out = Word()
-        for idx, exp in cw:
-            out = out * (self.image_words[idx] ** exp)
-        return self.oracle.canonical(out)
+        return self.oracle.canonical(Word.of(
+            letter for idx, exp in cw for letter in (self.image_words[idx] ** exp).letters))
 
 
 class _ResidueSubgroup(DesignatedSubgroup):

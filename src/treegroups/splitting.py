@@ -127,7 +127,6 @@ class SplittingSpec:
         for g in factor_b.gen_names:
             self._side_of[g] = SIDE_B
         self._edge_index = {g: i for i, g in enumerate(self.edge_gens)}
-        self._nf_cache: Dict[tuple, NormalForm] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -173,32 +172,24 @@ class SplittingSpec:
         return self.resolve_word(Word.parse(text))
 
     def resolve_word(self, w: Word) -> Word:
-        out = Word()
+        letters: List = []
         for name, exp in w.letters:
             if name in self._edge_index:
-                img = self.sub_a.image_words[self._edge_index[name]]
-                out = out * (img ** exp)
+                letters += (self.sub_a.image_words[self._edge_index[name]] ** exp).letters
             elif name in self._side_of:
-                out = out * Word.gen(name, exp)
+                letters.append((name, exp))
             else:
                 raise WordError(f"generator {name!r} is foreign to this splitting")
-        return out
+        return Word.of(letters)
 
     # -- normal form -----------------------------------------------------------
 
     def normal_form(self, w: Word) -> NormalForm:
-        hit = self._nf_cache.get(w.letters)
-        if hit is not None:
-            return hit
-        resolved = self.resolve_word(w)
         syllables: List[Syllable] = []
         tail: CWord = ()
-        for side, piece in self._runs(resolved):
+        for side, piece in self._runs(self.resolve_word(w)):
             tail = self._push(syllables, tail, side, piece)
-        nf = NormalForm(tuple(syllables), tail, self.sub_a.embed(tail))
-        if len(self._nf_cache) < 400_000:
-            self._nf_cache[w.letters] = nf
-        return nf
+        return NormalForm(tuple(syllables), tail, self.sub_a.embed(tail))
 
     def _runs(self, w: Word):
         """Split a word into maximal same-side runs as factor elements."""

@@ -8,6 +8,13 @@ plain structural equality.  Edges join gA and hB exactly when the cosets
 intersect; the action is by left multiplication and preserves sides, hence
 has no edge inversions.
 
+Canonical coset representatives are closed under prefixes, so the tree is
+the trie of normal forms (Serre, Trees, §I.4): the path from A:1 to (X, s)
+runs through B:1 when s starts on side B (or s is empty and X = B), then
+through the vertices named by the prefixes of s.  Distances, geodesics and
+neighbours are read off syllable tuples; only the action and factor
+membership compute normal forms.
+
 The tree is infinite (and not even locally finite when a factor has infinite
 edge index), so every set-valued operation here is windowed: results carry
 the window and an exhaustiveness flag.
@@ -65,8 +72,7 @@ def base_vertex(spec: SplittingSpec, side: str = SIDE_A) -> TreeVertex:
 
 def vertex_of(spec: SplittingSpec, side: str, w: Word) -> TreeVertex:
     """Canonical vertex for the coset w*<side factor>."""
-    nf = spec.normal_form(w)
-    syls = nf.syllables
+    syls = spec.normal_form(w).syllables
     if syls and syls[-1].side == side:
         syls = syls[:-1]
     return TreeVertex(side, syls)
@@ -76,34 +82,38 @@ def act(spec: SplittingSpec, g: Word, v: TreeVertex) -> TreeVertex:
     return vertex_of(spec, v.side, g * v.rep_word())
 
 
+def _first_side(v: TreeVertex) -> str:
+    """B when the path from A:1 to v runs through B:1, else A."""
+    return v.syllables[0].side if v.syllables else v.side
+
+
+def _prefix_vertex(v: TreeVertex, j: int) -> TreeVertex:
+    """The vertex named by v's first j syllables on the path from A:1 to v."""
+    side = other_side(v.syllables[j - 1].side) if j else _first_side(v)
+    return TreeVertex(side, v.syllables[:j])
+
+
+def _meet(u: TreeVertex, v: TreeVertex) -> int:
+    """Length of the common syllable prefix of u and v."""
+    j = 0
+    while j < min(len(u.syllables), len(v.syllables)) and u.syllables[j] == v.syllables[j]:
+        j += 1
+    return j
+
+
 def tree_distance(spec: SplittingSpec, u: TreeVertex, v: TreeVertex) -> int:
-    """Edge-count distance, from the syllable form of rep(u)^-1 rep(v)."""
-    t = vertex_of(spec, v.side, u.rep_word().inverse() * v.rep_word())
-    m = len(t.syllables)
-    if m == 0:
-        return 0 if u.side == v.side else 1
-    return m + (0 if t.syllables[0].side == u.side else 1)
+    """Edge-count distance: |s_u| + |s_v| - 2*meet + [one path from A:1 runs via B:1]."""
+    return (len(u.syllables) + len(v.syllables) - 2 * _meet(u, v)
+            + (_first_side(u) != _first_side(v)))
 
 
 def geodesic(spec: SplittingSpec, u: TreeVertex, v: TreeVertex) -> List[TreeVertex]:
-    """The geodesic vertex chain from u to v (length = distance + 1).
-
-    It is rep(u) times the geodesic from the base vertex on u's side to
-    t = rep(u)^-1 v, whose vertices are read off the prefixes of t's
-    syllables (prefixes of a reduced form are reduced).
-    """
-    rep_u = u.rep_word()
-    t = vertex_of(spec, v.side, rep_u.inverse() * v.rep_word())
-    frames = [TreeVertex(u.side, ())]
-    syls = t.syllables
-    if syls:
-        if syls[0].side != u.side:
-            frames.append(TreeVertex(other_side(u.side), ()))
-        for j in range(1, len(syls) + 1):
-            frames.append(TreeVertex(other_side(syls[j - 1].side), syls[:j]))
-    elif t.side != u.side:
-        frames.append(TreeVertex(t.side, ()))
-    return [act(spec, rep_u, f) for f in frames]
+    """The geodesic chain from u to v (length = distance + 1): up u's prefixes to
+    the meet, down v's; the climbs share it unless one path runs via B:1."""
+    m = _meet(u, v)
+    up = [_prefix_vertex(u, j) for j in range(len(u.syllables), m - 1, -1)]
+    down = [_prefix_vertex(v, j) for j in range(m, len(v.syllables) + 1)]
+    return up + (down if _first_side(u) != _first_side(v) else down[1:])
 
 
 def classify(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None) -> ElementClass:
@@ -122,13 +132,8 @@ def classify(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None) ->
     d2 = tree_distance(spec, base, ggv)
     if d2 > d1:
         tau = d2 - d1
-        off_axis = (d1 - tau) // 2
-        witness = geodesic(spec, base, gv)[off_axis]
-        return ElementClass("hyperbolic", tau, witness)
-    if d1 == 0:
-        return ElementClass("elliptic", 0, base)
-    witness = geodesic(spec, base, gv)[d1 // 2]
-    return ElementClass("elliptic", 0, witness)
+        return ElementClass("hyperbolic", tau, geodesic(spec, base, gv)[(d1 - tau) // 2])
+    return ElementClass("elliptic", 0, geodesic(spec, base, gv)[d1 // 2])
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +143,17 @@ def classify(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None) ->
 
 def neighbors(spec: SplittingSpec, v: TreeVertex,
               cap: Optional[int] = None) -> Tuple[List[TreeVertex], bool]:
-    """Adjacent vertices (cosets r*t*OtherSide over the edge transversal)."""
+    """Adjacent vertices (cosets s*t*OtherSide over the edge transversal)."""
     reps, complete = spec.subgroup(v.side).transversal(cap)
-    rep_v = v.rep_word()
-    out = [vertex_of(spec, other_side(v.side), rep_v * t) for t in reps]
-    return out, complete
+    return [_neighbor(v, t) for t in reps], complete
+
+
+def _neighbor(v: TreeVertex, t: Word) -> TreeVertex:
+    """The neighbour s*t*Y of v = (X, s), for a canonical coset rep t of C in X:
+    (Y, s[:-1]) when t = 1, else (Y, s + (t,))."""
+    if t.is_empty:
+        return TreeVertex(other_side(v.side), v.syllables[:-1])
+    return TreeVertex(other_side(v.side), v.syllables + (Syllable(v.side, t),))
 
 
 def ball(spec: SplittingSpec, center: TreeVertex, radius: int,
@@ -241,9 +252,8 @@ def fixed_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
             assert x is not None, "fixed vertex must conjugate g into its factor"
             sols, complete = spec.subgroup(v.side).conjugator_cosets(x, neighbor_cap)
             exhaustive = exhaustive and complete
-            rep_v = v.rep_word()
             for t in sols:
-                nb = vertex_of(spec, other_side(v.side), rep_v * t)
+                nb = _neighbor(v, t)
                 if nb in seen:
                     continue
                 seen.add(nb)
@@ -306,7 +316,7 @@ def axis_window(spec: SplittingSpec, h: Word, base: Optional[TreeVertex] = None,
         k = 0
         while k * tau - tau - d0 <= radius:
             for q in segment:
-                qq = vertex_of(spec, q.side, shift * q.rep_word())
+                qq = act(spec, shift, q)
                 if tree_distance(spec, base, qq) <= radius:
                     members.add(qq)
             shift = shift * direction

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from treegroups.oracles import make_cyclic, make_free
+from treegroups.oracles import make_cyclic, make_free, make_free_abelian
 from treegroups.splitting import SplittingSpec
 from treegroups.tree import act, ball, tree_distance
 from treegroups.words import Word
@@ -62,6 +62,14 @@ def f2_amalgam():
     return SplittingSpec("amalgam", make_free(2, ["a", "b"], "A"),
                          make_free(2, ["c", "d"], "B"),
                          ["t"], [W("a")], [W("c")])
+
+
+@pytest.fixture(scope="session")
+def z2_amalgam():
+    # Z^2 *_{x=u} Z^2: the edge group has infinite index on both sides
+    return SplittingSpec("amalgam", make_free_abelian(2, ["x", "y"], "A"),
+                         make_free_abelian(2, ["u", "v"], "B"),
+                         ["t"], [W("x")], [W("u")])
 
 
 def random_word(rng: random.Random, gen_names, max_len: int,

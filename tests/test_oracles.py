@@ -232,6 +232,27 @@ def test_coset_rep_is_identity_exactly_on_the_subgroup():
                 assert sub.coset_rep(o.multiply(y, member)) == sub.coset_rep(y)
 
 
+def test_transversal_and_conjugator_reps_are_canonical():
+    # the coset tree appends these reps as syllables, so each must be its
+    # own coset_rep
+    rng = random.Random(19)
+    for o, subgroups in all_oracles():
+        for gens in subgroups:
+            sub = o.designated_subgroup([W(g) for g in gens])
+            for cap in (None, 5):
+                reps, _ = sub.transversal(cap)
+                assert all(sub.coset_rep(t) == t for t in reps)
+            xs = [Word(), *sub.image_words]
+            for _ in range(30):
+                y = random_word(rng, o.gen_names, 4)
+                cw = tuple((rng.randrange(len(gens)), rng.randint(-3, 3)) for _ in gens)
+                xs += [y, o.multiply(o.multiply(y, sub.embed(cw)), o.invert(y))]
+            for x in xs:
+                for cap in (None, 5):
+                    sols, _ = sub.conjugator_cosets(x, cap)
+                    assert all(sub.coset_rep(t) == t for t in sols)
+
+
 def bruteforce_reduce(sub, x):
     """(k, x w^k) of least shortlex key over the window |k| <= (|x| + |w|)/|core| + 2."""
     span = (x.letter_length() + sub.w.letter_length()) // len(sub.core) + 2

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegroups.oracles import make_free
-from treegroups.splitting import SplittingSpec
-from treegroups.tree import (EllipticElementError, VertexRegion, act,
-                             axis_window, ball, base_vertex,
+from treegroups.splitting import SplittingSpec, other_side
+from treegroups.tree import (EllipticElementError, TreeVertex, VertexRegion,
+                             act, axis_window, ball, base_vertex,
                              check_acylindricity, classify, element_order,
                              fix_diameter_lb, fixed_set, geodesic, neighbors,
                              region_diameter, region_distance, t_set,
@@ -147,6 +147,75 @@ def test_geodesic_matches_distance(z2z3, klein, f2_amalgam):
             assert len(chain) - 1 == tree_distance(spec, u, v)
             for a, b in zip(chain, chain[1:]):
                 assert tree_distance(spec, a, b) == 1
+
+
+# -- the trie of normal forms -------------------------------------------------
+# The formulas below compute the metric from normal forms of rep(u)^-1 rep(v)
+# and rep(v) t; the library reads the same answers off syllable prefixes.
+
+def nf_distance(spec, u, v):
+    t = vertex_of(spec, v.side, u.rep_word().inverse() * v.rep_word())
+    m = len(t.syllables)
+    if m == 0:
+        return 0 if u.side == v.side else 1
+    return m + (0 if t.syllables[0].side == u.side else 1)
+
+
+def nf_geodesic(spec, u, v):
+    """rep(u) times the geodesic from u's base vertex to rep(u)^-1 v."""
+    rep_u = u.rep_word()
+    t = vertex_of(spec, v.side, rep_u.inverse() * v.rep_word())
+    frames = [TreeVertex(u.side, ())]
+    syls = t.syllables
+    if syls:
+        if syls[0].side != u.side:
+            frames.append(TreeVertex(other_side(u.side), ()))
+        for j in range(1, len(syls) + 1):
+            frames.append(TreeVertex(other_side(syls[j - 1].side), syls[:j]))
+    elif t.side != u.side:
+        frames.append(TreeVertex(t.side, ()))
+    return [act(spec, rep_u, f) for f in frames]
+
+
+def nf_neighbors(spec, v, cap):
+    reps, complete = spec.subgroup(v.side).transversal(cap)
+    rep_v = v.rep_word()
+    return [vertex_of(spec, other_side(v.side), rep_v * t) for t in reps], complete
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_trie_metric_matches_normal_forms(z2z3, klein, f2_amalgam, z2_amalgam, data):
+    spec = data.draw(st.sampled_from([z2z3, klein, f2_amalgam, z2_amalgam]))
+    letters = st.tuples(st.sampled_from(spec.gen_names), st.integers(-3, 3).filter(bool))
+
+    def vertex():
+        w = Word.of(data.draw(st.lists(letters, max_size=8)))
+        return act(spec, w, base_vertex(spec, data.draw(st.sampled_from("AB"))))
+
+    u, v = vertex(), vertex()
+    assert tree_distance(spec, u, v) == nf_distance(spec, u, v)
+    assert geodesic(spec, u, v) == nf_geodesic(spec, u, v)
+    assert neighbors(spec, u, 6) == nf_neighbors(spec, u, 6)
+
+
+def test_trie_metric_makes_no_normal_form(z2z3, klein, f2_amalgam, z2_amalgam,
+                                          monkeypatch):
+    rng = random.Random(23)
+    cases = [(spec, [act(spec, random_word(rng, spec.gen_names, 6), base_vertex(spec, side))
+                     for side in "AB" for _ in range(5)])
+             for spec in (z2z3, klein, f2_amalgam, z2_amalgam)]
+
+    def no_normal_form(self, w):
+        raise AssertionError("normal form computed")
+
+    monkeypatch.setattr(SplittingSpec, "normal_form", no_normal_form)
+    for spec, vs in cases:
+        assert ball(spec, base_vertex(spec), 3, neighbor_cap=4)[0]
+        for u in vs:
+            assert neighbors(spec, u, 4)[0]
+            for v in vs:
+                assert len(geodesic(spec, u, v)) == tree_distance(spec, u, v) + 1
 
 
 # -- classification -----------------------------------------------------------
