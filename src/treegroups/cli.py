@@ -19,8 +19,7 @@ from .bounds import build_bounds_report, compare_case_bounds
 from .freeness import (CertificationFailure, WitnessInputError,
                        semigroup_witness, witness_elliptic_hyperbolic,
                        witness_elliptic_pair, witness_hyperbolic_pair)
-from .growth import (analytic_root_estimate, ball_series_free_group,
-                     ball_series_free_semigroup, bcg_lower_bound,
+from .growth import (analytic_root_estimate, ball_series, bcg_lower_bound,
                      entropy_from_counts)
 from .manifolds import (DichotomyError, ManifoldError, classify_manifold,
                         load_manifold, systole_bound_for)
@@ -157,13 +156,7 @@ def _cmd_free_witness(args) -> int:
 
 def _cmd_entropy(args) -> int:
     l1, l2 = args.l1, args.l2
-    step = min(l1, l2)
-    count = max(int(args.radius / step), 3)
-    radii = [i * step for i in range(count + 1)]
-    if args.kind == "group":
-        series = ball_series_free_group(l1, l2, radii)
-    else:
-        series = ball_series_free_semigroup(l1, l2, radii)
+    series = ball_series(args.kind, l1, l2, args.radius)
     est = entropy_from_counts(series)
     root_est = analytic_root_estimate(args.kind, l1, l2)
     root = root_est.lower

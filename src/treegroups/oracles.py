@@ -304,6 +304,7 @@ class _LatticeSubgroup(DesignatedSubgroup):
         self.pivots = pivots
         self.n = n
         self.k = k
+        self._transversals: dict = {}  # cap -> (reps, complete)
 
     def _reduce(self, vec: Sequence[int]) -> List[int]:
         v = list(vec)
@@ -350,6 +351,13 @@ class _LatticeSubgroup(DesignatedSubgroup):
         return out
 
     def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
+        # the tree walks ask once per vertex; callers get a list of their own
+        if cap not in self._transversals:
+            self._transversals[cap] = self._build_transversal(cap)
+        reps, complete = self._transversals[cap]
+        return list(reps), complete
+
+    def _build_transversal(self, cap: Optional[int]) -> Tuple[List[Word], bool]:
         if self.index() is not None:
             diag = {c: self.rows[r][c] for r, c in self.pivots}
             combos = itertools.product(*(range(diag[c]) for c in range(self.n)))

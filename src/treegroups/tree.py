@@ -29,6 +29,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from .splitting import SIDE_A, SplittingSpec, Syllable, other_side
 from .words import Word, shortlex
 
+# most vertices ``ball`` collects before it reports an incomplete ball
+MAX_BALL_VERTICES = 200_000
+
 
 @dataclass(frozen=True)
 class TreeVertex:
@@ -157,9 +160,11 @@ def _neighbor(v: TreeVertex, t: Word) -> TreeVertex:
 
 
 def ball(spec: SplittingSpec, center: TreeVertex, radius: int,
-         neighbor_cap: Optional[int] = None,
-         max_vertices: int = 200_000) -> Tuple[Dict[TreeVertex, int], bool]:
-    """BFS ball as {vertex: distance}; second value reports completeness."""
+         neighbor_cap: Optional[int] = None) -> Tuple[Dict[TreeVertex, int], bool]:
+    """BFS ball as {vertex: distance}; second value reports completeness.
+
+    The walk stops, reporting an incomplete ball, once it holds more than
+    ``MAX_BALL_VERTICES`` vertices."""
     dist = {center: 0}
     frontier = [center]
     complete = True
@@ -172,7 +177,7 @@ def ball(spec: SplittingSpec, center: TreeVertex, radius: int,
                 if nb not in dist:
                     dist[nb] = d
                     nxt.append(nb)
-                    if len(dist) > max_vertices:
+                    if len(dist) > MAX_BALL_VERTICES:
                         return dist, False
         frontier = nxt
     return dist, complete

@@ -127,9 +127,6 @@ class Word:
         return Word.of(letters)
 
 
-IDENTITY = Word()
-
-
 def shortlex(symbols: Sequence[Hashable],
              max_len: Optional[int] = None) -> Iterator[Tuple[Tuple[Hashable, int], ...]]:
     """Freely reduced words over ``symbols`` in shortlex order, as unit tuples.

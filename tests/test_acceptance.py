@@ -22,9 +22,9 @@ from treegroups.freeness import (WitnessInputError, certify_rank2_free,
                                  witness_elliptic_pair,
                                  witness_hyperbolic_pair,
                                  witness_length_bound_holds)
-from treegroups.growth import (ball_count_free_group, ball_series_free_group,
-                               bcg_lower_bound, entropy_from_counts,
-                               free_group_entropy_root, semigroup_entropy_root)
+from treegroups.growth import (ball_series, bcg_lower_bound,
+                               entropy_from_counts, free_group_entropy_root,
+                               semigroup_entropy_root)
 from treegroups.manifolds import (JsjGraph, ManifoldDescription,
                                   PieceDescription, SL2Matrix,
                                   classify_manifold, sl2_trace,
@@ -165,9 +165,10 @@ class CentralEdgeLineModel:
 def test_criterion_1_entropy_equation():
     root = free_group_entropy_root(1, 1)
     assert abs(root - math.log(3)) <= 1e-10
+    counts = ball_series("group", 1, 1, 12).counts
     for n in range(0, 13):
-        assert ball_count_free_group(1, 1, n) == 2 * 3 ** n - 1
-    est = entropy_from_counts(ball_series_free_group(1, 1, range(0, 16)))
+        assert counts[n] == 2 * 3 ** n - 1
+    est = entropy_from_counts(ball_series("group", 1, 1, 15))
     assert abs(est.lower - math.log(3)) <= 5e-2
     assert abs(est.upper - math.log(3)) <= 5e-2
     report(1, f"root(1,1) = log 3 ± {abs(root - math.log(3)):.1e}; "

@@ -29,6 +29,11 @@ def invoke(capsys, *argv):
      ["bounds", "--entropy", "1", "--diam", "1", "--k", "4", "--json"]),
     ("dichotomy_torus_bundle.json",
      ["dichotomy", data("torus_bundle.json"), "--json"]),
+    ("entropy_group_1_2.json",
+     ["entropy", "--l1", "1", "--l2", "2", "--json"]),
+    ("entropy_semigroup_r30.json",
+     ["entropy", "--kind", "semigroup", "--l1", "0.8", "--l2", "1.3",
+      "--radius", "30", "--json"]),
 ])
 def test_golden_outputs(capsys, golden, argv):
     rc, out, _ = invoke(capsys, *argv)
@@ -140,6 +145,17 @@ def test_input_errors(capsys):
     assert rc == EXIT_INPUT
     rc, _, err = invoke(capsys, "bounds", "--entropy", "-1", "--diam", "1")
     assert rc == EXIT_INPUT
+    # degenerate entropy inputs, and a ball of about 1.1 million cells that the
+    # cell limit rejects before counting
+    for argv, message in [(["--l1", "0", "--l2", "1"], "positive"),
+                          (["--l1", "inf", "--l2", "1"], "finite"),
+                          (["--l1", "1", "--l2", "1", "--radius", "inf"], "finite"),
+                          (["--l1", "1", "--l2", "1", "--radius", "-5"], ">= 0"),
+                          (["--l1", "0.01", "--l2", "0.01", "--radius", "15"], "cells")]:
+        rc, out, err = invoke(capsys, "entropy", *argv)
+        assert rc == EXIT_INPUT and not out
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
 
 def test_unknown_flag_is_input_error(capsys):

@@ -1,17 +1,16 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treegroups.growth import (BallCountSeries, WeightedGenSet,
-                               analytic_root_estimate,
-                               ball_count_free_group,
-                               ball_count_free_semigroup,
-                               ball_series_free_group,
-                               ball_series_free_semigroup, bcg_lower_bound,
-                               bcg_objective, entropy_from_counts,
-                               free_group_entropy_root,
+from treegroups import growth
+from treegroups.growth import (BallCountSeries, analytic_root_estimate,
+                               ball_series, bcg_lower_bound, bcg_objective,
+                               entropy_from_counts, free_group_entropy_root,
                                free_group_equation_residual,
                                monotonicity_check, semigroup_entropy_root,
                                semigroup_equation_residual)
@@ -55,50 +54,94 @@ def enumerate_semigroup_count(l1, l2, radius) -> int:
 # -- exact counting -------------------------------------------------------------
 
 def test_unit_weight_counts():
-    assert ball_count_free_group(1, 1, 1) == 5
+    group = ball_series("group", 1, 1, 8).counts
+    semigroup = ball_series("semigroup", 1, 1, 8).counts
+    assert group[1] == 5
     for n in range(9):
-        assert ball_count_free_group(1, 1, n) == 2 * 3 ** n - 1
-        assert ball_count_free_semigroup(1, 1, n) == 2 ** (n + 1) - 1
-    assert ball_count_free_semigroup(1, 1, 0) == 1
+        assert group[n] == 2 * 3 ** n - 1
+        assert semigroup[n] == 2 ** (n + 1) - 1
+    assert semigroup[0] == 1
 
 
 def test_mixed_weight_counts_frozen_from_enumeration():
     # enumeration oracle values for the (1,2) weights
     assert enumerate_free_group_count(1, 2, 2) == 7
-    assert ball_count_free_group(1, 2, 2) == 7
+    assert ball_series("group", 1, 2, 2).counts[2] == 7
     assert enumerate_semigroup_count(1, 2, 3) == 7
-    assert ball_count_free_semigroup(1, 2, 3) == 7
+    assert ball_series("semigroup", 1, 2, 3).counts[3] == 7
 
 
 def test_dp_matches_enumeration_on_grid():
     for l1 in WEIGHT_GRID:
         for l2 in WEIGHT_GRID:
             radius = 8 * min(l1, l2)
-            assert ball_count_free_group(l1, l2, radius) == \
+            assert ball_series("group", l1, l2, radius).counts[-1] == \
                 enumerate_free_group_count(l1, l2, radius)
-            assert ball_count_free_semigroup(l1, l2, radius) == \
+            assert ball_series("semigroup", l1, l2, radius).counts[-1] == \
                 enumerate_semigroup_count(l1, l2, radius)
+
+
+SERIES_WEIGHTS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1),
+                  Fraction(3, 2), Fraction(2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["group", "semigroup"]),
+       l1=st.sampled_from(SERIES_WEIGHTS), l2=st.sampled_from(SERIES_WEIGHTS),
+       steps=st.integers(0, 24).map(lambda n: Fraction(n, 4)))
+def test_series_matches_enumeration_at_every_radius(kind, l1, l2, steps):
+    # radius up to 6 steps of the lighter weight; the grid may overshoot it
+    series = ball_series(kind, l1, l2, steps * min(l1, l2))
+    enumerate_count = (enumerate_free_group_count if kind == "group"
+                       else enumerate_semigroup_count)
+    assert len(series.radii) == max(int(steps), 3) + 1
+    for i, count in enumerate(series.counts):
+        assert count == enumerate_count(l1, l2, i * min(l1, l2))
 
 
 def test_counts_handle_float_weights_exactly():
     # 0.5 is exactly representable: the float path must agree with Fractions
-    assert ball_count_free_group(0.5, 0.5, 4) == ball_count_free_group(
-        Fraction(1, 2), Fraction(1, 2), 4)
-    assert ball_count_free_group(0.5, 2.0, 4.0) == ball_count_free_group(
-        Fraction(1, 2), 2, 4)
+    assert ball_series("group", 0.5, 0.5, 4).counts == ball_series(
+        "group", Fraction(1, 2), Fraction(1, 2), 4).counts
+    assert ball_series("group", 0.5, 2.0, 4.0).counts == ball_series(
+        "group", Fraction(1, 2), 2, 4).counts
 
 
 def test_count_validation():
     with pytest.raises(ValueError):
-        ball_count_free_group(0, 1, 3)
+        ball_series("group", 0, 1, 3)
     with pytest.raises(ValueError):
-        ball_count_free_semigroup(1, 1, -1)
+        ball_series("semigroup", 1, 1, -1)
+    for l1, l2, radius in [(math.inf, 1, 3), (1, math.nan, 3), (1, 1, math.inf),
+                           (1, 1, math.nan), (-1.0, 1, 3)]:
+        with pytest.raises(ValueError):
+            ball_series("group", l1, l2, radius)
+    with pytest.raises(ValueError):
+        ball_series("monoid", 1, 1, 3)
+
+
+def test_cell_limit(monkeypatch):
+    # i + j <= 3 is 10 cells
+    monkeypatch.setattr(growth, "MAX_BALL_CELLS", 10)
+    assert ball_series("group", 1, 1, 3).counts[-1] == 53
+    monkeypatch.setattr(growth, "MAX_BALL_CELLS", 9)
+    with pytest.raises(ValueError, match="cells"):
+        ball_series("group", 1, 1, 3)
+
+
+def test_cell_limit_rejects_huge_balls_at_once():
+    # about 1.1 million cells; filling them would take tens of seconds
+    for radius in (15, 1e300):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cells"):
+            ball_series("group", 0.01, 0.01, radius)
+        assert time.perf_counter() - start < 1.0
 
 
 # -- entropy estimation ----------------------------------------------------------
 
 def test_entropy_estimate_free_group():
-    series = ball_series_free_group(1, 1, range(0, 16))
+    series = ball_series("group", 1, 1, 15)
     est = entropy_from_counts(series)
     assert est.method == "dp_exact"
     assert abs(est.lower - math.log(3)) <= 5e-2
@@ -107,45 +150,46 @@ def test_entropy_estimate_free_group():
 
 
 def test_entropy_estimate_semigroup():
-    series = ball_series_free_semigroup(1, 1, range(0, 21))
+    series = ball_series("semigroup", 1, 1, 20)
     est = entropy_from_counts(series)
     assert abs(est.lower - math.log(2)) <= 5e-2
     assert abs(est.upper - math.log(2)) <= 5e-2
 
 
 def test_entropy_constant_counts_is_zero():
-    series = BallCountSeries((0.0, 1.0, 2.0, 3.0), (6, 6, 6, 6), True)
+    series = BallCountSeries((0.0, 1.0, 2.0, 3.0), (6, 6, 6, 6))
     est = entropy_from_counts(series)
     assert est.lower == est.upper == 0.0
 
 
 def test_entropy_needs_three_radii():
     with pytest.raises(ValueError):
-        entropy_from_counts(BallCountSeries((0.0, 1.0), (1, 5), True))
+        entropy_from_counts(BallCountSeries((0.0, 1.0), (1, 5)))
 
 
 def test_series_validation():
     with pytest.raises(ValueError):
-        BallCountSeries((0.0, 1.0, 2.0), (5, 3, 7), True)  # not nondecreasing
-    with pytest.raises(ValueError):
-        WeightedGenSet((1.0, 0.0))
-
-
-def test_windowed_series_method_tag():
-    series = BallCountSeries((0.0, 1.0, 2.0, 3.0), (1, 5, 17, 53), exact=False)
-    assert entropy_from_counts(series).method == "bfs_window"
+        BallCountSeries((0.0, 1.0, 2.0), (5, 3, 7))  # not nondecreasing
 
 
 def test_analytic_agreement_on_weight_grid():
     # |slope estimate - analytic root| <= 5e-2 at R >= 15/min(l)
     for l1 in WEIGHT_GRID:
         for l2 in WEIGHT_GRID:
-            step = min(l1, l2)
-            radii = [i * step for i in range(int(15 / step) + 1)]
-            est = entropy_from_counts(ball_series_free_group(l1, l2, radii))
+            est = entropy_from_counts(ball_series("group", l1, l2, 15))
             root = free_group_entropy_root(l1, l2)
             assert abs(est.lower - root) <= 5e-2
             assert abs(est.upper - root) <= 5e-2
+
+
+def test_slope_converges_to_root():
+    for l1, l2 in [(1, 1), (1, 1.5), (0.5, 2), (0.8, 1.3), (2.3, 0.7)]:
+        root = free_group_entropy_root(l1, l2)
+        gaps = []
+        for radius in (15, 60, 120):
+            est = entropy_from_counts(ball_series("group", l1, l2, radius))
+            gaps.append(max(abs(est.lower - root), abs(est.upper - root)))
+        assert gaps[0] > gaps[1] > gaps[2]
 
 
 # -- analytic roots ---------------------------------------------------------------
@@ -236,12 +280,12 @@ def test_bcg_proof_step_inequality():
 
 
 def test_monotonicity_check():
-    s_small = ball_series_free_group(1, 1, range(0, 9))
-    s_large = ball_series_free_group(1, 2, range(0, 9))
+    s_small = ball_series("group", 1, 1, 8)
+    s_large = ball_series("group", 1, 2, 8)
     assert monotonicity_check(s_small, s_large)
     assert monotonicity_check(s_small, s_small)
-    incomparable = ball_series_free_group(2, 1, range(0, 9))
+    incomparable = ball_series("group", 2, 1, 8)
     with pytest.raises(ValueError):
-        monotonicity_check(ball_series_free_group(1, 3, range(0, 9)), incomparable)
+        monotonicity_check(ball_series("group", 1, 3, 8), incomparable)
     with pytest.raises(ValueError):
-        monotonicity_check(BallCountSeries((0.0,), (1,), True), s_small)
+        monotonicity_check(BallCountSeries((0.0,), (1,)), s_small)

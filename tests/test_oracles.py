@@ -218,6 +218,21 @@ def test_lattice_transversal_cap_at_index():
     assert len(reps) == 4 and complete
 
 
+def test_lattice_transversal_is_built_once_per_cap(monkeypatch):
+    z2 = make_free_abelian(2, ["x", "y"])
+    for gens in (["x^2", "y^2"], ["x"]):  # finite and infinite index
+        lat = z2.designated_subgroup([W(g) for g in gens])
+        builds = []
+        build = lat._build_transversal
+        monkeypatch.setattr(lat, "_build_transversal",
+                            lambda cap: builds.append(cap) or build(cap))
+        for cap in (None, 3, None, 3):
+            reps, _ = lat.transversal(cap)
+            reps.clear()  # must not reach the next call
+            assert lat.transversal(cap) == build(cap)
+        assert builds == [None, 3]
+
+
 def test_coset_rep_is_identity_exactly_on_the_subgroup():
     rng = random.Random(13)
     for o, subgroups in all_oracles():
