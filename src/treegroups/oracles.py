@@ -6,10 +6,13 @@ residue (cyclic), table index (finite table), exponent vector (free abelian),
 freely reduced word (free).  Exponents are plain Python integers, so powers
 never overflow.
 
-Designated subgroups carry the extra structure amalgams need: membership,
-decomposition over the subgroup generators, canonical left-coset
-representatives, transversal enumeration, and a "which conjugators push this
-element into the subgroup" solver used for fixed-point sets on the coset tree.
+Designated subgroups carry the extra structure amalgams need.  One query,
+``split(x) -> (rep, cw)``, writes x = rep * embed(cw) with rep the canonical
+representative of the left coset xH (empty exactly when x lies in H) and cw
+a word over the subgroup generators; membership and coset representatives
+are read off it.  Each subgroup also enumerates a transversal and solves
+"which conjugators push this element into the subgroup", which fixed-point
+sets on the coset tree use.
 """
 
 from __future__ import annotations
@@ -88,30 +91,31 @@ def primitive_root(core: Sequence[Unit]) -> Tuple[Unit, ...]:
 
 
 class DesignatedSubgroup:
-    """A subgroup of an oracle with decidable membership and coset reps.
+    """A subgroup H of an oracle, queried through :meth:`split`.
 
     ``image_words`` are the canonical images of the abstract subgroup
-    generators inside the ambient oracle; ``decompose`` writes a member over
-    those generators (as a CWord), which is how amalgam tails cross sides.
+    generators inside the ambient oracle.  Each kind implements only
+    ``split``; membership and coset representatives read it.
     """
 
     def __init__(self, oracle: "GroupOracle", image_words: Sequence[Word]):
         self.oracle = oracle
         self.image_words = tuple(oracle.canonical(w) for w in image_words)
 
-    def contains(self, x: Word) -> bool:
-        raise NotImplementedError
+    def split(self, x: Word) -> Tuple[Word, CWord]:
+        """Return (rep, cw) with x = rep * embed(cw).
 
-    def decompose(self, x: Word) -> CWord:
-        raise NotImplementedError
-
-    def coset_rep(self, x: Word) -> Word:
-        """Canonical representative of the left coset x*H.
-
-        The representative of H itself is the identity, so
-        ``coset_rep(x).is_empty == contains(x)``; normal forms rely on it.
+        rep is the canonical representative of the left coset xH and is
+        empty exactly when x lies in H; cw, over the subgroup generators, is
+        how amalgam tails cross sides.  One normal-form step is one split.
         """
         raise NotImplementedError
+
+    def contains(self, x: Word) -> bool:
+        return self.split(x)[0].is_empty
+
+    def coset_rep(self, x: Word) -> Word:
+        return self.split(x)[0]
 
     def index(self) -> Optional[int]:
         """Subgroup index, or None when infinite."""
@@ -160,32 +164,13 @@ class _ResidueSubgroup(DesignatedSubgroup):
             g = g2
         self._coeffs = coeffs
 
-    def _exp(self, x: Word) -> int:
-        return self.oracle._exponent(self.oracle.canonical(x))
-
-    def contains(self, x: Word) -> bool:
-        e = self._exp(x)
+    def split(self, x: Word) -> Tuple[Word, CWord]:
+        e = self.oracle._exponent(x)
         if self.d == 0:
-            return e == 0
-        return e % self.d == 0
-
-    def decompose(self, x: Word) -> CWord:
-        e = self._exp(x)
-        if self.d == 0:
-            if e != 0:
-                raise OracleError(f"{x} is not in the designated subgroup")
-            return ()
-        if e % self.d != 0:
-            raise OracleError(f"{x} is not in the designated subgroup")
+            return self.oracle._from_exponent(e), ()
         m = e // self.d
-        out = tuple((i, c * m) for i, c in enumerate(self._coeffs) if c * m != 0)
-        return out
-
-    def coset_rep(self, x: Word) -> Word:
-        e = self._exp(x)
-        if self.d == 0:
-            return self.oracle._from_exponent(e)
-        return self.oracle._from_exponent(e % self.d)
+        cw = tuple((i, c * m) for i, c in enumerate(self._coeffs) if c * m != 0)
+        return self.oracle._from_exponent(e % self.d), cw
 
     def index(self) -> Optional[int]:
         if self.d == 0:
@@ -235,35 +220,21 @@ class _TableSubgroup(DesignatedSubgroup):
                             nxt.append(tgt)
             frontier = nxt
         self._decomp = decomp
+        # element x splits as (x h) h^-1 for the h in H that minimises x h
+        self._splits = []
+        for x in range(oracle.order()):
+            h = min(decomp, key=table[x].__getitem__)
+            self._splits.append((oracle._from_index(table[x][h]), decomp[inv[h]]))
+        self._reps = tuple(dict.fromkeys(r for r, _ in self._splits))
 
-    def contains(self, x: Word) -> bool:
-        return self.oracle._index_of(self.oracle.canonical(x)) in self._decomp
-
-    def decompose(self, x: Word) -> CWord:
-        i = self.oracle._index_of(self.oracle.canonical(x))
-        if i not in self._decomp:
-            raise OracleError(f"{x} is not in the designated subgroup")
-        return self._decomp[i]
-
-    def coset_rep(self, x: Word) -> Word:
-        o = self.oracle
-        xi = o._index_of(o.canonical(x))
-        best = min(o.table[xi][h] for h in self._decomp)
-        return o._from_index(best)
+    def split(self, x: Word) -> Tuple[Word, CWord]:
+        return self._splits[self.oracle._index_of(x)]
 
     def index(self) -> Optional[int]:
         return self.oracle.order() // len(self._decomp)
 
     def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
-        o = self.oracle
-        reps = []
-        seen = set()
-        for i in range(o.order()):
-            w = o._from_index(i)
-            r = self.coset_rep(w)
-            if r.letters not in seen:
-                seen.add(r.letters)
-                reps.append(r)
+        reps = list(self._reps)
         if cap is not None and len(reps) > cap:
             return reps[:cap], False
         return reps, True
@@ -306,41 +277,21 @@ class _LatticeSubgroup(DesignatedSubgroup):
         self.k = k
         self._transversals: dict = {}  # cap -> (reps, complete)
 
-    def _reduce(self, vec: Sequence[int]) -> List[int]:
+    def _split_vector(self, vec: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """(remainder, coeffs) with vec = remainder + sum coeffs[j] * generator j;
+        the remainder is the canonical point of vec + lattice."""
         v = list(vec)
+        coeffs = [0] * self.k
         for r, c in self.pivots:
             q = v[c] // self.rows[r][c]
             if q:
                 v = [a - q * b for a, b in zip(v, self.rows[r][:self.n])]
-        return v
+                coeffs = [a + q * b for a, b in zip(coeffs, self.rows[r][self.n:])]
+        return v, coeffs
 
-    def contains(self, x: Word) -> bool:
-        v = list(self.oracle._vector(self.oracle.canonical(x)))
-        for r, c in self.pivots:
-            if v[c] % self.rows[r][c] != 0:
-                return False
-            q = v[c] // self.rows[r][c]
-            v = [a - q * b for a, b in zip(v, self.rows[r][:self.n])]
-        return all(a == 0 for a in v)
-
-    def decompose(self, x: Word) -> CWord:
-        v = list(self.oracle._vector(self.oracle.canonical(x)))
-        gen_coeffs = [0] * self.k
-        for r, c in self.pivots:
-            if v[c] % self.rows[r][c] != 0:
-                raise OracleError(f"{x} is not in the designated subgroup")
-            q = v[c] // self.rows[r][c]
-            if q:
-                v = [a - q * b for a, b in zip(v, self.rows[r][:self.n])]
-                for j in range(self.k):
-                    gen_coeffs[j] += q * self.rows[r][self.n + j]
-        if any(a != 0 for a in v):
-            raise OracleError(f"{x} is not in the designated subgroup")
-        return tuple((j, c) for j, c in enumerate(gen_coeffs) if c)
-
-    def coset_rep(self, x: Word) -> Word:
-        o = self.oracle
-        return o._from_vector(self._reduce(o._vector(o.canonical(x))))
+    def split(self, x: Word) -> Tuple[Word, CWord]:
+        v, coeffs = self._split_vector(self.oracle._vector(x))
+        return self.oracle._from_vector(v), tuple((j, c) for j, c in enumerate(coeffs) if c)
 
     def index(self) -> Optional[int]:
         if len(self.pivots) < self.n:
@@ -361,7 +312,7 @@ class _LatticeSubgroup(DesignatedSubgroup):
         if self.index() is not None:
             diag = {c: self.rows[r][c] for r, c in self.pivots}
             combos = itertools.product(*(range(diag[c]) for c in range(self.n)))
-            reps = [self.oracle._from_vector(self._reduce(combo)) for combo in
+            reps = [self.oracle._from_vector(self._split_vector(combo)[0]) for combo in
                     itertools.islice(combos, None if cap is None else cap + 1)]
             if cap is not None and len(reps) > cap:
                 return reps[:cap], False
@@ -373,7 +324,7 @@ class _LatticeSubgroup(DesignatedSubgroup):
             for combo in itertools.product(range(-shell, shell + 1), repeat=self.n):
                 if max((abs(a) for a in combo), default=0) != shell:
                     continue
-                key = tuple(self._reduce(combo))
+                key = tuple(self._split_vector(combo)[0])
                 if key not in seen:
                     seen.add(key)
                     reps.append(self.oracle._from_vector(key))
@@ -400,8 +351,9 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
         self.trivial = self.w.is_empty
         self._memo: dict = {}
 
-    def _reduce(self, x: Word) -> Tuple[int, Word]:
-        """Return (k, x w^k) with x w^k the shortlex-least element of x<w>.
+    def split(self, x: Word) -> Tuple[Word, CWord]:
+        """Return (x w^k, ((0, -k),)) with x w^k the shortlex-least element
+        of x<w>; the tail is () when k = 0.
 
         Write w = p c p^-1 with c cyclically reduced and let y = x p, so
         x w^k = y c^k p^-1.  In the Cayley tree the points q_k = y c^k lie
@@ -414,7 +366,7 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
         nonzero (both cannot be, as c is cyclically reduced).  The points
         nearest pi, hence every element of least length, are at
         k = s*floor(L/|c|) and s*ceil(L/|c|); for L = 0 only k = 0 remains.
-        The memo holds (k, x w^k) per x.
+        The memo holds the split per x.
         """
         x = self.oracle.canonical(x)
         hit = self._memo.get(x.letters)
@@ -431,22 +383,10 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
                 if L:
                     ks = {s * (L // n), s * -(-L // n)}
                     break
-        hit = min(((k, x * self.w ** k) for k in ks),
-                  key=lambda kr: self.oracle._shortlex_key(kr[1]))
-        self._memo[x.letters] = hit
+        k, rep = min(((k, x * self.w ** k) for k in ks),
+                     key=lambda kr: self.oracle._shortlex_key(kr[1]))
+        hit = self._memo[x.letters] = (rep, ((0, -k),) if k else ())
         return hit
-
-    def contains(self, x: Word) -> bool:
-        return self._reduce(x)[1].is_empty
-
-    def decompose(self, x: Word) -> CWord:
-        k, rep = self._reduce(x)
-        if not rep.is_empty:
-            raise OracleError(f"{x} is not in the designated subgroup")
-        return ((0, -k),) if k else ()
-
-    def coset_rep(self, x: Word) -> Word:
-        return self._reduce(x)[1]
 
     def index(self) -> Optional[int]:
         return None
@@ -594,7 +534,7 @@ class TableOracle(GroupOracle):
     kind = "table"
 
     def __init__(self, elements: Sequence[str], table: Sequence[Sequence[int]],
-                 gens: Optional[Sequence[str]] = None, group_id: str = "G"):
+                 group_id: str = "G"):
         m = len(elements)
         if m < 1 or len(set(elements)) != m:
             raise OracleError("table elements must be nonempty and distinct")
@@ -625,9 +565,7 @@ class TableOracle(GroupOracle):
         for a, b, c in triples:
             if table[table[a][b]][c] != table[a][table[b][c]]:
                 raise OracleError("multiplication table is not associative")
-        names = gens if gens is not None else [e for e in elements[1:]] or [elements[0]]
         super().__init__(list(elements), group_id)
-        self.letter_names = tuple(names)
         self.table = [list(row) for row in table]
         self._inv = inv
         self._idx = {name: i for i, name in enumerate(elements)}
@@ -756,5 +694,5 @@ def make_free(rank: int, gens: Sequence[str], group_id: str = "G") -> FreeOracle
 
 
 def make_table(elements: Sequence[str], table: Sequence[Sequence[int]],
-               gens: Optional[Sequence[str]] = None, group_id: str = "G") -> TableOracle:
-    return TableOracle(elements, table, gens, group_id)
+               group_id: str = "G") -> TableOracle:
+    return TableOracle(elements, table, group_id)

@@ -212,11 +212,10 @@ class SplittingSpec:
         y = factor.multiply(sub.embed(tail), piece)
         if syllables and syllables[-1].side == side:
             y = factor.multiply(syllables.pop().word, y)
-        rep = sub.coset_rep(y)
+        rep, tail = sub.split(y)
         if not rep.is_empty:
             syllables.append(Syllable(side, rep))
-            y = factor.multiply(factor.invert(rep), y)
-        return sub.decompose(y)
+        return tail
 
     def is_trivial(self, w: Word) -> bool:
         return self.normal_form(w).is_trivial
@@ -280,8 +279,7 @@ def _oracle_from_decl(decl: dict, group_id: str) -> GroupOracle:
             gens = list(decl["gens"])
             return make_free_abelian(int(decl.get("rank", len(gens))), gens, group_id)
         if t == "table":
-            return make_table(decl["elements"], decl["table"],
-                              decl.get("gens"), group_id)
+            return make_table(decl["elements"], decl["table"], group_id)
     except (KeyError, ValueError, TypeError) as exc:
         if isinstance(exc, (SpecError, OracleError)):
             raise

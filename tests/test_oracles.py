@@ -16,6 +16,9 @@ W = Word.parse
 # Klein four-group as a multiplication table (identity first)
 V4 = (["e", "i", "j", "k"],
       [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+# Z/12 as a multiplication table
+Z12 = (["e"] + [f"a{i}" for i in range(1, 12)],
+       [[(i + j) % 12 for j in range(12)] for i in range(12)])
 
 
 def all_oracles():
@@ -33,6 +36,7 @@ def all_oracles():
          [[], ["x"], ["x y x^-1"], ["x y x y"], ["y^-1 x^3 y"]]),
         (make_free(1, ["z"]), [[], ["z^3"]]),
         (make_table(*V4), [[], ["i"], ["i", "j"]]),
+        (make_table(*Z12), [[], ["a6"], ["a4"], ["a8", "a6"]]),
     ]
 
 
@@ -182,13 +186,14 @@ def test_transversal_reps_distinct_cosets():
         assert sub.coset_rep(e) in reps
 
 
-def test_residue_subgroup_decompose():
+def test_residue_subgroup_split():
     o = make_cyclic(12, "r")
     sub = o.designated_subgroup([W("r^8"), W("r^6")])  # gcd(12, 8, 6) = 2
     assert sub.index() == 2
     assert sub.contains(W("r^10"))
     assert not sub.contains(W("r^3"))
-    assert o.canonical(sub.embed(sub.decompose(W("r^10")))) == o.canonical(W("r^10"))
+    rep, cw = sub.split(W("r^10"))
+    assert rep.is_empty and o.canonical(sub.embed(cw)) == o.canonical(W("r^10"))
 
 
 def test_lattice_subgroup():
@@ -197,7 +202,8 @@ def test_lattice_subgroup():
     assert lat.index() == 6
     assert lat.contains(W("x^2 y^-3"))
     assert not lat.contains(W("x y"))
-    assert ab.canonical(lat.embed(lat.decompose(W("x^4 y^3")))) == ab.canonical(W("x^4 y^3"))
+    rep, cw = lat.split(W("x^4 y^3"))
+    assert rep.is_empty and ab.canonical(lat.embed(cw)) == ab.canonical(W("x^4 y^3"))
     reps, complete = lat.transversal()
     assert complete and len(reps) == 6
     # coordinate subgroup <x> has infinite index but decidable membership
@@ -233,17 +239,41 @@ def test_lattice_transversal_is_built_once_per_cap(monkeypatch):
         assert builds == [None, 3]
 
 
+def test_table_transversal_is_read_off_the_splits():
+    for elements, table, gens in [(*V4, []), (*V4, ["i"]), (*V4, ["i", "j"]),
+                                  (*Z12, ["a6"])]:
+        o = make_table(elements, table)
+        sub = o.designated_subgroup([W(g) for g in gens])
+        group = {0} | {elements.index(g) for g in gens}
+        for _ in elements:  # close under products
+            group |= {table[a][b] for a in group for b in group}
+        # one rep per coset, the least index x*h, listed by first element index
+        scan = list(dict.fromkeys(min(table[x][h] for h in group) for x in range(len(elements))))
+        for cap in (None, 2):
+            expected = [o._from_index(i) for i in scan][:cap]
+            reps, complete = sub.transversal(cap)
+            assert reps == expected and complete == (len(expected) == len(scan))
+            reps.clear()  # must not reach the next call
+            assert sub.transversal(cap) == (expected, complete)
+
+
 def test_coset_rep_is_identity_exactly_on_the_subgroup():
+    # the split contract: y = rep * embed(cw), rep canonical, empty exactly on H
     rng = random.Random(13)
     for o, subgroups in all_oracles():
         for gens in subgroups:
             sub = o.designated_subgroup([W(g) for g in gens])
             for _ in range(100):
                 y = random_word(rng, o.gen_names, 6)
+                rep, cw = sub.split(y)
+                assert o.multiply(rep, sub.embed(cw)) == o.canonical(y)
+                assert sub.split(rep) == (rep, ())
                 assert sub.coset_rep(y).is_empty == sub.contains(y)
                 cw = [(rng.randrange(len(gens)), rng.randint(-3, 3)) for _ in gens]
                 member = sub.embed(tuple(cw))
                 assert sub.contains(member) and sub.coset_rep(member).is_empty
+                rep, cw = sub.split(member)
+                assert rep.is_empty and sub.embed(cw) == o.canonical(member)
                 assert sub.coset_rep(o.multiply(y, member)) == sub.coset_rep(y)
 
 
@@ -287,14 +317,11 @@ def test_free_cyclic_reduction_matches_bruteforce(w, x, k):
     sub = make_free(2, ["x", "y"]).designated_subgroup([W(w)])
     for y in (x, x * sub.w ** k, sub.w ** k):
         k_ref, rep = bruteforce_reduce(sub, y)
+        assert sub.split(y) == (rep, ((0, -k_ref),) if k_ref else ())
         assert sub.coset_rep(y) == rep
         assert sub.contains(y) == rep.is_empty
         if rep.is_empty:
-            assert sub.decompose(y) == (((0, -k_ref),) if k_ref else ())
-            assert sub.embed(sub.decompose(y)) == y
-        else:
-            with pytest.raises(OracleError):
-                sub.decompose(y)
+            assert sub.embed(sub.split(y)[1]) == y
 
 
 def test_free_cyclic_subgroup_general_word():
@@ -302,7 +329,7 @@ def test_free_cyclic_subgroup_general_word():
     sub = f.designated_subgroup([W("x y x^-1")])
     assert sub.contains(W("x y^3 x^-1"))
     assert not sub.contains(W("y^3"))
-    assert sub.decompose(W("x y^-2 x^-1")) == ((0, -2),)
+    assert sub.split(W("x y^-2 x^-1")) == (Word(), ((0, -2),))
     with pytest.raises(OracleError):
         f.designated_subgroup([W("x"), W("y")])
 

@@ -114,6 +114,12 @@ def test_spec_from_dict_roundtrip():
     assert spec.kind == "amalgam"
     assert spec.declared_k == 7
     assert spec.edge_index("A") == 2 and spec.edge_index("B") == 2
+    # a table declaration's "gens" key is not part of the format and is ignored
+    table = {"type": "table", "elements": ["e", "g"], "table": [[0, 1], [1, 0]]}
+    for decl in (table, dict(table, gens=["x"])):
+        spec = spec_from_dict({"kind": "free_product", "factors": [
+            decl, {"type": "cyclic", "order": 3, "gens": ["b"]}]})
+        assert str(spec.normal_form(W("g b g g"))) == "[g][b]"
 
 
 def test_spec_from_dict_errors():
