@@ -331,10 +331,7 @@ class _LatticeSubgroup(DesignatedSubgroup):
                     if len(reps) >= cap:
                         return reps, False
 
-    def conjugator_cosets(self, x: Word, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
-        if self.contains(x):
-            return self.transversal(cap)
-        return [], True
+    conjugator_cosets = _ResidueSubgroup.conjugator_cosets  # Z^n is abelian too
 
 
 class _FreeCyclicSubgroup(DesignatedSubgroup):
@@ -404,10 +401,10 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
 
     def conjugator_cosets(self, x: Word, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         x = self.oracle.canonical(x)
-        if self.trivial:
-            return [], True
         if x.is_empty:
             return self.transversal(cap)
+        if self.trivial:
+            return [], True
         ux, cx = cyclic_decompose(word_units(x))
         lw = len(self.core)
         if not cx or len(cx) % lw != 0:

@@ -16,21 +16,28 @@ neighbours are read off syllable tuples; only the action and factor
 membership compute normal forms.
 
 The tree is infinite (and not even locally finite when a factor has infinite
-edge index), so every set-valued operation here is windowed: results carry
-the window and an exhaustiveness flag.
+edge index), so balls, fixed sets and T-sets come from one depth-bounded
+BFS, ``_walk``, of at most ``MAX_WINDOW_VERTICES`` vertices, and every
+window carries an exhaustiveness flag.  Classify's elliptic witness is the
+projection of the base onto the subtree Fix(g) (Serre, Trees, §I.6), so
+each fixed v has d(base, v) = d(base, start) + d(start, v), and the walk
+from it carries x_v = rep(v)^-1 g rep(v) in v's factor X: the fixed children
+are the cosets tC with t^-1 x_v t in C, and if (., cw) = split_X(t^-1 x_v t)
+a child's element is embed_Y(cw), or s embed_Y(cw) s^-1 for t = 1 and v's
+last syllable s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .splitting import SIDE_A, SplittingSpec, Syllable, other_side
 from .words import Word, shortlex
 
-# most vertices ``ball`` collects before it reports an incomplete ball
-MAX_BALL_VERTICES = 200_000
+# most vertices a windowed walk collects before it reports an incomplete window
+MAX_WINDOW_VERTICES = 200_000
 
 
 @dataclass(frozen=True)
@@ -140,7 +147,7 @@ def classify(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None) ->
 
 
 # ---------------------------------------------------------------------------
-# windowed ball enumeration
+# the windowed walk
 # ---------------------------------------------------------------------------
 
 
@@ -159,34 +166,45 @@ def _neighbor(v: TreeVertex, t: Word) -> TreeVertex:
     return TreeVertex(other_side(v.side), v.syllables + (Syllable(v.side, t),))
 
 
+def _walk(start: TreeVertex, levels: int, children: Callable,
+          state: object = None) -> Tuple[Dict[TreeVertex, int], bool]:
+    """Depth-bounded BFS from start: ({vertex: depth}, complete).
+
+    ``children(v, state, seen)`` gives v's (child, child_state) pairs not in
+    ``seen`` and whether v's neighbour list was complete; the last level is
+    not expanded.  Past ``MAX_WINDOW_VERTICES`` vertices the walk stops and
+    reports an incomplete window."""
+    depth = {start: 0}
+    frontier = [(start, state)]
+    complete = True
+    for d in range(1, levels + 1):
+        nxt = []
+        for v, s in frontier:
+            kids, kids_complete = children(v, s, depth)
+            complete = complete and kids_complete
+            for kid, kid_state in kids:
+                depth[kid] = d
+                nxt.append((kid, kid_state))
+                if len(depth) > MAX_WINDOW_VERTICES:
+                    return depth, False
+        frontier = nxt
+    return depth, complete
+
+
 def ball(spec: SplittingSpec, center: TreeVertex, radius: int,
          neighbor_cap: Optional[int] = None) -> Tuple[Dict[TreeVertex, int], bool]:
-    """BFS ball as {vertex: distance}; second value reports completeness.
-
-    The walk stops, reporting an incomplete ball, once it holds more than
-    ``MAX_BALL_VERTICES`` vertices."""
-    dist = {center: 0}
-    frontier = [center]
-    complete = True
-    for d in range(1, radius + 1):
-        nxt = []
-        for v in frontier:
-            nbs, nb_complete = neighbors(spec, v, neighbor_cap)
-            complete = complete and nb_complete
-            for nb in nbs:
-                if nb not in dist:
-                    dist[nb] = d
-                    nxt.append(nb)
-                    if len(dist) > MAX_BALL_VERTICES:
-                        return dist, False
-        frontier = nxt
-    return dist, complete
+    """BFS ball as {vertex: distance}; second value reports completeness."""
+    def children(v, _, seen):
+        nbs, complete = neighbors(spec, v, neighbor_cap)
+        return [(nb, None) for nb in nbs if nb not in seen], complete
+    return _walk(center, radius, children)
 
 
-def _sorted_members(spec: SplittingSpec, base: TreeVertex,
-                    vertices: Iterable[TreeVertex]) -> Tuple[TreeVertex, ...]:
-    return tuple(sorted(vertices,
-                        key=lambda v: (tree_distance(spec, base, v), v.side, str(v))))
+def _region(base: TreeVertex, radius: int, dist: Dict[TreeVertex, int],
+            complete: bool) -> VertexRegion:
+    """The window {vertex: distance from base}, sorted by distance, side and name."""
+    members = sorted(dist, key=lambda v: (dist[v], v.side, str(v)))
+    return VertexRegion(base, radius, tuple(members), complete)
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +212,16 @@ def _sorted_members(spec: SplittingSpec, base: TreeVertex,
 # ---------------------------------------------------------------------------
 
 
-def _factor_element(spec: SplittingSpec, side: str, w: Word) -> Optional[Word]:
-    """Canonical factor element equal to w, or None if w is not in the factor."""
-    nf = spec.normal_form(w)
-    factor = spec.factor(side)
-    tail = nf.tail_image_a if side == SIDE_A else spec.sub_b.embed(nf.tail)
+def _factor_element(spec: SplittingSpec, v: TreeVertex, g: Word) -> Word:
+    """x_v = rep(v)^-1 g rep(v) as a canonical element of v's factor, for g fixing v."""
+    nf = spec.normal_form(v.rep_word().inverse() * g * v.rep_word())
+    factor = spec.factor(v.side)
+    tail = nf.tail_image_a if v.side == SIDE_A else spec.sub_b.embed(nf.tail)
     if not nf.syllables:
         return factor.canonical(tail)
-    if len(nf.syllables) == 1 and nf.syllables[0].side == side:
-        return factor.multiply(nf.syllables[0].word, tail)
-    return None
+    assert len(nf.syllables) == 1 and nf.syllables[0].side == v.side, \
+        "fixed vertex must conjugate g into its factor"
+    return factor.multiply(nf.syllables[0].word, tail)
 
 
 def element_order(spec: SplittingSpec, g: Word) -> Optional[int]:
@@ -218,55 +236,48 @@ def element_order(spec: SplittingSpec, g: Word) -> Optional[int]:
     if cls.is_hyperbolic:
         return None
     v = cls.witness_vertex
-    x = _factor_element(spec, v.side, v.rep_word().inverse() * g * v.rep_word())
-    assert x is not None, "fixed vertex must conjugate g into its factor"
-    return spec.factor(v.side).element_order(x)
+    return spec.factor(v.side).element_order(_factor_element(spec, v, g))
+
+
+def _fixed_window(spec: SplittingSpec, g: Word, base: TreeVertex, radius: int,
+                  neighbor_cap: Optional[int]) -> Tuple[Dict[TreeVertex, int], bool]:
+    """Fix(g) within radius of base as {vertex: distance from base}, and
+    the flag; the walk is set out in the module docstring."""
+    cls = classify(spec, g, base)
+    start = cls.witness_vertex
+    d0 = tree_distance(spec, base, start)
+    if cls.is_hyperbolic or d0 > radius:
+        return {}, True
+
+    def children(v, x, seen):
+        sub, side = spec.subgroup(v.side), other_side(v.side)
+        ts, complete = sub.conjugator_cosets(x, neighbor_cap)
+        kids = []
+        for t in ts:
+            kid = _neighbor(v, t)
+            if kid not in seen:
+                y = spec.subgroup(side).embed(sub.split(x.conjugated_by(t))[1])
+                if t.is_empty and v.syllables:  # the step drops v's last syllable
+                    s = v.syllables[-1].word
+                    y = spec.factor(side).canonical(s * y * s.inverse())
+                kids.append((kid, y))
+        return kids, complete
+
+    depth, complete = _walk(start, radius - d0, children, _factor_element(spec, start, g))
+    return {v: d0 + d for v, d in depth.items()}, complete
 
 
 def fixed_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
               radius: int = 8, neighbor_cap: Optional[int] = 16) -> VertexRegion:
     """Fix(g) intersected with ball(base, radius).
 
-    Exhaustive except when g is the identity on a non-locally-finite tree or
-    a conjugator solver reports an infinite solution family (flagged).
-    Fixed-point sets of nontrivial elliptic elements are connected subtrees,
-    so they are explored by BFS over fixed neighbors from classify's witness
-    vertex: the midpoint of [base, g base], which is the projection of the
-    base onto Fix(g).
+    Flagged incomplete when a conjugator solver truncates a neighbour list
+    inside the window (the identity on a non-locally-finite tree, say) or
+    the walk reaches ``MAX_WINDOW_VERTICES``.
     """
     if base is None:
         base = base_vertex(spec)
-    if spec.is_trivial(g):
-        dist, complete = ball(spec, base, radius, neighbor_cap)
-        return VertexRegion(base, radius, _sorted_members(spec, base, dist), complete)
-    cls = classify(spec, g, base)
-    if cls.is_hyperbolic:
-        return VertexRegion(base, radius, (), True)
-    start = cls.witness_vertex
-    if tree_distance(spec, base, start) > radius:
-        return VertexRegion(base, radius, (), True)
-
-    exhaustive = True
-    seen: Set[TreeVertex] = {start}
-    members: List[TreeVertex] = [start]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            x = _factor_element(spec, v.side, v.rep_word().inverse() * g * v.rep_word())
-            assert x is not None, "fixed vertex must conjugate g into its factor"
-            sols, complete = spec.subgroup(v.side).conjugator_cosets(x, neighbor_cap)
-            exhaustive = exhaustive and complete
-            for t in sols:
-                nb = _neighbor(v, t)
-                if nb in seen:
-                    continue
-                seen.add(nb)
-                if tree_distance(spec, base, nb) <= radius:
-                    members.append(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return VertexRegion(base, radius, _sorted_members(spec, base, members), exhaustive)
+    return _region(base, radius, *_fixed_window(spec, g, base, radius, neighbor_cap))
 
 
 def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
@@ -274,59 +285,50 @@ def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
           neighbor_cap: Optional[int] = 16) -> VertexRegion:
     """Union of Fix(g^n) over 1 <= n <= max_power with g^n nontrivial.
 
-    Fix(g^-n) = Fix(g^n), so positive powers suffice, and g^n is trivial
-    exactly when the order of g divides n.  The region is flagged
-    exhaustive only when every window was exhaustive and g has finite order
-    covered by max_power.
+    Fix(g^-n) = Fix(g^n), so positive powers suffice.  With o the order of
+    g (0 when infinite), g^n is trivial exactly when o divides n, and
+    otherwise <g^n> = <g^d> for d = gcd(n, o), so Fix(g^n) = Fix(g^d).  As
+    Fix(g^d) lies in Fix(g^(kd)), only the maximal elements under
+    divisibility of D = {gcd(n, o) : 1 <= n <= max_power, o does not divide
+    n} are walked.  The region is flagged exhaustive only when every walk
+    was and max_power covers the finite order of g.
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
     if base is None:
         base = base_vertex(spec)
-    order = element_order(spec, g)
-    members: Set[TreeVertex] = set()
-    exhaustive = True
-    acc = Word()
-    for n in range(1, max_power + 1):
-        acc = acc * g
-        if order is not None and n % order == 0:
-            continue
-        region = fixed_set(spec, acc, base, radius, neighbor_cap)
-        members.update(region.members)
-        exhaustive = exhaustive and region.exhaustive_within_radius
-    powers_covered = order is not None and max_power >= order - 1
-    return VertexRegion(base, radius, _sorted_members(spec, base, members),
-                        exhaustive and powers_covered)
+    o = element_order(spec, g) or 0
+    top = min(max_power, o - 1) if o else max_power  # gcd(n, o) has period o in n
+    ds = {math.gcd(n, o) for n in range(1, top + 1)}
+    dist: Dict[TreeVertex, int] = {}
+    exhaustive = o != 0 and max_power >= o - 1
+    for d in sorted(ds):
+        if not any(k * d in ds for k in range(2, top // d + 1)):
+            window, complete = _fixed_window(spec, g ** d, base, radius, neighbor_cap)
+            dist.update(window)
+            exhaustive = exhaustive and complete
+    return _region(base, radius, dist, exhaustive)
 
 
 def axis_window(spec: SplittingSpec, h: Word, base: Optional[TreeVertex] = None,
                 radius: int = 8) -> VertexRegion:
     """Axis(h) intersected with ball(base, radius); errors on elliptic h.
 
-    The axis is the set of vertices moved exactly tau(h); it is tiled by
-    h-translates of one fundamental segment, so the window is exact.
+    The axis is the set of vertices moved exactly tau(h), and classify's
+    witness p lies on it.  Every axis vertex within radius of the base lies
+    within radius + d(base, p) of p, so the geodesic from h^-K p to h^K p
+    with K = (radius + d(base, p)) // tau + 1 covers the window exactly.
     """
     if base is None:
         base = base_vertex(spec)
     cls = classify(spec, h, base)
     if not cls.is_hyperbolic:
         raise EllipticElementError(f"element {h} is elliptic; it has no axis")
-    tau = cls.tau
     p = cls.witness_vertex
-    segment = geodesic(spec, p, act(spec, h, p))[:-1]
-    d0 = tree_distance(spec, base, p)
-    members: Set[TreeVertex] = set()
-    for direction in (h, h.inverse()):
-        shift = Word()
-        k = 0
-        while k * tau - tau - d0 <= radius:
-            for q in segment:
-                qq = act(spec, shift, q)
-                if tree_distance(spec, base, qq) <= radius:
-                    members.add(qq)
-            shift = shift * direction
-            k += 1
-    return VertexRegion(base, radius, _sorted_members(spec, base, members), True)
+    k = (radius + tree_distance(spec, base, p)) // cls.tau + 1
+    path = geodesic(spec, act(spec, h ** -k, p), act(spec, h ** k, p))
+    return _region(base, radius, {q: d for q in path
+                                  if (d := tree_distance(spec, base, q)) <= radius}, True)
 
 
 def on_axis(spec: SplittingSpec, h: Word, tau: int, v: TreeVertex) -> bool:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from treegroups.oracles import make_cyclic, make_free, make_free_abelian
+from treegroups.oracles import make_cyclic, make_free, make_free_abelian, make_table
 from treegroups.splitting import SplittingSpec
 from treegroups.tree import act, ball, tree_distance
 from treegroups.words import Word
@@ -71,6 +71,17 @@ def z2_amalgam():
                          make_free_abelian(2, ["u", "v"], "B"),
                          ["t"], [W("x")], [W("u")])
 
+
+
+@pytest.fixture(scope="session")
+def z4z6_table():
+    # Z/4 *_{Z/2} Z/6 with both factors given as multiplication tables
+    def cyclic_table(n, prefix):
+        return ([f"{prefix}{i}" for i in range(n)],
+                [[(i + j) % n for j in range(n)] for i in range(n)])
+    return SplittingSpec("amalgam", make_table(*cyclic_table(4, "r"), group_id="A"),
+                         make_table(*cyclic_table(6, "s"), group_id="B"),
+                         ["t"], [W("r2")], [W("s3")])
 
 def random_word(rng: random.Random, gen_names, max_len: int,
                 max_exp: int = 2) -> Word:

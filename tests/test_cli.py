@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from treegroups import tree
 from treegroups.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, run
 
 HERE = os.path.dirname(__file__)
@@ -34,6 +35,15 @@ def invoke(capsys, *argv):
     ("entropy_semigroup_r30.json",
      ["entropy", "--kind", "semigroup", "--l1", "0.8", "--l2", "1.3",
       "--radius", "30", "--json"]),
+    ("fix_f2_amalgam_conj_a_r4.json",
+     ["fix", "--group", data("f2_amalgam.json"), "--element", "d b a b^-1 d^-1",
+      "--radius", "4", "--json"]),
+    ("fix_klein_a_pow2.json",
+     ["fix", "--group", data("klein.json"), "--element", "a", "--max-power", "2",
+      "--json"]),
+    ("axis_f2_amalgam_bd_r6.json",
+     ["axis", "--group", data("f2_amalgam.json"), "--element", "b d",
+      "--radius", "6", "--json"]),
 ])
 def test_golden_outputs(capsys, golden, argv):
     rc, out, _ = invoke(capsys, *argv)
@@ -73,6 +83,22 @@ def test_fix_and_axis(capsys):
     assert rc == EXIT_OK
     doc = json.loads(out)
     assert doc["tau"] == 2 and "A:1" in doc["members"]
+
+
+def test_fix_stops_at_the_vertex_limit(capsys, monkeypatch, tmp_path):
+    # x fixes the whole tree of Z^2 *_{x=u} Z^2, whose vertex degrees are infinite
+    monkeypatch.setattr(tree, "MAX_WINDOW_VERTICES", 300)
+    group = tmp_path / "z2_amalgam.json"
+    group.write_text(json.dumps({
+        "kind": "amalgam",
+        "factors": [{"type": "free_abelian", "rank": 2, "gens": ["x", "y"]},
+                    {"type": "free_abelian", "rank": 2, "gens": ["u", "v"]}],
+        "edge": {"generators": ["t"], "into_A": ["x"], "into_B": ["u"]}}))
+    rc, out, _ = invoke(capsys, "fix", "--group", str(group), "--element", "x", "--json")
+    assert rc == EXIT_OK
+    doc = json.loads(out)
+    assert doc["radius"] == 8 and doc["exhaustive_within_radius"] is False
+    assert len(doc["members"]) == 301
 
 
 def test_axis_elliptic_is_input_error(capsys):

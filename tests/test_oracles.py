@@ -298,6 +298,15 @@ def test_transversal_and_conjugator_reps_are_canonical():
                     assert all(sub.coset_rep(t) == t for t in sols)
 
 
+
+def test_identity_conjugators_are_the_transversal():
+    # every coset conjugates 1 into the subgroup, the trivial subgroup included
+    for o, subgroups in all_oracles():
+        for gens in subgroups:
+            sub = o.designated_subgroup([W(g) for g in gens])
+            for cap in (None, 5):
+                assert sub.conjugator_cosets(Word(), cap) == sub.transversal(cap)
+
 def bruteforce_reduce(sub, x):
     """(k, x w^k) of least shortlex key over the window |k| <= (|x| + |w|)/|core| + 2."""
     span = (x.letter_length() + sub.w.letter_length()) // len(sub.core) + 2

@@ -1,17 +1,19 @@
 import math
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treegroups import tree
 from treegroups.oracles import make_free
 from treegroups.splitting import SplittingSpec, other_side
 from treegroups.tree import (EllipticElementError, TreeVertex, VertexRegion,
                              act, axis_window, ball, base_vertex,
                              check_acylindricity, classify, element_order,
                              fix_diameter_lb, fixed_set, geodesic, neighbors,
-                             region_diameter, region_distance, t_set,
+                             on_axis, region_diameter, region_distance, t_set,
                              tree_distance, vertex_of)
 from treegroups.words import Word
 
@@ -416,6 +418,99 @@ def test_t_set_exhaustive_for_order_above_64(z70z3):
     assert region.members == (A,)
     assert region.exhaustive_within_radius  # order 70: powers 1..69 covered
 
+
+
+# -- windows against references that do not walk -------------------------------
+
+def reference_ball(spec, center, radius):
+    """{vertex: distance} by plain BFS over complete neighbour lists."""
+    dist = {center: 0}
+    frontier = [center]
+    for d in range(1, radius + 1):
+        frontier = [nb for v in frontier for nb in neighbors(spec, v)[0] if nb not in dist]
+        dist.update((nb, d) for nb in frontier)
+    return dist
+
+
+def canonical_order(dist):
+    return tuple(sorted(dist, key=lambda v: (dist[v], v.side, str(v))))
+
+
+def random_base(spec, rng):
+    return act(spec, random_word(rng, spec.gen_names, 4),
+               base_vertex(spec, rng.choice(["A", "B"])))
+
+
+def test_fixed_set_matches_reference(z2z3, z3z4, klein, z4z6_table):
+    rng = random.Random(31)
+    for spec in (z2z3, z3z4, klein, z4z6_table):
+        for i in range(30):
+            g = [Word(), random_elliptic(spec, rng), random_word(rng, spec.gen_names, 4)][i % 3]
+            base, radius = random_base(spec, rng), rng.randint(0, 4)
+            window = reference_ball(spec, base, radius)
+            fixed = {v: d for v, d in window.items() if act(spec, g, v) == v}
+            region = fixed_set(spec, g, base, radius, neighbor_cap=None)
+            assert region.members == canonical_order(fixed), str(g)
+            assert region.exhaustive_within_radius
+
+
+def test_axis_window_matches_reference(z2z3, z3z4, klein, z4z6_table):
+    rng = random.Random(32)
+    for spec in (z2z3, z3z4, klein, z4z6_table):
+        found = 0
+        while found < 10:
+            h = random_word(rng, spec.gen_names, 5)
+            cls = classify(spec, h)
+            if not cls.is_hyperbolic:
+                continue
+            found += 1
+            base, radius = random_base(spec, rng), rng.randint(0, 5)
+            window = reference_ball(spec, base, radius)
+            on = {v: d for v, d in window.items() if on_axis(spec, h, cls.tau, v)}
+            region = axis_window(spec, h, base, radius)
+            assert region.members == canonical_order(on), str(h)
+            assert region.exhaustive_within_radius
+
+
+def test_t_set_is_the_union_over_every_power(z2z3, z3z4, klein, z4z6_table, z70z3):
+    rng = random.Random(33)
+    cases = [(z70z3, W("a"), 69), (z70z3, W("a^4"), 69), (z70z3, W("b a^10 b^-1"), 40),
+             (z70z3, W("a b"), 9), (z2z3, W("a b"), 6)]
+    for spec in (z2z3, z3z4, klein, z4z6_table):
+        cases += [(spec, random_elliptic(spec, rng), rng.randint(1, 8)) for _ in range(8)]
+    for spec, g, max_power in cases:
+        base, radius = random_base(spec, rng), rng.randint(0, 3)
+        order = power_walk_order(spec, g)
+        regions = [fixed_set(spec, g ** n, base, radius) for n in range(1, max_power + 1)
+                   if not spec.is_trivial(g ** n)]
+        union = reduce(set.union, (set(r.members) for r in regions), set())
+        region = t_set(spec, g, base, radius, max_power)
+        assert set(region.members) == union, str(g)
+        assert region.members == canonical_order(
+            {v: tree_distance(spec, base, v) for v in union})
+        assert region.exhaustive_within_radius == (
+            all(r.exhaustive_within_radius for r in regions)
+            and order is not None and max_power >= order - 1)
+
+
+def test_windows_stop_at_the_vertex_limit(z2_amalgam, monkeypatch):
+    # Z^2 *_{x=u} Z^2: x fixes the whole tree, which has infinite degrees
+    monkeypatch.setattr(tree, "MAX_WINDOW_VERTICES", 300)
+    for region in (fixed_set(z2_amalgam, W("x"), radius=8),
+                   t_set(z2_amalgam, W("x"), radius=8)):
+        assert not region.exhaustive_within_radius
+        assert 300 < len(region.members) <= 301
+    assert len(ball(z2_amalgam, base_vertex(z2_amalgam), 8, neighbor_cap=16)[0]) == 301
+
+
+def test_fixed_window_flags_only_truncation_inside_the_window(z2_amalgam):
+    # neighbour lists are truncated at every vertex, but a window of radius
+    # d(base, Fix(x)) holds one fixed vertex and expands none
+    A, B = base_vertex(z2_amalgam, "A"), base_vertex(z2_amalgam, "B")
+    region = fixed_set(z2_amalgam, W("x"), A, 0)
+    assert region.members == (A,) and region.exhaustive_within_radius
+    region = fixed_set(z2_amalgam, W("x"), A, 1)
+    assert B in region.members and not region.exhaustive_within_radius
 
 def test_axis_examples(z2z3):
     A, B = base_vertex(z2z3, "A"), base_vertex(z2z3, "B")
