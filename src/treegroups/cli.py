@@ -16,18 +16,15 @@ from typing import List, Optional
 
 from . import __version__
 from .bounds import build_bounds_report, compare_case_bounds
-from .freeness import (CertificationFailure, WitnessInputError,
-                       semigroup_witness, witness_elliptic_hyperbolic,
-                       witness_elliptic_pair, witness_hyperbolic_pair)
+from .freeness import (CertificationFailure, semigroup_witness,
+                       witness_elliptic_hyperbolic, witness_elliptic_pair,
+                       witness_hyperbolic_pair)
 from .growth import (analytic_root_estimate, ball_series, bcg_lower_bound,
                      entropy_from_counts)
-from .manifolds import (DichotomyError, ManifoldError, classify_manifold,
-                        load_manifold, systole_bound_for)
-from .splitting import SpecError, load_spec
-from .tree import (EllipticElementError, axis_window,
-                   check_acylindricity, classify, fixed_set, region_diameter,
-                   t_set)
-from .words import WordError
+from .manifolds import classify_manifold, load_manifold, systole_bound_for
+from .splitting import load_spec
+from .tree import (axis_window, check_acylindricity, classify, fixed_set,
+                   region_diameter, t_set)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -292,9 +289,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliInputError, SpecError, ManifoldError, DichotomyError, WordError,
-            WitnessInputError, EllipticElementError, CertificationFailure,
-            ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CliInputError, CertificationFailure, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

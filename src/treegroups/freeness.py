@@ -6,7 +6,9 @@ p = k+1 for elliptic/hyperbolic, q = 3k+1 for hyperbolic pairs with small
 axis overlap, p = 3 for large overlap.  Every witness is certified by a
 bounded-depth normal-form check: no nontrivial alternating word in the
 witnesses of letter budget <= depth evaluates to the identity (semigroup
-claims: all positive words up to the depth stay pairwise distinct).  The
+claims: all positive words up to the depth stay pairwise distinct).  Each
+node of the search extends its parent's normal form by one witness power
+(``SplittingSpec.extend``), so a node costs one power's pushes.  The
 certificate refutes non-freeness up to that depth; it is a guard, not a
 proof; the freeness statements themselves come from acylindricity, the
 certificate only guards the computation.
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .splitting import SplittingSpec
+from .splitting import NormalForm, SplittingSpec
 from .tree import (ElementClass, TreeVertex, VertexRegion, act, axis_window,
                    classify, element_order, fixed_set, geodesic, on_axis,
                    region_diameter, region_distance, t_set)
@@ -106,42 +108,46 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
     """
     if spec.is_trivial(w1) or spec.is_trivial(w2):
         return False, "a witness generator is trivial"
-    witnesses = (w1, w2)
     orders = (element_order(spec, w1), element_order(spec, w2))
+    powers = tuple({exp: w ** exp for exp in _exponent_range(order, depth)}
+                   for w, order in zip((w1, w2), orders))
 
-    def descend(prefix: Word, last: Optional[int], budget: int) -> Optional[str]:
+    def descend(nf: NormalForm, path: Tuple[Word, ...], last: Optional[int],
+                budget: int) -> Optional[str]:
         for i in (0, 1):
             if i == last:
                 continue
             for exp in _exponent_range(orders[i], budget):
-                cost = _syllable_cost(exp, orders[i])
-                word = prefix * (witnesses[i] ** exp)
-                if spec.is_trivial(word):
+                power = powers[i][exp]
+                nf2 = spec.extend(nf, power)
+                if nf2.is_trivial:
+                    prefix = Word.of(letter for p in path for letter in p.letters)
                     return f"W{i + 1}^{exp} after {prefix}"
-                bad = descend(word, i, budget - cost)
+                bad = descend(nf2, path + (power,), i,
+                              budget - _syllable_cost(exp, orders[i]))
                 if bad is not None:
                     return bad
         return None
 
-    bad = descend(Word(), None, depth)
+    bad = descend(spec.normal_form(Word()), (), None, depth)
     return (bad is None), bad
 
 
 def certify_free_semigroup(spec: SplittingSpec, w1: Word, w2: Word,
                            depth: int = 6) -> Tuple[bool, Optional[str]]:
     """All positive words of length <= depth in (w1, w2) are pairwise distinct."""
-    seen = {spec.normal_form(Word()).key(): ""}
-    frontier: List[Tuple[str, Word]] = [("", Word())]
+    empty = spec.normal_form(Word())
+    seen = {empty: ""}
+    frontier: List[Tuple[str, NormalForm]] = [("", empty)]
     for _ in range(depth):
         nxt = []
-        for label, word in frontier:
+        for label, nf in frontier:
             for tag, w in (("1", w1), ("2", w2)):
-                lab2, word2 = label + tag, word * w
-                key = spec.normal_form(word2).key()
-                if key in seen:
-                    return False, f"W{lab2} collides with W{seen[key]}"
-                seen[key] = lab2
-                nxt.append((lab2, word2))
+                lab2, nf2 = label + tag, spec.extend(nf, w)
+                if nf2 in seen:
+                    return False, f"W{lab2} collides with W{seen[nf2]}"
+                seen[nf2] = lab2
+                nxt.append((lab2, nf2))
         frontier = nxt
     return True, None
 

@@ -83,15 +83,9 @@ def is_anosov(m: SL2Matrix) -> bool:
 
 
 def twisted_double_conjugate(m: SL2Matrix) -> SL2Matrix:
-    """J m J m^-1 for the reflection J(x, y) = (-x, y), computed in GL2 and
-    handed back as an SL2 matrix (determinants cancel)."""
-    # J m J flips the off-diagonal signs
-    jmj = ((m.a, -m.b), (-m.c, m.d))
-    inv = sl2_inverse(m)
-    a, b = jmj[0]
-    c, d = jmj[1]
-    return SL2Matrix(a * inv.a + b * inv.c, a * inv.b + b * inv.d,
-                     c * inv.a + d * inv.c, c * inv.b + d * inv.d)
+    """J m J m^-1 for the reflection J(x, y) = (-x, y); J m J flips the
+    off-diagonal signs and has determinant 1."""
+    return sl2_mul(SL2Matrix(m.a, -m.b, -m.c, m.d), sl2_inverse(m))
 
 
 def twisted_double_check(m: SL2Matrix) -> bool:

@@ -128,13 +128,14 @@ class DesignatedSubgroup:
     def conjugator_cosets(self, x: Word, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         """All transversal reps t with t^-1 x t in the subgroup.
 
-        Returns (reps, complete).  Default implementation scans the
-        transversal, which is exact whenever the index is finite.
+        Returns (reps, complete).  Default implementation, for finite index:
+        scans the whole transversal, keeps at most ``cap`` hits and is
+        complete exactly when none was dropped.
         """
-        reps, complete = self.transversal(cap)
         o = self.oracle
-        hits = [t for t in reps if self.contains(o.canonical(x.conjugated_by(t)))]
-        return hits, complete
+        hits = [t for t in self.transversal()[0]
+                if self.contains(o.canonical(x.conjugated_by(t)))]
+        return hits[:cap], cap is None or len(hits) <= cap
 
     def embed(self, cw: CWord) -> Word:
         """Image in the ambient oracle of an abstract subgroup word."""

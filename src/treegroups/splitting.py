@@ -185,8 +185,13 @@ class SplittingSpec:
     # -- normal form -----------------------------------------------------------
 
     def normal_form(self, w: Word) -> NormalForm:
-        syllables: List[Syllable] = []
-        tail: CWord = ()
+        return self.extend(NormalForm((), (), Word()), w)
+
+    def extend(self, nf: NormalForm, w: Word) -> NormalForm:
+        """nf(u w) from nf = nf(u): each ``_push`` keeps the syllable stack
+        times the tail equal to the product so far, even when a piece cancels
+        whole syllables, so w's runs can be pushed onto a copy of nf's stack."""
+        syllables, tail = list(nf.syllables), nf.tail
         for side, piece in self._runs(self.resolve_word(w)):
             tail = self._push(syllables, tail, side, piece)
         return NormalForm(tuple(syllables), tail, self.sub_a.embed(tail))
@@ -219,9 +224,6 @@ class SplittingSpec:
 
     def is_trivial(self, w: Word) -> bool:
         return self.normal_form(w).is_trivial
-
-    def equal(self, u: Word, v: Word) -> bool:
-        return self.normal_form(u) == self.normal_form(v)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,14 @@ def test_certify_trivial_generator_rejected(z2z3):
     assert not ok and "trivial" in fail
 
 
+def test_certificate_failure_strings(z2z3, klein):
+    # the failing prefix is rebuilt from the witness powers for the message
+    assert certify_rank2_free(klein, W("a"), W("b"), 4) == (False, "W1^1 after a b^-2")
+    assert certify_free_semigroup(klein, W("a"), W("b"), 4) == (
+        False, "W22 collides with W11")
+    assert certify_rank2_free(z2z3, W("a"), W("a"), 4) == (False, "W2^1 after a")
+
+
 # -- elliptic pair witnesses ----------------------------------------------------
 
 def test_elliptic_pair_witness(z2z3):

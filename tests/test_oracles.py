@@ -304,7 +304,7 @@ def test_identity_conjugators_are_the_transversal():
     for o, subgroups in all_oracles():
         for gens in subgroups:
             sub = o.designated_subgroup([W(g) for g in gens])
-            for cap in (None, 5):
+            for cap in (None, 5, sub.index()):
                 assert sub.conjugator_cosets(Word(), cap) == sub.transversal(cap)
 
 def bruteforce_reduce(sub, x):

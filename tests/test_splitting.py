@@ -1,11 +1,15 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegroups.oracles import make_cyclic
 from treegroups.splitting import (HnnNotSupportedError, SpecError,
                                   SplittingSpec, classify_elementarity,
-                                  spec_from_dict)
+                                  load_spec, spec_from_dict)
 from treegroups.tree import TreeVertex
 from treegroups.words import Word, WordError
 
@@ -51,6 +55,32 @@ def test_normal_form_idempotent(z2z3, klein, f2_amalgam):
             nf = spec.normal_form(w)
             again = spec.normal_form(nf_word(nf))
             assert nf == again
+
+
+DATA_SPECS = [load_spec(str(p))
+              for p in sorted((Path(__file__).parent / "data").glob("*.json"))
+              if "factors" in json.loads(p.read_text())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_extend_is_normal_form_of_product(z2z3, z3z4, z70z3, z2z2, triv_z5, f2,
+                                          klein, f2_amalgam, z2_amalgam,
+                                          z4z6_table, data):
+    assert len(DATA_SPECS) == 3
+    spec = data.draw(st.sampled_from([z2z3, z3z4, z70z3, z2z2, triv_z5, f2, klein,
+                                      f2_amalgam, z2_amalgam, z4z6_table,
+                                      *DATA_SPECS]))
+    names = spec.gen_names + spec.edge_gens
+    letters = st.tuples(st.sampled_from(names), st.integers(-3, 3).filter(bool))
+    u = Word.of(data.draw(st.lists(letters, max_size=8)))
+    z = Word.of(data.draw(st.lists(letters, max_size=8)))
+    # v = u^-1 z cancels u's syllables one by one before building z's
+    v = data.draw(st.sampled_from([z, u.inverse() * z]))
+    got = spec.extend(spec.normal_form(u), v)
+    want = spec.normal_form(u * v)
+    assert got == want
+    assert got.tail_image_a == want.tail_image_a
 
 
 def test_normal_form_soundness_500_random(z2z3, z3z4, klein, f2_amalgam):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegroups import tree
-from treegroups.oracles import make_free
+from treegroups.oracles import make_cyclic, make_free, make_table
 from treegroups.splitting import SplittingSpec, other_side
 from treegroups.tree import (EllipticElementError, TreeVertex, VertexRegion,
                              act, axis_window, ball, base_vertex,
@@ -349,6 +349,17 @@ def test_fixed_set_identity_flags_truncation(f2_amalgam):
     region = fixed_set(f2_amalgam, Word(), radius=2, neighbor_cap=6)
     assert not region.exhaustive_within_radius
     assert len(region.members) > 1
+
+
+def test_fixed_set_table_exact_despite_capped_transversal():
+    # Z/20 (as a table) * Z/3: the edge group is trivial, so q9 fixes only
+    # the base vertex, although the 20 cosets exceed the neighbour cap of 16
+    z20 = make_table([f"q{i}" for i in range(20)],
+                     [[(i + j) % 20 for j in range(20)] for i in range(20)], "A")
+    spec = SplittingSpec("free_product", z20, make_cyclic(3, "b", "B"))
+    region = fixed_set(spec, W("q9"), radius=1)
+    assert [str(v) for v in region.members] == ["A:1"]
+    assert region.exhaustive_within_radius
 
 
 def test_fixed_set_members_are_fixed(z2z3, klein, f2_amalgam):
