@@ -22,8 +22,8 @@ from typing import List, Optional, Tuple
 
 from .splitting import NormalForm, SplittingSpec
 from .tree import (ElementClass, TreeVertex, VertexRegion, act, axis_window,
-                   classify, element_order, fixed_set, geodesic, on_axis,
-                   region_diameter, region_distance, t_set)
+                   check_nonnegative, classify, element_order, fixed_set,
+                   geodesic, on_axis, region_diameter, region_distance, t_set)
 from .words import Word
 
 
@@ -106,6 +106,7 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
     free-product claim <w1> * <w2> and, for infinite-order witnesses, for
     rank-2 free subgroups.  Returns (ok, failing word or None).
     """
+    check_nonnegative("certificate depth", depth)
     if spec.is_trivial(w1) or spec.is_trivial(w2):
         return False, "a witness generator is trivial"
     orders = (element_order(spec, w1), element_order(spec, w2))
@@ -136,6 +137,7 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
 def certify_free_semigroup(spec: SplittingSpec, w1: Word, w2: Word,
                            depth: int = 6) -> Tuple[bool, Optional[str]]:
     """All positive words of length <= depth in (w1, w2) are pairwise distinct."""
+    check_nonnegative("certificate depth", depth)
     empty = spec.normal_form(Word())
     seen = {empty: ""}
     frontier: List[Tuple[str, NormalForm]] = [("", empty)]

@@ -4,7 +4,11 @@ Every oracle works on :class:`~treegroups.words.Word` values over its own
 generators and exposes a canonical form with an O(length) identity test:
 residue (cyclic), table index (finite table), exponent vector (free abelian),
 freely reduced word (free).  Exponents are plain Python integers, so powers
-never overflow.
+never overflow.  Free words stay (generator, exponent) letters, so the
+cost of a free factor grows at most with the logarithm of an exponent.  What
+scales further: a free-cyclic ``conjugator_cosets`` scans up to |c| rotations
+of the edge word's cyclic core c, and table oracles multiply out powers mod
+the element order.
 
 Designated subgroups carry the extra structure amalgams need.  One query,
 ``split(x) -> (rep, cw)``, writes x = rep * embed(cw) with rep the canonical
@@ -47,42 +51,34 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# free-word utilities (unit-letter level)
+# free-word utilities
 # ---------------------------------------------------------------------------
 
-Unit = Tuple[str, int]  # exponent is +1 or -1
+
+def cyclic_decompose(w: Word) -> Tuple[Word, Word]:
+    """Split a reduced word as p * c * p^-1 with c cyclically reduced: w w
+    cancels the 2|p| letters of p^-1 p and no more, as c c cancels none."""
+    n = w.letter_length() - (w * w).letter_length() // 2
+    head = []
+    for g, e in w.letters:
+        if n <= 0:
+            break
+        head.append((g, max(-n, min(e, n))))
+        n -= abs(e)
+    p = Word(tuple(head))
+    return p, p.inverse() * w * p
 
 
-def word_units(w: Word) -> Tuple[Unit, ...]:
-    out: List[Unit] = []
-    for name, exp in w.letters:
-        step = 1 if exp > 0 else -1
-        out.extend((name, step) for _ in range(abs(exp)))
-    return tuple(out)
-
-
-def invert_units(units: Sequence[Unit]) -> Tuple[Unit, ...]:
-    return tuple((n, -e) for n, e in reversed(units))
-
-
-def cyclic_decompose(units: Sequence[Unit]) -> Tuple[Tuple[Unit, ...], Tuple[Unit, ...]]:
-    """Split a reduced unit word as prefix * core * prefix^-1 with core cyclically reduced."""
-    units = tuple(units)
-    lo, hi = 0, len(units)
-    while hi - lo >= 2 and units[lo][0] == units[hi - 1][0] and units[lo][1] == -units[hi - 1][1]:
-        lo += 1
-        hi -= 1
-    return units[:lo], units[lo:hi]
-
-
-def primitive_root(core: Sequence[Unit]) -> Tuple[Unit, ...]:
-    """Smallest unit word r with core = r^k (core must be cyclically reduced)."""
-    core = tuple(core)
-    n = len(core)
-    for p in range(1, n + 1):
-        if n % p == 0 and core[:p] * (n // p) == core:
-            return core[:p]
-    return core
+def _cancelled(y: Word, c: Word) -> int:
+    """The length L of the longest suffix of y that is also a suffix of
+    ... c^-1 c^-1 (c nonempty): y c^m cancels min(L, m|c|) letters of y."""
+    n, ly = c.letter_length(), y.letter_length()
+    cm, m = c, 1
+    while True:  # double m until the cancellation stops short of m|c|
+        cut = (ly + m * n - (y * cm).letter_length()) // 2
+        if cut < m * n:
+            return cut
+        cm, m = cm * cm, 2 * m
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +178,7 @@ class _ResidueSubgroup(DesignatedSubgroup):
         idx = self.index()
         if idx is not None:
             reps = [self.oracle._from_exponent(j) for j in range(idx)]
-            if cap is not None and len(reps) > cap:
-                return reps[:cap], False
-            return reps, True
+            return reps[:cap], cap is None or len(reps) <= cap
         # trivial subgroup of Z: enumerate 0, 1, -1, 2, -2, ...
         cap = cap if cap is not None else 16
         reps = [self.oracle._from_exponent(0)]
@@ -236,9 +230,7 @@ class _TableSubgroup(DesignatedSubgroup):
 
     def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         reps = list(self._reps)
-        if cap is not None and len(reps) > cap:
-            return reps[:cap], False
-        return reps, True
+        return reps[:cap], cap is None or len(reps) <= cap
 
 
 class _LatticeSubgroup(DesignatedSubgroup):
@@ -315,9 +307,7 @@ class _LatticeSubgroup(DesignatedSubgroup):
             combos = itertools.product(*(range(diag[c]) for c in range(self.n)))
             reps = [self.oracle._from_vector(self._split_vector(combo)[0]) for combo in
                     itertools.islice(combos, None if cap is None else cap + 1)]
-            if cap is not None and len(reps) > cap:
-                return reps[:cap], False
-            return reps, True
+            return reps[:cap], cap is None or len(reps) <= cap
         cap = cap if cap is not None else 32
         reps: List[Word] = []
         seen = set()
@@ -345,8 +335,7 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
                 "designated subgroups of free factors must be cyclic "
                 f"(got {len(self.image_words)} generators)")
         self.w = self.image_words[0] if self.image_words else Word()
-        self.prefix, self.core = cyclic_decompose(word_units(self.w))
-        self.trivial = self.w.is_empty
+        self.prefix, self.core = cyclic_decompose(self.w)
         self._memo: dict = {}
 
     def split(self, x: Word) -> Tuple[Word, CWord]:
@@ -371,16 +360,10 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
         if hit is not None:
             return hit
         ks = {0}
-        if not self.trivial:
-            back = word_units(x * Word.of(self.prefix))[::-1]
-            n = len(self.core)
-            for s, c in ((1, self.core), (-1, invert_units(self.core))):
-                L = 0
-                while L < len(back) and back[L] == (c[L % n][0], -c[L % n][1]):
-                    L += 1
-                if L:
-                    ks = {s * (L // n), s * -(-L // n)}
-                    break
+        if not self.w.is_empty:  # s*L, with L = 0 along the other direction
+            y, n = x * self.prefix, self.core.letter_length()
+            sl = _cancelled(y, self.core) - _cancelled(y, self.core.inverse())
+            ks = {sl // n, -(-sl // n)}
         k, rep = min(((k, x * self.w ** k) for k in ks),
                      key=lambda kr: self.oracle._shortlex_key(kr[1]))
         hit = self._memo[x.letters] = (rep, ((0, -k),) if k else ())
@@ -401,36 +384,31 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
         return reps, False
 
     def conjugator_cosets(self, x: Word, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
+        """Reps t with t^-1 x t in <w>, at most ``cap`` of them.
+
+        With x = u r u^-1, r cyclically reduced, t^-1 x t is w^{+-k} exactly
+        when t<w> = u q p^-1 <w> for a prefix q of r whose rotation q^-1 r q
+        is c^{+-k}.  With c = rho^s for the root rho, the prefixes shorter
+        than |c| give each such coset once, as q0 rho^{+-m} for m < s; the
+        c^-k ones are listed as m = 0, s-1, ..., 1, i.e. q0 rho^m mod c.
+        """
         x = self.oracle.canonical(x)
         if x.is_empty:
             return self.transversal(cap)
-        if self.trivial:
+        u, r = cyclic_decompose(x)
+        n, lc = r.letter_length(), self.core.letter_length()
+        if self.w.is_empty or n % lc:
             return [], True
-        ux, cx = cyclic_decompose(word_units(x))
-        lw = len(self.core)
-        if not cx or len(cx) % lw != 0:
-            return [], True
-        k = len(cx) // lw
-        rho = primitive_root(self.core)
-        s = lw // len(rho)
-        reps: List[Word] = []
-        seen = set()
-        for target in (self.core * k, invert_units(self.core) * k):
-            hit = None
-            for i in range(len(cx)):
-                if cx[i:] + cx[:i] == target:
-                    hit = i
-                    break
-            if hit is None:
-                continue
-            base = Word.of(ux + cx[:hit] + invert_units(self.prefix))
-            rho_w = Word.of(self.prefix + rho + invert_units(self.prefix))
-            for m in range(s):
-                t = self.coset_rep(base * (rho_w ** m))
-                if t.letters not in seen:
-                    seen.add(t.letters)
-                    reps.append(t)
-        return reps, True
+        up, down, q = [], [], Word()  # cosets whose rotation is c^k, is c^-k
+        for _ in range(lc):  # rotate r by one single letter at a time
+            for hits, c in ((up, self.core.inverse()), (down, self.core)):
+                if _cancelled(r, c) == n:
+                    hits.append(self.coset_rep(u * q * self.prefix.inverse()))
+            g, e = r.letters[0]
+            step = Word.gen(g, 1 if e > 0 else -1)
+            q, r = q * step, step.inverse() * r * step
+        reps = up + down[:1] + down[:0:-1]
+        return reps[:cap], cap is None or len(reps) <= cap
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +640,17 @@ class FreeOracle(GroupOracle):
         return Word.gen(self.gen_names[0], e)
 
     def _shortlex_key(self, w: Word):
-        units = word_units(w)
-        return (len(units), tuple((self._pos[n], 0 if e > 0 else 1) for n, e in units))
+        """Shortlex order of the spelled-out words, one entry per letter.
+
+        Symbols run g0, g0^-1, g1, g1^-1, ...  Equal-length words that first
+        differ inside a run of symbol s are ordered by the shorter run's
+        successor against s, hence the entry (s, 0, |e|) when the next
+        letter's symbol is smaller than s and (s, 1, -|e|) otherwise.
+        """
+        syms = [2 * self._pos[g] + (e < 0) for g, e in w.letters]
+        return (w.letter_length(),
+                tuple((s, 0, abs(e)) if nxt < s else (s, 1, -abs(e))
+                      for s, (_, e), nxt in zip(syms, w.letters, syms[1:] + [2 * self.rank])))
 
     def element_order(self, w: Word) -> Optional[int]:
         return 1 if self.canonical(w).is_empty else None

@@ -191,9 +191,16 @@ def _walk(start: TreeVertex, levels: int, children: Callable,
     return depth, complete
 
 
+def check_nonnegative(name: str, value: int) -> None:
+    """Reject a negative window radius or certificate depth as an input error."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def ball(spec: SplittingSpec, center: TreeVertex, radius: int,
          neighbor_cap: Optional[int] = None) -> Tuple[Dict[TreeVertex, int], bool]:
     """BFS ball as {vertex: distance}; second value reports completeness."""
+    check_nonnegative("window radius", radius)
     def children(v, _, seen):
         nbs, complete = neighbors(spec, v, neighbor_cap)
         return [(nb, None) for nb in nbs if nb not in seen], complete
@@ -243,6 +250,7 @@ def _fixed_window(spec: SplittingSpec, g: Word, base: TreeVertex, radius: int,
                   neighbor_cap: Optional[int]) -> Tuple[Dict[TreeVertex, int], bool]:
     """Fix(g) within radius of base as {vertex: distance from base}, and
     the flag; the walk is set out in the module docstring."""
+    check_nonnegative("window radius", radius)
     cls = classify(spec, g, base)
     start = cls.witness_vertex
     d0 = tree_distance(spec, base, start)
@@ -319,6 +327,7 @@ def axis_window(spec: SplittingSpec, h: Word, base: Optional[TreeVertex] = None,
     within radius + d(base, p) of p, so the geodesic from h^-K p to h^K p
     with K = (radius + d(base, p)) // tau + 1 covers the window exactly.
     """
+    check_nonnegative("window radius", radius)
     if base is None:
         base = base_vertex(spec)
     cls = classify(spec, h, base)

@@ -101,6 +101,21 @@ def test_fix_stops_at_the_vertex_limit(capsys, monkeypatch, tmp_path):
     assert len(doc["members"]) == 301
 
 
+def test_fix_large_exponent_in_free_factor(capsys, tmp_path):
+    # F2 *_{ab=c} F2: a^1000000 fixes only A:1, found without spelling it out
+    group = tmp_path / "f2_ab_amalgam.json"
+    group.write_text(json.dumps({
+        "kind": "amalgam",
+        "factors": [{"type": "free", "rank": 2, "gens": ["a", "b"]},
+                    {"type": "free", "rank": 2, "gens": ["c", "d"]}],
+        "edge": {"generators": ["t"], "into_A": ["a b"], "into_B": ["c"]}}))
+    rc, out, _ = invoke(capsys, "fix", "--group", str(group), "--element", "a^1000000",
+                        "--json")
+    assert rc == EXIT_OK
+    doc = json.loads(out)
+    assert doc["members"] == ["A:1"] and doc["exhaustive_within_radius"] is True
+
+
 def test_axis_elliptic_is_input_error(capsys):
     rc, _, err = invoke(capsys, "axis", "--group", data("z2z3.json"),
                         "--element", "a")
@@ -182,6 +197,19 @@ def test_input_errors(capsys):
         assert rc == EXIT_INPUT and not out
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+    # negative certificate depths and window radii check nothing
+    witness = ["free-witness", "--group", data("f2_amalgam.json"), "--g1", "b d", "--g2", "d b"]
+    for argv, message in [(witness + ["--depth", "-5"], "depth"),
+                          (witness + ["--depth", "-5", "--semigroup"], "depth"),
+                          (["fix", "--group", data("f2_amalgam.json"), "--element", "a",
+                            "--radius", "-2"], "radius"),
+                          (["fix", "--group", data("klein.json"), "--element", "a",
+                            "--max-power", "2", "--radius", "-2"], "radius"),
+                          (["axis", "--group", data("f2_amalgam.json"), "--element", "b d",
+                            "--radius", "-2"], "radius")]:
+        rc, out, err = invoke(capsys, *argv)
+        assert rc == EXIT_INPUT and not out
+        assert err.startswith("error: ") and message in err
 
 
 def test_unknown_flag_is_input_error(capsys):

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegroups.oracles import (OracleError, cyclic_decompose, make_cyclic,
-                                make_free, make_free_abelian, make_table,
-                                primitive_root, word_units)
+                                make_free, make_free_abelian, make_table)
 from treegroups.words import Word, WordError
 
+import unit_words
 from conftest import random_word
 
 W = Word.parse
@@ -309,9 +309,9 @@ def test_identity_conjugators_are_the_transversal():
 
 def bruteforce_reduce(sub, x):
     """(k, x w^k) of least shortlex key over the window |k| <= (|x| + |w|)/|core| + 2."""
-    span = (x.letter_length() + sub.w.letter_length()) // len(sub.core) + 2
+    span = (x.letter_length() + sub.w.letter_length()) // sub.core.letter_length() + 2
     return min(((k, x * sub.w ** k) for k in range(-span, span + 1)),
-               key=lambda kr: sub.oracle._shortlex_key(kr[1]))
+               key=lambda kr: unit_words.shortlex_key(sub.oracle.gen_names, kr[1]))
 
 
 free_words = st.lists(st.tuples(st.sampled_from("xy"), st.integers(-4, 4).filter(bool)),
@@ -359,6 +359,18 @@ def test_free_cyclic_conjugator_cosets():
     assert sub.contains(W("y x^3 y^-1").conjugated_by(t))
 
 
+def test_free_cyclic_conjugator_cosets_honour_cap():
+    # x^40 is conjugated into <x^40> by the 40 cosets x^m <x^40>
+    sub = make_free(2, ["x", "y"]).designated_subgroup([W("x^40")])
+    full, complete = sub.conjugator_cosets(W("x^40"))
+    assert complete and sorted(str(t) for t in full) == sorted(
+        str(sub.coset_rep(W("x") ** m)) for m in range(40))
+    for cap in (0, 2, 16, 39):
+        assert sub.conjugator_cosets(W("x^40"), cap) == (full[:cap], False)
+    for cap in (40, 41):
+        assert sub.conjugator_cosets(W("x^40"), cap) == (full, True)
+
+
 def test_free_cyclic_conjugators_of_proper_power_root():
     f = make_free(2, ["x", "y"])
     # <(xy)^2>: conjugator cosets come in root-of-w classes
@@ -390,9 +402,64 @@ def test_free_cyclic_conjugator_cosets_match_transversal_scan(w, x, k, conjugate
 
 
 def test_cyclic_word_utilities():
-    units = word_units(W("x y x^-1"))
-    prefix, core = cyclic_decompose(units)
-    assert prefix == (("x", 1),)
-    assert core == (("y", 1),)
-    assert primitive_root(word_units(W("x y x y"))) == (("x", 1), ("y", 1))
-    assert primitive_root(word_units(W("x y"))) == (("x", 1), ("y", 1))
+    prefix, core = cyclic_decompose(W("x y x^-1"))
+    assert prefix == W("x")
+    assert core == W("y")
+    assert cyclic_decompose(W("x^3 y x^-2")) == (W("x^2"), W("x y"))
+    assert cyclic_decompose(W("x^-2 y^5 x^2")) == (W("x^-2"), W("y^5"))
+
+
+# letter-level free-word code against the unit-letter references in unit_words,
+# on exponents up to +-50; edge words include proper powers and conjugated cores
+big_free_words = st.lists(st.tuples(st.sampled_from("xy"), st.integers(-50, 50).filter(bool)),
+                          max_size=6).map(Word.of)
+edge_words = st.one_of(
+    st.sampled_from(["x", "y^-1", "x y", "x^2", "x y x y", "x y x^-1", "y^-1 x^3 y",
+                     "x y^-1 x y^-1 x y^-1", "x^2 y x^-2 y", "x^3", "y x^2 y x^2 y x^2",
+                     "x^2 y^-1 x^-3 y x^-2"]).map(W),
+    st.builds(lambda core, s, p: p * core ** s * p.inverse(),
+              big_free_words.filter(lambda w: not w.is_empty), st.integers(1, 4),
+              big_free_words))
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=big_free_words, v=big_free_words)
+def test_free_shortlex_key_matches_unit_order(u, v):
+    o = make_free(2, ["x", "y"])
+    ref = [unit_words.shortlex_key(o.gen_names, w) for w in (u, v)]
+    assert _cmp(o._shortlex_key(u), o._shortlex_key(v)) == _cmp(*ref)
+    # equal-length words that first differ inside a run
+    for a, b in ((u * W("x^2 y"), u * W("x^3")), (u * W("y^-2 x"), u * W("y^-3"))):
+        assert _cmp(o._shortlex_key(a), o._shortlex_key(b)) == _cmp(
+            unit_words.shortlex_key(o.gen_names, a), unit_words.shortlex_key(o.gen_names, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=edge_words)
+def test_cyclic_decompose_matches_units(w):
+    prefix, core = cyclic_decompose(w)
+    ref = unit_words.cyclic_decompose(unit_words.word_units(w))
+    assert (unit_words.word_units(prefix), unit_words.word_units(core)) == ref
+    assert prefix * core * prefix.inverse() == w
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=edge_words, x=big_free_words, k=st.integers(-60, 60))
+def test_free_cyclic_split_matches_units(w, x, k):
+    sub = make_free(2, ["x", "y"]).designated_subgroup([w])
+    for y in (x, x * w ** k, w ** k, x * w ** k * x.inverse()):
+        assert sub.split(y) == unit_words.split(sub, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=edge_words, x=big_free_words, k=st.integers(-6, 6).filter(bool))
+def test_free_cyclic_conjugator_cosets_match_units(w, x, k):
+    sub = make_free(2, ["x", "y"]).designated_subgroup([w])
+    for y in (x, x * w ** k * x.inverse(), x * sub.core ** k * x.inverse()):
+        if not y.is_empty:
+            reps, complete = sub.conjugator_cosets(y)
+            assert complete and reps == unit_words.conjugator_cosets(sub, y)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from functools import reduce
 
 import pytest
@@ -234,17 +235,36 @@ def test_classify_examples(z2z3, f2):
 
 
 def test_classify_large_exponent_in_free_factor():
-    # F2 *_{ab=c} F2: a^20000 is its own representative modulo <a b>, and
-    # c = a b is left as the tail
+    # F2 *_{ab=c} F2: a^1000000 is its own representative modulo <a b>, and
+    # c = a b is left as the tail; the free factor never spells a^e out
     spec = SplittingSpec("amalgam", make_free(2, ["a", "b"], "A"),
                          make_free(2, ["c", "d"], "B"), ["t"],
                          [W("a b")], [W("c")])
-    g = W("a^20000 c")
-    nf = spec.normal_form(g)
-    assert str(nf) == "[a^20000][a b]"
+    g = W("a^1000000 c")
+    tracemalloc.start()
+    try:
+        nf = spec.normal_form(g)
+        cls = classify(spec, g)
+        region = fixed_set(spec, W("a^1000000"), radius=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(nf) == "[a^1000000][a b]"
     assert nf.tail == ((0, 1),)
-    cls = classify(spec, g)
     assert cls.verdict == "elliptic" and cls.tau == 0
+    assert [str(v) for v in region.members] == ["A:1"] and region.exhaustive_within_radius
+    assert peak < 1_000_000
+
+
+def test_fixed_set_reports_capped_free_cyclic_conjugators():
+    # F2 *_{x^40=u} F2: x^40 fixes A:1 and the 40 neighbours t<x^40>B, t = x^m
+    spec = SplittingSpec("amalgam", make_free(2, ["x", "y"], "A"),
+                         make_free(2, ["u", "v"], "B"), ["t"],
+                         [W("x^40")], [W("u")])
+    capped = fixed_set(spec, W("x^40"), radius=1, neighbor_cap=16)
+    assert len(capped.members) == 17 and not capped.exhaustive_within_radius
+    full = fixed_set(spec, W("x^40"), radius=1, neighbor_cap=40)
+    assert len(full.members) == 41 and full.exhaustive_within_radius
 
 
 def test_classify_base_independent(z2z3, z3z4, klein):
@@ -594,6 +614,16 @@ def test_check_acylindricity_finds_long_edge_elements():
 def test_check_acylindricity_validates_inputs(z2z3):
     with pytest.raises(ValueError):
         check_acylindricity(z2z3, -1)
+
+
+def test_windows_reject_negative_radius(z2z3):
+    base = base_vertex(z2z3)
+    for window in (lambda: ball(z2z3, base, -1), lambda: fixed_set(z2z3, W("a"), radius=-1),
+                   lambda: t_set(z2z3, W("a"), radius=-1),
+                   lambda: axis_window(z2z3, W("a b"), radius=-1)):
+        with pytest.raises(ValueError, match="window radius must be >= 0"):
+            window()
+    assert ball(z2z3, base, 0) == ({base: 0}, True)
 
 
 def test_region_distance(z2z3):
