@@ -181,14 +181,8 @@ class _ResidueSubgroup(DesignatedSubgroup):
             return reps[:cap], cap is None or len(reps) <= cap
         # trivial subgroup of Z: enumerate 0, 1, -1, 2, -2, ...
         cap = cap if cap is not None else 16
-        reps = [self.oracle._from_exponent(0)]
-        j = 1
-        while len(reps) < cap:
-            reps.append(self.oracle._from_exponent(j))
-            if len(reps) < cap:
-                reps.append(self.oracle._from_exponent(-j))
-            j += 1
-        return reps, False
+        return [self.oracle._from_exponent((j + 1) // 2 if j % 2 else -(j // 2))
+                for j in range(cap)], False
 
     def conjugator_cosets(self, x: Word, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         # abelian ambient group: t^-1 x t = x for every t
@@ -313,14 +307,14 @@ class _LatticeSubgroup(DesignatedSubgroup):
         seen = set()
         for shell in itertools.count(0):
             for combo in itertools.product(range(-shell, shell + 1), repeat=self.n):
+                if len(reps) >= cap:
+                    return reps, False
                 if max((abs(a) for a in combo), default=0) != shell:
                     continue
                 key = tuple(self._split_vector(combo)[0])
                 if key not in seen:
                     seen.add(key)
                     reps.append(self.oracle._from_vector(key))
-                    if len(reps) >= cap:
-                        return reps, False
 
     conjugator_cosets = _ResidueSubgroup.conjugator_cosets  # Z^n is abelian too
 
@@ -374,14 +368,8 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
 
     def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         cap = cap if cap is not None else 16
-        reps: List[Word] = []
-        for units in shortlex(self.oracle.gen_names):
-            w = Word.of(units)
-            if self.coset_rep(w) == w:
-                reps.append(w)
-                if len(reps) >= cap:
-                    break
-        return reps, False
+        words = map(Word.of, shortlex(self.oracle.gen_names))
+        return list(itertools.islice((w for w in words if self.coset_rep(w) == w), cap)), False
 
     def conjugator_cosets(self, x: Word, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         """Reps t with t^-1 x t in <w>, at most ``cap`` of them.

@@ -304,8 +304,9 @@ def test_identity_conjugators_are_the_transversal():
     for o, subgroups in all_oracles():
         for gens in subgroups:
             sub = o.designated_subgroup([W(g) for g in gens])
-            for cap in (None, 5, sub.index()):
+            for cap in (None, 0, 5, sub.index()):
                 assert sub.conjugator_cosets(Word(), cap) == sub.transversal(cap)
+                assert cap is None or len(sub.transversal(cap)[0]) <= cap
 
 def bruteforce_reduce(sub, x):
     """(k, x w^k) of least shortlex key over the window |k| <= (|x| + |w|)/|core| + 2."""
