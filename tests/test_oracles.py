@@ -412,15 +412,18 @@ def test_cyclic_word_utilities():
 
 # letter-level free-word code against the unit-letter references in unit_words,
 # on exponents up to +-50; edge words include proper powers and conjugated cores
-big_free_words = st.lists(st.tuples(st.sampled_from("xy"), st.integers(-50, 50).filter(bool)),
-                          max_size=6).map(Word.of)
+def big_free_words(max_letters):
+    return st.lists(st.tuples(st.sampled_from("xy"), st.integers(-50, 50).filter(bool)),
+                    max_size=max_letters).map(Word.of)
+
+
 edge_words = st.one_of(
     st.sampled_from(["x", "y^-1", "x y", "x^2", "x y x y", "x y x^-1", "y^-1 x^3 y",
                      "x y^-1 x y^-1 x y^-1", "x^2 y x^-2 y", "x^3", "y x^2 y x^2 y x^2",
                      "x^2 y^-1 x^-3 y x^-2"]).map(W),
     st.builds(lambda core, s, p: p * core ** s * p.inverse(),
-              big_free_words.filter(lambda w: not w.is_empty), st.integers(1, 4),
-              big_free_words))
+              big_free_words(3).filter(lambda w: not w.is_empty), st.integers(1, 3),
+              big_free_words(4)))
 
 
 def _cmp(a, b):
@@ -428,7 +431,7 @@ def _cmp(a, b):
 
 
 @settings(max_examples=300, deadline=None)
-@given(u=big_free_words, v=big_free_words)
+@given(u=big_free_words(6), v=big_free_words(6))
 def test_free_shortlex_key_matches_unit_order(u, v):
     o = make_free(2, ["x", "y"])
     ref = [unit_words.shortlex_key(o.gen_names, w) for w in (u, v)]
@@ -449,15 +452,15 @@ def test_cyclic_decompose_matches_units(w):
 
 
 @settings(max_examples=300, deadline=None)
-@given(w=edge_words, x=big_free_words, k=st.integers(-60, 60))
+@given(w=edge_words, x=big_free_words(6), k=st.integers(-60, 60))
 def test_free_cyclic_split_matches_units(w, x, k):
     sub = make_free(2, ["x", "y"]).designated_subgroup([w])
     for y in (x, x * w ** k, w ** k, x * w ** k * x.inverse()):
         assert sub.split(y) == unit_words.split(sub, y)
 
 
-@settings(max_examples=300, deadline=None)
-@given(w=edge_words, x=big_free_words, k=st.integers(-6, 6).filter(bool))
+@settings(max_examples=200, deadline=None)
+@given(w=edge_words, x=big_free_words(6), k=st.integers(-6, 6).filter(bool))
 def test_free_cyclic_conjugator_cosets_match_units(w, x, k):
     sub = make_free(2, ["x", "y"]).designated_subgroup([w])
     for y in (x, x * w ** k * x.inverse(), x * sub.core ** k * x.inverse()):
