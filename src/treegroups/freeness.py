@@ -8,10 +8,11 @@ bounded-depth normal-form check: no nontrivial alternating word in the
 witnesses of letter budget <= depth evaluates to the identity (semigroup
 claims: all positive words up to the depth stay pairwise distinct).  Each
 node of the search extends its parent's normal form by one witness power
-(``SplittingSpec.extend``), so a node costs one power's pushes.  The
-certificate refutes non-freeness up to that depth; it is a guard, not a
-proof; the freeness statements themselves come from acylindricity, the
-certificate only guards the computation.
+(``SplittingSpec.extend``); each power is split into runs once per
+certificate, so a node costs one power's pushes.  The certificate refutes
+non-freeness up to that depth; it is a guard, not a proof; the freeness
+statements themselves come from acylindricity, the certificate only guards
+the computation.
 """
 
 from __future__ import annotations
@@ -112,6 +113,7 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
     orders = (element_order(spec, w1), element_order(spec, w2))
     powers = tuple({exp: w ** exp for exp in _exponent_range(order, depth)}
                    for w, order in zip((w1, w2), orders))
+    runs = tuple({exp: spec.runs(power) for exp, power in ps.items()} for ps in powers)
 
     def descend(nf: NormalForm, path: Tuple[Word, ...], last: Optional[int],
                 budget: int) -> Optional[str]:
@@ -120,7 +122,7 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
                 continue
             for exp in _exponent_range(orders[i], budget):
                 power = powers[i][exp]
-                nf2 = spec.extend(nf, power)
+                nf2 = spec.extend(nf, runs[i][exp])
                 if nf2.is_trivial:
                     prefix = Word.of(letter for p in path for letter in p.letters)
                     return f"W{i + 1}^{exp} after {prefix}"
@@ -141,11 +143,12 @@ def certify_free_semigroup(spec: SplittingSpec, w1: Word, w2: Word,
     empty = spec.normal_form(Word())
     seen = {empty: ""}
     frontier: List[Tuple[str, NormalForm]] = [("", empty)]
+    gens = (("1", spec.runs(w1)), ("2", spec.runs(w2)))
     for _ in range(depth):
         nxt = []
         for label, nf in frontier:
-            for tag, w in (("1", w1), ("2", w2)):
-                lab2, nf2 = label + tag, spec.extend(nf, w)
+            for tag, runs in gens:
+                lab2, nf2 = label + tag, spec.extend(nf, runs)
                 if nf2 in seen:
                     return False, f"W{lab2} collides with W{seen[nf2]}"
                 seen[nf2] = lab2

@@ -185,30 +185,35 @@ class SplittingSpec:
     # -- normal form -----------------------------------------------------------
 
     def normal_form(self, w: Word) -> NormalForm:
-        return self.extend(NormalForm((), (), Word()), w)
+        return self.extend(NormalForm((), (), Word()), self.runs(w))
 
-    def extend(self, nf: NormalForm, w: Word) -> NormalForm:
-        """nf(u w) from nf = nf(u): each ``_push`` keeps the syllable stack
-        times the tail equal to the product so far, even when a piece cancels
-        whole syllables, so w's runs can be pushed onto a copy of nf's stack."""
+    def extend(self, nf: NormalForm, runs: Sequence[Tuple[str, Word]]) -> NormalForm:
+        """nf(u w) from nf = nf(u) and ``runs(w)``: each ``_push`` keeps the
+        syllable stack times the tail equal to the product so far, even when a
+        piece cancels whole syllables, so w's runs can be pushed onto a copy
+        of nf's stack."""
         syllables, tail = list(nf.syllables), nf.tail
-        for side, piece in self._runs(self.resolve_word(w)):
+        for side, piece in runs:
             tail = self._push(syllables, tail, side, piece)
         return NormalForm(tuple(syllables), tail, self.sub_a.embed(tail))
 
-    def _runs(self, w: Word):
-        """Split a word into maximal same-side runs as factor elements."""
+    def runs(self, w: Word) -> Tuple[Tuple[str, Word], ...]:
+        """w with its edge letters resolved, split into maximal same-side
+        runs as factor elements: the pieces ``extend`` pushes.  A caller that
+        extends by one word many times splits it once."""
+        runs: List[Tuple[str, Word]] = []
         run: List = []
         run_side = None
-        for name, exp in w.letters:
+        for name, exp in self.resolve_word(w).letters:
             side = self.side_of(name)
             if side != run_side and run:
-                yield run_side, Word.of(run)
+                runs.append((run_side, Word.of(run)))
                 run = []
             run_side = side
             run.append((name, exp))
         if run:
-            yield run_side, Word.of(run)
+            runs.append((run_side, Word.of(run)))
+        return tuple(runs)
 
     def _push(self, syllables: List[Syllable], tail: CWord, side: str,
               piece: Word) -> CWord:

@@ -77,7 +77,7 @@ def test_extend_is_normal_form_of_product(z2z3, z3z4, z70z3, z2z2, triv_z5, f2,
     z = Word.of(data.draw(st.lists(letters, max_size=8)))
     # v = u^-1 z cancels u's syllables one by one before building z's
     v = data.draw(st.sampled_from([z, u.inverse() * z]))
-    got = spec.extend(spec.normal_form(u), v)
+    got = spec.extend(spec.normal_form(u), spec.runs(v))
     want = spec.normal_form(u * v)
     assert got == want
     assert got.tail_image_a == want.tail_image_a
