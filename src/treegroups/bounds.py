@@ -1,9 +1,12 @@
 """Closed-form systole, volume and rigidity-radius lower bounds.
 
 Everything is a pure function of (E, D, k, n, C_n).  The core quantity is
-s0 = (1/E) log(1 + 4/(e^{(4k+10) E D} - 1)); for large exponents the double
-path loses all digits (4/(e^x - 1) ~ 4 e^{-x} underflows), so evaluation
-switches to 60-digit arithmetic when (4k+10) E D exceeds the trigger.
+s0 = (1/E) log(1 + 4/(e^{(4k+10) E D} - 1)).  When x = (4k+10) E D exceeds
+the trigger, evaluation switches to 60-digit mpmath arithmetic, imported on
+first use.  Below x ~ 709.78 the double path log1p(4/expm1(x)) is within
+1 ulp of the exact value; mpmath makes the result correctly rounded, so the
+JSON reports are byte-stable, and it goes on past the double overflow of
+expm1.
 
 C_n (the dimensional systolic constant) is a user-supplied parameter with
 default 1.0; no value for it is derived here.

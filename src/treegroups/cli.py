@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 input error, 2 negative verdict (acylindricity
 falsified / dichotomy not applicable / witness not certified).  ``--json``
 switches to machine-readable reports; all defaults are fixed so outputs are
 reproducible.
+
+Each handler imports the layers it uses, so a call loads no other layer.
 """
 
 from __future__ import annotations
@@ -15,16 +17,6 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .bounds import build_bounds_report, compare_case_bounds
-from .freeness import (CertificationFailure, semigroup_witness,
-                       witness_elliptic_hyperbolic, witness_elliptic_pair,
-                       witness_hyperbolic_pair)
-from .growth import (analytic_root_estimate, ball_series, bcg_lower_bound,
-                     entropy_from_counts)
-from .manifolds import classify_manifold, load_manifold, systole_bound_for
-from .splitting import load_spec
-from .tree import (axis_window, check_acylindricity, classify, fixed_set,
-                   region_diameter, t_set)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -48,6 +40,7 @@ def _emit(payload: dict, human: str, as_json: bool) -> None:
 
 
 def _region_payload(spec, region) -> dict:
+    from .tree import region_diameter
     diam = region_diameter(spec, region)
     return {
         "center": str(region.center),
@@ -59,6 +52,8 @@ def _region_payload(spec, region) -> dict:
 
 
 def _cmd_classify(args) -> int:
+    from .splitting import load_spec
+    from .tree import classify
     spec = load_spec(args.group)
     cls = classify(spec, spec.parse_word(args.element))
     payload = {"element": args.element, "verdict": cls.verdict, "tau": cls.tau,
@@ -68,6 +63,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_tau(args) -> int:
+    from .splitting import load_spec
+    from .tree import classify
     spec = load_spec(args.group)
     cls = classify(spec, spec.parse_word(args.element))
     _emit({"element": args.element, "tau": cls.tau}, str(cls.tau), args.json)
@@ -75,6 +72,8 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_fix(args) -> int:
+    from .splitting import load_spec
+    from .tree import fixed_set, t_set
     spec = load_spec(args.group)
     g = spec.parse_word(args.element)
     if args.max_power is not None:
@@ -92,6 +91,8 @@ def _cmd_fix(args) -> int:
 
 
 def _cmd_axis(args) -> int:
+    from .splitting import load_spec
+    from .tree import axis_window, classify
     spec = load_spec(args.group)
     g = spec.parse_word(args.element)
     cls = classify(spec, g)
@@ -105,6 +106,8 @@ def _cmd_axis(args) -> int:
 
 
 def _cmd_acyl_check(args) -> int:
+    from .splitting import load_spec
+    from .tree import check_acylindricity
     spec = load_spec(args.group)
     chk = check_acylindricity(spec, args.k, args.length, args.radius)
     payload = {"verdict": chk.verdict, "k": chk.k, "word_length": chk.word_length,
@@ -120,6 +123,11 @@ def _cmd_acyl_check(args) -> int:
 
 
 def _cmd_free_witness(args) -> int:
+    from .freeness import (CertificationFailure, semigroup_witness,
+                           witness_elliptic_hyperbolic, witness_elliptic_pair,
+                           witness_hyperbolic_pair)
+    from .splitting import load_spec
+    from .tree import classify
     spec = load_spec(args.group)
     g1 = spec.parse_word(args.g1)
     g2 = spec.parse_word(args.g2)
@@ -132,16 +140,19 @@ def _cmd_free_witness(args) -> int:
                 "an acylindricity constant is required: pass --k or set "
                 "declared_k in the splitting spec")
     c1, c2 = classify(spec, g1), classify(spec, g2)
-    if args.semigroup:
-        witness = semigroup_witness(spec, g1, g2, args.depth)
-    elif not c1.is_hyperbolic and not c2.is_hyperbolic:
-        witness = witness_elliptic_pair(spec, k, g1, g2, args.depth)
-    elif not c1.is_hyperbolic:
-        witness = witness_elliptic_hyperbolic(spec, k, g1, g2, args.depth)
-    elif not c2.is_hyperbolic:
-        witness = witness_elliptic_hyperbolic(spec, k, g2, g1, args.depth)
-    else:
-        witness = witness_hyperbolic_pair(spec, k, g1, g2, args.depth)
+    try:
+        if args.semigroup:
+            witness = semigroup_witness(spec, g1, g2, args.depth)
+        elif not c1.is_hyperbolic and not c2.is_hyperbolic:
+            witness = witness_elliptic_pair(spec, k, g1, g2, args.depth)
+        elif not c1.is_hyperbolic:
+            witness = witness_elliptic_hyperbolic(spec, k, g1, g2, args.depth)
+        elif not c2.is_hyperbolic:
+            witness = witness_elliptic_hyperbolic(spec, k, g2, g1, args.depth)
+        else:
+            witness = witness_hyperbolic_pair(spec, k, g1, g2, args.depth)
+    except CertificationFailure as exc:
+        raise CliInputError(str(exc)) from exc
     payload = witness.to_json_dict()
     payload["k"] = k
     human = (f"{witness.case}: <{witness.generators[0]}, {witness.generators[1]}> "
@@ -152,6 +163,8 @@ def _cmd_free_witness(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
+    from .growth import (analytic_root_estimate, ball_series, bcg_lower_bound,
+                         entropy_from_counts)
     l1, l2 = args.l1, args.l2
     series = ball_series(args.kind, l1, l2, args.radius)
     est = entropy_from_counts(series)
@@ -172,6 +185,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import build_bounds_report, compare_case_bounds
     report = build_bounds_report(args.entropy, args.diam, args.k,
                                  n=args.dim, C_n=args.cn)
     payload = report.to_json_dict()
@@ -184,6 +198,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_dichotomy(args) -> int:
+    from .manifolds import classify_manifold, load_manifold, systole_bound_for
     desc = load_manifold(args.manifold)
     verdict = classify_manifold(desc)
     payload = verdict.to_json_dict()
@@ -289,7 +304,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliInputError, CertificationFailure, ValueError, OSError) as exc:
+    except (CliInputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

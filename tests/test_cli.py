@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from treegroups import tree
+from treegroups import freeness, tree
 from treegroups.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, run
+from treegroups.freeness import CertificationFailure
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
@@ -144,6 +145,19 @@ def test_free_witness(capsys):
     doc = json.loads(out)
     assert doc["k"] == 2  # declared_k picked up from the spec file
     assert doc["certified"]
+
+
+@pytest.mark.parametrize("witness,flags", [("witness_hyperbolic_pair", []),
+                                           ("semigroup_witness", ["--semigroup"])])
+def test_free_witness_certification_failure_is_input_error(capsys, monkeypatch,
+                                                           witness, flags):
+    def fail(*args):
+        raise CertificationFailure("x")
+
+    monkeypatch.setattr(freeness, witness, fail)
+    rc, out, err = invoke(capsys, "free-witness", "--group", data("f2_amalgam.json"),
+                          "--g1", "b d", "--g2", "d b", *flags)
+    assert (rc, out, err) == (EXIT_INPUT, "", "error: x\n")
 
 
 def test_entropy_command(capsys):
