@@ -4,9 +4,10 @@ Everything is a pure function of (E, D, k, n, C_n).  The core quantity is
 s0 = (1/E) log(1 + 4/(e^{(4k+10) E D} - 1)).  When x = (4k+10) E D exceeds
 the trigger, evaluation switches to 60-digit mpmath arithmetic, imported on
 first use.  Below x ~ 709.78 the double path log1p(4/expm1(x)) is within
-1 ulp of the exact value; mpmath makes the result correctly rounded, so the
-JSON reports are byte-stable, and it goes on past the double overflow of
-expm1.
+1 ulp of the exact value; past x = 709 it returns 4 e^-x, which equals the
+exact value to double precision and is subnormal up to x ~ 745 and 0.0
+beyond.  mpmath makes the result correctly rounded, so the JSON reports are
+byte-stable.
 
 C_n (the dimensional systolic constant) is a user-supplied parameter with
 default 1.0; no value for it is derived here.
@@ -15,8 +16,7 @@ default 1.0; no value for it is derived here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 HIGH_PRECISION_TRIGGER = 30.0
 HIGH_PRECISION_DPS = 60
@@ -39,8 +39,8 @@ def s0_core(x: float, mode: str = "auto") -> float:
     if mode not in ("auto", "double", "high"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "double" or (mode == "auto" and x <= HIGH_PRECISION_TRIGGER):
-        if x > 700.0:
-            return 0.0  # e^x overflows a double; the true value underflows anyway
+        if x > 709.0:  # expm1 overflows past ~709.78; the value is 4e^-x to double precision
+            return 4.0 * math.exp(-x)
         return math.log1p(4.0 / math.expm1(x))
     import mpmath  # here, so that importing the package does not load it
     with mpmath.workdps(HIGH_PRECISION_DPS):
@@ -110,8 +110,7 @@ def small_x_auxiliary_holds(x: float) -> bool:
     return 2.0 * x < math.exp(-6.0 * x)
 
 
-@dataclass(frozen=True)
-class CaseComparison:
+class CaseComparison(NamedTuple):
     dominant_branch: str  # free_product | hyperbolic_branch | elliptic_branch
     hyperbolic_branch: float
     s0_general: float
@@ -120,14 +119,7 @@ class CaseComparison:
     small_x_auxiliary: Optional[bool]  # None when x > 21/125
 
     def to_json_dict(self) -> dict:
-        return {
-            "dominant_branch": self.dominant_branch,
-            "hyperbolic_branch": self.hyperbolic_branch,
-            "s0_general": self.s0_general,
-            "effective_bound": self.effective_bound,
-            "threshold_implication": self.threshold_implication,
-            "small_x_auxiliary": self.small_x_auxiliary,
-        }
+        return self._asdict()
 
 
 def compare_case_bounds(E: float, D: float, k: int) -> CaseComparison:
@@ -158,8 +150,7 @@ def compare_case_bounds(E: float, D: float, k: int) -> CaseComparison:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     E: float
     D: float
     k: int

@@ -18,8 +18,7 @@ the computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .splitting import NormalForm, SplittingSpec
 from .tree import (ElementClass, TreeVertex, VertexRegion, act, axis_window,
@@ -37,8 +36,7 @@ class CertificationFailure(RuntimeError):
     """A certificate check failed; never ignored silently."""
 
 
-@dataclass(frozen=True)
-class FreenessWitness:
+class FreenessWitness(NamedTuple):
     case: str
     generators: Tuple[Word, Word]
     power_used: int
@@ -61,8 +59,7 @@ class FreenessWitness:
         }
 
 
-@dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(NamedTuple):
     diameter: float  # windowed lower bound; -inf when the axes are disjoint
     threshold: int  # 3k
     branch: str  # "small" | "large"
@@ -342,8 +339,7 @@ def semigroup_witness(spec: SplittingSpec, h1: Word, h2: Word,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductTranslationReport:
+class ProductTranslationReport(NamedTuple):
     tau_product: int
     distance_of_fixed_sets: int
 

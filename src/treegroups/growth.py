@@ -15,9 +15,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -43,23 +42,27 @@ def _check_weights(l1, l2) -> Tuple[Fraction, Fraction]:
     return f1, f2
 
 
-@dataclass(frozen=True)
-class BallCountSeries:
+class _BallCountFields(NamedTuple):
     radii: Tuple[float, ...]
     counts: Tuple[int, ...]
     weights: Optional[Tuple[float, float]] = None
 
-    def __post_init__(self):
+
+class BallCountSeries(_BallCountFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.radii) != len(self.counts):
             raise ValueError("radii and counts must have equal length")
         if any(c2 < c1 for c1, c2 in zip(self.counts, self.counts[1:])):
             raise ValueError("counts must be nondecreasing in the radius")
         if self.counts and self.counts[0] < 1:
             raise ValueError("count at the smallest radius must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(NamedTuple):
     lower: float
     upper: float
     method: str  # dp_exact | analytic_root
@@ -67,8 +70,7 @@ class EntropyEstimate:
     residual: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper, "method": self.method,
-                "radius_used": self.radius_used, "residual": self.residual}
+        return self._asdict()
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ Sol/Seifert torus-bundle cases, with every remaining JSJ splitting
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .bounds import BoundsReport, build_bounds_report
 
@@ -37,17 +36,22 @@ class DichotomyError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SL2Matrix:
+class _SL2Fields(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
+
+class SL2Matrix(_SL2Fields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         det = self.a * self.d - self.b * self.c
         if det != 1:
             raise ManifoldError(f"matrix {self.rows()} has determinant {det}, not 1")
+        return self
 
     def rows(self) -> List[List[int]]:
         return [[self.a, self.b], [self.c, self.d]]
@@ -98,12 +102,16 @@ def twisted_double_check(m: SL2Matrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JsjGraph:
+class _JsjFields(NamedTuple):
     vertex_types: Tuple[str, ...]
     edges: Tuple[Tuple[int, int], ...]
 
-    def __post_init__(self):
+
+class JsjGraph(_JsjFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.vertex_types:
             raise ManifoldError("JSJ graph needs at least one vertex")
         for t in self.vertex_types:
@@ -112,16 +120,21 @@ class JsjGraph:
         for e in self.edges:
             if len(e) != 2 or any(not (0 <= v < len(self.vertex_types)) for v in e):
                 raise ManifoldError(f"bad JSJ edge {e!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class PieceDescription:
+class _PieceFields(NamedTuple):
     kind: str
     monodromy: Optional[SL2Matrix] = None
     gluing: Optional[SL2Matrix] = None
     jsj: Optional[JsjGraph] = None
 
-    def __post_init__(self):
+
+class PieceDescription(_PieceFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in PIECE_KINDS:
             raise ManifoldError(f"unknown piece kind {self.kind!r}")
         if self.kind == "torus_bundle" and self.monodromy is None:
@@ -133,24 +146,29 @@ class PieceDescription:
                 raise ManifoldError(
                     "irreducible_with_jsj pieces need a nonempty JSJ graph "
                     "(declare trivial-JSJ pieces as geometric_atom)")
+        return self
 
 
-@dataclass(frozen=True)
-class ManifoldDescription:
+class _ManifoldFields(NamedTuple):
     prime_pieces: Tuple[PieceDescription, ...]
     torsionless: bool = True
     boundary: str = "empty"
     orientable: bool = True
 
-    def __post_init__(self):
+
+class ManifoldDescription(_ManifoldFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.prime_pieces:
             raise ManifoldError("a manifold description needs at least one prime piece")
         if self.boundary not in BOUNDARY_KINDS:
             raise ManifoldError(f"unknown boundary kind {self.boundary!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class DichotomyVerdict:
+class DichotomyVerdict(NamedTuple):
     verdict: str  # geometric | acylindrical | not_applicable
     reason: str
     k: Optional[int] = None
@@ -166,13 +184,7 @@ class DichotomyVerdict:
         return self.verdict == "acylindrical"
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "k": self.k,
-            "non_elementary_reason": self.non_elementary_reason,
-            "conflict_notes": list(self.conflict_notes),
-        }
+        return self._asdict()  # json writes the conflict_notes tuple as a list
 
 
 # ---------------------------------------------------------------------------

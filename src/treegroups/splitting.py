@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .oracles import (CWord, DesignatedSubgroup, GroupOracle, OracleError,
                       make_cyclic, make_free, make_free_abelian, make_table)
@@ -43,8 +42,7 @@ def _check_kind(kind: object) -> None:
         raise SpecError(f"unknown splitting kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class Syllable:
+class Syllable(NamedTuple):
     side: str
     word: Word
 
@@ -52,8 +50,7 @@ class Syllable:
         return f"[{self.word}]"
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     syllables: Tuple[Syllable, ...]
     tail: CWord  # over the abstract edge generators
     tail_image_a: Word  # canonical image of the tail in factor A
@@ -67,6 +64,10 @@ class NormalForm:
             return NotImplemented
         return (self.syllables == other.syllables
                 and self.tail_image_a == other.tail_image_a)
+
+    def __ne__(self, other) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
         return hash((self.syllables, self.tail_image_a))
@@ -236,8 +237,7 @@ class SplittingSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ElementarityVerdict:
+class ElementarityVerdict(NamedTuple):
     verdict: str  # elliptic_action | linear_action | non_elementary
     reason: str
 

@@ -30,8 +30,7 @@ last syllable s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .splitting import SIDE_A, SplittingSpec, Syllable, other_side
 from .words import Word, shortlex
@@ -40,8 +39,7 @@ from .words import Word, shortlex
 MAX_WINDOW_VERTICES = 200_000
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(NamedTuple):
     side: str
     syllables: Tuple[Syllable, ...]
 
@@ -53,8 +51,7 @@ class TreeVertex:
         return f"{self.side}:{body}"
 
 
-@dataclass(frozen=True)
-class ElementClass:
+class ElementClass(NamedTuple):
     verdict: str  # "elliptic" | "hyperbolic"
     tau: int
     witness_vertex: TreeVertex  # a fixed vertex (elliptic) / an axis vertex (hyperbolic)
@@ -64,8 +61,7 @@ class ElementClass:
         return self.verdict == "hyperbolic"
 
 
-@dataclass(frozen=True)
-class VertexRegion:
+class VertexRegion(NamedTuple):
     center: TreeVertex
     radius: int
     members: Tuple[TreeVertex, ...]
@@ -381,8 +377,7 @@ def fix_diameter_lb(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = N
     return region_diameter(spec, fixed_set(spec, g, base, radius, neighbor_cap))
 
 
-@dataclass(frozen=True)
-class AcylindricityCheck:
+class AcylindricityCheck(NamedTuple):
     verdict: str  # "falsified" | "consistent"
     k: int
     word_length: int

@@ -9,8 +9,8 @@ whether a word is trivial in a given group is the oracle's business
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Hashable, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 GEN_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -44,8 +44,7 @@ def _merge(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     """A merged sequence of (generator, exponent) letters."""
 
     letters: Tuple[Letter, ...] = ()

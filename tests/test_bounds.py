@@ -72,9 +72,16 @@ def test_high_and_double_paths_agree():
 
 def test_high_precision_survives_double_overflow():
     # e^720 overflows a double, but 4 e^-720 is still a representable
-    # subnormal: the mp path recovers it where the double path returns 0
-    assert s0_core(720.0, mode="double") == 0.0
-    assert s0_core(720.0, mode="high") > 0.0
+    # subnormal: past x = 709 the double path returns 4 e^-x, which the mp
+    # path matches to the subnormal spacing, and both reach 0.0 past ~745
+    for x in (701.0, 705.0, 709.0):
+        high = s0_core(x, mode="high")
+        assert s0_core(x, mode="double") == pytest.approx(high, rel=1e-12)
+    for x in (720.0, 740.0):
+        high = s0_core(x, mode="high")
+        assert high > 0.0
+        assert abs(s0_core(x, mode="double") - high) <= 4 * math.ulp(0.0)
+    assert s0_core(800.0, mode="double") == 0.0
     with mpmath.workdps(60):
         expected = float(4 * mpmath.exp(-720))
     assert s0_core(720.0, mode="high") == pytest.approx(expected, rel=1e-6)

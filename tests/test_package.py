@@ -1,4 +1,5 @@
-"""The package's public names, and which layers a CLI call loads."""
+"""The package's public names, which layers a CLI call loads, and how its
+records behave."""
 
 import importlib
 import json
@@ -9,6 +10,12 @@ import sys
 import pytest
 
 import treegroups
+from treegroups.growth import BallCountSeries
+from treegroups.manifolds import (JsjGraph, ManifoldDescription, ManifoldError,
+                                  PieceDescription, SL2Matrix)
+from treegroups.splitting import NormalForm, Syllable
+from treegroups.tree import TreeVertex
+from treegroups.words import Word
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -56,21 +63,82 @@ for argv in sys.argv[1:]:
             run(json.loads(argv))
         except SystemExit:
             pass
-    print(json.dumps(sorted(loaded())))
+    print(json.dumps([sorted(loaded()), "dataclasses" in sys.modules]))
 """
 
 
 def test_subcommands_load_only_their_layers():
     calls = [["--version"],
              ["bounds", "--entropy", "1", "--diam", "1"],
-             ["classify", "--group", os.path.join(DATA, "z2z3.json"), "--element", "a b"]]
+             ["classify", "--group", os.path.join(DATA, "z2z3.json"), "--element", "a b"],
+             ["entropy", "--l1", "1", "--l2", "2"],
+             ["dichotomy", os.path.join(DATA, "two_hyperbolic_jsj.json"),
+              "--entropy", "1", "--diam", "1"]]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", _PROBE] + [json.dumps(c) for c in calls],
                          env=env, capture_output=True, text=True, check=True, timeout=60)
-    after = [set(json.loads(line)) for line in out.stdout.splitlines()]
+    rows = [json.loads(line) for line in out.stdout.splitlines()]
+    assert len(rows) == len(calls)
+    # records are NamedTuples: no call pays for importing dataclasses
+    assert not any(has_dataclasses for _, has_dataclasses in rows)
+    after = [set(layers) for layers, _ in rows]
     assert after[0] == {"cli"}  # --version
     assert after[1] - after[0] == {"bounds"}
     classify = after[2] - after[1]
     assert "tree" in classify
     assert not classify & {"freeness", "growth", "bounds", "manifolds"}
+    assert after[3] - after[2] == {"growth"}
+    assert after[4] - after[3] == {"manifolds"}  # bounds is loaded already
+
+
+# -- records are NamedTuples ------------------------------------------------------
+
+def test_normal_form_equality_ignores_the_tail_both_ways():
+    img = Word.parse("a^2")
+    syls = (Syllable("B", Word.parse("b")),)
+    one, other = NormalForm(syls, (), img), NormalForm(syls, ((0, 1),), img)
+    assert one == other and not one != other
+    assert hash(one) == hash(other)
+    shorter = NormalForm((), (), img)
+    assert one != shorter and not one == shorter
+
+
+def test_record_hashes_are_the_hashes_of_their_field_tuples():
+    # the frozen dataclasses hashed the same tuples, so set and dict
+    # orders under a fixed PYTHONHASHSEED are unchanged
+    letters = (("a", 2), ("b", -1))
+    assert hash(Word(letters)) == hash((letters,))
+    syls = (Syllable("A", Word(letters)),)
+    assert hash(TreeVertex("B", syls)) == hash(("B", syls))
+
+
+def test_record_fields_are_read_only():
+    w, m = Word.parse("a"), SL2Matrix(2, 1, 1, 1)
+    with pytest.raises(AttributeError):
+        w.letters = ()
+    with pytest.raises(AttributeError):
+        m.a = 1
+    with pytest.raises(AttributeError):
+        m.e = 0  # validated records keep __slots__ = ()
+
+
+def test_record_reprs_are_unchanged():
+    assert repr(Word.parse("a")) == "Word(letters=(('a', 1),))"
+    assert repr(SL2Matrix(2, 1, 1, 1)) == "SL2Matrix(a=2, b=1, c=1, d=1)"
+
+
+def test_validated_records_check_keyword_construction():
+    assert SL2Matrix(a=2, b=1, c=1, d=1) == SL2Matrix(2, 1, 1, 1)
+    with pytest.raises(ManifoldError, match="determinant 0"):
+        SL2Matrix(a=1, b=1, c=1, d=1)
+    with pytest.raises(ValueError, match="equal length"):
+        BallCountSeries(radii=(0.0, 1.0), counts=(1,))
+    with pytest.raises(ManifoldError, match="at least one vertex"):
+        JsjGraph(vertex_types=(), edges=())
+    with pytest.raises(ManifoldError, match="need a monodromy"):
+        PieceDescription(kind="torus_bundle")
+    with pytest.raises(ManifoldError, match="at least one prime piece"):
+        ManifoldDescription(prime_pieces=())
+    with pytest.raises(ManifoldError, match="unknown boundary"):
+        ManifoldDescription(prime_pieces=(PieceDescription("rp3"),), boundary="x")
