@@ -1,0 +1,273 @@
+"""Finite multiplication-table and free abelian (Z^n) oracles.
+
+These kinds live apart from :mod:`treegroups.oracles` so that a call whose
+spec has only cyclic and free factors never compiles or imports them;
+``make_table`` and ``make_free_abelian`` import this module on first use.
+A table oracle's canonical form is an element index; its subgroups are
+closed sets of indices.  A free abelian oracle's canonical form is an
+exponent vector; its subgroups are lattices in row echelon form.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+from .oracles import (CWord, DesignatedSubgroup, GroupOracle, OracleError,
+                      _ResidueSubgroup)
+from .words import Word
+
+
+# ---------------------------------------------------------------------------
+# designated subgroups
+# ---------------------------------------------------------------------------
+
+
+class _TableSubgroup(DesignatedSubgroup):
+    def __init__(self, oracle: "TableOracle", image_words: Sequence[Word]):
+        super().__init__(oracle, image_words)
+        gens = [oracle._index_of(w) for w in self.image_words]
+        table = oracle.table
+        inv = oracle._inv
+        decomp: dict[int, CWord] = {0: ()}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for gi, g in enumerate(gens):
+                    for step, tgt in ((1, table[a][g]), (-1, table[a][inv[g]])):
+                        if tgt not in decomp:
+                            decomp[tgt] = decomp[a] + ((gi, step),)
+                            nxt.append(tgt)
+            frontier = nxt
+        self._decomp = decomp
+        # element x splits as (x h) h^-1 for the h in H that minimises x h
+        self._splits = []
+        for x in range(oracle.order()):
+            h = min(decomp, key=table[x].__getitem__)
+            self._splits.append((oracle._from_index(table[x][h]), decomp[inv[h]]))
+        self._reps = tuple(dict.fromkeys(r for r, _ in self._splits))
+
+    def split(self, x: Word) -> Tuple[Word, CWord]:
+        return self._splits[self.oracle._index_of(x)]
+
+    def index(self) -> Optional[int]:
+        return self.oracle.order() // len(self._decomp)
+
+    def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
+        reps = list(self._reps)
+        return reps[:cap], cap is None or len(reps) <= cap
+
+
+class _LatticeSubgroup(DesignatedSubgroup):
+    """Sublattice of Z^n given by generator vectors, via integer row reduction."""
+
+    def __init__(self, oracle: "FreeAbelianOracle", image_words: Sequence[Word]):
+        super().__init__(oracle, image_words)
+        n = oracle.rank
+        k = len(self.image_words)
+        rows = [list(oracle._vector(w)) + unit for w, unit in
+                zip(self.image_words, ([0] * i + [1] + [0] * (k - i - 1) for i in range(k)))]
+        # integer row echelon (Hermite-style) on the first n columns,
+        # transform tracked in the trailing k columns
+        pivots: List[Tuple[int, int]] = []  # (row, col)
+        r = 0
+        for col in range(n):
+            piv = None
+            for i in range(r, k):
+                if rows[i][col] != 0:
+                    piv = i
+                    break
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            for i in range(r + 1, k):
+                while rows[i][col] != 0:
+                    q = rows[r][col] // rows[i][col]
+                    rows[r] = [a - q * b for a, b in zip(rows[r], rows[i])]
+                    rows[r], rows[i] = rows[i], rows[r]
+            if rows[r][col] < 0:
+                rows[r] = [-a for a in rows[r]]
+            pivots.append((r, col))
+            r += 1
+        self.rows = rows
+        self.pivots = pivots
+        self.n = n
+        self.k = k
+        self._transversals: dict = {}  # cap -> (reps, complete)
+
+    def _split_vector(self, vec: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """(remainder, coeffs) with vec = remainder + sum coeffs[j] * generator j;
+        the remainder is the canonical point of vec + lattice."""
+        v = list(vec)
+        coeffs = [0] * self.k
+        for r, c in self.pivots:
+            q = v[c] // self.rows[r][c]
+            if q:
+                v = [a - q * b for a, b in zip(v, self.rows[r][:self.n])]
+                coeffs = [a + q * b for a, b in zip(coeffs, self.rows[r][self.n:])]
+        return v, coeffs
+
+    def split(self, x: Word) -> Tuple[Word, CWord]:
+        v, coeffs = self._split_vector(self.oracle._vector(x))
+        return self.oracle._from_vector(v), tuple((j, c) for j, c in enumerate(coeffs) if c)
+
+    def index(self) -> Optional[int]:
+        if len(self.pivots) < self.n:
+            return None
+        out = 1
+        for r, c in self.pivots:
+            out *= self.rows[r][c]
+        return out
+
+    def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
+        # the tree walks ask once per vertex; callers get a list of their own
+        if cap not in self._transversals:
+            self._transversals[cap] = self._build_transversal(cap)
+        reps, complete = self._transversals[cap]
+        return list(reps), complete
+
+    def _build_transversal(self, cap: Optional[int]) -> Tuple[List[Word], bool]:
+        if self.index() is not None:
+            diag = {c: self.rows[r][c] for r, c in self.pivots}
+            combos = itertools.product(*(range(diag[c]) for c in range(self.n)))
+            reps = [self.oracle._from_vector(self._split_vector(combo)[0]) for combo in
+                    itertools.islice(combos, None if cap is None else cap + 1)]
+            return reps[:cap], cap is None or len(reps) <= cap
+        cap = cap if cap is not None else 32
+        reps: List[Word] = []
+        seen = set()
+        for shell in itertools.count(0):
+            for combo in itertools.product(range(-shell, shell + 1), repeat=self.n):
+                if len(reps) >= cap:
+                    return reps, False
+                if max((abs(a) for a in combo), default=0) != shell:
+                    continue
+                key = tuple(self._split_vector(combo)[0])
+                if key not in seen:
+                    seen.add(key)
+                    reps.append(self.oracle._from_vector(key))
+
+    conjugator_cosets = _ResidueSubgroup.conjugator_cosets  # Z^n is abelian too
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+
+class TableOracle(GroupOracle):
+    """Finite group by multiplication table; element 0 is the identity.
+
+    Validated eagerly: closure, identity, inverses, and associativity
+    (exhaustively up to order 64, on 512 random triples beyond that).
+    """
+
+    kind = "table"
+
+    def __init__(self, elements: Sequence[str], table: Sequence[Sequence[int]],
+                 group_id: str = "G"):
+        m = len(elements)
+        if m < 1 or len(set(elements)) != m:
+            raise OracleError("table elements must be nonempty and distinct")
+        if len(table) != m or any(len(row) != m for row in table):
+            raise OracleError("multiplication table must be square of the group order")
+        for row in table:
+            for v in row:
+                if not (0 <= v < m):
+                    raise OracleError(f"table entry {v} out of range (closure fails)")
+        for i in range(m):
+            if table[0][i] != i or table[i][0] != i:
+                raise OracleError("element 0 is not an identity")
+        inv = [None] * m
+        for i in range(m):
+            for j in range(m):
+                if table[i][j] == 0 and table[j][i] == 0:
+                    inv[i] = j
+                    break
+            if inv[i] is None:
+                raise OracleError(f"element {elements[i]!r} has no inverse")
+        if m <= 64:
+            triples = itertools.product(range(m), repeat=3)
+        else:
+            import random
+            rng = random.Random(0)
+            triples = ((rng.randrange(m), rng.randrange(m), rng.randrange(m))
+                       for _ in range(512))
+        for a, b, c in triples:
+            if table[table[a][b]][c] != table[a][table[b][c]]:
+                raise OracleError("multiplication table is not associative")
+        super().__init__(list(elements), group_id)
+        self.table = [list(row) for row in table]
+        self._inv = inv
+        self._idx = {name: i for i, name in enumerate(elements)}
+
+    def _index_of(self, w: Word) -> int:
+        self._check(w)
+        acc = 0
+        for name, exp in w.letters:
+            i = self._idx[name]
+            if exp < 0:
+                i = self._inv[i]
+                exp = -exp
+            o = self._elt_order(i)
+            for _ in range(exp % o):
+                acc = self.table[acc][i]
+        return acc
+
+    def _elt_order(self, i: int) -> int:
+        acc, o = i, 1
+        while acc != 0:
+            acc = self.table[acc][i]
+            o += 1
+        return o
+
+    def _from_index(self, i: int) -> Word:
+        return Word.gen(self.gen_names[i]) if i else Word()
+
+    def canonical(self, w: Word) -> Word:
+        return self._from_index(self._index_of(w))
+
+    def order(self) -> int:
+        return len(self.gen_names)
+
+    def element_order(self, w: Word) -> int:
+        i = self._index_of(w)
+        return 1 if i == 0 else self._elt_order(i)
+
+    def enumerate_elements(self) -> Iterator[Word]:
+        for i in range(self.order()):
+            yield self._from_index(i)
+
+    def designated_subgroup(self, image_words: Sequence[Word]) -> DesignatedSubgroup:
+        return _TableSubgroup(self, image_words)
+
+
+class FreeAbelianOracle(GroupOracle):
+    kind = "free_abelian"
+
+    def __init__(self, rank: int, gens: Sequence[str], group_id: str = "G"):
+        if rank < 1 or len(gens) != rank:
+            raise OracleError(f"free abelian rank {rank} needs exactly {rank} generators")
+        super().__init__(gens, group_id)
+        self.rank = rank
+        self._pos = {g: i for i, g in enumerate(gens)}
+
+    def _vector(self, w: Word) -> Tuple[int, ...]:
+        self._check(w)
+        v = [0] * self.rank
+        for name, exp in w.letters:
+            v[self._pos[name]] += exp
+        return tuple(v)
+
+    def _from_vector(self, v: Sequence[int]) -> Word:
+        return Word.of([(g, e) for g, e in zip(self.gen_names, v) if e])
+
+    def canonical(self, w: Word) -> Word:
+        return self._from_vector(self._vector(w))
+
+    def element_order(self, w: Word) -> Optional[int]:
+        return 1 if self.canonical(w).is_empty else None
+
+    def designated_subgroup(self, image_words: Sequence[Word]) -> DesignatedSubgroup:
+        return _LatticeSubgroup(self, image_words)

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -16,6 +19,22 @@ def mp_s0(x: float) -> float:
     """Independent 50-digit oracle for log(1 + 4/(e^x - 1))."""
     with mpmath.workdps(50):
         return float(mpmath.log(1 + 4 / mpmath.expm1(mpmath.mpf(x))))
+
+
+def mp_exact(x: float) -> float:
+    """log(1 + 4/(e^x - 1)) at 120 digits, rounded once to the nearest
+    double through an exact fraction (correct for subnormals too)."""
+    with mpmath.workdps(120):
+        man, exp = mpmath.log1p(4 / mpmath.expm1(mpmath.mpf(x))).man_exp
+    if man.bit_length() + exp < -1075:  # below half the least subnormal
+        return 0.0
+    return float(Fraction(man) * Fraction(2) ** exp)
+
+
+def mp_60_digit_path(x: float) -> float:
+    """The 60-digit expression that the high path evaluated through mpmath."""
+    with mpmath.workdps(60):
+        return float(mpmath.log1p(4 / mpmath.expm1(mpmath.mpf(x))))
 
 
 ED_GRID = [0.01, 0.02, 0.05, 0.1, 21.0 / 125.0, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]
@@ -85,6 +104,31 @@ def test_high_precision_survives_double_overflow():
     with mpmath.workdps(60):
         expected = float(4 * mpmath.exp(-720))
     assert s0_core(720.0, mode="high") == pytest.approx(expected, rel=1e-6)
+
+
+def test_subnormal_results_are_correctly_rounded():
+    # mpmath's float conversion rounded this one 0.59 ulp off, to ...791e-308
+    assert s0_core(710.2694132963206) == 1.3676442127367906e-308
+    rng = random.Random(709)
+    for x in [rng.uniform(709.78, 746.0) for _ in range(300)]:
+        assert s0_core(x) == mp_exact(x), x
+
+
+def test_high_path_matches_the_mpmath_expression():
+    # bit-identical wherever the result is a normal double; subnormal
+    # results are the correctly rounded ones, and 0.0 stays 0.0
+    rng = random.Random(30)
+    xs = [math.exp(rng.uniform(math.log(30.0), math.log(1e6))) for _ in range(2000)]
+    xs += [30.0000001, 700.0, 709.7, 745.0, 746.0, 800.0, 1e9, 1e18, 1e300, math.inf]
+    for x in xs:
+        got, old = s0_core(x), mp_60_digit_path(x)
+        if old >= sys.float_info.min:
+            assert got == old, x
+        else:
+            assert got == mp_exact(x), x
+    # below x = 1 the precision grows with the digits that e^x - 1 cancels
+    for x in (1e-70, 1e-30, 1e-10, 0.5):
+        assert s0_core(x, mode="high") == mp_exact(x)
 
 
 def test_hyperbolic_branch_bound():

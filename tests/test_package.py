@@ -63,33 +63,46 @@ for argv in sys.argv[1:]:
             run(json.loads(argv))
         except SystemExit:
             pass
-    print(json.dumps([sorted(loaded()), "dataclasses" in sys.modules]))
+    print(json.dumps([sorted(loaded()), "dataclasses" in sys.modules,
+                      "mpmath" in sys.modules]))
 """
 
 
-def test_subcommands_load_only_their_layers():
+def test_subcommands_load_only_their_layers(tmp_path):
+    z2_table = tmp_path / "z2_table_z3.json"
+    z2_table.write_text(json.dumps({
+        "kind": "free_product",
+        "factors": [{"type": "table", "elements": ["e", "s"], "table": [[0, 1], [1, 0]]},
+                    {"type": "cyclic", "order": 3, "gens": ["b"]}]}))
     calls = [["--version"],
-             ["bounds", "--entropy", "1", "--diam", "1"],
+             ["bounds", "--entropy", "1", "--diam", "1"],  # x = 26: double path
+             ["bounds", "--entropy", "2", "--diam", "1"],  # x = 52: 60-digit path
              ["classify", "--group", os.path.join(DATA, "z2z3.json"), "--element", "a b"],
+             ["classify", "--group", os.path.join(DATA, "f2_amalgam.json"), "--element", "b d"],
              ["entropy", "--l1", "1", "--l2", "2"],
              ["dichotomy", os.path.join(DATA, "two_hyperbolic_jsj.json"),
-              "--entropy", "1", "--diam", "1"]]
+              "--entropy", "1", "--diam", "1"],
+             ["classify", "--group", str(z2_table), "--element", "s b"]]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", _PROBE] + [json.dumps(c) for c in calls],
                          env=env, capture_output=True, text=True, check=True, timeout=60)
     rows = [json.loads(line) for line in out.stdout.splitlines()]
     assert len(rows) == len(calls)
-    # records are NamedTuples: no call pays for importing dataclasses
-    assert not any(has_dataclasses for _, has_dataclasses in rows)
-    after = [set(layers) for layers, _ in rows]
+    # records are NamedTuples: no call pays for importing dataclasses, and
+    # the 60-digit bound is stdlib decimal: none loads mpmath either
+    assert not any(has_dataclasses or has_mpmath for _, has_dataclasses, has_mpmath in rows)
+    after = [set(layers) for layers, _, _ in rows]
     assert after[0] == {"cli"}  # --version
     assert after[1] - after[0] == {"bounds"}
-    classify = after[2] - after[1]
+    assert after[2] == after[1]
+    classify = after[3] - after[2]
     assert "tree" in classify
-    assert not classify & {"freeness", "growth", "bounds", "manifolds"}
-    assert after[3] - after[2] == {"growth"}
-    assert after[4] - after[3] == {"manifolds"}  # bounds is loaded already
+    assert not classify & {"freeness", "growth", "bounds", "manifolds", "table_lattice"}
+    assert after[4] == after[3]  # free factors: still no table or lattice kinds
+    assert after[5] - after[4] == {"growth"}
+    assert after[6] - after[5] == {"manifolds"}  # bounds is loaded already
+    assert after[7] - after[6] == {"table_lattice"}
 
 
 # -- records are NamedTuples ------------------------------------------------------
