@@ -3,7 +3,8 @@
 Everything is a pure function of (E, D, k, n, C_n).  The core quantity is
 s0 = (1/E) log(1 + 4/(e^{(4k+10) E D} - 1)).  When x = (4k+10) E D exceeds
 the trigger, evaluation switches to 60-digit arithmetic in the standard
-library's ``decimal``, imported on first use.  Below x ~ 709.78 the double
+library's ``decimal``, imported on first use; ``s0_core`` alone picks the
+path, and the bounds built on it take no mode.  Below x ~ 709.78 the double
 path log1p(4/expm1(x)) is within 1 ulp of the exact value; past x = 709 it
 returns 4 e^-x, which equals the exact value to double precision and is
 subnormal up to x ~ 745 and 0.0 beyond.  The 60-digit value is rounded to
@@ -55,17 +56,17 @@ def s0_core(x: float, mode: str = "auto") -> float:
     return float(ctx.ln(ctx.add(1, y)))
 
 
-def s0_general(E: float, D: float, k: int, mode: str = "auto") -> float:
+def s0_general(E: float, D: float, k: int) -> float:
     """(1/E) log(1 + 4/(e^{(4k+10) E D} - 1)): the systole lower bound for a
     non-elementary k-acylindrical splitting."""
     _validate_ed(E, D)
     _validate_k(k)
-    return s0_core((4 * k + 10) * E * D, mode) / E
+    return s0_core((4 * k + 10) * E * D) / E
 
 
-def s0_jsj(E: float, D: float, mode: str = "auto") -> float:
+def s0_jsj(E: float, D: float) -> float:
     """The canonical JSJ specialization k = 4 (exponent 26)."""
-    return s0_general(E, D, 4, mode)
+    return s0_general(E, D, 4)
 
 
 def hyperbolic_branch_bound(E: float, D: float) -> float:
@@ -74,20 +75,20 @@ def hyperbolic_branch_bound(E: float, D: float) -> float:
     return math.exp(-6.0 * E * D) / E
 
 
-def free_product_bound(E: float, D: float, mode: str = "auto") -> float:
+def free_product_bound(E: float, D: float) -> float:
     """(1/E) log(1 + 4/(e^{2 E D} - 1)): the sharper bound for torsionless
     free products (trivial edge stabilizers, k = 0)."""
     _validate_ed(E, D)
-    return s0_core(2.0 * E * D, mode) / E
+    return s0_core(2.0 * E * D) / E
 
 
-def delta0(E: float, D: float, mode: str = "auto") -> float:
+def delta0(E: float, D: float) -> float:
     """Gromov-Hausdorff rigidity radius: s0_jsj / 40."""
-    return s0_jsj(E, D, mode) / 40.0
+    return s0_jsj(E, D) / 40.0
 
 
 def volume_lower_bound(E: float, D: float, k: int, n: int = 3,
-                       C_n: float = 1.0, mode: str = "auto") -> float:
+                       C_n: float = 1.0) -> float:
     """C_n * s0_general^n (volume bound for 1-essential closed manifolds)."""
     _validate_ed(E, D)
     _validate_k(k)
@@ -95,7 +96,7 @@ def volume_lower_bound(E: float, D: float, k: int, n: int = 3,
         raise ValueError(f"dimension must be a positive integer, got {n}")
     if not C_n > 0:
         raise ValueError(f"C_n must be positive, got {C_n}")
-    return C_n * s0_general(E, D, k, mode) ** n
+    return C_n * s0_general(E, D, k) ** n
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@ certificate, so a node costs one power's pushes.  The certificate refutes
 non-freeness up to that depth; it is a guard, not a proof; the freeness
 statements themselves come from acylindricity, the certificate only guards
 the computation.
+
+Each case hypothesis is checked in one place: the element type by
+``_require``, disjoint fixed sets by ``_fixed_set_distance``, distinct axes
+by ``_distinct_axes`` (whose three-point sampling ``_axes_coincide`` also
+answers ``same_axis``), and every rank-2 witness is certified and wrapped
+by ``_certified``.  Window radii and axis spreads are derived from the
+inputs, not passed in.
 """
 
 from __future__ import annotations
@@ -155,54 +162,71 @@ def certify_free_semigroup(spec: SplittingSpec, w1: Word, w2: Word,
 
 
 # ---------------------------------------------------------------------------
-# case hypotheses helpers
+# case hypotheses, one check each
 # ---------------------------------------------------------------------------
 
 
-def _default_radius(*words: Word) -> int:
-    longest = max((w.letter_length() for w in words), default=1)
-    return 2 * longest * 2 + 4
-
-
-def _require_elliptic(spec: SplittingSpec, w: Word, name: str) -> ElementClass:
+def _require(spec: SplittingSpec, w: Word, name: str, hyperbolic: bool) -> ElementClass:
+    """w's class, rejected unless it is hyperbolic (or elliptic) as required."""
     cls = classify(spec, w)
-    if cls.is_hyperbolic:
+    if cls.is_hyperbolic != hyperbolic:
+        if hyperbolic:
+            raise WitnessInputError(f"{name} = {w} is elliptic; a hyperbolic element is required")
         raise WitnessInputError(f"{name} = {w} is hyperbolic; an elliptic element is required")
     return cls
 
 
-def _require_hyperbolic(spec: SplittingSpec, w: Word, name: str) -> ElementClass:
-    cls = classify(spec, w)
-    if not cls.is_hyperbolic:
-        raise WitnessInputError(f"{name} = {w} is elliptic; a hyperbolic element is required")
-    return cls
+def _fixed_set_distance(spec: SplittingSpec, g1: Word, g2: Word) -> float:
+    """d(Fix(g1), Fix(g2)) for elliptic g1, g2, on a window of radius
+    4 max(|g1|, |g2|) + 4 about the base; rejects intersecting fixed sets."""
+    _require(spec, g1, "g1", False)
+    _require(spec, g2, "g2", False)
+    radius = 4 * max(g1.letter_length(), g2.letter_length()) + 4
+    d = region_distance(spec, fixed_set(spec, g1, radius=radius),
+                        fixed_set(spec, g2, radius=radius))
+    if d < 1:
+        raise WitnessInputError(
+            "the windowed fixed sets of g1 and g2 intersect; "
+            "Fix(g1) ∩ Fix(g2) = ∅ is required")
+    return d
 
 
-def same_axis(spec: SplittingSpec, h1: Word, h2: Word,
-              spread: int = 8) -> bool:
-    """Windowed test for Axis(h1) = Axis(h2).
-
-    Samples three Axis(h1) points spread 2*spread*tau(h1) apart; if all stay
-    on Axis(h2), the axes share a segment at least that long (axes are convex),
-    which we take as equality.  Distinct axes overlap in a bounded segment, so
-    a large spread makes this decisive for the elements under test.
-    """
-    c1 = _require_hyperbolic(spec, h1, "h1")
-    c2 = _require_hyperbolic(spec, h2, "h2")
+def _axes_coincide(spec: SplittingSpec, h1: Word, c1: ElementClass,
+                   h2: Word, c2: ElementClass, spread: int) -> bool:
+    """Whether three Axis(h1) points spread 2*spread*tau(h1) apart all lie on
+    Axis(h2).  If so, the axes share a segment at least that long (axes are
+    convex), which we take as equality.  Distinct axes overlap in a bounded
+    segment, so a large spread makes this decisive for the elements under test."""
     p1 = c1.witness_vertex
-    for j in (-spread, 0, spread):
-        q = act(spec, h1 ** j, p1)
-        if not on_axis(spec, h2, c2.tau, q):
-            return False
-    return True
+    return all(on_axis(spec, h2, c2.tau, act(spec, h1 ** j, p1))
+               for j in (-spread, 0, spread))
+
+
+def same_axis(spec: SplittingSpec, h1: Word, h2: Word) -> bool:
+    """Windowed test for Axis(h1) = Axis(h2), sampled with spread 8."""
+    return _axes_coincide(spec, h1, _require(spec, h1, "h1", True),
+                          h2, _require(spec, h2, "h2", True), 8)
+
+
+def _distinct_axes(spec: SplittingSpec, h1: Word, h2: Word,
+                   spread: int) -> Tuple[ElementClass, ElementClass]:
+    """The classes of hyperbolic h1, h2; rejects axes that coincide when
+    sampled with the given spread."""
+    c1 = _require(spec, h1, "h1", True)
+    c2 = _require(spec, h2, "h2", True)
+    if _axes_coincide(spec, h1, c1, h2, c2, spread):
+        raise WitnessInputError(
+            f"h1 = {h1} and h2 = {h2} share an axis; distinct axes are required")
+    return c1, c2
 
 
 def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass,
                        h2: Word, c2: ElementClass,
-                       radius: int) -> Tuple[float, Optional[TreeVertex], VertexRegion]:
-    """Windowed Axis(h1) ∩ Axis(h2) around the projection of Axis(h1) onto
-    Axis(h2).  If the axes meet, the projection lies in the intersection, so
-    a window of radius R certifies any diameter verdict below R."""
+                       radius: int) -> Tuple[float, TreeVertex]:
+    """Diameter of the windowed Axis(h1) ∩ Axis(h2) around the projection of
+    Axis(h1) onto Axis(h2), and that projection.  If the axes meet, the
+    projection lies in the intersection, so a window of radius R certifies
+    any diameter verdict below R."""
     p1, p2 = c1.witness_vertex, c2.witness_vertex
     q_star = None
     for v in geodesic(spec, p1, p2):
@@ -211,31 +235,30 @@ def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass,
             break
     assert q_star is not None  # p2 itself is on Axis(h2)
     if not on_axis(spec, h1, c1.tau, q_star):
-        empty = VertexRegion(q_star, radius, (), True)
-        return -math.inf, q_star, empty
+        return -math.inf, q_star
     ax1 = axis_window(spec, h1, q_star, radius)
     members = tuple(v for v in ax1.members if on_axis(spec, h2, c2.tau, v))
-    region = VertexRegion(q_star, radius, members, True)
-    return region_diameter(spec, region), q_star, region
+    return region_diameter(spec, VertexRegion(q_star, radius, members, True)), q_star
 
 
-def overlap_report(spec: SplittingSpec, k: int, h1: Word, h2: Word,
-                   radius: Optional[int] = None) -> OverlapReport:
+def overlap_report(spec: SplittingSpec, k: int, h1: Word, h2: Word) -> OverlapReport:
     """Diameter of Axis(h1) ∩ Axis(h2) and the 3k branch selection."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    c1 = _require_hyperbolic(spec, h1, "h1")
-    c2 = _require_hyperbolic(spec, h2, "h2")
-    if same_axis(spec, h1, h2, spread=max(3 * k + 2, 8)):
-        raise WitnessInputError(
-            f"h1 = {h1} and h2 = {h2} share an axis on the inspection window; "
-            "the overlap branch is undetermined")
-    if radius is None:
-        radius = 3 * k + c1.tau + c2.tau + 6
-    diam, crossing, region = _axis_intersection(spec, h1, c1, h2, c2, radius)
+    check_nonnegative("k", k)
+    c1, c2 = _distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
+    radius = 3 * k + c1.tau + c2.tau + 6
+    diam, crossing = _axis_intersection(spec, h1, c1, h2, c2, radius)
     branch = "small" if diam <= 3 * k else "large"
-    exhaustive = diam == -math.inf or radius > 3 * k
-    return OverlapReport(diam, 3 * k, branch, exhaustive, crossing)
+    # the window radius exceeds 3k, so the branch verdict is exhaustive
+    return OverlapReport(diam, 3 * k, branch, True, crossing)
+
+
+def _certified(spec: SplittingSpec, case: str, pair: Tuple[Word, Word], power: int,
+               depth: int, branch: Optional[str] = None) -> FreenessWitness:
+    """Certify the pair and wrap it; elliptic cases claim a free product,
+    hyperbolic ones a free subgroup."""
+    claim = "free_product_rank2" if case.startswith("elliptic") else "free_subgroup_rank2"
+    ok, fail = certify_rank2_free(spec, pair[0], pair[1], depth)
+    return FreenessWitness(case, pair, power, claim, depth, ok, branch, fail)
 
 
 # ---------------------------------------------------------------------------
@@ -244,70 +267,46 @@ def overlap_report(spec: SplittingSpec, k: int, h1: Word, h2: Word,
 
 
 def witness_elliptic_pair(spec: SplittingSpec, k: int, g1: Word, g2: Word,
-                          depth: int = 6,
-                          radius: Optional[int] = None) -> FreenessWitness:
+                          depth: int = 6) -> FreenessWitness:
     """Elliptic pair with disjoint fixed sets: witnesses (g1, h^p g1 h^-p)
     with h = g1 g2 and p = ceil((k+1)/2)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    _require_elliptic(spec, g1, "g1")
-    _require_elliptic(spec, g2, "g2")
-    if radius is None:
-        radius = _default_radius(g1, g2)
-    f1 = fixed_set(spec, g1, radius=radius)
-    f2 = fixed_set(spec, g2, radius=radius)
-    if region_distance(spec, f1, f2) < 1:
-        raise WitnessInputError(
-            "the windowed fixed sets of g1 and g2 intersect; "
-            "Fix(g1) ∩ Fix(g2) = ∅ is required")
+    check_nonnegative("k", k)
+    _fixed_set_distance(spec, g1, g2)
     p = (k + 2) // 2
-    h = g1 * g2
-    conj = (h ** p) * g1 * (h ** p).inverse()
-    ok, fail = certify_rank2_free(spec, g1, conj, depth)
-    return FreenessWitness("elliptic_elliptic", (g1, conj), p,
-                           "free_product_rank2", depth, ok, failure=fail)
+    return _certified(spec, "elliptic_elliptic",
+                      (g1, g1.conjugated_by((g1 * g2) ** -p)), p, depth)
 
 
 def witness_elliptic_hyperbolic(spec: SplittingSpec, k: int, g: Word, h: Word,
                                 depth: int = 6) -> FreenessWitness:
     """Elliptic g, hyperbolic h: witnesses (g, h^p g h^-p) with p = k+1."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    _require_elliptic(spec, g, "g")
-    _require_hyperbolic(spec, h, "h")
+    check_nonnegative("k", k)
+    _require(spec, g, "g", False)
+    _require(spec, h, "h", True)
     p = k + 1
-    conj = (h ** p) * g * (h ** p).inverse()
-    ok, fail = certify_rank2_free(spec, g, conj, depth)
-    return FreenessWitness("elliptic_hyperbolic", (g, conj), p,
-                           "free_product_rank2", depth, ok, failure=fail)
+    return _certified(spec, "elliptic_hyperbolic", (g, g.conjugated_by(h ** -p)), p, depth)
 
 
 def witness_hyperbolic_pair(spec: SplittingSpec, k: int, h1: Word, h2: Word,
-                            depth: int = 6,
-                            radius: Optional[int] = None) -> FreenessWitness:
+                            depth: int = 6) -> FreenessWitness:
     """Hyperbolic pair with distinct axes.
 
     Small overlap (diam <= 3k): witnesses (h1^q, h2^q) with q = 3k+1.
     Large overlap: p = 3 and one of (h2, h1^p h2 h1^-p), (h1, h2^p h1 h2^-p),
     trying the h1-conjugates-h2 order first.
     """
-    rep = overlap_report(spec, k, h1, h2, radius)
-    if rep.branch == "small":
+    if overlap_report(spec, k, h1, h2).branch == "small":
         q = 3 * k + 1
-        pair = (h1 ** q, h2 ** q)
-        ok, fail = certify_rank2_free(spec, pair[0], pair[1], depth)
-        return FreenessWitness("hyperbolic_small_overlap", pair, q,
-                               "free_subgroup_rank2", depth, ok,
-                               branch="small", failure=fail)
+        return _certified(spec, "hyperbolic_small_overlap", (h1 ** q, h2 ** q), q,
+                          depth, "small")
     p = 3
     for conjugator, seed, label in ((h1, h2, "h1 conjugates h2"),
                                     (h2, h1, "h2 conjugates h1")):
-        pair = (seed, (conjugator ** p) * seed * (conjugator ** p).inverse())
-        ok, fail = certify_rank2_free(spec, pair[0], pair[1], depth)
-        if ok:
-            return FreenessWitness("hyperbolic_large_overlap", pair, p,
-                                   "free_subgroup_rank2", depth, True,
-                                   branch=f"large ({label})")
+        witness = _certified(spec, "hyperbolic_large_overlap",
+                             (seed, seed.conjugated_by(conjugator ** -p)), p, depth,
+                             f"large ({label})")
+        if witness.certified:
+            return witness
     raise CertificationFailure(
         f"neither large-overlap conjugation order certified at depth {depth} "
         f"for h1 = {h1}, h2 = {h2}")
@@ -317,11 +316,7 @@ def semigroup_witness(spec: SplittingSpec, h1: Word, h2: Word,
                       depth: int = 6) -> FreenessWitness:
     """Free-semigroup witness: either (h1, h2) or (h1^-1, h2), whichever set
     of positive words stays distinct to the certificate depth."""
-    _require_hyperbolic(spec, h1, "h1")
-    _require_hyperbolic(spec, h2, "h2")
-    if same_axis(spec, h1, h2):
-        raise WitnessInputError(
-            f"h1 = {h1} and h2 = {h2} share an axis; distinct axes are required")
+    _distinct_axes(spec, h1, h2, 8)
     failures = []
     for pair, label in (((h1, h2), "direct"), ((h1.inverse(), h2), "inverted")):
         ok, fail = certify_free_semigroup(spec, pair[0], pair[1], depth)
@@ -344,56 +339,38 @@ class ProductTranslationReport(NamedTuple):
     distance_of_fixed_sets: int
 
 
-def product_translation_length(spec: SplittingSpec, g1: Word, g2: Word,
-                           radius: Optional[int] = None) -> ProductTranslationReport:
+def product_translation_length(spec: SplittingSpec, g1: Word,
+                               g2: Word) -> ProductTranslationReport:
     """For elliptic g1, g2 with disjoint fixed sets, returns tau(g1 g2) and
     d(Fix(g1), Fix(g2)); the caller asserts tau = 2 d."""
-    _require_elliptic(spec, g1, "g1")
-    _require_elliptic(spec, g2, "g2")
-    if radius is None:
-        radius = _default_radius(g1, g2)
-    f1 = fixed_set(spec, g1, radius=radius)
-    f2 = fixed_set(spec, g2, radius=radius)
-    d = region_distance(spec, f1, f2)
-    if d < 1:
-        raise WitnessInputError("fixed sets intersect on the window")
+    d = _fixed_set_distance(spec, g1, g2)
     if d == math.inf:
-        raise WitnessInputError("a fixed set is empty on the window; enlarge the radius")
+        raise WitnessInputError("a fixed set is empty on the window")
     tau = classify(spec, g1 * g2).tau
     return ProductTranslationReport(tau, int(d))
 
 
-def verify_disjoint_tsets(spec: SplittingSpec, g1: Word, g2: Word,
-                          radius: int = 8, max_power: int = 6) -> bool:
-    """Windowed check of T(g1) ∩ T(g2) = ∅ (the rank-2 free product hypothesis)."""
-    _require_elliptic(spec, g1, "g1")
-    _require_elliptic(spec, g2, "g2")
-    t1 = t_set(spec, g1, radius=radius, max_power=max_power)
-    t2 = t_set(spec, g2, radius=radius, max_power=max_power)
-    return region_distance(spec, t1, t2) >= 1
+def verify_disjoint_tsets(spec: SplittingSpec, g1: Word, g2: Word) -> bool:
+    """Check of T(g1) ∩ T(g2) = ∅ (the rank-2 free product hypothesis) on the
+    T-set windows of radius 8 and powers up to 6."""
+    _require(spec, g1, "g1", False)
+    _require(spec, g2, "g2", False)
+    return region_distance(spec, t_set(spec, g1), t_set(spec, g2)) >= 1
 
 
 def witness_power_pair(spec: SplittingSpec, h1: Word, h2: Word, n: int,
-                          depth: int = 6) -> FreenessWitness:
+                       depth: int = 6) -> FreenessWitness:
     """If diam(Axis(h1) ∩ Axis(h2)) < n min(tau1, tau2), the powers
     (h1^n, h2^n) generate a rank-2 free subgroup; certified witness."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    c1 = _require_hyperbolic(spec, h1, "h1")
-    c2 = _require_hyperbolic(spec, h2, "h2")
-    if same_axis(spec, h1, h2, spread=max(n + 2, 8)):
-        raise WitnessInputError(
-            f"h1 = {h1} and h2 = {h2} share an axis: the overlap is unbounded")
+    c1, c2 = _distinct_axes(spec, h1, h2, max(n + 2, 8))
     bound = n * min(c1.tau, c2.tau)
-    radius = bound + c1.tau + c2.tau + 6
-    diam, _, _ = _axis_intersection(spec, h1, c1, h2, c2, radius)
+    diam, _ = _axis_intersection(spec, h1, c1, h2, c2, bound + c1.tau + c2.tau + 6)
     if not diam < bound:
         raise WitnessInputError(
             f"axis overlap diameter {diam} is not < n*min(tau) = {bound}")
-    pair = (h1 ** n, h2 ** n)
-    ok, fail = certify_rank2_free(spec, pair[0], pair[1], depth)
-    return FreenessWitness("hyperbolic_small_overlap", pair, n,
-                           "free_subgroup_rank2", depth, ok, failure=fail)
+    return _certified(spec, "hyperbolic_small_overlap", (h1 ** n, h2 ** n), n, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -195,15 +195,14 @@ def monotonicity_check(series1: BallCountSeries, series2: BallCountSeries) -> bo
 # ---------------------------------------------------------------------------
 
 
-def _bisect_increasing(f, lo: float, hi: float, rel_tol: float = 1e-15) -> float:
-    """Root of increasing f with f(lo) <= 0 <= f(hi), to relative tolerance.
+def _bisect_increasing(f, lo: float, hi: float) -> float:
+    """Root of increasing f with f(lo) <= 0 <= f(hi), to relative tolerance 1e-15.
 
-    The default runs the bisection down to machine precision: the defining
-    equations have O(10) derivatives at their roots, and reported residuals
-    must stay below 1e-12."""
+    That is machine precision: the defining equations have O(10) derivatives
+    at their roots, and reported residuals must stay below 1e-12."""
     for _ in range(260):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * max(abs(mid), 1e-300):
+        if hi - lo <= 1e-15 * max(abs(mid), 1e-300):
             return mid
         if f(mid) < 0.0:
             lo = mid
@@ -278,10 +277,10 @@ def bcg_objective(a: float, l1, l2) -> float:
     return num / (float(l1) + a * float(l2))
 
 
-def bcg_lower_bound(l1, l2, tol: float = 1e-10) -> float:
+def bcg_lower_bound(l1, l2) -> float:
     """sup over a in (0, inf) of the semigroup-entropy objective, by
-    golden-section search after geometric bracket growth (the objective is
-    strictly unimodal, vanishing at both ends)."""
+    golden-section search to a bracket of width 1e-10 after geometric bracket
+    growth (the objective is strictly unimodal, vanishing at both ends)."""
     _check_weights(l1, l2)
     f = lambda a: bcg_objective(a, l1, l2)
     lo, mid, hi = 1e-8, 1.0, 2.0
@@ -296,7 +295,7 @@ def bcg_lower_bound(l1, l2, tol: float = 1e-10) -> float:
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)

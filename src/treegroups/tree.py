@@ -37,6 +37,9 @@ from .words import Word, shortlex
 
 # most vertices a windowed walk collects before it reports an incomplete window
 MAX_WINDOW_VERTICES = 200_000
+# longest conjugator list a fixed-set walk expands per vertex before it
+# reports an incomplete window
+NEIGHBOR_CAP = 16
 
 
 class TreeVertex(NamedTuple):
@@ -188,7 +191,8 @@ def _walk(start: TreeVertex, levels: int, children: Callable,
 
 
 def check_nonnegative(name: str, value: int) -> None:
-    """Reject a negative window radius or certificate depth as an input error."""
+    """Reject a negative k, word length, window radius or certificate depth
+    as an input error."""
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
 
@@ -272,7 +276,7 @@ def _fixed_window(spec: SplittingSpec, g: Word, base: TreeVertex, radius: int,
 
 
 def fixed_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
-              radius: int = 8, neighbor_cap: Optional[int] = 16) -> VertexRegion:
+              radius: int = 8, neighbor_cap: Optional[int] = NEIGHBOR_CAP) -> VertexRegion:
     """Fix(g) intersected with ball(base, radius).
 
     Flagged incomplete when a conjugator solver truncates a neighbour list
@@ -285,8 +289,7 @@ def fixed_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
 
 
 def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
-          radius: int = 8, max_power: int = 6,
-          neighbor_cap: Optional[int] = 16) -> VertexRegion:
+          radius: int = 8, max_power: int = 6) -> VertexRegion:
     """Union of Fix(g^n) over 1 <= n <= max_power with g^n nontrivial.
 
     Fix(g^-n) = Fix(g^n), so positive powers suffice.  With o the order of
@@ -308,7 +311,7 @@ def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
     exhaustive = o != 0 and max_power >= o - 1
     for d in sorted(ds):
         if not any(k * d in ds for k in range(2, top // d + 1)):
-            window, complete = _fixed_window(spec, g ** d, base, radius, neighbor_cap)
+            window, complete = _fixed_window(spec, g ** d, base, radius, NEIGHBOR_CAP)
             dist.update(window)
             exhaustive = exhaustive and complete
     return _region(base, radius, dist, exhaustive)
@@ -367,14 +370,14 @@ def region_distance(spec: SplittingSpec, r1: VertexRegion, r2: VertexRegion):
     return min(tree_distance(spec, u, v) for u in r1.members for v in r2.members)
 
 
-def fix_diameter_lb(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
-                    radius: int = 8, neighbor_cap: Optional[int] = 16):
-    """Certified lower bound for diam Fix(g): the windowed diameter.
+def fix_diameter_lb(spec: SplittingSpec, g: Word, radius: int = 8):
+    """Certified lower bound for diam Fix(g): the diameter of its window
+    about the base vertex.
 
     Returns -inf ("no fixed points") when the window is empty, in particular
     for hyperbolic g.
     """
-    return region_diameter(spec, fixed_set(spec, g, base, radius, neighbor_cap))
+    return region_diameter(spec, fixed_set(spec, g, radius=radius))
 
 
 class AcylindricityCheck(NamedTuple):
@@ -393,8 +396,7 @@ class AcylindricityCheck(NamedTuple):
 
 
 def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
-                        radius: int = 8,
-                        neighbor_cap: Optional[int] = 16) -> AcylindricityCheck:
+                        radius: int = 8) -> AcylindricityCheck:
     """One-sided windowed check of k-acylindricity on the edge group.
 
     By Bass-Serre theory an element g breaks k-acylindricity only if
@@ -412,8 +414,9 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
     every nontrivial elliptic element fixes a single vertex (factors of a
     free product are malnormal) and the verdict is certified for every k >= 0.
     """
-    if k < 0 or word_length < 0 or radius < 0:
-        raise ValueError("k, word_length and radius must be nonnegative")
+    check_nonnegative("k", k)
+    check_nonnegative("word length", word_length)
+    check_nonnegative("window radius", radius)
     trivial_edge = all(im.is_empty for im in spec.sub_a.image_words)
     if trivial_edge:
         return AcylindricityCheck(
@@ -426,7 +429,7 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
         if c.is_empty or c.letters in seen:
             continue
         seen.add(c.letters)
-        diam = fix_diameter_lb(spec, c, radius=radius, neighbor_cap=neighbor_cap)
+        diam = fix_diameter_lb(spec, c, radius)
         if diam > k:
             return AcylindricityCheck(
                 "falsified", k, word_length, radius, c, diam, True,

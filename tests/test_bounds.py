@@ -47,7 +47,7 @@ def test_s0_jsj_unit_inputs():
     oracle = mp_s0(26.0)
     assert abs(value - oracle) <= 1e-12 * oracle
     assert abs(value - 2.0436e-11) <= 1e-14
-    assert s0_jsj(1.0, 1.0, mode="high") == pytest.approx(oracle, rel=1e-12)
+    assert s0_core(26.0, mode="high") == pytest.approx(oracle, rel=1e-12)
 
 
 def test_s0_jsj_equals_k4():

@@ -24,31 +24,69 @@ def invoke(capsys, *argv):
 
 # -- golden files (worked examples, byte-for-byte in --json mode) ---------------
 
-@pytest.mark.parametrize("golden,argv", [
+GOLDEN_CASES = [
     ("classify_z2z3_ab.json",
-     ["classify", "--group", data("z2z3.json"), "--element", "a b", "--json"]),
+     ["classify", "--group", data("z2z3.json"), "--element", "a b", "--json"],
+     EXIT_OK),
     ("bounds_unit_k4.json",
-     ["bounds", "--entropy", "1", "--diam", "1", "--k", "4", "--json"]),
+     ["bounds", "--entropy", "1", "--diam", "1", "--k", "4", "--json"],
+     EXIT_OK),
     ("dichotomy_torus_bundle.json",
-     ["dichotomy", data("torus_bundle.json"), "--json"]),
+     ["dichotomy", data("torus_bundle.json"), "--json"],
+     EXIT_OK),
     ("entropy_group_1_2.json",
-     ["entropy", "--l1", "1", "--l2", "2", "--json"]),
+     ["entropy", "--l1", "1", "--l2", "2", "--json"],
+     EXIT_OK),
     ("entropy_semigroup_r30.json",
      ["entropy", "--kind", "semigroup", "--l1", "0.8", "--l2", "1.3",
-      "--radius", "30", "--json"]),
+      "--radius", "30", "--json"],
+     EXIT_OK),
     ("fix_f2_amalgam_conj_a_r4.json",
      ["fix", "--group", data("f2_amalgam.json"), "--element", "d b a b^-1 d^-1",
-      "--radius", "4", "--json"]),
+      "--radius", "4", "--json"],
+     EXIT_OK),
     ("fix_klein_a_pow2.json",
      ["fix", "--group", data("klein.json"), "--element", "a", "--max-power", "2",
-      "--json"]),
+      "--json"],
+     EXIT_OK),
     ("axis_f2_amalgam_bd_r6.json",
      ["axis", "--group", data("f2_amalgam.json"), "--element", "b d",
-      "--radius", "6", "--json"]),
-])
-def test_golden_outputs(capsys, golden, argv):
+      "--radius", "6", "--json"],
+     EXIT_OK),
+    ("free_witness_z2z3_a_b.json",
+     ["free-witness", "--group", data("z2z3.json"), "--g1", "a", "--g2", "b", "--json"],
+     EXIT_OK),
+    ("free_witness_z2z3_a_ab.json",
+     ["free-witness", "--group", data("z2z3.json"), "--g1", "a", "--g2", "a b", "--json"],
+     EXIT_OK),
+    ("free_witness_f2_amalgam_bd_db.json",
+     ["free-witness", "--group", data("f2_amalgam.json"), "--g1", "b d", "--g2", "d b",
+      "--json"],
+     EXIT_OK),
+    ("free_witness_f2_amalgam_bd_db_k0.json",
+     ["free-witness", "--group", data("f2_amalgam.json"), "--g1", "b d", "--g2", "d b",
+      "--k", "0", "--json"],
+     EXIT_OK),
+    ("free_witness_f2_amalgam_bd_db_semigroup.json",
+     ["free-witness", "--group", data("f2_amalgam.json"), "--g1", "b d", "--g2", "d b",
+      "--semigroup", "--json"],
+     EXIT_OK),
+    ("acyl_check_klein_k5_l4.json",
+     ["acyl-check", "--group", data("klein.json"), "--k", "5", "--length", "4", "--json"],
+     EXIT_VERDICT),
+    ("acyl_check_z2z3_k0.json",
+     ["acyl-check", "--group", data("z2z3.json"), "--k", "0", "--json"],
+     EXIT_OK),
+]
+
+
+# the ids name each case by its golden file and position
+@pytest.mark.parametrize("golden,argv,code",
+                         GOLDEN_CASES,
+                         ids=[f"{case[0]}-argv{i}" for i, case in enumerate(GOLDEN_CASES)])
+def test_golden_outputs(capsys, golden, argv, code):
     rc, out, _ = invoke(capsys, *argv)
-    assert rc == EXIT_OK
+    assert rc == code
     with open(os.path.join(GOLDEN, golden), "r", encoding="utf-8") as fh:
         assert out == fh.read()
     json.loads(out)  # every report re-parses

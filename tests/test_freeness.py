@@ -254,6 +254,33 @@ def test_witness_power_pair(f2):
         witness_power_pair(f2, XY, XY ** 2, 3)  # same axis
 
 
+NEGATIVE_K = "k must be >= 0, got -1"
+SAME_AXIS = "share an axis; distinct axes are required"
+FIXED_SETS_MEET = r"the windowed fixed sets of g1 and g2 intersect; Fix\(g1\) ∩ Fix\(g2\) = ∅"
+
+
+@pytest.mark.parametrize("fn,spec,args,error,message", [
+    (witness_elliptic_pair, "z2z3", (-1, W("a"), W("b")), ValueError, NEGATIVE_K),
+    (witness_elliptic_hyperbolic, "z2z3", (-1, W("a"), W("a b")), ValueError, NEGATIVE_K),
+    (witness_hyperbolic_pair, "f2", (-1, XY, W("y x")), ValueError, NEGATIVE_K),
+    (overlap_report, "f2", (-1, XY, W("y x")), ValueError, NEGATIVE_K),
+    (overlap_report, "f2", (0, XY, XY ** 2), WitnessInputError, SAME_AXIS),
+    (witness_hyperbolic_pair, "f2", (0, XY, XY ** 2), WitnessInputError, SAME_AXIS),
+    (semigroup_witness, "f2", (XY, XY ** 2), WitnessInputError, SAME_AXIS),
+    (witness_power_pair, "f2", (XY, XY ** 2, 3), WitnessInputError, SAME_AXIS),
+    (witness_elliptic_pair, "z2z3", (0, W("a"), W("a")), WitnessInputError, FIXED_SETS_MEET),
+    (product_translation_length, "z2z3", (W("a"), W("a")), WitnessInputError,
+     FIXED_SETS_MEET),
+    (witness_elliptic_pair, "z2z3", (0, W("a"), W("a b")), WitnessInputError,
+     "g2 = a b is hyperbolic; an elliptic element is required"),
+    (witness_elliptic_hyperbolic, "z2z3", (0, W("a"), W("b")), WitnessInputError,
+     "h = b is elliptic; a hyperbolic element is required"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_each_hypothesis_has_one_rejection_message(request, fn, spec, args, error, message):
+    with pytest.raises(error, match=message):
+        fn(request.getfixturevalue(spec), *args)
+
+
 def test_same_axis_detection(f2):
     assert same_axis(f2, XY, XY ** 3)
     assert same_axis(f2, XY, W("y^-1 x^-1"))  # the inverse shares the axis

@@ -2,6 +2,7 @@
 records behave."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -48,6 +49,22 @@ def test_public_names_are_their_home_objects():
     namespace = {}
     exec("from treegroups import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(NAMES)
+
+
+def test_benchmark_worker_calls_still_bind():
+    # perfbench/worker.py calls these positionally or by keyword; removing or
+    # reordering a parameter it passes must fail here, not only in the benchmark
+    spec, g = object(), Word()
+    calls = [(treegroups.check_acylindricity, (spec, 2, 4, 8), {}),
+             (treegroups.witness_elliptic_pair, (spec, 2, g, g, 5), {}),
+             (treegroups.witness_elliptic_hyperbolic, (spec, 2, g, g, 5), {}),
+             (treegroups.witness_hyperbolic_pair, (spec, 2, g, g, 5), {}),
+             (treegroups.semigroup_witness, (spec, g, g, 5), {}),
+             (treegroups.fixed_set, (spec, g), {"radius": 4}),
+             (treegroups.t_set, (spec, g), {"radius": 4, "max_power": 3}),
+             (treegroups.product_translation_length, (spec, g, g), {})]
+    for fn, args, kwargs in calls:
+        inspect.signature(fn).bind(*args, **kwargs)
 
 
 _PROBE = """

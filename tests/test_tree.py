@@ -612,8 +612,11 @@ def test_check_acylindricity_finds_long_edge_elements():
 
 
 def test_check_acylindricity_validates_inputs(z2z3):
-    with pytest.raises(ValueError):
-        check_acylindricity(z2z3, -1)
+    for args, message in [((-1,), "k must be >= 0, got -1"),
+                          ((0, -2), "word length must be >= 0, got -2"),
+                          ((0, 6, -3), "window radius must be >= 0, got -3")]:
+        with pytest.raises(ValueError, match=message):
+            check_acylindricity(z2z3, *args)
 
 
 def test_windows_reject_negative_radius(z2z3):
