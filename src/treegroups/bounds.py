@@ -1,15 +1,12 @@
 """Closed-form systole, volume and rigidity-radius lower bounds.
 
 Everything is a pure function of (E, D, k, n, C_n).  The core quantity is
-s0 = (1/E) log(1 + 4/(e^{(4k+10) E D} - 1)).  When x = (4k+10) E D exceeds
-the trigger, evaluation switches to 60-digit arithmetic in the standard
-library's ``decimal``, imported on first use; ``s0_core`` alone picks the
-path, and the bounds built on it take no mode.  Below x ~ 709.78 the double
-path log1p(4/expm1(x)) is within 1 ulp of the exact value; past x = 709 it
-returns 4 e^-x, which equals the exact value to double precision and is
-subnormal up to x ~ 745 and 0.0 beyond.  The 60-digit value is rounded to
-a double once, so the result is correctly rounded, subnormal results
-included, and the JSON reports are byte-stable.
+s0 = (1/E) log(1 + 4/(e^{(4k+10) E D} - 1)).  ``s0_core`` chooses the path
+from x = (4k+10) E D alone: up to the trigger it evaluates
+log1p(4/expm1(x)) in doubles, and above it switches to 60-digit arithmetic
+in the standard library's ``decimal``, imported on first use.  The 60-digit
+value is rounded to a double once, so the result is correctly rounded,
+subnormal results included, and the JSON reports are byte-stable.
 
 C_n (the dimensional systolic constant) is a user-supplied parameter with
 default 1.0; no value for it is derived here.
@@ -36,20 +33,13 @@ def _validate_k(k: int) -> None:
         raise ValueError(f"k must be a nonnegative integer, got {k}")
 
 
-def s0_core(x: float, mode: str = "auto") -> float:
-    """log(1 + 4/(e^x - 1)) with automatic high-precision fallback."""
-    if mode not in ("auto", "double", "high"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "double" or (mode == "auto" and x <= HIGH_PRECISION_TRIGGER):
-        if x > 709.0:  # expm1 overflows past ~709.78; the value is 4e^-x to double precision
-            return 4.0 * math.exp(-x)
+def s0_core(x: float) -> float:
+    """log(1 + 4/(e^x - 1)), in 60 digits when x exceeds the trigger."""
+    if x <= HIGH_PRECISION_TRIGGER:
         return math.log1p(4.0 / math.expm1(x))
     from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal  # only the high path loads it
-    d = Decimal(x)  # exact
-    # below x = 1, e^x - 1 cancels about -log10(x) leading digits
-    ctx = Context(prec=HIGH_PRECISION_DPS + max(0, -d.adjusted()),
-                  Emin=MIN_EMIN, Emax=MAX_EMAX, traps=[])
-    y = ctx.divide(4, ctx.subtract(ctx.exp(d), 1))
+    ctx = Context(prec=HIGH_PRECISION_DPS, Emin=MIN_EMIN, Emax=MAX_EMAX, traps=[])
+    y = ctx.divide(4, ctx.subtract(ctx.exp(Decimal(x)), 1))  # Decimal(x) is exact
     if y.adjusted() < -20:
         # 1 + y rounds to 1 once y < 1e-60; the series' next term is y^3/3
         return float(ctx.subtract(y, ctx.divide(ctx.multiply(y, y), 2)))

@@ -39,9 +39,9 @@ def _emit(payload: dict, human: str, as_json: bool) -> None:
         print(human)
 
 
-def _region_payload(spec, region) -> dict:
+def _region_payload(region) -> dict:
     from .tree import region_diameter
-    diam = region_diameter(spec, region)
+    diam = region_diameter(region)
     return {
         "center": str(region.center),
         "radius": region.radius,
@@ -82,7 +82,7 @@ def _cmd_fix(args) -> int:
     else:
         region = fixed_set(spec, g, radius=args.radius)
         label = f"Fix({args.element})"
-    payload = _region_payload(spec, region)
+    payload = _region_payload(region)
     payload["element"] = args.element
     human = (f"{label} within radius {args.radius}: "
              f"{len(region.members)} vertices, diameter {payload['diameter']}")
@@ -97,7 +97,7 @@ def _cmd_axis(args) -> int:
     g = spec.parse_word(args.element)
     cls = classify(spec, g)
     region = axis_window(spec, g, radius=args.radius)
-    payload = _region_payload(spec, region)
+    payload = _region_payload(region)
     payload.update({"element": args.element, "tau": cls.tau})
     _emit(payload,
           f"Axis({args.element}) within radius {args.radius}: "

@@ -68,20 +68,8 @@ class FreenessWitness(NamedTuple):
 
 class OverlapReport(NamedTuple):
     diameter: float  # windowed lower bound; -inf when the axes are disjoint
-    threshold: int  # 3k
-    branch: str  # "small" | "large"
-    exhaustive: bool
+    branch: str  # "small" | "large", against 3k
     crossing: Optional[TreeVertex]
-
-    def to_json_dict(self) -> dict:
-        diam = self.diameter
-        return {
-            "diameter": None if diam == -math.inf else int(diam),
-            "threshold": self.threshold,
-            "branch": self.branch,
-            "exhaustive": self.exhaustive,
-            "crossing": None if self.crossing is None else str(self.crossing),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +170,7 @@ def _fixed_set_distance(spec: SplittingSpec, g1: Word, g2: Word) -> float:
     _require(spec, g1, "g1", False)
     _require(spec, g2, "g2", False)
     radius = 4 * max(g1.letter_length(), g2.letter_length()) + 4
-    d = region_distance(spec, fixed_set(spec, g1, radius=radius),
+    d = region_distance(fixed_set(spec, g1, radius=radius),
                         fixed_set(spec, g2, radius=radius))
     if d < 1:
         raise WitnessInputError(
@@ -229,7 +217,7 @@ def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass,
     any diameter verdict below R."""
     p1, p2 = c1.witness_vertex, c2.witness_vertex
     q_star = None
-    for v in geodesic(spec, p1, p2):
+    for v in geodesic(p1, p2):
         if on_axis(spec, h2, c2.tau, v):
             q_star = v
             break
@@ -238,7 +226,7 @@ def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass,
         return -math.inf, q_star
     ax1 = axis_window(spec, h1, q_star, radius)
     members = tuple(v for v in ax1.members if on_axis(spec, h2, c2.tau, v))
-    return region_diameter(spec, VertexRegion(q_star, radius, members, True)), q_star
+    return region_diameter(VertexRegion(q_star, radius, members, True)), q_star
 
 
 def overlap_report(spec: SplittingSpec, k: int, h1: Word, h2: Word) -> OverlapReport:
@@ -249,7 +237,7 @@ def overlap_report(spec: SplittingSpec, k: int, h1: Word, h2: Word) -> OverlapRe
     diam, crossing = _axis_intersection(spec, h1, c1, h2, c2, radius)
     branch = "small" if diam <= 3 * k else "large"
     # the window radius exceeds 3k, so the branch verdict is exhaustive
-    return OverlapReport(diam, 3 * k, branch, True, crossing)
+    return OverlapReport(diam, branch, crossing)
 
 
 def _certified(spec: SplittingSpec, case: str, pair: Tuple[Word, Word], power: int,
@@ -355,7 +343,7 @@ def verify_disjoint_tsets(spec: SplittingSpec, g1: Word, g2: Word) -> bool:
     T-set windows of radius 8 and powers up to 6."""
     _require(spec, g1, "g1", False)
     _require(spec, g2, "g2", False)
-    return region_distance(spec, t_set(spec, g1), t_set(spec, g2)) >= 1
+    return region_distance(t_set(spec, g1), t_set(spec, g2)) >= 1
 
 
 def witness_power_pair(spec: SplittingSpec, h1: Word, h2: Word, n: int,

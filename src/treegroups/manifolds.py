@@ -13,9 +13,10 @@ Sol/Seifert torus-bundle cases, with every remaining JSJ splitting
 from __future__ import annotations
 
 import json
-from typing import List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
-from .bounds import BoundsReport, build_bounds_report
+if TYPE_CHECKING:
+    from .bounds import BoundsReport
 
 BOUNDARY_KINDS = ("empty", "toral", "spherical_present", "other")
 PIECE_KINDS = ("irreducible_with_jsj", "s2xs1", "rp3", "torus_bundle",
@@ -176,10 +177,6 @@ class DichotomyVerdict(NamedTuple):
     conflict_notes: Tuple[str, ...] = ()
 
     @property
-    def is_geometric(self) -> bool:
-        return self.verdict == "geometric"
-
-    @property
     def is_acylindrical(self) -> bool:
         return self.verdict == "acylindrical"
 
@@ -274,6 +271,7 @@ def systole_bound_for(desc: ManifoldDescription, E: float, D: float,
     The volume bound is emitted only for closed manifolds and suppressed for
     pure #(S^2 x S^1) descriptions, whose volume can collapse.
     """
+    from .bounds import build_bounds_report  # a plain verdict needs no bounds
     verdict = classify_manifold(desc)
     if not verdict.is_acylindrical:
         raise DichotomyError(

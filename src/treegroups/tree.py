@@ -12,8 +12,9 @@ Canonical coset representatives are closed under prefixes, so the tree is
 the trie of normal forms (Serre, Trees, §I.4): the path from A:1 to (X, s)
 runs through B:1 when s starts on side B (or s is empty and X = B), then
 through the vertices named by the prefixes of s.  Distances, geodesics and
-neighbours are read off syllable tuples; only the action and factor
-membership compute normal forms.
+neighbours are read off syllable tuples, so distances, geodesics and region
+diameters take vertices only; only the action and factor membership
+compute normal forms.
 
 The tree is infinite (and not even locally finite when a factor has infinite
 edge index), so balls, fixed sets and T-sets come from one depth-bounded
@@ -75,7 +76,7 @@ class EllipticElementError(ValueError):
     """A hyperbolic element was required."""
 
 
-def base_vertex(spec: SplittingSpec, side: str = SIDE_A) -> TreeVertex:
+def base_vertex(side: str = SIDE_A) -> TreeVertex:
     return TreeVertex(side, ())
 
 
@@ -110,13 +111,13 @@ def _meet(u: TreeVertex, v: TreeVertex) -> int:
     return j
 
 
-def tree_distance(spec: SplittingSpec, u: TreeVertex, v: TreeVertex) -> int:
+def tree_distance(u: TreeVertex, v: TreeVertex) -> int:
     """Edge-count distance: |s_u| + |s_v| - 2*meet + [one path from A:1 runs via B:1]."""
     return (len(u.syllables) + len(v.syllables) - 2 * _meet(u, v)
             + (_first_side(u) != _first_side(v)))
 
 
-def geodesic(spec: SplittingSpec, u: TreeVertex, v: TreeVertex) -> List[TreeVertex]:
+def geodesic(u: TreeVertex, v: TreeVertex) -> List[TreeVertex]:
     """The geodesic chain from u to v (length = distance + 1): up u's prefixes to
     the meet, down v's; the climbs share it unless one path runs via B:1."""
     m = _meet(u, v)
@@ -134,15 +135,15 @@ def classify(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None) ->
     g, and an axis vertex for hyperbolic g.
     """
     if base is None:
-        base = base_vertex(spec)
+        base = base_vertex()
     gv = act(spec, g, base)
     ggv = act(spec, g, gv)
-    d1 = tree_distance(spec, base, gv)
-    d2 = tree_distance(spec, base, ggv)
+    d1 = tree_distance(base, gv)
+    d2 = tree_distance(base, ggv)
     if d2 > d1:
         tau = d2 - d1
-        return ElementClass("hyperbolic", tau, geodesic(spec, base, gv)[(d1 - tau) // 2])
-    return ElementClass("elliptic", 0, geodesic(spec, base, gv)[d1 // 2])
+        return ElementClass("hyperbolic", tau, geodesic(base, gv)[(d1 - tau) // 2])
+    return ElementClass("elliptic", 0, geodesic(base, gv)[d1 // 2])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,7 @@ def _fixed_window(spec: SplittingSpec, g: Word, base: TreeVertex, radius: int,
     check_nonnegative("window radius", radius)
     cls = classify(spec, g, base)
     start = cls.witness_vertex
-    d0 = tree_distance(spec, base, start)
+    d0 = tree_distance(base, start)
     if cls.is_hyperbolic or d0 > radius:
         return {}, True
 
@@ -284,7 +285,7 @@ def fixed_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
     the walk reaches ``MAX_WINDOW_VERTICES``.
     """
     if base is None:
-        base = base_vertex(spec)
+        base = base_vertex()
     return _region(base, radius, *_fixed_window(spec, g, base, radius, neighbor_cap))
 
 
@@ -303,7 +304,7 @@ def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
     if base is None:
-        base = base_vertex(spec)
+        base = base_vertex()
     o = element_order(spec, g) or 0
     top = min(max_power, o - 1) if o else max_power  # gcd(n, o) has period o in n
     ds = {math.gcd(n, o) for n in range(1, top + 1)}
@@ -328,20 +329,20 @@ def axis_window(spec: SplittingSpec, h: Word, base: Optional[TreeVertex] = None,
     """
     check_nonnegative("window radius", radius)
     if base is None:
-        base = base_vertex(spec)
+        base = base_vertex()
     cls = classify(spec, h, base)
     if not cls.is_hyperbolic:
         raise EllipticElementError(f"element {h} is elliptic; it has no axis")
     p = cls.witness_vertex
-    k = (radius + tree_distance(spec, base, p)) // cls.tau + 1
-    path = geodesic(spec, act(spec, h ** -k, p), act(spec, h ** k, p))
+    k = (radius + tree_distance(base, p)) // cls.tau + 1
+    path = geodesic(act(spec, h ** -k, p), act(spec, h ** k, p))
     return _region(base, radius, {q: d for q in path
-                                  if (d := tree_distance(spec, base, q)) <= radius}, True)
+                                  if (d := tree_distance(base, q)) <= radius}, True)
 
 
 def on_axis(spec: SplittingSpec, h: Word, tau: int, v: TreeVertex) -> bool:
     """Exact membership test: v is on Axis(h) iff it is moved exactly tau."""
-    return tree_distance(spec, v, act(spec, h, v)) == tau
+    return tree_distance(v, act(spec, h, v)) == tau
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ def on_axis(spec: SplittingSpec, h: Word, tau: int, v: TreeVertex) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def region_diameter(spec: SplittingSpec, region: VertexRegion):
+def region_diameter(region: VertexRegion):
     """Diameter of the member set; -inf for an empty region.
 
     Double sweep: in a tree, a member v farthest from any member u ends a
@@ -359,15 +360,15 @@ def region_diameter(spec: SplittingSpec, region: VertexRegion):
     vs = region.members
     if not vs:
         return -math.inf
-    far = max(vs, key=lambda v: tree_distance(spec, vs[0], v))
-    return max(tree_distance(spec, far, v) for v in vs)
+    far = max(vs, key=lambda v: tree_distance(vs[0], v))
+    return max(tree_distance(far, v) for v in vs)
 
 
-def region_distance(spec: SplittingSpec, r1: VertexRegion, r2: VertexRegion):
+def region_distance(r1: VertexRegion, r2: VertexRegion):
     """Min distance between two windowed sets; +inf if either is empty."""
     if not r1.members or not r2.members:
         return math.inf
-    return min(tree_distance(spec, u, v) for u in r1.members for v in r2.members)
+    return min(tree_distance(u, v) for u in r1.members for v in r2.members)
 
 
 def fix_diameter_lb(spec: SplittingSpec, g: Word, radius: int = 8):
@@ -377,7 +378,7 @@ def fix_diameter_lb(spec: SplittingSpec, g: Word, radius: int = 8):
     Returns -inf ("no fixed points") when the window is empty, in particular
     for hyperbolic g.
     """
-    return region_diameter(spec, fixed_set(spec, g, radius=radius))
+    return region_diameter(fixed_set(spec, g, radius=radius))
 
 
 class AcylindricityCheck(NamedTuple):

@@ -111,5 +111,5 @@ def min_displacement_bruteforce(spec, g, center, radius,
     explicitly supplied vertices)."""
     dist, complete = ball(spec, center, radius, neighbor_cap)
     candidates = list(dist) + list(extra_vertices)
-    best = min(tree_distance(spec, v, act(spec, g, v)) for v in candidates)
+    best = min(tree_distance(v, act(spec, g, v)) for v in candidates)
     return best, complete

@@ -47,7 +47,6 @@ def test_s0_jsj_unit_inputs():
     oracle = mp_s0(26.0)
     assert abs(value - oracle) <= 1e-12 * oracle
     assert abs(value - 2.0436e-11) <= 1e-14
-    assert s0_core(26.0, mode="high") == pytest.approx(oracle, rel=1e-12)
 
 
 def test_s0_jsj_equals_k4():
@@ -82,28 +81,23 @@ def test_s0_monotone_decreasing_in_ed_and_k():
 
 
 def test_high_and_double_paths_agree():
+    # the double path up to the trigger, the 60-digit path above it
     for x in [0.5, 2.0, 10.0, 26.0, 29.0, 40.0, 120.0, 420.0, 650.0]:
-        lo = s0_core(x, mode="double")
-        hi = s0_core(x, mode="high")
-        assert lo > 0
-        assert abs(lo - hi) <= 1e-9 * hi
+        value, oracle = s0_core(x), mp_exact(x)
+        assert value > 0
+        assert abs(value - oracle) <= 1e-9 * oracle
 
 
 def test_high_precision_survives_double_overflow():
     # e^720 overflows a double, but 4 e^-720 is still a representable
-    # subnormal: past x = 709 the double path returns 4 e^-x, which the mp
-    # path matches to the subnormal spacing, and both reach 0.0 past ~745
-    for x in (701.0, 705.0, 709.0):
-        high = s0_core(x, mode="high")
-        assert s0_core(x, mode="double") == pytest.approx(high, rel=1e-12)
-    for x in (720.0, 740.0):
-        high = s0_core(x, mode="high")
-        assert high > 0.0
-        assert abs(s0_core(x, mode="double") - high) <= 4 * math.ulp(0.0)
-    assert s0_core(800.0, mode="double") == 0.0
+    # subnormal: the 60-digit path keeps it, and reaches 0.0 past ~745
+    for x in (701.0, 705.0, 709.0, 720.0, 740.0):
+        assert s0_core(x) > 0.0
+        assert s0_core(x) == mp_exact(x), x
+    assert s0_core(800.0) == 0.0
     with mpmath.workdps(60):
         expected = float(4 * mpmath.exp(-720))
-    assert s0_core(720.0, mode="high") == pytest.approx(expected, rel=1e-6)
+    assert s0_core(720.0) == pytest.approx(expected, rel=1e-6)
 
 
 def test_subnormal_results_are_correctly_rounded():
@@ -126,9 +120,6 @@ def test_high_path_matches_the_mpmath_expression():
             assert got == old, x
         else:
             assert got == mp_exact(x), x
-    # below x = 1 the precision grows with the digits that e^x - 1 cancels
-    for x in (1e-70, 1e-30, 1e-10, 0.5):
-        assert s0_core(x, mode="high") == mp_exact(x)
 
 
 def test_hyperbolic_branch_bound():
@@ -174,8 +165,6 @@ def test_input_validation():
         volume_lower_bound(1.0, 1.0, 4, 0, 1.0)
     with pytest.raises(ValueError):
         volume_lower_bound(1.0, 1.0, 4, 3, 0.0)
-    with pytest.raises(ValueError):
-        s0_core(1.0, mode="triple")
 
 
 # -- the proof's case comparison ----------------------------------------------------

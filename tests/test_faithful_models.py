@@ -133,8 +133,8 @@ def test_table_factor_amalgam():
     assert cls.verdict == "hyperbolic" and cls.tau == 2
     # r2 = s^3 stabilizes both base vertices
     fix = fixed_set(spec, W("r2"), radius=4)
-    assert base_vertex(spec, "A") in fix.members
-    assert base_vertex(spec, "B") in fix.members
+    assert base_vertex("A") in fix.members
+    assert base_vertex("B") in fix.members
 
 
 def test_rank2_edge_subgroup():

@@ -114,7 +114,6 @@ def test_overlap_single_vertex(f2):
 def test_overlap_shared_segment(f2):
     rep = overlap_report(f2, 0, XY, W("y x"))
     assert rep.diameter == 1 and rep.branch == "large"
-    assert rep.threshold == 0
 
 
 def test_overlap_disjoint_axes(f2):

@@ -67,6 +67,15 @@ def test_benchmark_worker_calls_still_bind():
         inspect.signature(fn).bind(*args, **kwargs)
 
 
+def test_benchmark_tracer_reads_still_resolve():
+    # perfbench/tracer.py reads the trigger, passes s0_core its x alone and
+    # keys the normal forms it sees by NormalForm.key()
+    bounds = importlib.import_module("treegroups.bounds")
+    assert isinstance(bounds.HIGH_PRECISION_TRIGGER, float)
+    inspect.signature(bounds.s0_core).bind(26.0)
+    assert callable(NormalForm.key)
+
+
 _PROBE = """
 import contextlib, io, json, sys
 from treegroups.cli import run
@@ -92,6 +101,7 @@ def test_subcommands_load_only_their_layers(tmp_path):
         "factors": [{"type": "table", "elements": ["e", "s"], "table": [[0, 1], [1, 0]]},
                     {"type": "cyclic", "order": 3, "gens": ["b"]}]}))
     calls = [["--version"],
+             ["dichotomy", os.path.join(DATA, "two_hyperbolic_jsj.json")],  # verdict only
              ["bounds", "--entropy", "1", "--diam", "1"],  # x = 26: double path
              ["bounds", "--entropy", "2", "--diam", "1"],  # x = 52: 60-digit path
              ["classify", "--group", os.path.join(DATA, "z2z3.json"), "--element", "a b"],
@@ -111,15 +121,16 @@ def test_subcommands_load_only_their_layers(tmp_path):
     assert not any(has_dataclasses or has_mpmath for _, has_dataclasses, has_mpmath in rows)
     after = [set(layers) for layers, _, _ in rows]
     assert after[0] == {"cli"}  # --version
-    assert after[1] - after[0] == {"bounds"}
-    assert after[2] == after[1]
-    classify = after[3] - after[2]
+    assert after[1] - after[0] == {"manifolds"}  # a plain verdict needs no bounds
+    assert after[2] - after[1] == {"bounds"}
+    assert after[3] == after[2]
+    classify = after[4] - after[3]
     assert "tree" in classify
     assert not classify & {"freeness", "growth", "bounds", "manifolds", "table_lattice"}
-    assert after[4] == after[3]  # free factors: still no table or lattice kinds
-    assert after[5] - after[4] == {"growth"}
-    assert after[6] - after[5] == {"manifolds"}  # bounds is loaded already
-    assert after[7] - after[6] == {"table_lattice"}
+    assert after[5] == after[4]  # free factors: still no table or lattice kinds
+    assert after[6] - after[5] == {"growth"}
+    assert after[7] == after[6]  # manifolds and bounds are loaded already
+    assert after[8] - after[7] == {"table_lattice"}
 
 
 # -- records are NamedTuples ------------------------------------------------------

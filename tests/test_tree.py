@@ -51,7 +51,7 @@ def in_factor(spec, side, w):
 # -- action -------------------------------------------------------------------
 
 def test_act_examples(z2z3):
-    A, B = base_vertex(z2z3, "A"), base_vertex(z2z3, "B")
+    A, B = base_vertex("A"), base_vertex("B")
     assert act(z2z3, Word(), A) == A
     assert act(z2z3, W("a"), A) == A  # a stabilizes its own coset
     moved = act(z2z3, W("a"), B)
@@ -61,7 +61,7 @@ def test_act_examples(z2z3):
 def test_action_is_homomorphic(z2z3, klein, f2_amalgam):
     rng = random.Random(13)
     for spec in (z2z3, klein, f2_amalgam):
-        base = base_vertex(spec)
+        base = base_vertex()
         for _ in range(60):
             g = random_word(rng, spec.gen_names, 4)
             h = random_word(rng, spec.gen_names, 4)
@@ -72,7 +72,7 @@ def test_action_is_homomorphic(z2z3, klein, f2_amalgam):
 def test_no_edge_inversions_sides_preserved(z2z3, klein, f2_amalgam):
     rng = random.Random(14)
     for spec in (z2z3, klein, f2_amalgam):
-        base = base_vertex(spec)
+        base = base_vertex()
         for _ in range(100):
             g = random_word(rng, spec.gen_names, 5)
             v = act(spec, random_word(rng, spec.gen_names, 4), base)
@@ -93,36 +93,36 @@ def test_vertex_equality_is_coset_equality(z2z3, klein, f2_amalgam):
 # -- distances ----------------------------------------------------------------
 
 def test_distance_examples(z2z3):
-    A, B = base_vertex(z2z3, "A"), base_vertex(z2z3, "B")
-    assert tree_distance(z2z3, A, A) == 0
-    assert tree_distance(z2z3, A, B) == 1
+    A, B = base_vertex("A"), base_vertex("B")
+    assert tree_distance(A, A) == 0
+    assert tree_distance(A, B) == 1
     # value frozen from the BFS oracle (path A - aB - abA)
     abA = vertex_of(z2z3, "A", W("a b"))
     assert bfs_distance(z2z3, A, abA) == 2
-    assert tree_distance(z2z3, A, abA) == 2
+    assert tree_distance(A, abA) == 2
 
 
 def test_distance_agrees_with_bfs(z2z3, z3z4, klein):
     rng = random.Random(16)
     for spec in (z2z3, z3z4, klein):
-        base = base_vertex(spec)
+        base = base_vertex()
         # the ball dict carries plain BFS layer distances: compare them all
         dist, complete = ball(spec, base, 6)
         assert complete
         for v in dist:
-            assert tree_distance(spec, base, v) == dist[v]
+            assert tree_distance(base, v) == dist[v]
         # pairwise spot checks on nearby pairs (full BFS blows up farther out)
         close = sorted(ball(spec, base, 3)[0], key=str)
         for _ in range(12):
             u, v = rng.choice(close), rng.choice(close)
-            assert tree_distance(spec, u, v) == bfs_distance(spec, u, v)
+            assert tree_distance(u, v) == bfs_distance(spec, u, v)
 
 
 def test_ball_is_connected_and_acyclic(z2z3, z3z4, klein):
     # every non-center vertex of the window has exactly one neighbor closer
     # to the center: the explored coset graph is a tree
     for spec in (z2z3, z3z4, klein):
-        base = base_vertex(spec)
+        base = base_vertex()
         radius = 8 if spec is not z3z4 else 6
         dist, complete = ball(spec, base, radius)
         assert complete
@@ -140,16 +140,16 @@ def test_ball_is_connected_and_acyclic(z2z3, z3z4, klein):
 def test_geodesic_matches_distance(z2z3, klein, f2_amalgam):
     rng = random.Random(17)
     for spec in (z2z3, klein, f2_amalgam):
-        base = base_vertex(spec)
+        base = base_vertex()
         for _ in range(60):
             u = act(spec, random_word(rng, spec.gen_names, 4), base)
             v = act(spec, random_word(rng, spec.gen_names, 4),
-                    base_vertex(spec, rng.choice(["A", "B"])))
-            chain = geodesic(spec, u, v)
+                    base_vertex(rng.choice(["A", "B"])))
+            chain = geodesic(u, v)
             assert chain[0] == u and chain[-1] == v
-            assert len(chain) - 1 == tree_distance(spec, u, v)
+            assert len(chain) - 1 == tree_distance(u, v)
             for a, b in zip(chain, chain[1:]):
-                assert tree_distance(spec, a, b) == 1
+                assert tree_distance(a, b) == 1
 
 
 # -- the trie of normal forms -------------------------------------------------
@@ -194,18 +194,18 @@ def test_trie_metric_matches_normal_forms(z2z3, klein, f2_amalgam, z2_amalgam, d
 
     def vertex():
         w = Word.of(data.draw(st.lists(letters, max_size=8)))
-        return act(spec, w, base_vertex(spec, data.draw(st.sampled_from("AB"))))
+        return act(spec, w, base_vertex(data.draw(st.sampled_from("AB"))))
 
     u, v = vertex(), vertex()
-    assert tree_distance(spec, u, v) == nf_distance(spec, u, v)
-    assert geodesic(spec, u, v) == nf_geodesic(spec, u, v)
+    assert tree_distance(u, v) == nf_distance(spec, u, v)
+    assert geodesic(u, v) == nf_geodesic(spec, u, v)
     assert neighbors(spec, u, 6) == nf_neighbors(spec, u, 6)
 
 
 def test_trie_metric_makes_no_normal_form(z2z3, klein, f2_amalgam, z2_amalgam,
                                           monkeypatch):
     rng = random.Random(23)
-    cases = [(spec, [act(spec, random_word(rng, spec.gen_names, 6), base_vertex(spec, side))
+    cases = [(spec, [act(spec, random_word(rng, spec.gen_names, 6), base_vertex(side))
                      for side in "AB" for _ in range(5)])
              for spec in (z2z3, klein, f2_amalgam, z2_amalgam)]
 
@@ -214,11 +214,11 @@ def test_trie_metric_makes_no_normal_form(z2z3, klein, f2_amalgam, z2_amalgam,
 
     monkeypatch.setattr(SplittingSpec, "normal_form", no_normal_form)
     for spec, vs in cases:
-        assert ball(spec, base_vertex(spec), 3, neighbor_cap=4)[0]
+        assert ball(spec, base_vertex(), 3, neighbor_cap=4)[0]
         for u in vs:
             assert neighbors(spec, u, 4)[0]
             for v in vs:
-                assert len(geodesic(spec, u, v)) == tree_distance(spec, u, v) + 1
+                assert len(geodesic(u, v)) == tree_distance(u, v) + 1
 
 
 # -- classification -----------------------------------------------------------
@@ -270,13 +270,13 @@ def test_fixed_set_reports_capped_free_cyclic_conjugators():
 def test_classify_base_independent(z2z3, z3z4, klein):
     rng = random.Random(18)
     for spec in (z2z3, z3z4, klein):
-        base = base_vertex(spec)
+        base = base_vertex()
         for _ in range(25):
             g = random_word(rng, spec.gen_names, 5)
             ref = classify(spec, g, base)
             for _ in range(10):
                 v = act(spec, random_word(rng, spec.gen_names, 4),
-                        base_vertex(spec, rng.choice(["A", "B"])))
+                        base_vertex(rng.choice(["A", "B"])))
                 cls = classify(spec, g, v)
                 assert (cls.verdict, cls.tau) == (ref.verdict, ref.tau)
 
@@ -284,7 +284,7 @@ def test_classify_base_independent(z2z3, z3z4, klein):
 def test_classify_agrees_with_bruteforce(z2z3, klein):
     rng = random.Random(19)
     for spec in (z2z3, klein):
-        base = base_vertex(spec)
+        base = base_vertex()
         for _ in range(60):
             g = random_word(rng, spec.gen_names, 5)
             cls = classify(spec, g, base)
@@ -302,11 +302,11 @@ def test_elliptic_witness_is_projection_onto_fixed_set(z2z3, z3z4, klein,
         for _ in range(25):
             g = random_elliptic(spec, rng)
             v = act(spec, random_word(rng, spec.gen_names, 4),
-                    base_vertex(spec, rng.choice(["A", "B"])))
+                    base_vertex(rng.choice(["A", "B"])))
             cls = classify(spec, g, v)
             p = cls.witness_vertex
             assert not cls.is_hyperbolic and act(spec, g, p) == p
-            assert 2 * tree_distance(spec, v, p) == tree_distance(spec, v, act(spec, g, v))
+            assert 2 * tree_distance(v, p) == tree_distance(v, act(spec, g, v))
 
 
 def power_walk_order(spec, g, limit=80):
@@ -335,7 +335,7 @@ def test_element_order_matches_power_walk(z2z3, z3z4, klein, f2_amalgam, z70z3):
 def test_translation_identity(z2z3, z3z4, klein, f2):
     rng = random.Random(20)
     for spec in (z2z3, z3z4, klein, f2):
-        base = base_vertex(spec)
+        base = base_vertex()
         found = 0
         while found < 20:
             h = random_word(rng, spec.gen_names, 4)
@@ -345,15 +345,15 @@ def test_translation_identity(z2z3, z3z4, klein, f2):
             found += 1
             v = act(spec, random_word(rng, spec.gen_names, 3), base)
             axis = axis_window(spec, h, v, radius=2 * cls.tau + 14)
-            ell = min(tree_distance(spec, v, q) for q in axis.members)
+            ell = min(tree_distance(v, q) for q in axis.members)
             n = rng.randint(1, 8)
-            assert tree_distance(spec, v, act(spec, h ** n, v)) == n * cls.tau + 2 * ell
+            assert tree_distance(v, act(spec, h ** n, v)) == n * cls.tau + 2 * ell
 
 
 # -- fixed sets and T-sets ------------------------------------------------------
 
 def test_fixed_set_examples(z2z3):
-    A = base_vertex(z2z3, "A")
+    A = base_vertex("A")
     everything = fixed_set(z2z3, Word(), A, 3)
     window, complete = ball(z2z3, A, 3)
     assert complete and set(everything.members) == set(window)
@@ -410,24 +410,24 @@ def test_fixed_set_window_is_connected(z2z3, klein, f2_amalgam):
             while frontier:
                 v = frontier.pop()
                 for u in members:
-                    if u not in seen and tree_distance(spec, v, u) == 1:
+                    if u not in seen and tree_distance(v, u) == 1:
                         seen.add(u)
                         frontier.append(u)
             assert seen == members
 
 
 def test_central_element_fixes_whole_window(klein):
-    A = base_vertex(klein, "A")
+    A = base_vertex("A")
     region = fixed_set(klein, W("a^2"), A, 6)
     window, complete = ball(klein, A, 6)
     assert complete
     assert set(region.members) == set(window)
     assert len(region.members) == 13  # the tree is a line: 2R + 1 vertices
-    assert region_diameter(klein, region) == 12
+    assert region_diameter(region) == 12
 
 
 def test_t_set_examples(z2z3, klein):
-    B = base_vertex(z2z3, "B")
+    B = base_vertex("B")
     tb = t_set(z2z3, W("b"), B, radius=5, max_power=3)
     assert set(tb.members) == {B}
     assert tb.exhaustive_within_radius  # order 3, powers 1..2 covered
@@ -436,7 +436,7 @@ def test_t_set_examples(z2z3, klein):
     assert set(ta.members) == set(fixed_set(z2z3, W("a"), B, 5).members)
     assert ta.exhaustive_within_radius
     # central edge element fixes the entire window through every power
-    A = base_vertex(klein, "A")
+    A = base_vertex("A")
     t2 = t_set(klein, W("a^2"), A, radius=6, max_power=2)
     window, _ = ball(klein, A, 6)
     assert set(t2.members) == set(window)
@@ -444,7 +444,7 @@ def test_t_set_examples(z2z3, klein):
 
 
 def test_t_set_exhaustive_for_order_above_64(z70z3):
-    A = base_vertex(z70z3, "A")
+    A = base_vertex("A")
     region = t_set(z70z3, W("a"), A, radius=3, max_power=69)
     assert region.members == (A,)
     assert region.exhaustive_within_radius  # order 70: powers 1..69 covered
@@ -469,7 +469,7 @@ def canonical_order(dist):
 
 def random_base(spec, rng):
     return act(spec, random_word(rng, spec.gen_names, 4),
-               base_vertex(spec, rng.choice(["A", "B"])))
+               base_vertex(rng.choice(["A", "B"])))
 
 
 def test_fixed_set_matches_reference(z2z3, z3z4, klein, z4z6_table):
@@ -518,7 +518,7 @@ def test_t_set_is_the_union_over_every_power(z2z3, z3z4, klein, z4z6_table, z70z
         region = t_set(spec, g, base, radius, max_power)
         assert set(region.members) == union, str(g)
         assert region.members == canonical_order(
-            {v: tree_distance(spec, base, v) for v in union})
+            {v: tree_distance(base, v) for v in union})
         assert region.exhaustive_within_radius == (
             all(r.exhaustive_within_radius for r in regions)
             and order is not None and max_power >= order - 1)
@@ -531,28 +531,28 @@ def test_windows_stop_at_the_vertex_limit(z2_amalgam, monkeypatch):
                    t_set(z2_amalgam, W("x"), radius=8)):
         assert not region.exhaustive_within_radius
         assert 300 < len(region.members) <= 301
-    assert len(ball(z2_amalgam, base_vertex(z2_amalgam), 8, neighbor_cap=16)[0]) == 301
+    assert len(ball(z2_amalgam, base_vertex(), 8, neighbor_cap=16)[0]) == 301
 
 
 def test_fixed_window_flags_only_truncation_inside_the_window(z2_amalgam):
     # neighbour lists are truncated at every vertex, but a window of radius
     # d(base, Fix(x)) holds one fixed vertex and expands none
-    A, B = base_vertex(z2_amalgam, "A"), base_vertex(z2_amalgam, "B")
+    A, B = base_vertex("A"), base_vertex("B")
     region = fixed_set(z2_amalgam, W("x"), A, 0)
     assert region.members == (A,) and region.exhaustive_within_radius
     region = fixed_set(z2_amalgam, W("x"), A, 1)
     assert B in region.members and not region.exhaustive_within_radius
 
 def test_axis_examples(z2z3):
-    A, B = base_vertex(z2z3, "A"), base_vertex(z2z3, "B")
+    A, B = base_vertex("A"), base_vertex("B")
     region = axis_window(z2z3, W("a b"), A, 4)
     assert A in region.members and B in region.members
     for v in region.members:
-        assert tree_distance(z2z3, v, act(z2z3, W("a b"), v)) == 2
+        assert tree_distance(v, act(z2z3, W("a b"), v)) == 2
     # one step off the axis: moved by tau + 2
     off = vertex_of(z2z3, "A", W("b"))
     assert off not in region.members
-    assert tree_distance(z2z3, off, act(z2z3, W("a b"), off)) == 4
+    assert tree_distance(off, act(z2z3, W("a b"), off)) == 4
     # axis of h equals axis of h^-1
     inv_region = axis_window(z2z3, W("b^-1 a"), A, 4)
     assert set(region.members) == set(inv_region.members)
@@ -571,7 +571,7 @@ def test_fix_diameter_lb(z2z3, klein):
 
 def test_region_diameter_is_pairwise_max(z2z3, klein, f2_amalgam):
     # random member sets of small balls, most of them disconnected
-    windows = [(spec, sorted(ball(spec, base_vertex(spec), 3, neighbor_cap=3)[0], key=str))
+    windows = [(spec, sorted(ball(spec, base_vertex(), 3, neighbor_cap=3)[0], key=str))
                for spec in (z2z3, klein, f2_amalgam)]
 
     @settings(max_examples=100, deadline=None)
@@ -580,9 +580,9 @@ def test_region_diameter_is_pairwise_max(z2z3, klein, f2_amalgam):
         spec, vertices = data.draw(st.sampled_from(windows))
         members = data.draw(st.lists(st.sampled_from(vertices), unique=True, max_size=12))
         region = VertexRegion(vertices[0], 3, tuple(members), False)
-        pairwise = max((tree_distance(spec, u, v) for u in members for v in members),
+        pairwise = max((tree_distance(u, v) for u in members for v in members),
                        default=-math.inf)
-        assert region_diameter(spec, region) == pairwise
+        assert region_diameter(region) == pairwise
 
     check()
 
@@ -620,7 +620,7 @@ def test_check_acylindricity_validates_inputs(z2z3):
 
 
 def test_windows_reject_negative_radius(z2z3):
-    base = base_vertex(z2z3)
+    base = base_vertex()
     for window in (lambda: ball(z2z3, base, -1), lambda: fixed_set(z2z3, W("a"), radius=-1),
                    lambda: t_set(z2z3, W("a"), radius=-1),
                    lambda: axis_window(z2z3, W("a b"), radius=-1)):
@@ -632,6 +632,6 @@ def test_windows_reject_negative_radius(z2z3):
 def test_region_distance(z2z3):
     f1 = fixed_set(z2z3, W("a"), radius=5)
     f2_ = fixed_set(z2z3, W("b"), radius=5)
-    assert region_distance(z2z3, f1, f2_) == 1
+    assert region_distance(f1, f2_) == 1
     empty = fixed_set(z2z3, W("a b"), radius=5)
-    assert region_distance(z2z3, f1, empty) == math.inf
+    assert region_distance(f1, empty) == math.inf
