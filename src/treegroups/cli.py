@@ -110,10 +110,7 @@ def _cmd_acyl_check(args) -> int:
     from .tree import check_acylindricity
     spec = load_spec(args.group)
     chk = check_acylindricity(spec, args.k, args.length, args.radius)
-    payload = {"verdict": chk.verdict, "k": chk.k, "word_length": chk.word_length,
-               "radius": chk.radius, "witness": None if chk.witness is None else str(chk.witness),
-               "witness_diameter": chk.witness_diameter,
-               "certified": chk.certified, "reason": chk.reason}
+    payload = {**chk._asdict(), "witness": None if chk.witness is None else str(chk.witness)}
     if chk.falsified:
         _emit(payload, f"falsified: witness {chk.witness} has fixed-set "
                        f"diameter {chk.witness_diameter} > {chk.k}", args.json)

@@ -54,16 +54,7 @@ class FreenessWitness(NamedTuple):
     failure: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "claim": self.claim,
-            "generators": [str(w) for w in self.generators],
-            "power_used": self.power_used,
-            "certificate_depth": self.certificate_depth,
-            "certified": self.certified,
-            "branch": self.branch,
-            "failure": self.failure,
-        }
+        return {**self._asdict(), "generators": [str(w) for w in self.generators]}
 
 
 class OverlapReport(NamedTuple):

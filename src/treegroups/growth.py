@@ -111,19 +111,15 @@ def ball_series(kind: str, l1, l2, radius) -> BallCountSeries:
     if r / min(w1, w2) >= MAX_BALL_CELLS:  # the cells (i, 0) or (0, j) alone
         raise ValueError(too_many)
     step = min(l1, l2)
-    count = max(int(radius / step), 3)
-    top = Fraction(count * step)
-    scale = math.lcm(w1.denominator, w2.denominator, top.denominator)
-    a, b, t = int(w1 * scale), int(w2 * scale), int(top * scale)
-    rows = [(t - i * a) // b + 1 for i in range(t // a + 1)]
+    radii = [i * step for i in range(max(int(radius / step), 3) + 1)]
+    exact = [Fraction(x) for x in radii]
+    scale = math.lcm(w1.denominator, w2.denominator, *(x.denominator for x in exact))
+    a, b = int(w1 * scale), int(w2 * scale)
+    scaled = [int(x * scale) for x in exact]
+    rows = [(scaled[-1] - i * a) // b + 1 for i in range(scaled[-1] // a + 1)]
     if sum(rows) > MAX_BALL_CELLS:
         raise ValueError(too_many)
 
-    radii = [i * step for i in range(count + 1)]
-    exact = [Fraction(x) for x in radii]
-    scale = math.lcm(scale, *(x.denominator for x in exact))
-    a, b = int(w1 * scale), int(w2 * scale)
-    scaled = [int(x * scale) for x in exact]
     c, d = _GROWTH_SERIES[kind]
     shells = [0] * len(radii)  # shells[k]: cells above radii[k-1], within radii[k]
     prev: List[int] = []
@@ -230,8 +226,7 @@ def free_group_entropy_root(l1, l2) -> float:
     the weighted free group of rank 2."""
     f1, f2 = _check_weights(l1, l2)
     a, b = float(f1), float(f2)
-    f = lambda e: math.expm1(e * a) * math.expm1(e * b) - 4.0
-    return _solve(f, 1.0 / min(a, b))
+    return _solve(lambda e: free_group_equation_residual(e, a, b), 1.0 / min(a, b))
 
 
 def free_group_equation_residual(root: float, l1, l2) -> float:
@@ -244,8 +239,7 @@ def semigroup_entropy_root(l1, l2) -> float:
     lower bound)."""
     f1, f2 = _check_weights(l1, l2)
     a, b = float(f1), float(f2)
-    f = lambda e: 1.0 - math.exp(-e * a) - math.exp(-e * b)
-    return _solve(f, 1.0 / min(a, b))
+    return _solve(lambda e: semigroup_equation_residual(e, a, b), 1.0 / min(a, b))
 
 
 def semigroup_equation_residual(root: float, l1, l2) -> float:

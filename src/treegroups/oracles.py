@@ -22,16 +22,20 @@ Designated subgroups carry the extra structure amalgams need.  One query,
 ``split(x) -> (rep, cw)``, writes x = rep * embed(cw) with rep the canonical
 representative of the left coset xH (empty exactly when x lies in H) and cw
 a word over the subgroup generators; membership and coset representatives
-are read off it.  Each subgroup also enumerates a transversal and solves
-"which conjugators push this element into the subgroup", which fixed-point
-sets on the coset tree use.
+are read off it.  Each kind lists its canonical coset representatives
+lazily, in one fixed order, through ``cosets()``, and solves "which
+conjugators push this element into the subgroup", which fixed-point sets on
+the coset tree use.  ``_capped`` is the one place a coset or conjugator list
+is cut at a cap and flagged incomplete; ``transversal(cap)`` caps
+``cosets()`` (at ``NEIGHBOR_CAP`` when the index is infinite and no cap is
+given), so a huge finite index costs no more than the cap.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import gcd
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .words import Word, WordError, shortlex, valid_gen_name
 
@@ -42,8 +46,20 @@ if TYPE_CHECKING:
 CWord = Tuple[Tuple[int, int], ...]
 
 
+# longest coset list an infinite-index transversal returns when no cap is
+# given, and the fixed-set walks' default cap
+NEIGHBOR_CAP = 16
+
+
 class OracleError(ValueError):
     """Invalid oracle construction or misuse."""
+
+
+def _capped(items: Iterable, cap: Optional[int]) -> Tuple[list, bool]:
+    """The first ``cap`` items (all when cap is None) and whether that is all
+    of them; reads at most one item past the cap."""
+    head = list(itertools.islice(items, None if cap is None else cap + 1))
+    return head[:cap], cap is None or len(head) <= cap
 
 
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -108,6 +124,7 @@ class DesignatedSubgroup:
     def __init__(self, oracle: "GroupOracle", image_words: Sequence[Word]):
         self.oracle = oracle
         self.image_words = tuple(oracle.canonical(w) for w in image_words)
+        self._transversals: dict = {}  # cap -> (reps, complete)
 
     def split(self, x: Word) -> Tuple[Word, CWord]:
         """Return (rep, cw) with x = rep * embed(cw).
@@ -128,21 +145,33 @@ class DesignatedSubgroup:
         """Subgroup index, or None when infinite."""
         raise NotImplementedError
 
-    def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
-        """Canonical coset reps (possibly truncated); second value = complete."""
+    def cosets(self) -> Iterator[Word]:
+        """The canonical coset reps, one per coset, in this kind's order."""
         raise NotImplementedError
+
+    def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
+        """The first ``cap`` coset reps, and whether they are all of them.
+
+        With no cap an infinite index lists ``NEIGHBOR_CAP`` reps.  The tree
+        walks ask once per vertex, so each cap is built once; callers get a
+        list of their own.
+        """
+        if cap is None and self.index() is None:
+            cap = NEIGHBOR_CAP
+        if cap not in self._transversals:
+            self._transversals[cap] = _capped(self.cosets(), cap)
+        reps, complete = self._transversals[cap]
+        return list(reps), complete
 
     def conjugator_cosets(self, x: Word, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         """All transversal reps t with t^-1 x t in the subgroup.
 
         Returns (reps, complete).  Default implementation, for finite index:
-        scans the whole transversal, keeps at most ``cap`` hits and is
-        complete exactly when none was dropped.
+        scans the whole transversal and keeps at most ``cap`` hits.
         """
         o = self.oracle
-        hits = [t for t in self.transversal()[0]
-                if self.contains(o.canonical(x.conjugated_by(t)))]
-        return hits[:cap], cap is None or len(hits) <= cap
+        return _capped((t for t in self.transversal()[0]
+                        if self.contains(o.canonical(x.conjugated_by(t)))), cap)
 
     def embed(self, cw: CWord) -> Word:
         """Image in the ambient oracle of an abstract subgroup word."""
@@ -185,15 +214,12 @@ class _ResidueSubgroup(DesignatedSubgroup):
             return None if self.modulus == 0 else self.modulus
         return self.d
 
-    def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
+    def cosets(self) -> Iterator[Word]:
         idx = self.index()
-        if idx is not None:
-            reps = [self.oracle._from_exponent(j) for j in range(idx)]
-            return reps[:cap], cap is None or len(reps) <= cap
-        # trivial subgroup of Z: enumerate 0, 1, -1, 2, -2, ...
-        cap = cap if cap is not None else 16
-        return [self.oracle._from_exponent((j + 1) // 2 if j % 2 else -(j // 2))
-                for j in range(cap)], False
+        # the trivial subgroup of Z: 0, 1, -1, 2, -2, ...
+        es = range(idx) if idx is not None else (
+            (j + 1) // 2 if j % 2 else -(j // 2) for j in itertools.count())
+        return map(self.oracle._from_exponent, es)
 
     def conjugator_cosets(self, x: Word, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         # abelian ambient group: t^-1 x t = x for every t
@@ -249,10 +275,9 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
     def index(self) -> Optional[int]:
         return None
 
-    def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
-        cap = cap if cap is not None else 16
+    def cosets(self) -> Iterator[Word]:
         words = map(Word.of, shortlex(self.oracle.gen_names))
-        return list(itertools.islice((w for w in words if self.coset_rep(w) == w), cap)), False
+        return (w for w in words if self.coset_rep(w) == w)
 
     def conjugator_cosets(self, x: Word, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         """Reps t with t^-1 x t in <w>, at most ``cap`` of them.
@@ -278,8 +303,7 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
             g, e = r.letters[0]
             step = Word.gen(g, 1 if e > 0 else -1)
             q, r = q * step, step.inverse() * r * step
-        reps = up + down[:1] + down[:0:-1]
-        return reps[:cap], cap is None or len(reps) <= cap
+        return _capped(up + down[:1] + down[:0:-1], cap)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,8 @@ class _TableSubgroup(DesignatedSubgroup):
     def index(self) -> Optional[int]:
         return self.oracle.order() // len(self._decomp)
 
-    def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
-        reps = list(self._reps)
-        return reps[:cap], cap is None or len(reps) <= cap
+    def cosets(self) -> Iterator[Word]:
+        return iter(self._reps)
 
 
 class _LatticeSubgroup(DesignatedSubgroup):
@@ -94,7 +93,6 @@ class _LatticeSubgroup(DesignatedSubgroup):
         self.pivots = pivots
         self.n = n
         self.k = k
-        self._transversals: dict = {}  # cap -> (reps, complete)
 
     def _split_vector(self, vec: Sequence[int]) -> Tuple[List[int], List[int]]:
         """(remainder, coeffs) with vec = remainder + sum coeffs[j] * generator j;
@@ -120,33 +118,23 @@ class _LatticeSubgroup(DesignatedSubgroup):
             out *= self.rows[r][c]
         return out
 
-    def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
-        # the tree walks ask once per vertex; callers get a list of their own
-        if cap not in self._transversals:
-            self._transversals[cap] = self._build_transversal(cap)
-        reps, complete = self._transversals[cap]
-        return list(reps), complete
-
-    def _build_transversal(self, cap: Optional[int]) -> Tuple[List[Word], bool]:
+    def cosets(self) -> Iterator[Word]:
+        """The diagonal box for a finite index, else shells of growing
+        sup-norm in Z^n, each canonical point listed once."""
         if self.index() is not None:
             diag = {c: self.rows[r][c] for r, c in self.pivots}
-            combos = itertools.product(*(range(diag[c]) for c in range(self.n)))
-            reps = [self.oracle._from_vector(self._split_vector(combo)[0]) for combo in
-                    itertools.islice(combos, None if cap is None else cap + 1)]
-            return reps[:cap], cap is None or len(reps) <= cap
-        cap = cap if cap is not None else 32
-        reps: List[Word] = []
+            for combo in itertools.product(*(range(diag[c]) for c in range(self.n))):
+                yield self.oracle._from_vector(self._split_vector(combo)[0])
+            return
         seen = set()
         for shell in itertools.count(0):
             for combo in itertools.product(range(-shell, shell + 1), repeat=self.n):
-                if len(reps) >= cap:
-                    return reps, False
                 if max((abs(a) for a in combo), default=0) != shell:
                     continue
                 key = tuple(self._split_vector(combo)[0])
                 if key not in seen:
                     seen.add(key)
-                    reps.append(self.oracle._from_vector(key))
+                    yield self.oracle._from_vector(key)
 
     conjugator_cosets = _ResidueSubgroup.conjugator_cosets  # Z^n is abelian too
 

@@ -22,10 +22,13 @@ BFS, ``_walk``, of at most ``MAX_WINDOW_VERTICES`` vertices, and every
 window carries an exhaustiveness flag.  Classify's elliptic witness is the
 projection of the base onto the subtree Fix(g) (Serre, Trees, §I.6), so
 each fixed v has d(base, v) = d(base, start) + d(start, v), and the walk
-from it carries x_v = rep(v)^-1 g rep(v) in v's factor X: the fixed children
-are the cosets tC with t^-1 x_v t in C, and if (., cw) = split_X(t^-1 x_v t)
-a child's element is embed_Y(cw), or s embed_Y(cw) s^-1 for t = 1 and v's
-last syllable s.
+from it carries x_v = rep(v)^-1 g rep(v) in v's factor X.  One child rule,
+``_moves``, serves every walk: the fixed children are the cosets tC with
+t^-1 x_v t in C, and if (., cw) = split_X(t^-1 x_v t) a child's element is
+embed_Y(cw), or s embed_Y(cw) s^-1 for t = 1 and v's last syllable s.  A
+ball is the walk of Fix(1) from its centre: every coset conjugates 1 into
+C, so the children are the capped transversal, and the state stays 1, so
+a ball computes no normal form.
 """
 
 from __future__ import annotations
@@ -33,14 +36,12 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from .oracles import NEIGHBOR_CAP
 from .splitting import SIDE_A, SplittingSpec, Syllable, other_side
 from .words import Word, shortlex
 
 # most vertices a windowed walk collects before it reports an incomplete window
 MAX_WINDOW_VERTICES = 200_000
-# longest conjugator list a fixed-set walk expands per vertex before it
-# reports an incomplete window
-NEIGHBOR_CAP = 16
 
 
 class TreeVertex(NamedTuple):
@@ -151,13 +152,6 @@ def classify(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None) ->
 # ---------------------------------------------------------------------------
 
 
-def neighbors(spec: SplittingSpec, v: TreeVertex,
-              cap: Optional[int] = None) -> Tuple[List[TreeVertex], bool]:
-    """Adjacent vertices (cosets s*t*OtherSide over the edge transversal)."""
-    reps, complete = spec.subgroup(v.side).transversal(cap)
-    return [_neighbor(v, t) for t in reps], complete
-
-
 def _neighbor(v: TreeVertex, t: Word) -> TreeVertex:
     """The neighbour s*t*Y of v = (X, s), for a canonical coset rep t of C in X:
     (Y, s[:-1]) when t = 1, else (Y, s + (t,))."""
@@ -166,8 +160,33 @@ def _neighbor(v: TreeVertex, t: Word) -> TreeVertex:
     return TreeVertex(other_side(v.side), v.syllables + (Syllable(v.side, t),))
 
 
+def _moves(spec: SplittingSpec, cap: Optional[int]) -> Callable:
+    """The child rule of every walk: ``children(v, x, seen)`` lists the
+    (child, x_child) pairs of a vertex v fixed by an element acting as x in
+    v's factor, the children not in ``seen``, at most ``cap`` conjugator
+    cosets per vertex; the module docstring sets out the rule.  When x is 1
+    every child's element is 1, and no split is made."""
+    def children(v, x, seen):
+        sub, side = spec.subgroup(v.side), other_side(v.side)
+        ts, complete = sub.conjugator_cosets(x, cap)
+        kids = []
+        for t in ts:
+            kid = _neighbor(v, t)
+            if kid in seen:
+                continue
+            y = x
+            if not x.is_empty:
+                y = spec.subgroup(side).embed(sub.split(x.conjugated_by(t))[1])
+                if t.is_empty and v.syllables:  # the step drops v's last syllable
+                    s = v.syllables[-1].word
+                    y = spec.factor(side).canonical(s * y * s.inverse())
+            kids.append((kid, y))
+        return kids, complete
+    return children
+
+
 def _walk(start: TreeVertex, levels: int, children: Callable,
-          state: object = None) -> Tuple[Dict[TreeVertex, int], bool]:
+          state: Word) -> Tuple[Dict[TreeVertex, int], bool]:
     """Depth-bounded BFS from start: ({vertex: depth}, complete).
 
     ``children(v, state, seen)`` gives v's (child, child_state) pairs not in
@@ -200,12 +219,10 @@ def check_nonnegative(name: str, value: int) -> None:
 
 def ball(spec: SplittingSpec, center: TreeVertex, radius: int,
          neighbor_cap: Optional[int] = None) -> Tuple[Dict[TreeVertex, int], bool]:
-    """BFS ball as {vertex: distance}; second value reports completeness."""
+    """BFS ball as {vertex: distance}, the walk of Fix(1); second value
+    reports completeness."""
     check_nonnegative("window radius", radius)
-    def children(v, _, seen):
-        nbs, complete = neighbors(spec, v, neighbor_cap)
-        return [(nb, None) for nb in nbs if nb not in seen], complete
-    return _walk(center, radius, children)
+    return _walk(center, radius, _moves(spec, neighbor_cap), Word())
 
 
 def _region(base: TreeVertex, radius: int, dist: Dict[TreeVertex, int],
@@ -257,22 +274,8 @@ def _fixed_window(spec: SplittingSpec, g: Word, base: TreeVertex, radius: int,
     d0 = tree_distance(base, start)
     if cls.is_hyperbolic or d0 > radius:
         return {}, True
-
-    def children(v, x, seen):
-        sub, side = spec.subgroup(v.side), other_side(v.side)
-        ts, complete = sub.conjugator_cosets(x, neighbor_cap)
-        kids = []
-        for t in ts:
-            kid = _neighbor(v, t)
-            if kid not in seen:
-                y = spec.subgroup(side).embed(sub.split(x.conjugated_by(t))[1])
-                if t.is_empty and v.syllables:  # the step drops v's last syllable
-                    s = v.syllables[-1].word
-                    y = spec.factor(side).canonical(s * y * s.inverse())
-                kids.append((kid, y))
-        return kids, complete
-
-    depth, complete = _walk(start, radius - d0, children, _factor_element(spec, start, g))
+    depth, complete = _walk(start, radius - d0, _moves(spec, neighbor_cap),
+                            _factor_element(spec, start, g))
     return {v: d0 + d for v, d in depth.items()}, complete
 
 

@@ -18,7 +18,7 @@ from treegroups.bounds import (SMALL_X_THRESHOLD, build_bounds_report,
 def mp_s0(x: float) -> float:
     """Independent 50-digit oracle for log(1 + 4/(e^x - 1))."""
     with mpmath.workdps(50):
-        return float(mpmath.log(1 + 4 / mpmath.expm1(mpmath.mpf(x))))
+        return float(mpmath.log1p(4 / mpmath.expm1(mpmath.mpf(x))))
 
 
 def mp_exact(x: float) -> float:
@@ -62,6 +62,8 @@ def test_s0_smaller_entropy():
 
 def test_s0_k0():
     assert s0_general(1.0, 1.0, 0) == pytest.approx(mp_s0(10.0), rel=1e-12)
+    oracle = mp_s0(120.0)  # past the trigger: the 60-digit path
+    assert abs(s0_general(1.0, 12.0, 0) - oracle) <= 1e-12 * oracle
     assert s0_general(1.0, 1.0, 0) == pytest.approx(1.81591e-4, rel=1e-4)
 
 

@@ -229,14 +229,14 @@ def test_lattice_transversal_is_built_once_per_cap(monkeypatch):
     for gens in (["x^2", "y^2"], ["x"]):  # finite and infinite index
         lat = z2.designated_subgroup([W(g) for g in gens])
         builds = []
-        build = lat._build_transversal
-        monkeypatch.setattr(lat, "_build_transversal",
-                            lambda cap: builds.append(cap) or build(cap))
+        cosets = lat.cosets
+        monkeypatch.setattr(lat, "cosets", lambda: builds.append(1) or cosets())
         for cap in (None, 3, None, 3):
             reps, _ = lat.transversal(cap)
             reps.clear()  # must not reach the next call
-            assert lat.transversal(cap) == build(cap)
-        assert builds == [None, 3]
+            fresh = z2.designated_subgroup([W(g) for g in gens]).transversal(cap)
+            assert lat.transversal(cap) == fresh
+        assert len(builds) == 2  # one build per cap
 
 
 def test_table_transversal_is_read_off_the_splits():

@@ -9,18 +9,28 @@ from hypothesis import strategies as st
 
 from treegroups import tree
 from treegroups.oracles import make_cyclic, make_free, make_table
-from treegroups.splitting import SplittingSpec, other_side
+from treegroups.splitting import SplittingSpec, Syllable, other_side
 from treegroups.tree import (EllipticElementError, TreeVertex, VertexRegion,
                              act, axis_window, ball, base_vertex,
                              check_acylindricity, classify, element_order,
-                             fix_diameter_lb, fixed_set, geodesic, neighbors,
-                             on_axis, region_diameter, region_distance, t_set,
+                             fix_diameter_lb, fixed_set, geodesic, on_axis,
+                             region_diameter, region_distance, t_set,
                              tree_distance, vertex_of)
 from treegroups.words import Word
 
 from conftest import min_displacement_bruteforce, random_elliptic, random_word
 
 W = Word.parse
+
+
+def neighbors(spec, v, cap=None):
+    """Reference adjacency for the plain BFS oracles below, read off the
+    edge transversal: v = (X, s) is joined to s*t*Y, which is (Y, s[:-1])
+    for t = 1 and (Y, s + (t,)) otherwise."""
+    reps, complete = spec.subgroup(v.side).transversal(cap)
+    side = other_side(v.side)
+    return [TreeVertex(side, v.syllables[:-1] if t.is_empty
+                       else v.syllables + (Syllable(v.side, t),)) for t in reps], complete
 
 
 def bfs_distance(spec, u, v, neighbor_cap=None, limit=24):
@@ -200,6 +210,8 @@ def test_trie_metric_matches_normal_forms(z2z3, klein, f2_amalgam, z2_amalgam, d
     assert tree_distance(u, v) == nf_distance(spec, u, v)
     assert geodesic(u, v) == nf_geodesic(spec, u, v)
     assert neighbors(spec, u, 6) == nf_neighbors(spec, u, 6)
+    unit_ball, complete = ball(spec, u, 1, neighbor_cap=6)
+    assert (list(unit_ball)[1:], complete) == nf_neighbors(spec, u, 6)
 
 
 def test_trie_metric_makes_no_normal_form(z2z3, klein, f2_amalgam, z2_amalgam,
@@ -369,6 +381,17 @@ def test_fixed_set_identity_flags_truncation(f2_amalgam):
     region = fixed_set(f2_amalgam, Word(), radius=2, neighbor_cap=6)
     assert not region.exhaustive_within_radius
     assert len(region.members) > 1
+
+
+def test_huge_cyclic_order_reads_only_the_capped_cosets():
+    # Z/10^12 * Z/2: the trivial edge group has index 10^12 in Z/10^12; a
+    # capped list reads one coset past the cap, not all 10^12 of them
+    spec = SplittingSpec("free_product", make_cyclic(10 ** 12, "a", "A"),
+                         make_cyclic(2, "b", "B"))
+    reps, complete = spec.sub_a.transversal(16)
+    assert len(reps) == 16 and not complete
+    region = fixed_set(spec, Word(), radius=1)
+    assert len(region.members) == 17 and not region.exhaustive_within_radius
 
 
 def test_fixed_set_table_exact_despite_capped_transversal():
