@@ -117,9 +117,6 @@ class CaseComparison(NamedTuple):
     threshold_implication: Optional[bool]  # None when k = 0
     small_x_auxiliary: Optional[bool]  # None when x > 21/125
 
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
 
 def compare_case_bounds(E: float, D: float, k: int) -> CaseComparison:
     """Compare the proof's branch bounds; the headline bound stays s0_general

@@ -172,7 +172,7 @@ def _cmd_entropy(args) -> int:
         "weights": [l1, l2],
         "radii": list(series.radii),
         "counts": list(series.counts),
-        "estimate": est.to_json_dict(),
+        "estimate": est._asdict(),
         "analytic_root": {"value": root, "residual": root_est.residual},
         "bcg_lower_bound": bcg_lower_bound(l1, l2),
     }
@@ -187,7 +187,7 @@ def _cmd_bounds(args) -> int:
                                  n=args.dim, C_n=args.cn)
     payload = report.to_json_dict()
     payload["comparison"] = compare_case_bounds(args.entropy, args.diam,
-                                                args.k).to_json_dict()
+                                                args.k)._asdict()
     human = (f"s0={report.s0_general:.6g}  volume>={report.volume_lb:.6g}  "
              f"delta0={report.delta0:.6g}  (k={args.k})")
     _emit(payload, human, args.json)
@@ -198,7 +198,7 @@ def _cmd_dichotomy(args) -> int:
     from .manifolds import classify_manifold, load_manifold, systole_bound_for
     desc = load_manifold(args.manifold)
     verdict = classify_manifold(desc)
-    payload = verdict.to_json_dict()
+    payload = verdict._asdict()  # json writes the conflict_notes tuple as a list
     if verdict.is_acylindrical and args.entropy is not None and args.diam is not None:
         report = systole_bound_for(desc, args.entropy, args.diam,
                                    C_n=args.cn, n=args.dim)

@@ -5,9 +5,10 @@ Ball counts come from one pass of the growth-series recurrence in exact
 integer arithmetic: weights and radii are converted to Fractions (floats
 convert exactly through as_integer_ratio) and scaled by their common
 denominator, so counts can be compared verbatim against brute-force
-enumeration.  The analytic roots are solved by bisection with geometric
-bracket growth, and the semigroup lower bound by golden-section search on its
-unimodal objective.
+enumeration.  Both analytic roots come from one bisection on the closed-form
+bracket [log c / max(l1, l2), log c / min(l1, l2)] (c = 3 for the free group,
+2 for the free semigroup), run to adjacent doubles.  The semigroup lower
+bound is the semigroup root itself, by the Gibbs variational principle.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import itertools
 import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # most (i, j) cells ``ball_series`` fills; its time grows with the cell count
 # and the bit length of the counts (0.13 s at 180,000 cells of weight 1, about
@@ -68,9 +67,6 @@ class EntropyEstimate(NamedTuple):
     method: str  # dp_exact | analytic_root
     radius_used: float
     residual: Optional[float] = None
-
-    def to_json_dict(self) -> dict:
-        return self._asdict()
 
 
 # ---------------------------------------------------------------------------
@@ -191,70 +187,71 @@ def monotonicity_check(series1: BallCountSeries, series2: BallCountSeries) -> bo
 # ---------------------------------------------------------------------------
 
 
-def _bisect_increasing(f, lo: float, hi: float) -> float:
-    """Root of increasing f with f(lo) <= 0 <= f(hi), to relative tolerance 1e-15.
+def free_group_equation_residual(root: float, l1, l2) -> float:
+    """(1 - e^{-E l1})(1 - e^{-E l2}) - 4 e^{-E(l1+l2)}: the free-group
+    equation times e^{-E(l1+l2)}, strictly increasing in E, in [-4, 1] and
+    free of overflow and cancellation."""
+    a, b = float(l1), float(l2)
+    return math.expm1(-root * a) * math.expm1(-root * b) - 4.0 * math.exp(-root * (a + b))
 
-    That is machine precision: the defining equations have O(10) derivatives
-    at their roots, and reported residuals must stay below 1e-12."""
-    for _ in range(260):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * max(abs(mid), 1e-300):
-            return mid
-        if f(mid) < 0.0:
-            lo = mid
-        else:
+
+def semigroup_equation_residual(root: float, l1, l2) -> float:
+    """(1 - e^{-E l_min}) - e^{-E l_max}: the semigroup equation, strictly
+    increasing in E, with expm1 on the smaller weight, whose term is the
+    larger one."""
+    lo, hi = sorted((float(l1), float(l2)))
+    return -math.expm1(-root * lo) - math.exp(-root * hi)
+
+
+# kind -> (c, residual): with equal weights l the entropy is log(c) / l
+_ROOTS = {"group": (3, free_group_equation_residual),
+          "semigroup": (2, semigroup_equation_residual)}
+
+
+def _root(kind: str, l1, l2) -> float:
+    """The least double E at which the kind's residual is >= 0.
+
+    The root lies in [log c / l_max, log c / l_min].  At E = log c / l the
+    weight l gives its equal-weight root value, e^{E l} - 1 = 2 for the
+    group (c = 3) and e^{-E l} = 1/2 for the semigroup (c = 2).  At the
+    lower end the other weight is l_min, so its factor e^{E l_min} - 1 is
+    <= 2 (its term e^{-E l_min} is >= 1/2) and the residual is <= 0; at the
+    upper end the other weight is l_max and the residual is >= 0.  So
+    bisection needs no bracket search, and it stops when the ends are
+    adjacent doubles.  A weight so small that the upper end is not finite
+    raises ValueError.
+    """
+    if kind not in _ROOTS:
+        raise ValueError(f"unknown kind {kind!r}")
+    c, residual = _ROOTS[kind]
+    a, b = map(float, _check_weights(l1, l2))
+    lo, hi = math.log(c) / max(a, b), math.log(c) / min(a, b)
+    if not math.isfinite(hi):
+        raise ValueError(f"weights ({l1}, {l2}) put the entropy beyond the "
+                         "largest float")
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        if residual(mid, a, b) >= 0.0:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _solve(f, scale: float) -> float:
-    lo = 1e-9
-    while f(lo) > 0.0:
-        lo /= 16.0
-        if lo < 1e-300:
-            raise ArithmeticError("no positive root bracket found")
-    hi = scale
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ArithmeticError("no positive root bracket found")
-    return _bisect_increasing(f, lo, hi)
+        else:
+            lo = mid
+    return lo if residual(lo, a, b) >= 0.0 else hi
 
 
 def free_group_entropy_root(l1, l2) -> float:
     """The unique E > 0 with (e^{E l1} - 1)(e^{E l2} - 1) = 4: the entropy of
     the weighted free group of rank 2."""
-    f1, f2 = _check_weights(l1, l2)
-    a, b = float(f1), float(f2)
-    return _solve(lambda e: free_group_equation_residual(e, a, b), 1.0 / min(a, b))
-
-
-def free_group_equation_residual(root: float, l1, l2) -> float:
-    return math.expm1(root * float(l1)) * math.expm1(root * float(l2)) - 4.0
+    return _root("group", l1, l2)
 
 
 def semigroup_entropy_root(l1, l2) -> float:
     """The unique E > 0 with e^{-E l1} + e^{-E l2} = 1: the exact growth rate
-    of the weighted free semigroup of rank 2 (independent oracle for the
-    lower bound)."""
-    f1, f2 = _check_weights(l1, l2)
-    a, b = float(f1), float(f2)
-    return _solve(lambda e: semigroup_equation_residual(e, a, b), 1.0 / min(a, b))
-
-
-def semigroup_equation_residual(root: float, l1, l2) -> float:
-    return 1.0 - math.exp(-root * float(l1)) - math.exp(-root * float(l2))
+    of the weighted free semigroup of rank 2."""
+    return _root("semigroup", l1, l2)
 
 
 def analytic_root_estimate(kind: str, l1, l2) -> EntropyEstimate:
-    if kind == "group":
-        root = free_group_entropy_root(l1, l2)
-        res = free_group_equation_residual(root, l1, l2)
-    elif kind == "semigroup":
-        root = semigroup_entropy_root(l1, l2)
-        res = semigroup_equation_residual(root, l1, l2)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    root = _root(kind, l1, l2)
+    res = _ROOTS[kind][1](root, l1, l2)
     return EntropyEstimate(root, root, "analytic_root", math.inf, res)
 
 
@@ -272,30 +269,16 @@ def bcg_objective(a: float, l1, l2) -> float:
 
 
 def bcg_lower_bound(l1, l2) -> float:
-    """sup over a in (0, inf) of the semigroup-entropy objective, by
-    golden-section search to a bracket of width 1e-10 after geometric bracket
-    growth (the objective is strictly unimodal, vanishing at both ends)."""
-    _check_weights(l1, l2)
-    f = lambda a: bcg_objective(a, l1, l2)
-    lo, mid, hi = 1e-8, 1.0, 2.0
-    while f(hi) > f(mid):
-        lo, mid, hi = mid, hi, hi * 2.0
-        if hi > 1e12:
-            raise ArithmeticError("objective failed to turn over")
-    while f(lo) > f(mid):
-        lo, mid, hi = lo / 2.0, lo, mid
-        if lo < 1e-300:
-            raise ArithmeticError("objective failed to turn over")
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-10:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return f(0.5 * (lo + hi))
+    """sup over a > 0 of ``bcg_objective``, which is the semigroup root.
+
+    With p = 1/(1+a) the objective is H(p) / (p l1 + (1-p) l2), where
+    H(p) = -p log p - (1-p) log(1-p): the entropy of a two-letter
+    distribution per unit of weighted length.  For any p and E,
+    H(p) - E (p l1 + (1-p) l2) = sum p_i log(e^{-E l_i} / p_i)
+    <= log(e^{-E l1} + e^{-E l2}) by Jensen, with equality iff
+    p_i = e^{-E l_i} / (e^{-E l1} + e^{-E l2}).  At the semigroup root E the
+    right side is log 1 = 0, so the objective is <= E everywhere and equals
+    E at p_i = e^{-E l_i}, that is at a* = e^{-E (l2 - l1)} (the Gibbs
+    variational principle).  So the sup is attained and is the root.
+    """
+    return semigroup_entropy_root(l1, l2)

@@ -180,9 +180,6 @@ class DichotomyVerdict(NamedTuple):
     def is_acylindrical(self) -> bool:
         return self.verdict == "acylindrical"
 
-    def to_json_dict(self) -> dict:
-        return self._asdict()  # json writes the conflict_notes tuple as a list
-
 
 # ---------------------------------------------------------------------------
 # the decision procedure

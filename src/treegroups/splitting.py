@@ -151,12 +151,6 @@ class SplittingSpec:
     def subgroup(self, side: str) -> DesignatedSubgroup:
         return self.sub_a if side == SIDE_A else self.sub_b
 
-    def side_of(self, gen_name: str) -> str:
-        try:
-            return self._side_of[gen_name]
-        except KeyError:
-            raise WordError(f"generator {gen_name!r} is foreign to this splitting")
-
     @property
     def gen_names(self) -> Tuple[str, ...]:
         return self.factor_a.gen_names + self.factor_b.gen_names
@@ -206,7 +200,7 @@ class SplittingSpec:
         run: List = []
         run_side = None
         for name, exp in self.resolve_word(w).letters:
-            side = self.side_of(name)
+            side = self._side_of[name]
             if side != run_side and run:
                 runs.append((run_side, Word.of(run)))
                 run = []
@@ -218,11 +212,10 @@ class SplittingSpec:
 
     def _push(self, syllables: List[Syllable], tail: CWord, side: str,
               piece: Word) -> CWord:
-        factor = self.factor(side)
         sub = self.subgroup(side)
-        y = factor.multiply(sub.embed(tail), piece)
+        y = sub.embed(tail) * piece
         if syllables and syllables[-1].side == side:
-            y = factor.multiply(syllables.pop().word, y)
+            y = syllables.pop().word * y
         rep, tail = sub.split(y)
         if not rep.is_empty:
             syllables.append(Syllable(side, rep))

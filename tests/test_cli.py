@@ -210,6 +210,17 @@ def test_entropy_command(capsys):
     assert json.loads(out)["counts"][:3] == [1, 3, 7]
 
 
+def test_entropy_roots_of_far_apart_weights(capsys):
+    rc, out, _ = invoke(capsys, "entropy", "--l1", "1", "--l2", "1000", "--json")
+    assert rc == EXIT_OK
+    assert abs(json.loads(out)["analytic_root"]["residual"]) <= 1e-12
+    rc, out, _ = invoke(capsys, "entropy", "--kind", "semigroup", "--l1", "1e-12",
+                        "--l2", "1e12", "--radius", "0", "--json")
+    assert rc == EXIT_OK
+    root = json.loads(out)["analytic_root"]["value"]
+    assert abs(root - 5.132388597450658e-11) <= 1e-13 * 5.132388597450658e-11
+
+
 def test_dichotomy_bound_attachment(capsys):
     rc, out, _ = invoke(capsys, "dichotomy", data("two_hyperbolic_jsj.json"),
                         "--entropy", "1", "--diam", "1", "--json")

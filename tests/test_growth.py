@@ -1,8 +1,10 @@
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,13 @@ from treegroups.growth import (BallCountSeries, analytic_root_estimate,
                                semigroup_equation_residual)
 
 WEIGHT_GRID = [Fraction(1, 2), Fraction(1), Fraction(2)]
+
+# 300 seeded log-uniform weight pairs in [1e-2, 1e2], and pairs whose weights
+# lie far apart
+_rng = random.Random(17)
+ROOT_PAIRS = ([(10.0 ** _rng.uniform(-2, 2), 10.0 ** _rng.uniform(-2, 2))
+               for _ in range(300)]
+              + [(1.0, 1000.0), (0.01, 100.0), (1e-6, 1e6), (1e-12, 1e12)])
 
 
 # -- brute-force enumeration oracles (independent of the DP) -------------------
@@ -240,6 +249,43 @@ def test_analytic_root_estimate_wrapper():
         analytic_root_estimate("monoid", 1, 1)
 
 
+def mp_root(kind, l1, l2) -> float:
+    """Independent 60-digit bisection on the paper's form of the equation,
+    (e^{E l1} - 1)(e^{E l2} - 1) = 4 or e^{-E l1} + e^{-E l2} = 1, started
+    from a bracket wide enough for any positive weights and run until it is
+    2^-80 relative."""
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(l1), mpmath.mpf(l2)
+        if kind == "group":
+            f = lambda e: mpmath.expm1(e * a) * mpmath.expm1(e * b) - 4
+        else:
+            f = lambda e: 1 - mpmath.exp(-e * a) - mpmath.exp(-e * b)
+        lo, hi = mpmath.mpf(0.5) / max(a, b), mpmath.mpf(2) / min(a, b)
+        assert f(lo) < 0 < f(hi)
+        while hi - lo > hi * mpmath.mpf(2) ** -80:
+            mid = (lo + hi) / 2
+            if f(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(hi)
+
+
+@pytest.mark.parametrize("kind,root", [("group", free_group_entropy_root),
+                                       ("semigroup", semigroup_entropy_root)])
+def test_roots_within_4_ulps_of_60_digit_bisection(kind, root):
+    for l1, l2 in ROOT_PAIRS:
+        expected = mp_root(kind, l1, l2)
+        got = root(l1, l2)
+        assert abs(got - expected) <= 4 * math.ulp(expected), (l1, l2, got, expected)
+
+
+def test_root_of_subnormal_weight_is_an_input_error():
+    for kind in ("group", "semigroup"):
+        with pytest.raises(ValueError, match="largest float"):
+            analytic_root_estimate(kind, 1e-320, 1.0)
+
+
 # -- the semigroup lower bound -----------------------------------------------------
 
 def test_bcg_unit_weights_is_log2():
@@ -247,8 +293,8 @@ def test_bcg_unit_weights_is_log2():
 
 
 def test_bcg_below_semigroup_root_on_grid():
-    # the sup equals the semigroup growth rate analytically; numerically the
-    # two solvers may land on either side by ~1e-12
+    # the sup is the semigroup growth rate (Gibbs variational principle), so
+    # it is at most the root and equals log 2 / l at equal weights l
     for l1 in WEIGHT_GRID:
         for l2 in WEIGHT_GRID:
             bcg = bcg_lower_bound(l1, l2)
@@ -260,13 +306,24 @@ def test_bcg_below_semigroup_root_on_grid():
 
 
 def test_bcg_objective_unimodal_on_grid():
-    # guard for the golden-section search
+    # the objective rises to its sup at a* = e^{-E (l2 - l1)}, then falls
     for l1, l2 in itertools.product(WEIGHT_GRID, repeat=2):
         values = [bcg_objective(10.0 ** e, l1, l2)
                   for e in [i / 8.0 for i in range(-48, 49)]]
         rises = [i for i in range(1, len(values)) if values[i] > values[i - 1]]
         falls = [i for i in range(1, len(values)) if values[i] < values[i - 1]]
         assert not rises or not falls or max(rises) < min(falls)
+
+
+def test_bcg_is_the_semigroup_root_and_the_sup_of_the_objective():
+    rng = random.Random(7)
+    for l1, l2 in ROOT_PAIRS[:60] + [(1.0, 2.0), (0.8, 1.3)]:
+        e = semigroup_entropy_root(l1, l2)
+        assert bcg_lower_bound(l1, l2) == e
+        for a in (10.0 ** rng.uniform(-6, 6) for _ in range(20)):
+            assert bcg_objective(a, l1, l2) <= e * (1 + 1e-12)
+        a_star = math.exp(-e * (l2 - l1))
+        assert abs(bcg_objective(a_star, l1, l2) - e) <= 1e-12 * e
 
 
 def test_bcg_proof_step_inequality():
