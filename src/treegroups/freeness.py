@@ -7,9 +7,9 @@ axis overlap, p = 3 for large overlap.  Every witness is certified by a
 bounded-depth normal-form check: no nontrivial alternating word in the
 witnesses of letter budget <= depth evaluates to the identity (semigroup
 claims: all positive words up to the depth stay pairwise distinct).  Each
-node of the search extends its parent's normal form by one witness power
-(``SplittingSpec.extend``); each power is split into runs once per
-certificate, so a node costs one power's pushes.  The certificate refutes
+node of the search extends its parent's normal form by the normal form of
+one witness power, computed once per certificate (``SplittingSpec.extend``),
+so a node costs its junction's cancellation, not the power.  It refutes
 non-freeness up to that depth; it is a guard, not a proof; the freeness
 statements themselves come from acylindricity, the certificate only guards
 the computation.
@@ -96,7 +96,7 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
     orders = (element_order(spec, w1), element_order(spec, w2))
     powers = tuple({exp: w ** exp for exp in _exponent_range(order, depth)}
                    for w, order in zip((w1, w2), orders))
-    runs = tuple({exp: spec.runs(power) for exp, power in ps.items()} for ps in powers)
+    forms = tuple({exp: spec.normal_form(power) for exp, power in ps.items()} for ps in powers)
 
     def descend(nf: NormalForm, path: Tuple[Word, ...], last: Optional[int],
                 budget: int) -> Optional[str]:
@@ -105,7 +105,7 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
                 continue
             for exp in _exponent_range(orders[i], budget):
                 power = powers[i][exp]
-                nf2 = spec.extend(nf, runs[i][exp])
+                nf2 = spec.extend(nf, forms[i][exp])
                 if nf2.is_trivial:
                     prefix = Word.of(letter for p in path for letter in p.letters)
                     return f"W{i + 1}^{exp} after {prefix}"
@@ -126,12 +126,12 @@ def certify_free_semigroup(spec: SplittingSpec, w1: Word, w2: Word,
     empty = spec.normal_form(Word())
     seen = {empty: ""}
     frontier: List[Tuple[str, NormalForm]] = [("", empty)]
-    gens = (("1", spec.runs(w1)), ("2", spec.runs(w2)))
+    gens = (("1", spec.normal_form(w1)), ("2", spec.normal_form(w2)))
     for _ in range(depth):
         nxt = []
         for label, nf in frontier:
-            for tag, runs in gens:
-                lab2, nf2 = label + tag, spec.extend(nf, runs)
+            for tag, form in gens:
+                lab2, nf2 = label + tag, spec.extend(nf, form)
                 if nf2 in seen:
                     return False, f"W{lab2} collides with W{seen[nf2]}"
                 seen[nf2] = lab2

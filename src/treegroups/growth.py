@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -218,17 +219,23 @@ def _root(kind: str, l1, l2) -> float:
     <= 2 (its term e^{-E l_min} is >= 1/2) and the residual is <= 0; at the
     upper end the other weight is l_max and the residual is >= 0.  So
     bisection needs no bracket search, and it stops when the ends are
-    adjacent doubles.  A weight so small that the upper end is not finite
-    raises ValueError.
+    adjacent doubles.  Weights past the float range, or so far apart that
+    E l_min >= lo l_min underflows (the residual would read 0 short of the
+    root), raise ValueError; else the upper end is finite.
     """
     if kind not in _ROOTS:
         raise ValueError(f"unknown kind {kind!r}")
     c, residual = _ROOTS[kind]
-    a, b = map(float, _check_weights(l1, l2))
-    lo, hi = math.log(c) / max(a, b), math.log(c) / min(a, b)
-    if not math.isfinite(hi):
-        raise ValueError(f"weights ({l1}, {l2}) put the entropy beyond the "
-                         "largest float")
+    try:
+        a, b = map(float, _check_weights(l1, l2))
+    except OverflowError:
+        raise ValueError(f"weights ({l1}, {l2}) lie beyond the largest float") from None
+    lo = math.log(c) / max(a, b)
+    if lo * min(a, b) < sys.float_info.min:
+        raise ValueError(f"weights ({l1}, {l2}) lie too far apart: E times the "
+                         "smaller weight falls below the least normal float, "
+                         "or E beyond the largest float")
+    hi = math.log(c) / min(a, b)
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
         if residual(mid, a, b) >= 0.0:
             hi = mid

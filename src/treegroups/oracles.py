@@ -29,6 +29,10 @@ the coset tree use.  ``_capped`` is the one place a coset or conjugator list
 is cut at a cap and flagged incomplete; ``transversal(cap)`` caps
 ``cosets()`` (at ``NEIGHBOR_CAP`` when the index is infinite and no cap is
 given), so a huge finite index costs no more than the cap.
+
+Words are checked where they enter: every public oracle and subgroup method
+rejects a foreign generator with a ``WordError``.  Each kind implements the
+unchecked ``_reduce`` and ``_split``, which internal code and ``embed`` use.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ class DesignatedSubgroup:
 
     ``image_words`` are the canonical images of the abstract subgroup
     generators inside the ambient oracle.  Each kind implements only
-    ``split``; membership and coset representatives read it.
+    ``_split``; ``split``, membership and coset representatives read it.
     """
 
     def __init__(self, oracle: "GroupOracle", image_words: Sequence[Word]):
@@ -133,6 +137,10 @@ class DesignatedSubgroup:
         empty exactly when x lies in H; cw, over the subgroup generators, is
         how amalgam tails cross sides.  One normal-form step is one split.
         """
+        return self._split(self.oracle._check(x))
+
+    def _split(self, x: Word) -> Tuple[Word, CWord]:
+        """``split`` for any word over the ambient generators, unchecked."""
         raise NotImplementedError
 
     def contains(self, x: Word) -> bool:
@@ -169,13 +177,15 @@ class DesignatedSubgroup:
         Returns (reps, complete).  Default implementation, for finite index:
         scans the whole transversal and keeps at most ``cap`` hits.
         """
-        o = self.oracle
+        self.oracle._check(x)
         return _capped((t for t in self.transversal()[0]
-                        if self.contains(o.canonical(x.conjugated_by(t)))), cap)
+                        if self._split(x.conjugated_by(t))[0].is_empty), cap)
 
     def embed(self, cw: CWord) -> Word:
         """Image in the ambient oracle of an abstract subgroup word."""
-        return self.oracle.canonical(Word.of(
+        if not cw:
+            return Word()
+        return self.oracle._reduce(Word.of(
             letter for idx, exp in cw for letter in (self.image_words[idx] ** exp).letters))
 
 
@@ -201,7 +211,7 @@ class _ResidueSubgroup(DesignatedSubgroup):
             g = g2
         self._coeffs = coeffs
 
-    def split(self, x: Word) -> Tuple[Word, CWord]:
+    def _split(self, x: Word) -> Tuple[Word, CWord]:
         e = self.oracle._exponent(x)
         if self.d == 0:
             return self.oracle._from_exponent(e), ()
@@ -241,7 +251,7 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
         self.prefix, self.core = cyclic_decompose(self.w)
         self._memo: dict = {}
 
-    def split(self, x: Word) -> Tuple[Word, CWord]:
+    def _split(self, x: Word) -> Tuple[Word, CWord]:
         """Return (x w^k, ((0, -k),)) with x w^k the shortlex-least element
         of x<w>; the tail is () when k = 0.
 
@@ -258,7 +268,6 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
         k = s*floor(L/|c|) and s*ceil(L/|c|); for L = 0 only k = 0 remains.
         The memo holds the split per x.
         """
-        x = self.oracle.canonical(x)
         hit = self._memo.get(x.letters)
         if hit is not None:
             return hit
@@ -277,7 +286,7 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
 
     def cosets(self) -> Iterator[Word]:
         words = map(Word.of, shortlex(self.oracle.gen_names))
-        return (w for w in words if self.coset_rep(w) == w)
+        return (w for w in words if self._split(w)[0] == w)
 
     def conjugator_cosets(self, x: Word, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         """Reps t with t^-1 x t in <w>, at most ``cap`` of them.
@@ -299,7 +308,7 @@ class _FreeCyclicSubgroup(DesignatedSubgroup):
         for _ in range(lc):  # rotate r by one single letter at a time
             for hits, c in ((up, self.core.inverse()), (down, self.core)):
                 if _cancelled(r, c) == n:
-                    hits.append(self.coset_rep(u * q * self.prefix.inverse()))
+                    hits.append(self._split(u * q * self.prefix.inverse())[0])
             g, e = r.letters[0]
             step = Word.gen(g, 1 if e > 0 else -1)
             q, r = q * step, step.inverse() * r * step
@@ -332,6 +341,10 @@ class GroupOracle:
 
     # interface -------------------------------------------------------------
     def canonical(self, w: Word) -> Word:
+        return self._reduce(self._check(w))
+
+    def _reduce(self, w: Word) -> Word:
+        """``canonical`` for a word over this group's generators, unchecked."""
         raise NotImplementedError
 
     def is_identity(self, w: Word) -> bool:
@@ -370,21 +383,20 @@ class CyclicOracle(GroupOracle):
         self.n = n
 
     def _exponent(self, w: Word) -> int:
-        self._check(w)
         return sum(e for _, e in w.letters) % self.n
 
     def _from_exponent(self, e: int) -> Word:
         e %= self.n
         return Word.gen(self.gen_names[0], e) if e else Word()
 
-    def canonical(self, w: Word) -> Word:
+    def _reduce(self, w: Word) -> Word:
         return self._from_exponent(self._exponent(w))
 
     def order(self) -> int:
         return self.n
 
     def element_order(self, w: Word) -> int:
-        e = self._exponent(w)
+        e = self._exponent(self._check(w))
         return self.n // gcd(self.n, e) if e else 1
 
     def enumerate_elements(self) -> Iterator[Word]:
@@ -405,13 +417,11 @@ class FreeOracle(GroupOracle):
         self.rank = rank
         self._pos = {g: i for i, g in enumerate(gens)}
 
-    def canonical(self, w: Word) -> Word:
-        self._check(w)
+    def _reduce(self, w: Word) -> Word:
         return w  # Word construction already freely reduces
 
     def _exponent(self, w: Word) -> int:
         # rank-1 helper: total exponent
-        self._check(w)
         return sum(e for _, e in w.letters)
 
     def _from_exponent(self, e: int) -> Word:

@@ -180,35 +180,30 @@ class SplittingSpec:
     # -- normal form -----------------------------------------------------------
 
     def normal_form(self, w: Word) -> NormalForm:
-        return self.extend(NormalForm((), (), Word()), self.runs(w))
-
-    def extend(self, nf: NormalForm, runs: Sequence[Tuple[str, Word]]) -> NormalForm:
-        """nf(u w) from nf = nf(u) and ``runs(w)``: each ``_push`` keeps the
-        syllable stack times the tail equal to the product so far, even when a
-        piece cancels whole syllables, so w's runs can be pushed onto a copy
-        of nf's stack."""
-        syllables, tail = list(nf.syllables), nf.tail
-        for side, piece in runs:
-            tail = self._push(syllables, tail, side, piece)
+        """Pushes w's maximal same-side runs, edge letters resolved."""
+        syllables: List[Syllable] = []
+        tail: CWord = ()
+        for side, run in itertools.groupby(self.resolve_word(w).letters,
+                                           lambda letter: self._side_of[letter[0]]):
+            tail = self._push(syllables, tail, side, Word(tuple(run)))
         return NormalForm(tuple(syllables), tail, self.sub_a.embed(tail))
 
-    def runs(self, w: Word) -> Tuple[Tuple[str, Word], ...]:
-        """w with its edge letters resolved, split into maximal same-side
-        runs as factor elements: the pieces ``extend`` pushes.  A caller that
-        extends by one word many times splits it once."""
-        runs: List[Tuple[str, Word]] = []
-        run: List = []
-        run_side = None
-        for name, exp in self.resolve_word(w).letters:
-            side = self._side_of[name]
-            if side != run_side and run:
-                runs.append((run_side, Word.of(run)))
-                run = []
-            run_side = side
-            run.append((name, exp))
-        if run:
-            runs.append((run_side, Word.of(run)))
-        return tuple(runs)
+    def extend(self, nf: NormalForm, w: NormalForm) -> NormalForm:
+        """nf(u v) from nf = nf(u) and w = nf(v): each ``_push`` keeps the
+        stack times the tail equal to the product so far, so w's syllables,
+        then w's tail, go onto a copy of nf's stack.  A product of normal
+        forms changes only at the junction (Lyndon-Schupp IV.2): once a
+        pushed syllable stays on the stack with tail (), every later one is
+        a canonical coset rep on the other side, which pushes to itself with
+        tail (), so the rest of w is appended as it stands."""
+        syllables, tail = list(nf.syllables), nf.tail
+        for i, (side, piece) in enumerate(w.syllables):
+            tail = self._push(syllables, tail, side, piece)
+            if not tail and syllables and syllables[-1].side == side:
+                syllables += w.syllables[i + 1:]
+                return NormalForm(tuple(syllables), w.tail, w.tail_image_a)
+        tail += w.tail
+        return NormalForm(tuple(syllables), tail, self.sub_a.embed(tail))
 
     def _push(self, syllables: List[Syllable], tail: CWord, side: str,
               piece: Word) -> CWord:
@@ -216,7 +211,7 @@ class SplittingSpec:
         y = sub.embed(tail) * piece
         if syllables and syllables[-1].side == side:
             y = syllables.pop().word * y
-        rep, tail = sub.split(y)
+        rep, tail = sub._split(y)
         if not rep.is_empty:
             syllables.append(Syllable(side, rep))
         return tail

@@ -48,7 +48,7 @@ class _TableSubgroup(DesignatedSubgroup):
             self._splits.append((oracle._from_index(table[x][h]), decomp[inv[h]]))
         self._reps = tuple(dict.fromkeys(r for r, _ in self._splits))
 
-    def split(self, x: Word) -> Tuple[Word, CWord]:
+    def _split(self, x: Word) -> Tuple[Word, CWord]:
         return self._splits[self.oracle._index_of(x)]
 
     def index(self) -> Optional[int]:
@@ -106,7 +106,7 @@ class _LatticeSubgroup(DesignatedSubgroup):
                 coeffs = [a + q * b for a, b in zip(coeffs, self.rows[r][self.n:])]
         return v, coeffs
 
-    def split(self, x: Word) -> Tuple[Word, CWord]:
+    def _split(self, x: Word) -> Tuple[Word, CWord]:
         v, coeffs = self._split_vector(self.oracle._vector(x))
         return self.oracle._from_vector(v), tuple((j, c) for j, c in enumerate(coeffs) if c)
 
@@ -191,7 +191,6 @@ class TableOracle(GroupOracle):
         self._idx = {name: i for i, name in enumerate(elements)}
 
     def _index_of(self, w: Word) -> int:
-        self._check(w)
         acc = 0
         for name, exp in w.letters:
             i = self._idx[name]
@@ -213,14 +212,14 @@ class TableOracle(GroupOracle):
     def _from_index(self, i: int) -> Word:
         return Word.gen(self.gen_names[i]) if i else Word()
 
-    def canonical(self, w: Word) -> Word:
+    def _reduce(self, w: Word) -> Word:
         return self._from_index(self._index_of(w))
 
     def order(self) -> int:
         return len(self.gen_names)
 
     def element_order(self, w: Word) -> int:
-        i = self._index_of(w)
+        i = self._index_of(self._check(w))
         return 1 if i == 0 else self._elt_order(i)
 
     def enumerate_elements(self) -> Iterator[Word]:
@@ -242,7 +241,6 @@ class FreeAbelianOracle(GroupOracle):
         self._pos = {g: i for i, g in enumerate(gens)}
 
     def _vector(self, w: Word) -> Tuple[int, ...]:
-        self._check(w)
         v = [0] * self.rank
         for name, exp in w.letters:
             v[self._pos[name]] += exp
@@ -251,7 +249,7 @@ class FreeAbelianOracle(GroupOracle):
     def _from_vector(self, v: Sequence[int]) -> Word:
         return Word.of([(g, e) for g, e in zip(self.gen_names, v) if e])
 
-    def canonical(self, w: Word) -> Word:
+    def _reduce(self, w: Word) -> Word:
         return self._from_vector(self._vector(w))
 
     def element_order(self, w: Word) -> Optional[int]:

@@ -176,10 +176,10 @@ def _moves(spec: SplittingSpec, cap: Optional[int]) -> Callable:
                 continue
             y = x
             if not x.is_empty:
-                y = spec.subgroup(side).embed(sub.split(x.conjugated_by(t))[1])
+                y = spec.subgroup(side).embed(sub._split(x.conjugated_by(t))[1])
                 if t.is_empty and v.syllables:  # the step drops v's last syllable
                     s = v.syllables[-1].word
-                    y = spec.factor(side).canonical(s * y * s.inverse())
+                    y = spec.factor(side)._reduce(s * y * s.inverse())
             kids.append((kid, y))
         return kids, complete
     return children
@@ -243,10 +243,10 @@ def _factor_element(spec: SplittingSpec, v: TreeVertex, g: Word) -> Word:
     factor = spec.factor(v.side)
     tail = nf.tail_image_a if v.side == SIDE_A else spec.sub_b.embed(nf.tail)
     if not nf.syllables:
-        return factor.canonical(tail)
+        return tail  # an embed, canonical already
     assert len(nf.syllables) == 1 and nf.syllables[0].side == v.side, \
         "fixed vertex must conjugate g into its factor"
-    return factor.multiply(nf.syllables[0].word, tail)
+    return factor._reduce(nf.syllables[0].word * tail)
 
 
 def element_order(spec: SplittingSpec, g: Word) -> Optional[int]:

@@ -219,6 +219,10 @@ def test_entropy_roots_of_far_apart_weights(capsys):
     assert rc == EXIT_OK
     root = json.loads(out)["analytic_root"]["value"]
     assert abs(root - 5.132388597450658e-11) <= 1e-13 * 5.132388597450658e-11
+    # weights 1e608 apart: E l_min underflows, an input error, not a wrong root
+    rc, out, err = invoke(capsys, "entropy", "--kind", "semigroup", "--l1", "1.7e308",
+                          "--l2", "1e-300", "--radius", "0")
+    assert rc == EXIT_INPUT and not out and "too far apart" in err
 
 
 def test_dichotomy_bound_attachment(capsys):

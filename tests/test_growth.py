@@ -249,12 +249,12 @@ def test_analytic_root_estimate_wrapper():
         analytic_root_estimate("monoid", 1, 1)
 
 
-def mp_root(kind, l1, l2) -> float:
-    """Independent 60-digit bisection on the paper's form of the equation,
+def mp_root(kind, l1, l2, dps=60) -> float:
+    """Independent dps-digit bisection on the paper's form of the equation,
     (e^{E l1} - 1)(e^{E l2} - 1) = 4 or e^{-E l1} + e^{-E l2} = 1, started
     from a bracket wide enough for any positive weights and run until it is
     2^-80 relative."""
-    with mpmath.workdps(60):
+    with mpmath.workdps(dps):
         a, b = mpmath.mpf(l1), mpmath.mpf(l2)
         if kind == "group":
             f = lambda e: mpmath.expm1(e * a) * mpmath.expm1(e * b) - 4
@@ -284,6 +284,34 @@ def test_root_of_subnormal_weight_is_an_input_error():
     for kind in ("group", "semigroup"):
         with pytest.raises(ValueError, match="largest float"):
             analytic_root_estimate(kind, 1e-320, 1.0)
+
+
+@pytest.mark.parametrize("kind,root", [("group", free_group_entropy_root),
+                                       ("semigroup", semigroup_entropy_root)])
+def test_roots_of_weights_up_to_1e300_apart_within_4_ulps(kind, root):
+    # 1 - e^{-E l_min} is about 700 / ratio here, so the semigroup form
+    # cancels about log10(ratio) digits: bisect at 400
+    for l1, l2 in [(1e300, 1.0), (1.0, 1e-300), (1e150, 1e-150),
+                   (2.3e-8, 2.3e-308), (1.7e308, 1.7e8)]:
+        expected = mp_root(kind, l1, l2, dps=400)
+        got = root(l1, l2)
+        assert abs(got - expected) <= 4 * math.ulp(expected), (l1, l2, got, expected)
+
+
+def test_root_of_weights_too_far_apart_is_an_input_error():
+    # E l_min underflows there, so the residual would read 0 short of the
+    # root 8.301e-306 (the parent returned 4.38e-306)
+    for root in (free_group_entropy_root, semigroup_entropy_root):
+        with pytest.raises(ValueError, match="too far apart"):
+            root(1.7e308, 1e-300)
+
+
+def test_root_of_weight_beyond_the_float_range_is_an_input_error():
+    # exact weights reach _root unrounded; float() overflows or gives 0.0
+    for root in (free_group_entropy_root, semigroup_entropy_root):
+        for weight in (10 ** 400, Fraction(1, 10 ** 400)):
+            with pytest.raises(ValueError, match="largest float"):
+                root(weight, 1)
 
 
 # -- the semigroup lower bound -----------------------------------------------------

@@ -155,6 +155,27 @@ def test_foreign_generator_rejected():
         o.canonical(W("b"))
 
 
+def test_foreign_generator_rejected_at_every_entry_point():
+    # internal code trusts the words it builds; these are where words enter
+    oracles = [(make_cyclic(6, "a", "A"), "a^2"), (make_free(1, ["z"], "A"), "z^2"),
+               (make_free(2, ["x", "y"], "A"), "x y"), (make_table(*V4, group_id="A"), "i"),
+               (make_free_abelian(2, ["x", "y"], "A"), "x")]
+    q = W("q")
+    for o, image in oracles:
+        message = f"generator 'q' is foreign to {o.kind} group 'A'"
+        sub = o.designated_subgroup([W(image)])
+        calls = [lambda: o.canonical(q), lambda: o.is_identity(q),
+                 lambda: o.multiply(q, Word()), lambda: o.multiply(Word(), q),
+                 lambda: o.invert(q), lambda: o.element_order(q),
+                 lambda: o.designated_subgroup([q]), lambda: sub.split(q),
+                 lambda: sub.contains(q), lambda: sub.coset_rep(q),
+                 lambda: sub.conjugator_cosets(q), lambda: sub.conjugator_cosets(q, 0)]
+        for call in calls:
+            with pytest.raises(WordError) as exc:
+                call()
+            assert str(exc.value) == message
+
+
 # -- designated subgroups -----------------------------------------------------
 
 def test_transversal_property_deep_words():

@@ -77,10 +77,29 @@ def test_extend_is_normal_form_of_product(z2z3, z3z4, z70z3, z2z2, triv_z5, f2,
     z = Word.of(data.draw(st.lists(letters, max_size=8)))
     # v = u^-1 z cancels u's syllables one by one before building z's
     v = data.draw(st.sampled_from([z, u.inverse() * z]))
-    got = spec.extend(spec.normal_form(u), spec.runs(v))
+    got = spec.extend(spec.normal_form(u), spec.normal_form(v))
     want = spec.normal_form(u * v)
     assert got == want
     assert got.tail_image_a == want.tail_image_a
+
+
+def test_extend_pushes_only_the_junction(f2, monkeypatch):
+    # v's 40 syllables do not cancel against u: the first stays on the stack
+    # with tail 1, and the other 39 are appended as they stand
+    u, v = W("x^2 y x"), W(" ".join(["y^3 x^-2"] * 20))
+    nf_u, nf_v = f2.normal_form(u), f2.normal_form(v)
+    assert len(nf_v.syllables) == 40
+    pushes = []
+    push = SplittingSpec._push
+
+    def counted(self, *args):
+        pushes.append(args)
+        return push(self, *args)
+
+    monkeypatch.setattr(SplittingSpec, "_push", counted)
+    got = f2.extend(nf_u, nf_v)
+    assert len(pushes) == 1
+    assert got == f2.normal_form(u * v)
 
 
 def test_normal_form_soundness_500_random(z2z3, z3z4, klein, f2_amalgam):
@@ -179,6 +198,14 @@ def test_edge_identification_sanity_check():
 def test_foreign_generator_rejected(z2z3):
     with pytest.raises(WordError):
         z2z3.normal_form(W("q"))
+
+
+def test_foreign_generator_rejected_by_parse_word_and_normal_form(f2_amalgam):
+    for call in (lambda: f2_amalgam.parse_word("a q"),
+                 lambda: f2_amalgam.normal_form(W("a q"))):
+        with pytest.raises(WordError) as exc:
+            call()
+        assert str(exc.value) == "generator 'q' is foreign to this splitting"
 
 
 def test_declared_k_validation():
