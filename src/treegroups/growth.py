@@ -219,9 +219,10 @@ def _root(kind: str, l1, l2) -> float:
     <= 2 (its term e^{-E l_min} is >= 1/2) and the residual is <= 0; at the
     upper end the other weight is l_max and the residual is >= 0.  So
     bisection needs no bracket search, and it stops when the ends are
-    adjacent doubles.  Weights past the float range, or so far apart that
-    E l_min >= lo l_min underflows (the residual would read 0 short of the
-    root), raise ValueError; else the upper end is finite.
+    adjacent doubles.  A weight past the largest float or below the least
+    normal one (so that the upper end would overflow), or weights so far
+    apart that E l_min >= lo l_min underflows (the residual would read 0
+    short of the root), raise ValueError.
     """
     if kind not in _ROOTS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -230,12 +231,14 @@ def _root(kind: str, l1, l2) -> float:
         a, b = map(float, _check_weights(l1, l2))
     except OverflowError:
         raise ValueError(f"weights ({l1}, {l2}) lie beyond the largest float") from None
-    lo = math.log(c) / max(a, b)
-    if lo * min(a, b) < sys.float_info.min:
+    l_min, l_max = sorted((a, b))
+    if l_min < sys.float_info.min or not math.isfinite(hi := math.log(c) / l_min):
+        raise ValueError(f"weights ({l1}, {l2}): the smaller lies below the least "
+                         "normal float, so E would pass the largest float")
+    lo = math.log(c) / l_max
+    if lo * l_min < sys.float_info.min:
         raise ValueError(f"weights ({l1}, {l2}) lie too far apart: E times the "
-                         "smaller weight falls below the least normal float, "
-                         "or E beyond the largest float")
-    hi = math.log(c) / min(a, b)
+                         "smaller weight falls below the least normal float")
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
         if residual(mid, a, b) >= 0.0:
             hi = mid

@@ -52,7 +52,7 @@ class Syllable(NamedTuple):
 
 class NormalForm(NamedTuple):
     syllables: Tuple[Syllable, ...]
-    tail: CWord  # over the abstract edge generators
+    tail: CWord  # over the abstract edge generators, from some side's split
     tail_image_a: Word  # canonical image of the tail in factor A
 
     @property
@@ -195,15 +195,16 @@ class SplittingSpec:
         forms changes only at the junction (Lyndon-Schupp IV.2): once a
         pushed syllable stays on the stack with tail (), every later one is
         a canonical coset rep on the other side, which pushes to itself with
-        tail (), so the rest of w is appended as it stands."""
+        tail (), so the rest of w is appended as it stands.  Otherwise the
+        joined tail is split again in A, so every tail comes from a split."""
         syllables, tail = list(nf.syllables), nf.tail
         for i, (side, piece) in enumerate(w.syllables):
             tail = self._push(syllables, tail, side, piece)
             if not tail and syllables and syllables[-1].side == side:
                 syllables += w.syllables[i + 1:]
                 return NormalForm(tuple(syllables), w.tail, w.tail_image_a)
-        tail += w.tail
-        return NormalForm(tuple(syllables), tail, self.sub_a.embed(tail))
+        image = self.sub_a.embed(tail + w.tail)
+        return NormalForm(tuple(syllables), self.sub_a._split(image)[1], image)
 
     def _push(self, syllables: List[Syllable], tail: CWord, side: str,
               piece: Word) -> CWord:

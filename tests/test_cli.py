@@ -223,6 +223,10 @@ def test_entropy_roots_of_far_apart_weights(capsys):
     rc, out, err = invoke(capsys, "entropy", "--kind", "semigroup", "--l1", "1.7e308",
                           "--l2", "1e-300", "--radius", "0")
     assert rc == EXIT_INPUT and not out and "too far apart" in err
+    # a subnormal weight: the root's upper end log 2 / 1e-310 overflows
+    rc, out, err = invoke(capsys, "entropy", "--kind", "semigroup", "--l1", "1e-300",
+                          "--l2", "1e-310", "--radius", "0")
+    assert rc == EXIT_INPUT and not out and "largest float" in err
 
 
 def test_dichotomy_bound_attachment(capsys):

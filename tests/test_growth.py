@@ -307,11 +307,15 @@ def test_root_of_weights_too_far_apart_is_an_input_error():
 
 
 def test_root_of_weight_beyond_the_float_range_is_an_input_error():
-    # exact weights reach _root unrounded; float() overflows or gives 0.0
+    # exact weights reach _root unrounded; float() overflows or gives 0.0.
+    # A subnormal smaller weight would put the upper end log c / l_min past
+    # the largest float (bisection would return inf), or near it.
+    tiny = Fraction(1, 10 ** 400)
     for root in (free_group_entropy_root, semigroup_entropy_root):
-        for weight in (10 ** 400, Fraction(1, 10 ** 400)):
+        for l1, l2 in [(10 ** 400, 1), (tiny, 1), (tiny, tiny),
+                       (1e-300, 1e-310), (1e-310, 1e-310)]:
             with pytest.raises(ValueError, match="largest float"):
-                root(weight, 1)
+                root(l1, l2)
 
 
 # -- the semigroup lower bound -----------------------------------------------------

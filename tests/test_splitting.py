@@ -102,6 +102,17 @@ def test_extend_pushes_only_the_junction(f2, monkeypatch):
     assert got == f2.normal_form(u * v)
 
 
+def test_extend_by_edge_powers_keeps_a_split_tail(f2_amalgam):
+    # t^k has no syllables, so extend joins the tails: they are split again
+    # rather than concatenated, and do not grow with the number of steps
+    u, t = W("b d"), W("t")
+    nf, nf_t = f2_amalgam.normal_form(u), f2_amalgam.normal_form(t)
+    for k in range(1, 6):
+        nf = f2_amalgam.extend(nf, nf_t)
+        want = f2_amalgam.normal_form(u * t ** k)
+        assert nf == want and nf.tail == want.tail == ((0, k),)
+
+
 def test_normal_form_soundness_500_random(z2z3, z3z4, klein, f2_amalgam):
     rng = random.Random(6)
     for spec in (z2z3, z3z4, klein, f2_amalgam):
