@@ -8,11 +8,14 @@ bounded-depth normal-form check: no nontrivial alternating word in the
 witnesses of letter budget <= depth evaluates to the identity (semigroup
 claims: all positive words up to the depth stay pairwise distinct).  Each
 node of the search extends its parent's normal form by the normal form of
-one witness power, computed once per certificate (``SplittingSpec.extend``),
-so a node costs its junction's cancellation, not the power.  It refutes
-non-freeness up to that depth; it is a guard, not a proof; the freeness
-statements themselves come from acylindricity, the certificate only guards
-the computation.
+one witness power (``SplittingSpec.extend``), so a node costs its
+junction's cancellation, not the power; the powers' forms are built once
+per certificate, each extended from the last.  The rank-2 search skips a
+subtree when its stack holds more syllables than the remaining budget can
+pop, so a level costs about ×2 the one before, not ×3 (the argument is
+in ``certify_rank2_free``).  It refutes non-freeness up to that depth; it
+is a guard, not a proof; the freeness statements themselves come from
+acylindricity, the certificate only guards the computation.
 
 Each case hypothesis is checked in one place: the element type by
 ``_require``, disjoint fixed sets by ``_fixed_set_distance``, distinct axes
@@ -24,8 +27,9 @@ inputs, not passed in.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .splitting import NormalForm, SplittingSpec
 from .tree import (ElementClass, TreeVertex, VertexRegion, act, axis_window,
@@ -75,9 +79,31 @@ def _syllable_cost(exp: int, order: Optional[int]) -> int:
 
 
 def _exponent_range(order: Optional[int], budget: int) -> List[int]:
+    """The exponents of letter cost <= budget: 1, -1, 2, -2, ... for infinite
+    order, else the residues 1 .. order-1 within budget of 0, ascending."""
     if order is not None:
-        return [e for e in range(1, order) if _syllable_cost(e, order) <= budget]
+        near = range(1, min(budget, order - 1) + 1)
+        return sorted({*near, *(order - m for m in near)})
     return [e for mag in range(1, budget + 1) for e in (mag, -mag)]
+
+
+def _power_forms(spec: SplittingSpec, w: Word, order: Optional[int],
+                 depth: int) -> Dict[int, NormalForm]:
+    """nf(w^e) for every exponent in ``_exponent_range(order, depth)``, each
+    extended from the last: nf(w^(s(m+1))) = extend(nf(w^(sm)), nf(w^s)) for
+    s = +1, -1, so the table costs O(depth) junctions.  A finite order keys
+    w^-m by its residue order - m, and runs the second chain only as far as
+    the first one has not reached."""
+    up = depth if order is None else min(depth, order - 1)
+    down = depth if order is None else min(depth, order - 1 - up)
+    forms: Dict[int, NormalForm] = {}
+    for s, count in ((1, up), (-1, down)):
+        step = spec.normal_form(w ** s)
+        chain = itertools.accumulate(itertools.repeat(step, count - 1), spec.extend,
+                                     initial=step)
+        for m, nf in zip(range(1, count + 1), chain):
+            forms[s * m if order is None else s * m % order] = nf
+    return forms
 
 
 def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
@@ -88,34 +114,62 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
     Syllable exponents run over nontrivial powers (mod the element order when
     finite), so this is the right nontriviality check both for the
     free-product claim <w1> * <w2> and, for infinite-order witnesses, for
-    rank-2 free subgroups.  Returns (ok, failing word or None).
+    rank-2 free subgroups.  Returns (ok, failing word or None), the failing
+    word being the first trivial one in depth-first order.
+
+    The search skips subtrees that cannot cancel.  ``SplittingSpec.extend``
+    pushes one syllable of the power at a time, and each ``_push`` pops at
+    most one syllable off the stack, so extending by a power of s syllables
+    leaves at least (stack length - s) of them (Lyndon-Schupp IV.2).  A word
+    is trivial only when its stack is empty.  ``most[i][b]`` is the largest
+    total syllable count of an alternating run of powers that starts on
+    side i and costs at most b, so a child whose stack is longer than
+    ``most[1 - i][rest]`` has no trivial descendant, and its subtree is
+    skipped after the child itself is tested.  Every visited node is tested
+    and every skipped subtree holds no trivial word, so the answer, and the
+    first failing word, are those of the full search.  The skip trusts that
+    ``extend`` leaves a reduced stack, that is, a normal form, in which
+    "trivial" means "no syllables and a trivial tail"; the tests compare
+    the pruned search with the full one.
     """
     check_nonnegative("certificate depth", depth)
     if spec.is_trivial(w1) or spec.is_trivial(w2):
         return False, "a witness generator is trivial"
-    orders = (element_order(spec, w1), element_order(spec, w2))
-    powers = tuple({exp: w ** exp for exp in _exponent_range(order, depth)}
-                   for w, order in zip((w1, w2), orders))
-    forms = tuple({exp: spec.normal_form(power) for exp, power in ps.items()} for ps in powers)
+    words = (w1, w2)
+    orders = tuple(element_order(spec, w) for w in words)
+    forms = tuple(_power_forms(spec, w, order, depth) for w, order in zip(words, orders))
+    # steps[i][b]: (exponent, power's normal form, cost) for side i within budget b
+    steps = tuple([[(exp, forms[i][exp], _syllable_cost(exp, orders[i]))
+                    for exp in _exponent_range(orders[i], b)] for b in range(depth + 1)]
+                  for i in (0, 1))
+    most = [[0] * (depth + 1) for _ in (0, 1)]
+    for b in range(1, depth + 1):
+        for i in (0, 1):
+            most[i][b] = max((len(form.syllables) + most[1 - i][b - cost]
+                              for _, form, cost in steps[i][b]), default=0)
+    path: List[Tuple[int, int]] = []  # (side, exponent) of each power so far
 
-    def descend(nf: NormalForm, path: Tuple[Word, ...], last: Optional[int],
-                budget: int) -> Optional[str]:
+    def descend(nf: NormalForm, last: Optional[int], budget: int) -> Optional[str]:
         for i in (0, 1):
             if i == last:
                 continue
-            for exp in _exponent_range(orders[i], budget):
-                power = powers[i][exp]
-                nf2 = spec.extend(nf, forms[i][exp])
+            for exp, form, cost in steps[i][budget]:
+                # the root is the identity, so its children are the powers
+                nf2 = form if last is None else spec.extend(nf, form)
                 if nf2.is_trivial:
-                    prefix = Word.of(letter for p in path for letter in p.letters)
+                    prefix = Word.of(letter for j, e in path
+                                     for letter in (words[j] ** e).letters)
                     return f"W{i + 1}^{exp} after {prefix}"
-                bad = descend(nf2, path + (power,), i,
-                              budget - _syllable_cost(exp, orders[i]))
+                if len(nf2.syllables) > most[1 - i][budget - cost]:
+                    continue
+                path.append((i, exp))
+                bad = descend(nf2, i, budget - cost)
+                path.pop()
                 if bad is not None:
                     return bad
         return None
 
-    bad = descend(spec.normal_form(Word()), (), None, depth)
+    bad = descend(spec.normal_form(Word()), None, depth)
     return (bad is None), bad
 
 

@@ -38,7 +38,7 @@ unchecked ``_reduce`` and ``_split``, which internal code and ``embed`` use.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, inf
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .words import Word, WordError, shortlex, valid_gen_name
@@ -102,14 +102,33 @@ def cyclic_decompose(w: Word) -> Tuple[Word, Word]:
 
 def _cancelled(y: Word, c: Word) -> int:
     """The length L of the longest suffix of y that is also a suffix of
-    ... c^-1 c^-1 (c nonempty): y c^m cancels min(L, m|c|) letters of y."""
-    n, ly = c.letter_length(), y.letter_length()
-    cm, m = c, 1
-    while True:  # double m until the cancellation stops short of m|c|
-        cut = (ly + m * n - (y * cm).letter_length()) // 2
-        if cut < m * n:
-            return cut
-        cm, m = cm * cm, 2 * m
+    ... c^-1 c^-1 (c nonempty, cyclically reduced): y c^m cancels
+    min(L, m|c|) letters of y.
+
+    Read backwards, ... c^-1 c^-1 is c read forwards with every letter
+    inverted, over and over.  As merged letters that is c's first letter,
+    then a period of c's other letters followed by its first, the last two
+    merged when they share a generator (one endless letter when c has one
+    generator).  Both words are merged, so once a letter of y matches only
+    in part the next letters differ: the walk reads the letters that cancel
+    and one more.
+    """
+    (g0, e0), *period = [(g, -e) for g, e in c.letters]
+    if not period:  # c = g^e: one letter, repeated without end
+        e0 *= inf
+    if period and period[-1][0] == g0:
+        period[-1] = (g0, period[-1][1] + e0)
+    else:
+        period.append((g0, e0))
+    stream = itertools.chain([(g0, e0)], itertools.cycle(period))
+    cut = 0
+    for (g, e), (h, f) in zip(reversed(y.letters), stream):
+        if g != h or (e > 0) != (f > 0):
+            break
+        cut += min(abs(e), abs(f))
+        if e != f:
+            break
+    return cut
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treegroups import freeness
 from treegroups.freeness import (WitnessInputError,
                                  certify_free_semigroup, certify_rank2_free,
                                  overlap_report, same_axis, semigroup_witness,
@@ -12,7 +15,8 @@ from treegroups.freeness import (WitnessInputError,
                                  witness_elliptic_pair,
                                  witness_hyperbolic_pair,
                                  witness_length_bound_holds)
-from treegroups.tree import classify
+from treegroups.splitting import SplittingSpec
+from treegroups.tree import classify, element_order
 from treegroups.words import Word
 
 from conftest import random_word
@@ -58,6 +62,114 @@ def test_certificate_failure_strings(z2z3, klein):
     assert certify_free_semigroup(klein, W("a"), W("b"), 4) == (
         False, "W22 collides with W11")
     assert certify_rank2_free(z2z3, W("a"), W("a"), 4) == (False, "W2^1 after a")
+
+
+def unpruned_certificate(spec, w1, w2, depth):
+    """The full depth-first search of ``certify_rank2_free``, with no skip
+    and each node's word normalized from scratch: the reference the pruned
+    search must agree with, failing word included."""
+    if spec.is_trivial(w1) or spec.is_trivial(w2):
+        return False, "a witness generator is trivial"
+    words = (w1, w2)
+    orders = tuple(element_order(spec, w) for w in words)
+
+    def cost(exp, order):
+        return abs(exp) if order is None else min(exp % order, order - exp % order)
+
+    def exponents(order, budget):
+        if order is not None:
+            return [e for e in range(1, order) if cost(e, order) <= budget]
+        return [e for mag in range(1, budget + 1) for e in (mag, -mag)]
+
+    def descend(prefix, last, budget):
+        for i in (0, 1):
+            if i == last:
+                continue
+            for exp in exponents(orders[i], budget):
+                word = prefix * words[i] ** exp
+                if spec.is_trivial(word):
+                    return f"W{i + 1}^{exp} after {prefix}"
+                bad = descend(word, i, budget - cost(exp, orders[i]))
+                if bad is not None:
+                    return bad
+        return None
+
+    bad = descend(Word(), None, depth)
+    return (bad is None), bad
+
+
+@pytest.mark.parametrize("spec,w1,w2,depth", [
+    ("f2", "x", "x^2", 3), ("f2", "x", "x^2", 6), ("f2", "x y", "y^2 x y^-1", 6),
+    ("z2z3", "a", "b a b^-1", 6), ("z2z3", "a b", "b a", 5), ("klein", "a", "b", 6),
+    ("klein", "a^2", "b", 4), ("klein", "a b^-1", "b^-4", 6),
+    ("f2_amalgam", "d b", "b d b d b d^2 b d^-1 b^-1 d^-1 b^-1 d^-1 b^-1", 5),
+    # relations that cancel long stacks: a skip that cuts too early misses them
+    ("f2", "y^-2 x^2", "y^-2 x^2 y^-2 x^2 y^-2 x^2", 6),
+    ("f2", "x y^-1 x^-2 y^2", "y^-2 x^2 y x^-1 y^-2 x^2 y x^-1", 3),
+])
+def test_pruned_certificate_matches_full_search(request, spec, w1, w2, depth):
+    spec = request.getfixturevalue(spec)
+    assert certify_rank2_free(spec, W(w1), W(w2), depth) == unpruned_certificate(
+        spec, W(w1), W(w2), depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pruned_certificate_matches_full_search_on_random_pairs(f2, z2z3, klein,
+                                                                f2_amalgam, data):
+    spec = data.draw(st.sampled_from([f2, z2z3, klein, f2_amalgam]))
+    names = spec.gen_names + spec.edge_gens
+    letters = st.tuples(st.sampled_from(names), st.integers(-2, 2).filter(bool))
+    w1 = spec.resolve_word(Word.of(data.draw(st.lists(letters, min_size=1, max_size=4))))
+    z = spec.resolve_word(Word.of(data.draw(st.lists(letters, max_size=3))))
+    # related pairs (powers, conjugates, products) are where relations hide
+    w2 = data.draw(st.sampled_from([z, w1 ** data.draw(st.integers(-3, 3)),
+                                    w1.conjugated_by(z), w1 * z, z * w1.inverse()]))
+    depth = data.draw(st.integers(0, 6))
+    assert certify_rank2_free(spec, w1, w2, depth) == unpruned_certificate(
+        spec, w1, w2, depth)
+
+
+def test_certificate_skip_is_strict(f2):
+    # after x, one syllable is left and W2^-1 = x^-1 pops exactly one: a
+    # skip at stack length >= what the budget can pop would miss it
+    assert certify_rank2_free(f2, W("x"), W("x"), 2) == (False, "W2^-1 after x")
+
+
+def test_certificate_skips_subtrees_that_cannot_cancel(f2, monkeypatch):
+    # the full search extends 4,372 nodes at depth 7; the skip and the
+    # power table built by extension leave fewer than 700 extend calls
+    calls = []
+    extend = SplittingSpec.extend
+
+    def counted(self, *args):
+        calls.append(args)
+        return extend(self, *args)
+
+    monkeypatch.setattr(SplittingSpec, "extend", counted)
+    assert certify_rank2_free(f2, XY, W("y^2 x y^-1"), 7) == (True, None)
+    assert len(calls) <= 700
+
+
+@pytest.mark.parametrize("spec,w", [
+    ("z2z3", "a"), ("z2z3", "b"), ("z2z3", "a b"), ("z3z4", "b"), ("z3z4", "a b a^-1"),
+    ("z70z3", "a"), ("z70z3", "a^10"), ("klein", "a^2"), ("klein", "a b"),
+    ("f2", "y^2 x y^-1"), ("f2_amalgam", "a"), ("f2_amalgam", "b d"),
+])
+def test_power_forms_are_the_normal_forms_of_the_powers(request, spec, w):
+    # finite orders (Z/70: one chain stops short of the other), and powers
+    # of an edge element, which have no syllables
+    spec, w = request.getfixturevalue(spec), W(w)
+    order = element_order(spec, w)
+    for depth in range(9):
+        forms = freeness._power_forms(spec, w, order, depth)
+        exps = freeness._exponent_range(order, depth)
+        if order is not None:
+            cost = lambda e: min(e % order, order - e % order)
+            assert exps == [e for e in range(1, order) if cost(e) <= depth]
+        assert sorted(forms) == sorted(exps)
+        for e in exps:
+            assert forms[e] == spec.normal_form(w ** e)
 
 
 # -- elliptic pair witnesses ----------------------------------------------------

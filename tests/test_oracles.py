@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegroups.oracles import (OracleError, cyclic_decompose, make_cyclic,
+from treegroups.oracles import (OracleError, _cancelled, cyclic_decompose, make_cyclic,
                                 make_free, make_free_abelian, make_table)
 from treegroups.words import Word, WordError
 
@@ -470,6 +470,18 @@ def test_cyclic_decompose_matches_units(w):
     ref = unit_words.cyclic_decompose(unit_words.word_units(w))
     assert (unit_words.word_units(prefix), unit_words.word_units(core)) == ref
     assert prefix * core * prefix.inverse() == w
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=edge_words, x=big_free_words(4), k=st.integers(0, 4), cut=st.integers(0, 3),
+       z=big_free_words(2))
+def test_cancelled_matches_units(w, x, k, cut, z):
+    # y ends in part of a c^-1, then c^-k, so the walk crosses the period
+    # boundaries, where c's last and first letters may merge
+    c = cyclic_decompose(w)[1]
+    head = Word(c.letters[:cut]).inverse() * c.inverse() ** k
+    for y in (x * head, x * head * z, head):
+        assert _cancelled(y, c) == unit_words.cancelled(y, unit_words.word_units(c))
 
 
 @settings(max_examples=300, deadline=None)

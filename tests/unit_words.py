@@ -50,6 +50,17 @@ def shortlex_key(gens: Sequence[str], w: Word):
     return (len(units), tuple((gens.index(n), 0 if e > 0 else 1) for n, e in units))
 
 
+def cancelled(y: Word, core: Sequence[Unit]) -> int:
+    """Length of the longest suffix of y that is also a suffix of
+    ... c^-1 c^-1 for the unit word c = core, matched unit by unit."""
+    back = word_units(y)[::-1]
+    n = len(core)
+    L = 0
+    while L < len(back) and back[L] == (core[L % n][0], -core[L % n][1]):
+        L += 1
+    return L
+
+
 def split(sub, x: Word):
     """(x w^k, ((0, -k),) or ()) for the shortlex-least x w^k: the suffix of
     y = x p that runs backwards along c^s, matched unit by unit."""
@@ -57,12 +68,9 @@ def split(sub, x: Word):
     prefix, core = cyclic_decompose(word_units(sub.w))
     ks = {0}
     if core:
-        back = word_units(x * Word.of(prefix))[::-1]
         n = len(core)
         for s, c in ((1, core), (-1, invert_units(core))):
-            L = 0
-            while L < len(back) and back[L] == (c[L % n][0], -c[L % n][1]):
-                L += 1
+            L = cancelled(x * Word.of(prefix), c)
             if L:
                 ks = {s * (L // n), s * -(-L // n)}
                 break
