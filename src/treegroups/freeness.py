@@ -13,7 +13,8 @@ junction's cancellation, not the power; the powers' forms are built once
 per certificate, each extended from the last.  The rank-2 search skips a
 subtree when its stack holds more syllables than the remaining budget can
 pop, so a level costs about ×2 the one before, not ×3 (the argument is
-in ``certify_rank2_free``).  It refutes non-freeness up to that depth; it
+in ``certify_rank2_free``); depths past ``MAX_CERTIFICATE_DEPTH`` are
+input errors.  It refutes non-freeness up to that depth; it
 is a guard, not a proof; the freeness statements themselves come from
 acylindricity, the certificate only guards the computation.
 
@@ -34,8 +35,14 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .splitting import NormalForm, SplittingSpec
 from .tree import (ElementClass, TreeVertex, VertexRegion, act, axis_window,
                    check_nonnegative, classify, element_order, fixed_set,
-                   geodesic, on_axis, region_diameter, region_distance, t_set)
+                   geodesic, mover, on_axis, region_diameter, region_distance,
+                   t_set)
 from .words import Word
+
+
+# deepest certificate: the rank-2 search recurses once per power, and
+# Python stops at 1,000 frames
+MAX_CERTIFICATE_DEPTH = 500
 
 
 class WitnessInputError(ValueError):
@@ -70,6 +77,14 @@ class OverlapReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
+
+
+def _check_depth(depth: int) -> None:
+    """Reject a negative certificate depth, or one past
+    ``MAX_CERTIFICATE_DEPTH``, as an input error."""
+    check_nonnegative("certificate depth", depth)
+    if depth > MAX_CERTIFICATE_DEPTH:
+        raise ValueError(f"certificate depth must be <= {MAX_CERTIFICATE_DEPTH}, got {depth}")
 
 
 def _syllable_cost(exp: int, order: Optional[int]) -> int:
@@ -132,7 +147,7 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
     "trivial" means "no syllables and a trivial tail"; the tests compare
     the pruned search with the full one.
     """
-    check_nonnegative("certificate depth", depth)
+    _check_depth(depth)
     if spec.is_trivial(w1) or spec.is_trivial(w2):
         return False, "a witness generator is trivial"
     words = (w1, w2)
@@ -176,7 +191,7 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
 def certify_free_semigroup(spec: SplittingSpec, w1: Word, w2: Word,
                            depth: int = 6) -> Tuple[bool, Optional[str]]:
     """All positive words of length <= depth in (w1, w2) are pairwise distinct."""
-    check_nonnegative("certificate depth", depth)
+    _check_depth(depth)
     empty = spec.normal_form(Word())
     seen = {empty: ""}
     frontier: List[Tuple[str, NormalForm]] = [("", empty)]
@@ -230,8 +245,8 @@ def _axes_coincide(spec: SplittingSpec, h1: Word, c1: ElementClass,
     Axis(h2).  If so, the axes share a segment at least that long (axes are
     convex), which we take as equality.  Distinct axes overlap in a bounded
     segment, so a large spread makes this decisive for the elements under test."""
-    p1 = c1.witness_vertex
-    return all(on_axis(spec, h2, c2.tau, act(spec, h1 ** j, p1))
+    p1, move2 = c1.witness_vertex, mover(spec, h2)
+    return all(on_axis(move2, c2.tau, act(spec, h1 ** j, p1))
                for j in (-spread, 0, spread))
 
 
@@ -261,16 +276,17 @@ def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass,
     projection lies in the intersection, so a window of radius R certifies
     any diameter verdict below R."""
     p1, p2 = c1.witness_vertex, c2.witness_vertex
+    move2 = mover(spec, h2)
     q_star = None
     for v in geodesic(p1, p2):
-        if on_axis(spec, h2, c2.tau, v):
+        if on_axis(move2, c2.tau, v):
             q_star = v
             break
     assert q_star is not None  # p2 itself is on Axis(h2)
-    if not on_axis(spec, h1, c1.tau, q_star):
+    if not on_axis(mover(spec, h1), c1.tau, q_star):
         return -math.inf, q_star
     ax1 = axis_window(spec, h1, q_star, radius)
-    members = tuple(v for v in ax1.members if on_axis(spec, h2, c2.tau, v))
+    members = tuple(v for v in ax1.members if on_axis(move2, c2.tau, v))
     return region_diameter(VertexRegion(q_star, radius, members, True)), q_star
 
 

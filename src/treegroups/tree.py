@@ -13,8 +13,10 @@ the trie of normal forms (Serre, Trees, §I.4): the path from A:1 to (X, s)
 runs through B:1 when s starts on side B (or s is empty and X = B), then
 through the vertices named by the prefixes of s.  Distances, geodesics and
 neighbours are read off syllable tuples, so distances, geodesics and region
-diameters take vertices only; only the action and factor membership
-compute normal forms.
+diameters take vertices only.  The action normalizes g once (``mover``):
+s is itself a normal form with trivial tail, so g moves each vertex by
+extending nf(g) by s, and a vertex costs the junction, not |g| + |s|.
+Factor membership is the only other normal form.
 
 The tree is infinite (and not even locally finite when a factor has infinite
 edge index), so balls, fixed sets and T-sets come from one depth-bounded
@@ -37,7 +39,7 @@ import math
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .oracles import NEIGHBOR_CAP
-from .splitting import SIDE_A, SplittingSpec, Syllable, other_side
+from .splitting import SIDE_A, NormalForm, SplittingSpec, Syllable, other_side
 from .words import Word, shortlex
 
 # most vertices a windowed walk collects before it reports an incomplete window
@@ -81,16 +83,34 @@ def base_vertex(side: str = SIDE_A) -> TreeVertex:
     return TreeVertex(side, ())
 
 
-def vertex_of(spec: SplittingSpec, side: str, w: Word) -> TreeVertex:
-    """Canonical vertex for the coset w*<side factor>."""
-    syls = spec.normal_form(w).syllables
+def _coset_vertex(side: str, syls: Tuple[Syllable, ...]) -> TreeVertex:
+    """The vertex of the coset w*<side factor> for w's normal-form syllables:
+    a trailing same-side syllable lies in the factor, so it is dropped."""
     if syls and syls[-1].side == side:
         syls = syls[:-1]
     return TreeVertex(side, syls)
 
 
+def vertex_of(spec: SplittingSpec, side: str, w: Word) -> TreeVertex:
+    """Canonical vertex for the coset w*<side factor>."""
+    return _coset_vertex(side, spec.normal_form(w).syllables)
+
+
+def mover(spec: SplittingSpec, g: Word) -> Callable[[TreeVertex], TreeVertex]:
+    """The action of g as a map on vertices.  nf(g) is computed once; a
+    vertex (X, s) has rep(v) = s, a normal form with trivial tail, so
+    nf(g rep(v)) is nf(g) extended by s, which costs the junction
+    (``SplittingSpec.extend``)."""
+    nf = spec.normal_form(g)
+
+    def move(v: TreeVertex) -> TreeVertex:
+        rep = NormalForm(v.syllables, (), Word())
+        return _coset_vertex(v.side, spec.extend(nf, rep).syllables)
+    return move
+
+
 def act(spec: SplittingSpec, g: Word, v: TreeVertex) -> TreeVertex:
-    return vertex_of(spec, v.side, g * v.rep_word())
+    return mover(spec, g)(v)
 
 
 def _first_side(v: TreeVertex) -> str:
@@ -137,8 +157,9 @@ def classify(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None) ->
     """
     if base is None:
         base = base_vertex()
-    gv = act(spec, g, base)
-    ggv = act(spec, g, gv)
+    move = mover(spec, g)
+    gv = move(base)
+    ggv = move(gv)
     d1 = tree_distance(base, gv)
     d2 = tree_distance(base, ggv)
     if d2 > d1:
@@ -343,9 +364,10 @@ def axis_window(spec: SplittingSpec, h: Word, base: Optional[TreeVertex] = None,
                                   if (d := tree_distance(base, q)) <= radius}, True)
 
 
-def on_axis(spec: SplittingSpec, h: Word, tau: int, v: TreeVertex) -> bool:
-    """Exact membership test: v is on Axis(h) iff it is moved exactly tau."""
-    return tree_distance(v, act(spec, h, v)) == tau
+def on_axis(move: Callable[[TreeVertex], TreeVertex], tau: int, v: TreeVertex) -> bool:
+    """Exact membership test: v is on Axis(h) iff it is moved exactly tau,
+    for ``move = mover(spec, h)``."""
+    return tree_distance(v, move(v)) == tau
 
 
 # ---------------------------------------------------------------------------

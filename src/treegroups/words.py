@@ -59,10 +59,6 @@ class Word(NamedTuple):
             return Word()
         return Word(((name, exp),))
 
-    @staticmethod
-    def identity() -> "Word":
-        return Word()
-
     @property
     def is_empty(self) -> bool:
         return not self.letters

@@ -5,7 +5,7 @@ import pytest
 
 from treegroups import freeness, tree
 from treegroups.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, run
-from treegroups.freeness import CertificationFailure
+from treegroups.freeness import MAX_CERTIFICATE_DEPTH, CertificationFailure
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
@@ -268,10 +268,14 @@ def test_input_errors(capsys):
         assert rc == EXIT_INPUT and not out
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
-    # negative certificate depths and window radii check nothing
+    # negative or too deep certificate depths and negative window radii
+    # check nothing
     witness = ["free-witness", "--group", data("f2_amalgam.json"), "--g1", "b d", "--g2", "d b"]
+    too_deep = str(MAX_CERTIFICATE_DEPTH + 1)
     for argv, message in [(witness + ["--depth", "-5"], "depth"),
                           (witness + ["--depth", "-5", "--semigroup"], "depth"),
+                          (witness + ["--depth", too_deep], "depth"),
+                          (witness + ["--depth", too_deep, "--semigroup"], "depth"),
                           (["fix", "--group", data("f2_amalgam.json"), "--element", "a",
                             "--radius", "-2"], "radius"),
                           (["fix", "--group", data("klein.json"), "--element", "a",

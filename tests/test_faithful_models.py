@@ -153,7 +153,7 @@ def test_rank2_edge_subgroup():
     assert nf.tail_image_a == W("x^2") and len(nf.syllables) == 1
     assert nf.syllables[0].side == "A" and nf.syllables[0].word == W("x")
     nf = spec.normal_form(W("x^3 u^-1"))
-    assert nf.tail_image_a == Word.identity() and len(nf.syllables) == 1
+    assert nf.tail_image_a == Word() and len(nf.syllables) == 1
     assert nf.syllables[0].side == "A" and nf.syllables[0].word == W("x")
 
 

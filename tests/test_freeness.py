@@ -151,6 +151,20 @@ def test_certificate_skips_subtrees_that_cannot_cancel(f2, monkeypatch):
     assert len(calls) <= 700
 
 
+def test_certificate_depth_is_bounded(z2z3, monkeypatch):
+    # descend recurses once per power, so depths past the bound are input
+    # errors, raised before any normal form or power table is built
+    def no_normal_form(self, w):
+        raise AssertionError("normal form computed")
+
+    monkeypatch.setattr(SplittingSpec, "normal_form", no_normal_form)
+    bound = freeness.MAX_CERTIFICATE_DEPTH
+    for certify in (certify_rank2_free, certify_free_semigroup):
+        with pytest.raises(ValueError, match=f"certificate depth must be <= {bound}, "
+                                             f"got {bound + 1}"):
+            certify(z2z3, W("a"), W("b"), bound + 1)
+
+
 @pytest.mark.parametrize("spec,w", [
     ("z2z3", "a"), ("z2z3", "b"), ("z2z3", "a b"), ("z3z4", "b"), ("z3z4", "a b a^-1"),
     ("z70z3", "a"), ("z70z3", "a^10"), ("klein", "a^2"), ("klein", "a b"),
@@ -221,6 +235,21 @@ def test_overlap_single_vertex(f2):
     rep = overlap_report(f2, 0, XY, W("y^2 x y^-1"))
     assert rep.diameter == 0 and rep.branch == "small"
     assert rep.crossing is not None and rep.crossing.side == "B"
+
+
+def test_overlap_pushes_junctions_not_vertices(f2, monkeypatch):
+    # each axis test moves a vertex by one mover per element: 78 pushes,
+    # where renormalizing g rep(v) for every vertex took 237
+    pushes = []
+    push = SplittingSpec._push
+
+    def counted(self, *args):
+        pushes.append(args)
+        return push(self, *args)
+
+    monkeypatch.setattr(SplittingSpec, "_push", counted)
+    assert overlap_report(f2, 0, XY, W("y^2 x y^-1")).diameter == 0
+    assert len(pushes) <= 100
 
 
 def test_overlap_shared_segment(f2):

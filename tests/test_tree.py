@@ -13,7 +13,7 @@ from treegroups.splitting import SplittingSpec, Syllable, other_side
 from treegroups.tree import (EllipticElementError, TreeVertex, VertexRegion,
                              act, axis_window, ball, base_vertex,
                              check_acylindricity, classify, element_order,
-                             fix_diameter_lb, fixed_set, geodesic, on_axis,
+                             fix_diameter_lb, fixed_set, geodesic, mover, on_axis,
                              region_diameter, region_distance, t_set,
                              tree_distance, vertex_of)
 from treegroups.words import Word
@@ -77,6 +77,29 @@ def test_action_is_homomorphic(z2z3, klein, f2_amalgam):
             h = random_word(rng, spec.gen_names, 4)
             v = act(spec, random_word(rng, spec.gen_names, 4), base)
             assert act(spec, g * h, v) == act(spec, g, act(spec, h, v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mover_matches_renormalizing_the_product(z2z3, z3z4, z70z3, z2z2, triv_z5, f2,
+                                                 klein, f2_amalgam, z2_amalgam,
+                                                 z4z6_table, data):
+    # the action extends nf(g) by rep(v); the reference normalizes g rep(v)
+    # whole.  The amalgams give nf(g) a nontrivial tail at the junction.
+    spec = data.draw(st.sampled_from([z2z3, z3z4, z70z3, z2z2, triv_z5, f2, klein,
+                                      f2_amalgam, z2_amalgam, z4z6_table]))
+    letters = st.tuples(st.sampled_from(spec.gen_names + spec.edge_gens),
+                        st.integers(-3, 3).filter(bool))
+
+    def word():
+        return Word.of(data.draw(st.lists(letters, max_size=8)))
+
+    g = word()
+    vs = [vertex_of(spec, data.draw(st.sampled_from("AB")), word()) for _ in range(3)]
+    move = mover(spec, g)
+    for v in vs:
+        want = vertex_of(spec, v.side, g * v.rep_word())
+        assert move(v) == act(spec, g, v) == want
 
 
 def test_no_edge_inversions_sides_preserved(z2z3, klein, f2_amalgam):
@@ -277,6 +300,23 @@ def test_fixed_set_reports_capped_free_cyclic_conjugators():
     assert len(capped.members) == 17 and not capped.exhaustive_within_radius
     full = fixed_set(spec, W("x^40"), radius=1, neighbor_cap=40)
     assert len(full.members) == 41 and full.exhaustive_within_radius
+
+
+def test_classify_normalizes_the_element_once(f2_amalgam, monkeypatch):
+    # one normal form pushes g's 120 runs; moving A:1 (no syllables) pushes
+    # nothing, and moving g A:1 pushes its junction alone
+    g = W("b d") ** 60
+    calls = {"normal_form": 0, "_push": 0}
+    for name in calls:
+        method = getattr(SplittingSpec, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(SplittingSpec, name, counted)
+    assert classify(f2_amalgam, g).tau == 120
+    assert calls == {"normal_form": 1, "_push": 121}
 
 
 def test_classify_base_independent(z2z3, z3z4, klein):
@@ -520,7 +560,8 @@ def test_axis_window_matches_reference(z2z3, z3z4, klein, z4z6_table):
             found += 1
             base, radius = random_base(spec, rng), rng.randint(0, 5)
             window = reference_ball(spec, base, radius)
-            on = {v: d for v, d in window.items() if on_axis(spec, h, cls.tau, v)}
+            move = mover(spec, h)
+            on = {v: d for v, d in window.items() if on_axis(move, cls.tau, v)}
             region = axis_window(spec, h, base, radius)
             assert region.members == canonical_order(on), str(h)
             assert region.exhaustive_within_radius
