@@ -7,14 +7,18 @@ axis overlap, p = 3 for large overlap.  Every witness is certified by a
 bounded-depth normal-form check: no nontrivial alternating word in the
 witnesses of letter budget <= depth evaluates to the identity (semigroup
 claims: all positive words up to the depth stay pairwise distinct).  Each
-node of the search extends its parent's normal form by the normal form of
-one witness power (``SplittingSpec.extend``), so a node costs its
-junction's cancellation, not the power; the powers' forms are built once
-per certificate, each extended from the last.  The rank-2 search skips a
-subtree when its stack holds more syllables than the remaining budget can
-pop, so a level costs about ×2 the one before, not ×3 (the argument is
-in ``certify_rank2_free``); depths past ``MAX_CERTIFICATE_DEPTH`` are
-input errors.  It refutes non-freeness up to that depth; it
+word extends its parent's normal form by the normal form of one witness
+power (``SplittingSpec.extend``), so a word costs its junction's
+cancellation, not the power; the powers' forms are built once per
+certificate, each extended from the last.  A relation of cost m is a
+collision of two words of costs ceil(m/2) and floor(m/2), so a passing
+rank-2 certificate walks the ball of half its depth, about ×√3 per level
+for infinite orders; a failing one also runs the depth-first search that
+names its first failing word, which skips subtrees that cannot cancel
+and costs about ×2 per level (the argument is in
+``certify_rank2_free``).  Depths past ``MAX_CERTIFICATE_DEPTH`` and
+certificates of more than ``MAX_CERTIFICATE_NODES`` words are input
+errors.  It refutes non-freeness up to that depth; it
 is a guard, not a proof; the freeness statements themselves come from
 acylindricity, the certificate only guards the computation.
 
@@ -43,6 +47,9 @@ from .words import Word
 # deepest certificate: the rank-2 search recurses once per power, and
 # Python stops at 1,000 frames
 MAX_CERTIFICATE_DEPTH = 500
+# most words a certificate may normalize: the ball the rank-2 walk visits,
+# or the positive words the semigroup check stores
+MAX_CERTIFICATE_NODES = 50_000
 
 
 class WitnessInputError(ValueError):
@@ -121,6 +128,63 @@ def _power_forms(spec: SplittingSpec, w: Word, order: Optional[int],
     return forms
 
 
+Step = Tuple[int, NormalForm, int]  # (exponent, power's normal form, cost)
+
+
+def _steps(spec: SplittingSpec, words: Tuple[Word, Word],
+           orders: Tuple[Optional[int], ...], depth: int) -> Tuple[List[List[Step]], ...]:
+    """steps[i][b]: the powers of side i within budget b, for b <= depth."""
+    forms = tuple(_power_forms(spec, w, order, depth) for w, order in zip(words, orders))
+    return tuple([[(exp, forms[i][exp], _syllable_cost(exp, orders[i]))
+                   for exp in _exponent_range(orders[i], b)] for b in range(depth + 1)]
+                 for i in (0, 1))
+
+
+def _check_nodes(depth: int, count: int) -> None:
+    """Reject a certificate of more than ``MAX_CERTIFICATE_NODES`` nodes as
+    an input error."""
+    if count > MAX_CERTIFICATE_NODES:
+        raise ValueError(f"certificate depth {depth} needs {count} nodes; "
+                         f"at most {MAX_CERTIFICATE_NODES} are allowed")
+
+
+def _ball_size(orders: Tuple[Optional[int], ...], radius: int) -> int:
+    """|B(radius)| - 1 in the free product of the two cyclic groups, that is,
+    the number of nontrivial alternating words of cost <= radius:
+    2(3^radius - 1) for two infinite orders."""
+    costs = [[_syllable_cost(e, order) for e in _exponent_range(order, radius)]
+             for order in orders]
+    # ends[i][c]: the words of cost c whose last power is on side i
+    ends = [[0] * (radius + 1) for _ in (0, 1)]
+    for c in range(1, radius + 1):
+        for i in (0, 1):
+            ends[i][c] = sum(ends[1 - i][c - k] + (k == c) for k in costs[i] if k <= c)
+    return sum(ends[0]) + sum(ends[1])
+
+
+def _ball_is_injective(spec: SplittingSpec, steps: Tuple[List[List[Step]], ...],
+                       depth: int) -> bool:
+    """Whether no two distinct words u, v of costs <= ceil(depth/2) and
+    <= floor(depth/2) have the same normal form, walking the ball by cost
+    layers; each word is its parent's form extended by its last power."""
+    low, high = depth // 2, (depth + 1) // 2
+    identity = spec.normal_form(Word())
+    seen = {identity}
+    layers = [[(None, identity)]]  # layers[c]: (last side, normal form) of cost c
+    for c in range(1, high + 1):
+        # the root is the identity, so its children are the powers
+        layer = [(i, form if last is None else spec.extend(nf, form))
+                 for i in (0, 1) for _, form, cost in steps[i][c]
+                 for last, nf in layers[c - cost] if last != i]
+        if c > low:  # an odd depth's last layer is looked up, never stored
+            return seen.isdisjoint(nf for _, nf in layer)
+        seen.update(nf for _, nf in layer)
+        layers.append(layer)
+        if len(seen) < sum(map(len, layers)):
+            return False
+    return True
+
+
 def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
                        depth: int = 6) -> Tuple[bool, Optional[str]]:
     """Check that no nontrivial alternating word in w1, w2 of letter budget
@@ -132,31 +196,50 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
     rank-2 free subgroups.  Returns (ok, failing word or None), the failing
     word being the first trivial one in depth-first order.
 
-    The search skips subtrees that cannot cancel.  ``SplittingSpec.extend``
-    pushes one syllable of the power at a time, and each ``_push`` pops at
-    most one syllable off the stack, so extending by a power of s syllables
-    leaves at least (stack length - s) of them (Lyndon-Schupp IV.2).  A word
-    is trivial only when its stack is empty.  ``most[i][b]`` is the largest
-    total syllable count of an alternating run of powers that starts on
-    side i and costs at most b, so a child whose stack is longer than
-    ``most[1 - i][rest]`` has no trivial descendant, and its subtree is
-    skipped after the child itself is tested.  Every visited node is tested
-    and every skipped subtree holds no trivial word, so the answer, and the
-    first failing word, are those of the full search.  The skip trusts that
-    ``extend`` leaves a reduced stack, that is, a normal form, in which
-    "trivial" means "no syllables and a trivial tail"; the tests compare
-    the pruned search with the full one.
+    The verdict comes from a ball walk.  The alternating words are the
+    elements of the free product P of the cyclic groups <w1>, <w2>, and a
+    word's cost is its length in P.  A nontrivial element g of length
+    m <= depth splits along a geodesic as g = u v^-1 with |u| = ceil(m/2)
+    and |v| = floor(m/2); the cut may fall inside a power, where a residue
+    of cost c splits into residues of costs j and c - j (for an even order,
+    the residue of cost order/2 has two geodesic halves, either will do).
+    So g is trivial in the group exactly when u and v, distinct in P, have
+    the same normal form.  There is no relation of cost <= depth exactly
+    when the words of cost <= floor(depth/2) have pairwise distinct forms
+    and no word of cost ceil(depth/2) has the form of one of them (for an
+    odd depth, two words of cost ceil(depth/2) may share a form: their
+    relation costs depth + 1).  This visits |B(ceil(depth/2))| words, about
+    ×√3 per level for two infinite orders.  Counts past
+    ``MAX_CERTIFICATE_NODES`` are input errors, raised before the power
+    table is built.
+
+    A failing walk only says that some word fails.  The depth-first search
+    then names the first failing word, skipping subtrees that cannot
+    cancel.  ``SplittingSpec.extend`` pushes one syllable of the power at a
+    time, and each ``_push`` pops at most one syllable off the stack, so
+    extending by a power of s syllables leaves at least (stack length - s)
+    of them (Lyndon-Schupp IV.2).  A word is trivial only when its stack is
+    empty.  ``most[i][b]`` is the largest total syllable count of an
+    alternating run of powers that starts on side i and costs at most b, so
+    a child whose stack is longer than ``most[1 - i][rest]`` has no trivial
+    descendant, and its subtree is skipped after the child itself is
+    tested.  Every visited node is tested and every skipped subtree holds
+    no trivial word, so the answer, and the first failing word, are those
+    of the full search.  Both the walk and the skip trust that ``extend``
+    returns a normal form, in which "trivial" means "no syllables and a
+    trivial tail" and equal forms are equal elements; the tests compare
+    them with the full search.
     """
     _check_depth(depth)
     if spec.is_trivial(w1) or spec.is_trivial(w2):
         return False, "a witness generator is trivial"
     words = (w1, w2)
     orders = tuple(element_order(spec, w) for w in words)
-    forms = tuple(_power_forms(spec, w, order, depth) for w, order in zip(words, orders))
-    # steps[i][b]: (exponent, power's normal form, cost) for side i within budget b
-    steps = tuple([[(exp, forms[i][exp], _syllable_cost(exp, orders[i]))
-                    for exp in _exponent_range(orders[i], b)] for b in range(depth + 1)]
-                  for i in (0, 1))
+    half = (depth + 1) // 2
+    _check_nodes(depth, _ball_size(orders, half))
+    if _ball_is_injective(spec, _steps(spec, words, orders, half), depth):
+        return True, None
+    steps = _steps(spec, words, orders, depth)
     most = [[0] * (depth + 1) for _ in (0, 1)]
     for b in range(1, depth + 1):
         for i in (0, 1):
@@ -190,8 +273,10 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
 
 def certify_free_semigroup(spec: SplittingSpec, w1: Word, w2: Word,
                            depth: int = 6) -> Tuple[bool, Optional[str]]:
-    """All positive words of length <= depth in (w1, w2) are pairwise distinct."""
+    """All positive words of length <= depth in (w1, w2) are pairwise distinct;
+    the 2^(depth+1) - 2 nonempty words count against ``MAX_CERTIFICATE_NODES``."""
     _check_depth(depth)
+    _check_nodes(depth, 2 ** (depth + 1) - 2)
     empty = spec.normal_form(Word())
     seen = {empty: ""}
     frontier: List[Tuple[str, NormalForm]] = [("", empty)]

@@ -268,14 +268,16 @@ def test_input_errors(capsys):
         assert rc == EXIT_INPUT and not out
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
-    # negative or too deep certificate depths and negative window radii
-    # check nothing
+    # negative or too deep certificate depths, certificates of too many
+    # nodes (|B(10)| - 1 = 118,096 words for two infinite orders at depth
+    # 19) and negative window radii check nothing
     witness = ["free-witness", "--group", data("f2_amalgam.json"), "--g1", "b d", "--g2", "d b"]
     too_deep = str(MAX_CERTIFICATE_DEPTH + 1)
     for argv, message in [(witness + ["--depth", "-5"], "depth"),
                           (witness + ["--depth", "-5", "--semigroup"], "depth"),
                           (witness + ["--depth", too_deep], "depth"),
                           (witness + ["--depth", too_deep, "--semigroup"], "depth"),
+                          (witness + ["--depth", "19"], "needs 118096 nodes"),
                           (["fix", "--group", data("f2_amalgam.json"), "--element", "a",
                             "--radius", "-2"], "radius"),
                           (["fix", "--group", data("klein.json"), "--element", "a",

@@ -106,6 +106,8 @@ def unpruned_certificate(spec, w1, w2, depth):
     # relations that cancel long stacks: a skip that cuts too early misses them
     ("f2", "y^-2 x^2", "y^-2 x^2 y^-2 x^2 y^-2 x^2", 6),
     ("f2", "x y^-1 x^-2 y^2", "y^-2 x^2 y x^-1 y^-2 x^2 y x^-1", 3),
+    # balls of radius 4 on both parities, passing and failing
+    ("f2", "x y", "y^2 x y^-1", 7), ("z3z4", "a b", "b a^-1", 8),
 ])
 def test_pruned_certificate_matches_full_search(request, spec, w1, w2, depth):
     spec = request.getfixturevalue(spec)
@@ -115,9 +117,10 @@ def test_pruned_certificate_matches_full_search(request, spec, w1, w2, depth):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_pruned_certificate_matches_full_search_on_random_pairs(f2, z2z3, klein,
-                                                                f2_amalgam, data):
-    spec = data.draw(st.sampled_from([f2, z2z3, klein, f2_amalgam]))
+def test_pruned_certificate_matches_full_search_on_random_pairs(f2, z2z3, z3z4, z70z3,
+                                                                klein, f2_amalgam, data):
+    # an even order (4, 70) has a residue of cost order/2 with two geodesic halves
+    spec = data.draw(st.sampled_from([f2, z2z3, z3z4, z70z3, klein, f2_amalgam]))
     names = spec.gen_names + spec.edge_gens
     letters = st.tuples(st.sampled_from(names), st.integers(-2, 2).filter(bool))
     w1 = spec.resolve_word(Word.of(data.draw(st.lists(letters, min_size=1, max_size=4))))
@@ -136,9 +139,26 @@ def test_certificate_skip_is_strict(f2):
     assert certify_rank2_free(f2, W("x"), W("x"), 2) == (False, "W2^-1 after x")
 
 
-def test_certificate_skips_subtrees_that_cannot_cancel(f2, monkeypatch):
-    # the full search extends 4,372 nodes at depth 7; the skip and the
-    # power table built by extension leave fewer than 700 extend calls
+@pytest.mark.parametrize("w2,depth,verdict", [
+    # the relation W1^2 W2^-1 costs 3: a walk of radius 1 must not see it,
+    # and at depth 3 the cost-2 word W1^2 is looked up against W2
+    ("x^2", 2, (True, None)), ("x^2", 3, (False, "W1^1 after x^-1")),
+    # W1^3 W2^-1 costs 4: at depth 3 two cost-2 words share a form, which
+    # is a relation of cost 4, not 3
+    ("x^3", 3, (True, None)), ("x^3", 4, (False, "W2^-1 after x^3")),
+])
+def test_certificate_splits_relations_by_parity(f2, w2, depth, verdict):
+    assert certify_rank2_free(f2, W("x"), W(w2), depth) == verdict
+    assert unpruned_certificate(f2, W("x"), W(w2), depth) == verdict
+    # the walk alone decides: a failing walk's depth-first search would
+    # hide a false alarm by finding no failing word
+    steps = freeness._steps(f2, (W("x"), W(w2)), (None, None), (depth + 1) // 2)
+    assert freeness._ball_is_injective(f2, steps, depth) == verdict[0]
+
+
+def test_passing_certificate_walks_the_half_ball(f2, monkeypatch):
+    # the full search extends 4,372 nodes at depth 7; a passing certificate
+    # walks the 160 words of cost <= 4, one extend each past the powers
     calls = []
     extend = SplittingSpec.extend
 
@@ -148,7 +168,7 @@ def test_certificate_skips_subtrees_that_cannot_cancel(f2, monkeypatch):
 
     monkeypatch.setattr(SplittingSpec, "extend", counted)
     assert certify_rank2_free(f2, XY, W("y^2 x y^-1"), 7) == (True, None)
-    assert len(calls) <= 700
+    assert len(calls) <= 200
 
 
 def test_certificate_depth_is_bounded(z2z3, monkeypatch):
@@ -163,6 +183,26 @@ def test_certificate_depth_is_bounded(z2z3, monkeypatch):
         with pytest.raises(ValueError, match=f"certificate depth must be <= {bound}, "
                                              f"got {bound + 1}"):
             certify(z2z3, W("a"), W("b"), bound + 1)
+
+
+def test_certificate_nodes_are_bounded(f2, z2z3, monkeypatch):
+    # the rank-2 walk visits the |B(r)| - 1 words of cost <= r = ceil(depth/2):
+    # 2(3^r - 1) on F2, and on Z/2 * Z/3, 2^floor(c/2) + 2^ceil(c/2) of each
+    # cost c; the semigroup check stores 2^(depth+1) - 2 words
+    def no_power_forms(*args):
+        raise AssertionError("power forms built")
+
+    monkeypatch.setattr(freeness, "_power_forms", no_power_forms)
+    monkeypatch.setattr(freeness, "MAX_CERTIFICATE_NODES", 50)
+    for certify, spec, w1, w2, depth, count in [
+            (certify_rank2_free, f2, "x", "y", 7, 160),
+            (certify_rank2_free, z2z3, "a", "b", 13, 73),
+            (certify_free_semigroup, f2, "x", "y", 5, 62)]:
+        with pytest.raises(ValueError, match=f"certificate depth {depth} needs {count} "
+                                             f"nodes; at most 50 are allowed"):
+            certify(spec, W(w1), W(w2), depth)
+    assert freeness._ball_size((None, None), 3) == 52
+    assert freeness._ball_size((2, 3), 6) == 49
 
 
 @pytest.mark.parametrize("spec,w", [
