@@ -7,6 +7,9 @@ log1p(4/expm1(x)) in doubles, and above it switches to 60-digit arithmetic
 in the standard library's ``decimal``, imported on first use.  The 60-digit
 value is rounded to a double once, so the result is correctly rounded,
 subnormal results included, and the JSON reports are byte-stable.
+Since e^{E s0} - 1 = 4/(e^{(4k+10) E D} - 1), E is the free-group entropy
+of the weights (s0, (4k+10) D): ``growth.free_group_entropy_root``
+returns it (and likewise for ``free_product_bound`` with 2D).
 
 C_n (the dimensional systolic constant) is a user-supplied parameter with
 default 1.0; no value for it is derived here.

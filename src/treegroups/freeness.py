@@ -11,16 +11,15 @@ word extends its parent's normal form by the normal form of one witness
 power (``SplittingSpec.extend``), so a word costs its junction's
 cancellation, not the power; the powers' forms are built once per
 certificate, each extended from the last.  A relation of cost m is a
-collision of two words of costs ceil(m/2) and floor(m/2), so a passing
-rank-2 certificate walks the ball of half its depth, about ×√3 per level
-for infinite orders; a failing one also runs the depth-first search that
-names its first failing word, which skips subtrees that cannot cancel
-and costs about ×2 per level (the argument is in
-``certify_rank2_free``).  Depths past ``MAX_CERTIFICATE_DEPTH`` and
-certificates of more than ``MAX_CERTIFICATE_NODES`` words are input
-errors.  It refutes non-freeness up to that depth; it
-is a guard, not a proof; the freeness statements themselves come from
-acylindricity, the certificate only guards the computation.
+collision of two words of costs ceil(m/2) and floor(m/2), so a rank-2
+certificate walks the ball of half its depth, about ×√3 per level for
+infinite orders, and a failing one names the relation of its first
+collision (the argument is in ``certify_rank2_free``).  Depths past
+``MAX_CERTIFICATE_DEPTH`` and certificates of more than
+``MAX_CERTIFICATE_NODES`` words are input errors.  It refutes
+non-freeness up to that depth; it is a guard, not a proof; the freeness
+statements themselves come from acylindricity, the certificate only
+guards the computation.
 
 Each case hypothesis is checked in one place: the element type by
 ``_require``, disjoint fixed sets by ``_fixed_set_distance``, distinct axes
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .splitting import NormalForm, SplittingSpec
 from .tree import (ElementClass, TreeVertex, VertexRegion, act, axis_window,
@@ -44,8 +43,9 @@ from .tree import (ElementClass, TreeVertex, VertexRegion, act, axis_window,
 from .words import Word
 
 
-# deepest certificate: the rank-2 search recurses once per power, and
-# Python stops at 1,000 frames
+# deepest certificate: on Z/2 * Z/2 the ball grows linearly, so the node
+# budget alone would admit depths near 50,000, and the walk stores
+# Θ(depth²) syllables (depth 4,000: 1.1 s and 66 MB on a 2-vCPU host)
 MAX_CERTIFICATE_DEPTH = 500
 # most words a certificate may normalize: the ball the rank-2 walk visits,
 # or the positive words the semigroup check stores
@@ -88,7 +88,8 @@ class OverlapReport(NamedTuple):
 
 def _check_depth(depth: int) -> None:
     """Reject a negative certificate depth, or one past
-    ``MAX_CERTIFICATE_DEPTH``, as an input error."""
+    ``MAX_CERTIFICATE_DEPTH``, as an input error: the node budget does not
+    bound the depth where the ball grows linearly."""
     check_nonnegative("certificate depth", depth)
     if depth > MAX_CERTIFICATE_DEPTH:
         raise ValueError(f"certificate depth must be <= {MAX_CERTIFICATE_DEPTH}, got {depth}")
@@ -128,18 +129,6 @@ def _power_forms(spec: SplittingSpec, w: Word, order: Optional[int],
     return forms
 
 
-Step = Tuple[int, NormalForm, int]  # (exponent, power's normal form, cost)
-
-
-def _steps(spec: SplittingSpec, words: Tuple[Word, Word],
-           orders: Tuple[Optional[int], ...], depth: int) -> Tuple[List[List[Step]], ...]:
-    """steps[i][b]: the powers of side i within budget b, for b <= depth."""
-    forms = tuple(_power_forms(spec, w, order, depth) for w, order in zip(words, orders))
-    return tuple([[(exp, forms[i][exp], _syllable_cost(exp, orders[i]))
-                   for exp in _exponent_range(orders[i], b)] for b in range(depth + 1)]
-                 for i in (0, 1))
-
-
 def _check_nodes(depth: int, count: int) -> None:
     """Reject a certificate of more than ``MAX_CERTIFICATE_NODES`` nodes as
     an input error."""
@@ -162,27 +151,43 @@ def _ball_size(orders: Tuple[Optional[int], ...], radius: int) -> int:
     return sum(ends[0]) + sum(ends[1])
 
 
-def _ball_is_injective(spec: SplittingSpec, steps: Tuple[List[List[Step]], ...],
-                       depth: int) -> bool:
-    """Whether no two distinct words u, v of costs <= ceil(depth/2) and
-    <= floor(depth/2) have the same normal form, walking the ball by cost
-    layers; each word is its parent's form extended by its last power."""
+def _ball_collision(spec: SplittingSpec, words: Tuple[Word, Word],
+                    orders: Tuple[Optional[int], ...], depth: int) -> Optional[tuple]:
+    """The first two distinct words u, v of costs <= ceil(depth/2) and
+    <= floor(depth/2) with the same normal form, or None.  The walk goes by
+    cost layers; each word is its parent's form extended by its last power,
+    and v is the first word that reached the form.  A word is nested as
+    (parent, side, exponent), the root being ()."""
     low, high = depth // 2, (depth + 1) // 2
+    forms = [_power_forms(spec, w, order, high) for w, order in zip(words, orders)]
     identity = spec.normal_form(Word())
-    seen = {identity}
-    layers = [[(None, identity)]]  # layers[c]: (last side, normal form) of cost c
+    first = {identity: ()}  # each stored form's first word
+    # ends[i][c]: (word, normal form) of the words of cost c ending on side i
+    ends = [[[((), identity)]], [[((), identity)]]]
     for c in range(1, high + 1):
-        # the root is the identity, so its children are the powers
-        layer = [(i, form if last is None else spec.extend(nf, form))
-                 for i in (0, 1) for _, form, cost in steps[i][c]
-                 for last, nf in layers[c - cost] if last != i]
-        if c > low:  # an odd depth's last layer is looked up, never stored
-            return seen.isdisjoint(nf for _, nf in layer)
-        seen.update(nf for _, nf in layer)
-        layers.append(layer)
-        if len(seen) < sum(map(len, layers)):
-            return False
-    return True
+        for i in (0, 1):
+            ends[i].append([])
+            for exp in _exponent_range(orders[i], c):
+                form = forms[i][exp]
+                for parent, nf in ends[1 - i][c - _syllable_cost(exp, orders[i])]:
+                    # the root is the identity, so its children are the powers
+                    nf2 = spec.extend(nf, form) if parent else form
+                    word = (parent, i, exp)
+                    if c > low:  # an odd depth's last layer is looked up, never stored
+                        v = first.get(nf2, word)
+                    else:
+                        v = first.setdefault(nf2, word)
+                        ends[i][c].append((word, nf2))
+                    if v is not word:
+                        return word, v
+    return None
+
+
+def _spell(word: tuple, sign: int) -> Iterator[Tuple[int, int]]:
+    """The (side, sign * exponent) powers of a walked word, last first."""
+    while word:
+        word, i, exp = word
+        yield i, sign * exp
 
 
 def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
@@ -193,8 +198,7 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
     Syllable exponents run over nontrivial powers (mod the element order when
     finite), so this is the right nontriviality check both for the
     free-product claim <w1> * <w2> and, for infinite-order witnesses, for
-    rank-2 free subgroups.  Returns (ok, failing word or None), the failing
-    word being the first trivial one in depth-first order.
+    rank-2 free subgroups.  Returns (ok, the named relation or None).
 
     The verdict comes from a ball walk.  The alternating words are the
     elements of the free product P of the cyclic groups <w1>, <w2>, and a
@@ -213,62 +217,33 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
     ``MAX_CERTIFICATE_NODES`` are input errors, raised before the power
     table is built.
 
-    A failing walk only says that some word fails.  The depth-first search
-    then names the first failing word, skipping subtrees that cannot
-    cancel.  ``SplittingSpec.extend`` pushes one syllable of the power at a
-    time, and each ``_push`` pops at most one syllable off the stack, so
-    extending by a power of s syllables leaves at least (stack length - s)
-    of them (Lyndon-Schupp IV.2).  A word is trivial only when its stack is
-    empty.  ``most[i][b]`` is the largest total syllable count of an
-    alternating run of powers that starts on side i and costs at most b, so
-    a child whose stack is longer than ``most[1 - i][rest]`` has no trivial
-    descendant, and its subtree is skipped after the child itself is
-    tested.  Every visited node is tested and every skipped subtree holds
-    no trivial word, so the answer, and the first failing word, are those
-    of the full search.  Both the walk and the skip trust that ``extend``
-    returns a normal form, in which "trivial" means "no syllables and a
-    trivial tail" and equal forms are equal elements; the tests compare
-    them with the full search.
+    A failing walk stops at its first collision, a word u of cost c whose
+    form an earlier word v has, and names the relation u v^-1, which costs
+    <= depth.  No layer below c collided, so every relation costs
+    >= 2c - 1, and the named one costs <= 2c: it is within one of the
+    shortest.  It is written ``W1^1 W2^1 W1^-1 W2^-1 = 1``, with the powers
+    at the junction merged and finite-order exponents as residues.  The
+    walk trusts that ``extend`` returns a normal form, in which equal forms
+    are equal elements; the tests compare it with a walk that normalizes
+    every word from scratch.
     """
     _check_depth(depth)
     if spec.is_trivial(w1) or spec.is_trivial(w2):
         return False, "a witness generator is trivial"
     words = (w1, w2)
     orders = tuple(element_order(spec, w) for w in words)
-    half = (depth + 1) // 2
-    _check_nodes(depth, _ball_size(orders, half))
-    if _ball_is_injective(spec, _steps(spec, words, orders, half), depth):
+    _check_nodes(depth, _ball_size(orders, (depth + 1) // 2))
+    collision = _ball_collision(spec, words, orders, depth)
+    if collision is None:
         return True, None
-    steps = _steps(spec, words, orders, depth)
-    most = [[0] * (depth + 1) for _ in (0, 1)]
-    for b in range(1, depth + 1):
-        for i in (0, 1):
-            most[i][b] = max((len(form.syllables) + most[1 - i][b - cost]
-                              for _, form, cost in steps[i][b]), default=0)
-    path: List[Tuple[int, int]] = []  # (side, exponent) of each power so far
-
-    def descend(nf: NormalForm, last: Optional[int], budget: int) -> Optional[str]:
-        for i in (0, 1):
-            if i == last:
-                continue
-            for exp, form, cost in steps[i][budget]:
-                # the root is the identity, so its children are the powers
-                nf2 = form if last is None else spec.extend(nf, form)
-                if nf2.is_trivial:
-                    prefix = Word.of(letter for j, e in path
-                                     for letter in (words[j] ** e).letters)
-                    return f"W{i + 1}^{exp} after {prefix}"
-                if len(nf2.syllables) > most[1 - i][budget - cost]:
-                    continue
-                path.append((i, exp))
-                bad = descend(nf2, i, budget - cost)
-                path.pop()
-                if bad is not None:
-                    return bad
-        return None
-
-    bad = descend(spec.normal_form(Word()), None, depth)
-    return (bad is None), bad
+    u, v = collision
+    relation: List[Tuple[int, int]] = []
+    for i, exp in [*reversed([*_spell(u, 1)]), *_spell(v, -1)]:
+        if relation and relation[-1][0] == i:  # u and v end on the same side
+            exp += relation.pop()[1]
+        relation.append((i, exp))
+    return False, " ".join(f"W{i + 1}^{exp if orders[i] is None else exp % orders[i]}"
+                           for i, exp in relation) + " = 1"
 
 
 def certify_free_semigroup(spec: SplittingSpec, w1: Word, w2: Word,

@@ -147,6 +147,14 @@ def geodesic(u: TreeVertex, v: TreeVertex) -> List[TreeVertex]:
     return up + (down if _first_side(u) != _first_side(v) else down[1:])
 
 
+def geodesic_vertex(u: TreeVertex, v: TreeVertex, i: int) -> TreeVertex:
+    """``geodesic(u, v)[i]``: one prefix of u on the climb to the meet, else of v."""
+    m, n = _meet(u, v), len(u.syllables)
+    if i <= n - m:
+        return _prefix_vertex(u, n - i)
+    return _prefix_vertex(v, 2 * m + i - n - (_first_side(u) != _first_side(v)))
+
+
 def classify(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None) -> ElementClass:
     """Elliptic/hyperbolic verdict via the two-displacement criterion.
 
@@ -164,8 +172,8 @@ def classify(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None) ->
     d2 = tree_distance(base, ggv)
     if d2 > d1:
         tau = d2 - d1
-        return ElementClass("hyperbolic", tau, geodesic(base, gv)[(d1 - tau) // 2])
-    return ElementClass("elliptic", 0, geodesic(base, gv)[d1 // 2])
+        return ElementClass("hyperbolic", tau, geodesic_vertex(base, gv, (d1 - tau) // 2))
+    return ElementClass("elliptic", 0, geodesic_vertex(base, gv, d1 // 2))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treegroups.bounds import (SMALL_X_THRESHOLD, build_bounds_report,
                                compare_case_bounds, delta0,
@@ -13,6 +15,7 @@ from treegroups.bounds import (SMALL_X_THRESHOLD, build_bounds_report,
                                small_x_auxiliary_holds,
                                threshold_implication_holds,
                                volume_lower_bound)
+from treegroups.growth import free_group_entropy_root
 
 
 def mp_s0(x: float) -> float:
@@ -139,6 +142,20 @@ def test_free_product_bound():
     for x in ED_GRID:
         assert s0_core(2 * x) >= s0_core(10 * x)
     assert free_product_bound(1.0, 20.0) < 1e-16
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_e=st.floats(math.log(0.01), math.log(10)),
+       log_d=st.floats(math.log(0.01), math.log(10)), k=st.integers(0, 8))
+def test_bounds_are_free_group_entropy_weights(log_e, log_d, k):
+    # s0 is the weight that, with (4k+10) D, gives the free group entropy E
+    E, D = math.exp(log_e), math.exp(log_d)
+    for weight, other in ((s0_general(E, D, k), (4 * k + 10) * D),
+                          (free_product_bound(E, D), 2 * D)):
+        # s0 underflows for large E D; weights near the least normal float
+        # are rejected by the root, since E times them would fall below it
+        assume(weight >= 1e-300)
+        assert free_group_entropy_root(weight, other) == pytest.approx(E, rel=1e-15)
 
 
 def test_delta0():

@@ -57,21 +57,23 @@ def test_certify_trivial_generator_rejected(z2z3):
 
 
 def test_certificate_failure_strings(z2z3, klein):
-    # the failing prefix is rebuilt from the witness powers for the message
-    assert certify_rank2_free(klein, W("a"), W("b"), 4) == (False, "W1^1 after a b^-2")
+    # a^2 = b^2 in the Klein bottle group; a has order 2 in Z/2 * Z/3, so
+    # W1^-1 is written by its residue
+    assert certify_rank2_free(klein, W("a"), W("b"), 4) == (False, "W2^1 W1^-2 W2^1 = 1")
     assert certify_free_semigroup(klein, W("a"), W("b"), 4) == (
         False, "W22 collides with W11")
-    assert certify_rank2_free(z2z3, W("a"), W("a"), 4) == (False, "W2^1 after a")
+    assert certify_rank2_free(z2z3, W("a"), W("a"), 4) == (False, "W2^1 W1^1 = 1")
 
 
-def unpruned_certificate(spec, w1, w2, depth):
-    """The full depth-first search of ``certify_rank2_free``, with no skip
-    and each node's word normalized from scratch: the reference the pruned
-    search must agree with, failing word included."""
+def reference_certificate(spec, w1, w2, depth):
+    """The ball walk of ``certify_rank2_free`` with each word normalized from
+    scratch: the reference the extending walk must agree with, named
+    relation included."""
     if spec.is_trivial(w1) or spec.is_trivial(w2):
         return False, "a witness generator is trivial"
     words = (w1, w2)
     orders = tuple(element_order(spec, w) for w in words)
+    low, high = depth // 2, (depth + 1) // 2
 
     def cost(exp, order):
         return abs(exp) if order is None else min(exp % order, order - exp % order)
@@ -81,21 +83,50 @@ def unpruned_certificate(spec, w1, w2, depth):
             return [e for e in range(1, order) if cost(e, order) <= budget]
         return [e for mag in range(1, budget + 1) for e in (mag, -mag)]
 
-    def descend(prefix, last, budget):
-        for i in (0, 1):
-            if i == last:
-                continue
-            for exp in exponents(orders[i], budget):
-                word = prefix * words[i] ** exp
-                if spec.is_trivial(word):
-                    return f"W{i + 1}^{exp} after {prefix}"
-                bad = descend(word, i, budget - cost(exp, orders[i]))
-                if bad is not None:
-                    return bad
-        return None
+    def evaluate(powers):
+        return spec.normal_form(Word.of(letter for i, e in powers
+                                        for letter in (words[i] ** e).letters))
 
-    bad = descend(Word(), None, depth)
-    return (bad is None), bad
+    first = {evaluate(()): ()}
+    layers = [[()]]  # layers[c]: the words of cost c, as (side, exponent) powers
+    for c in range(1, high + 1):
+        layers.append([])
+        for i in (0, 1):
+            for exp in exponents(orders[i], high):
+                cost_i = cost(exp, orders[i])
+                for parent in layers[c - cost_i] if cost_i <= c else ():
+                    if parent and parent[-1][0] == i:
+                        continue
+                    u = parent + ((i, exp),)
+                    nf = evaluate(u)
+                    if nf in first:
+                        relation = list(u)
+                        for j, e in reversed(first[nf]):
+                            if relation[-1][0] == j:
+                                e = relation.pop()[1] - e
+                                relation.append((j, e))
+                            else:
+                                relation.append((j, -e))
+                        return False, " ".join(
+                            f"W{j + 1}^{e if orders[j] is None else e % orders[j]}"
+                            for j, e in relation) + " = 1"
+                    if c <= low:
+                        first[nf] = u
+                        layers[c].append(u)
+    return True, None
+
+
+def check_named_relation(spec, w1, w2, depth, verdict):
+    """A named relation is trivial in the group and costs <= depth."""
+    ok, fail = verdict
+    if ok or fail == "a witness generator is trivial":
+        return
+    words = (w1, w2)
+    orders = tuple(element_order(spec, w) for w in words)
+    powers = [(int(p[1]) - 1, int(p[3:])) for p in fail.removesuffix(" = 1").split()]
+    assert spec.is_trivial(Word.of(letter for i, e in powers
+                                   for letter in (words[i] ** e).letters))
+    assert sum(freeness._syllable_cost(e, orders[i]) for i, e in powers) <= depth
 
 
 @pytest.mark.parametrize("spec,w1,w2,depth", [
@@ -111,8 +142,9 @@ def unpruned_certificate(spec, w1, w2, depth):
 ])
 def test_pruned_certificate_matches_full_search(request, spec, w1, w2, depth):
     spec = request.getfixturevalue(spec)
-    assert certify_rank2_free(spec, W(w1), W(w2), depth) == unpruned_certificate(
-        spec, W(w1), W(w2), depth)
+    verdict = certify_rank2_free(spec, W(w1), W(w2), depth)
+    assert verdict == reference_certificate(spec, W(w1), W(w2), depth)
+    check_named_relation(spec, W(w1), W(w2), depth, verdict)
 
 
 @settings(max_examples=150, deadline=None)
@@ -129,36 +161,33 @@ def test_pruned_certificate_matches_full_search_on_random_pairs(f2, z2z3, z3z4, 
     w2 = data.draw(st.sampled_from([z, w1 ** data.draw(st.integers(-3, 3)),
                                     w1.conjugated_by(z), w1 * z, z * w1.inverse()]))
     depth = data.draw(st.integers(0, 6))
-    assert certify_rank2_free(spec, w1, w2, depth) == unpruned_certificate(
-        spec, w1, w2, depth)
+    verdict = certify_rank2_free(spec, w1, w2, depth)
+    assert verdict == reference_certificate(spec, w1, w2, depth)
+    check_named_relation(spec, w1, w2, depth, verdict)
 
 
-def test_certificate_skip_is_strict(f2):
-    # after x, one syllable is left and W2^-1 = x^-1 pops exactly one: a
-    # skip at stack length >= what the budget can pop would miss it
-    assert certify_rank2_free(f2, W("x"), W("x"), 2) == (False, "W2^-1 after x")
+def test_certificate_names_the_first_word_of_a_form(f2):
+    # W1^1 = x stores the form x before W2^1 = x reaches it, so the
+    # collision is named against W1^1, not W1^-1 or W2^1
+    assert certify_rank2_free(f2, W("x"), W("x"), 2) == (False, "W2^1 W1^-1 = 1")
 
 
 @pytest.mark.parametrize("w2,depth,verdict", [
     # the relation W1^2 W2^-1 costs 3: a walk of radius 1 must not see it,
-    # and at depth 3 the cost-2 word W1^2 is looked up against W2
-    ("x^2", 2, (True, None)), ("x^2", 3, (False, "W1^1 after x^-1")),
+    # and at depth 3 the cost-2 word W2^-1 W1^1 is looked up against W1^-1
+    ("x^2", 2, (True, None)), ("x^2", 3, (False, "W2^-1 W1^2 = 1")),
     # W1^3 W2^-1 costs 4: at depth 3 two cost-2 words share a form, which
     # is a relation of cost 4, not 3
-    ("x^3", 3, (True, None)), ("x^3", 4, (False, "W2^-1 after x^3")),
+    ("x^3", 3, (True, None)), ("x^3", 4, (False, "W1^3 W2^-1 = 1")),
 ])
 def test_certificate_splits_relations_by_parity(f2, w2, depth, verdict):
     assert certify_rank2_free(f2, W("x"), W(w2), depth) == verdict
-    assert unpruned_certificate(f2, W("x"), W(w2), depth) == verdict
-    # the walk alone decides: a failing walk's depth-first search would
-    # hide a false alarm by finding no failing word
-    steps = freeness._steps(f2, (W("x"), W(w2)), (None, None), (depth + 1) // 2)
-    assert freeness._ball_is_injective(f2, steps, depth) == verdict[0]
+    assert reference_certificate(f2, W("x"), W(w2), depth) == verdict
+    collision = freeness._ball_collision(f2, (W("x"), W(w2)), (None, None), depth)
+    assert (collision is None) == verdict[0]
 
 
-def test_passing_certificate_walks_the_half_ball(f2, monkeypatch):
-    # the full search extends 4,372 nodes at depth 7; a passing certificate
-    # walks the 160 words of cost <= 4, one extend each past the powers
+def counted_extends(monkeypatch):
     calls = []
     extend = SplittingSpec.extend
 
@@ -167,13 +196,30 @@ def test_passing_certificate_walks_the_half_ball(f2, monkeypatch):
         return extend(self, *args)
 
     monkeypatch.setattr(SplittingSpec, "extend", counted)
+    return calls
+
+
+def test_passing_certificate_walks_the_half_ball(f2, monkeypatch):
+    # a passing certificate walks the 160 words of cost <= 4 at depth 7, one
+    # extend each past the powers
+    calls = counted_extends(monkeypatch)
     assert certify_rank2_free(f2, XY, W("y^2 x y^-1"), 7) == (True, None)
     assert len(calls) <= 200
 
 
+def test_failing_certificate_stops_at_its_first_collision(klein, monkeypatch):
+    # the commutator of a b and b a costs 4, so the walk stops in its second
+    # layer however deep the certificate
+    calls = counted_extends(monkeypatch)
+    assert certify_rank2_free(klein, W("a b"), W("b a"), 18) == (
+        False, "W1^1 W2^1 W1^-1 W2^-1 = 1")
+    assert len(calls) <= 100
+
+
 def test_certificate_depth_is_bounded(z2z3, monkeypatch):
-    # descend recurses once per power, so depths past the bound are input
-    # errors, raised before any normal form or power table is built
+    # on Z/2 * Z/2 the ball grows linearly, so the node budget alone would
+    # admit depths near 50,000; past the bound they are input errors, raised
+    # before any normal form or power table is built
     def no_normal_form(self, w):
         raise AssertionError("normal form computed")
 

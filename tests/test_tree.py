@@ -13,9 +13,9 @@ from treegroups.splitting import SplittingSpec, Syllable, other_side
 from treegroups.tree import (EllipticElementError, TreeVertex, VertexRegion,
                              act, axis_window, ball, base_vertex,
                              check_acylindricity, classify, element_order,
-                             fix_diameter_lb, fixed_set, geodesic, mover, on_axis,
-                             region_diameter, region_distance, t_set,
-                             tree_distance, vertex_of)
+                             fix_diameter_lb, fixed_set, geodesic,
+                             geodesic_vertex, mover, on_axis, region_diameter,
+                             region_distance, t_set, tree_distance, vertex_of)
 from treegroups.words import Word
 
 from conftest import min_displacement_bruteforce, random_elliptic, random_word
@@ -185,6 +185,19 @@ def test_geodesic_matches_distance(z2z3, klein, f2_amalgam):
                 assert tree_distance(a, b) == 1
 
 
+def test_geodesic_vertex_is_the_geodesic_entry(z2z3, klein, f2_amalgam):
+    rng = random.Random(29)
+    sides_differ = 0
+    for spec in (z2z3, klein, f2_amalgam):
+        for _ in range(60):
+            u, v = (act(spec, random_word(rng, spec.gen_names, 6),
+                        base_vertex(rng.choice("AB"))) for _ in range(2))
+            sides_differ += tree._first_side(u) != tree._first_side(v)
+            chain = geodesic(u, v)
+            assert [geodesic_vertex(u, v, i) for i in range(len(chain))] == chain
+    assert sides_differ >= 20
+
+
 # -- the trie of normal forms -------------------------------------------------
 # The formulas below compute the metric from normal forms of rep(u)^-1 rep(v)
 # and rep(v) t; the library reads the same answers off syllable prefixes.
@@ -317,6 +330,22 @@ def test_classify_normalizes_the_element_once(f2_amalgam, monkeypatch):
         monkeypatch.setattr(SplittingSpec, name, counted)
     assert classify(f2_amalgam, g).tau == 120
     assert calls == {"normal_form": 1, "_push": 121}
+
+
+def test_classify_reads_one_vertex_off_the_geodesic(f2_amalgam, monkeypatch):
+    # the witness is one prefix of base or of g base, not the whole geodesic
+    calls = []
+    prefix_vertex = tree._prefix_vertex
+
+    def counted(v, j):
+        calls.append(j)
+        return prefix_vertex(v, j)
+
+    monkeypatch.setattr(tree, "_prefix_vertex", counted)
+    for g in (W("b d") ** 500, W("b d a") ** 300, W("b d") ** 400 * W("a") * W("b d") ** -400):
+        calls.clear()
+        classify(f2_amalgam, g)
+        assert len(calls) == 1
 
 
 def test_classify_base_independent(z2z3, z3z4, klein):
