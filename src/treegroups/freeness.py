@@ -36,10 +36,9 @@ import math
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .splitting import NormalForm, SplittingSpec
-from .tree import (ElementClass, TreeVertex, VertexRegion, act, axis_window,
-                   check_nonnegative, classify, element_order, fixed_set,
-                   geodesic, mover, on_axis, region_diameter, region_distance,
-                   t_set)
+from .tree import (ElementClass, TreeVertex, act, check_nonnegative, classify,
+                   element_order, fixed_set, geodesic, mover, on_axis,
+                   region_distance, t_set)
 from .words import Word
 
 
@@ -76,7 +75,7 @@ class FreenessWitness(NamedTuple):
 
 
 class OverlapReport(NamedTuple):
-    diameter: float  # windowed lower bound; -inf when the axes are disjoint
+    diameter: float  # capped at the walk radius; -inf when the axes are disjoint
     branch: str  # "small" | "large", against 3k
     crossing: Optional[TreeVertex]
 
@@ -331,23 +330,35 @@ def _distinct_axes(spec: SplittingSpec, h1: Word, h2: Word,
 def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass,
                        h2: Word, c2: ElementClass,
                        radius: int) -> Tuple[float, TreeVertex]:
-    """Diameter of the windowed Axis(h1) ∩ Axis(h2) around the projection of
-    Axis(h1) onto Axis(h2), and that projection.  If the axes meet, the
-    projection lies in the intersection, so a window of radius R certifies
-    any diameter verdict below R."""
+    """Diameter of Axis(h1) ∩ Axis(h2) within radius of q*, the projection
+    of Axis(h1) onto Axis(h2), and q*; -inf when the axes are disjoint.  If
+    the axes meet, q* lies in the intersection, so a radius R certifies any
+    diameter verdict below R.
+
+    Axes are convex, so Axis(h1) ∩ Axis(h2) is a segment of the line
+    Axis(h1) through q*.  The overlap is walked from q* along Axis(h1), one
+    period [a, h1 a] at a time, in each direction, up to the first vertex
+    off Axis(h2) or R steps; the diameter is the sum of the two extents.
+    The walk costs the overlap, not a window of radius R."""
     p1, p2 = c1.witness_vertex, c2.witness_vertex
     move2 = mover(spec, h2)
-    q_star = None
-    for v in geodesic(p1, p2):
-        if on_axis(move2, c2.tau, v):
-            q_star = v
-            break
-    assert q_star is not None  # p2 itself is on Axis(h2)
-    if not on_axis(mover(spec, h1), c1.tau, q_star):
+    # p2 itself is on Axis(h2)
+    q_star = next(v for v in geodesic(p1, p2) if on_axis(move2, c2.tau, v))
+    move1 = mover(spec, h1)
+    if not on_axis(move1, c1.tau, q_star):
         return -math.inf, q_star
-    ax1 = axis_window(spec, h1, q_star, radius)
-    members = tuple(v for v in ax1.members if on_axis(move2, c2.tau, v))
-    return region_diameter(VertexRegion(q_star, radius, members, True)), q_star
+
+    def ray(move):  # the vertices after q* on Axis(h1), in move's direction
+        a = q_star
+        while True:
+            b = move(a)
+            yield from geodesic(a, b)[1:]
+            a = b
+
+    extents = (sum(1 for _ in itertools.takewhile(lambda v: on_axis(move2, c2.tau, v),
+                                                  itertools.islice(ray(move), radius)))
+               for move in (move1, mover(spec, h1.inverse())))
+    return sum(extents), q_star
 
 
 def overlap_report(spec: SplittingSpec, k: int, h1: Word, h2: Word) -> OverlapReport:
@@ -357,7 +368,7 @@ def overlap_report(spec: SplittingSpec, k: int, h1: Word, h2: Word) -> OverlapRe
     radius = 3 * k + c1.tau + c2.tau + 6
     diam, crossing = _axis_intersection(spec, h1, c1, h2, c2, radius)
     branch = "small" if diam <= 3 * k else "large"
-    # the window radius exceeds 3k, so the branch verdict is exhaustive
+    # the walk radius exceeds 3k, so the branch verdict is exhaustive
     return OverlapReport(diam, branch, crossing)
 
 

@@ -192,17 +192,20 @@ class SplittingSpec:
         """nf(u v) from nf = nf(u) and w = nf(v): each ``_push`` keeps the
         stack times the tail equal to the product so far, so w's syllables,
         then w's tail, go onto a copy of nf's stack.  A product of normal
-        forms changes only at the junction (Lyndon-Schupp IV.2): once a
-        pushed syllable stays on the stack with tail (), every later one is
-        a canonical coset rep on the other side, which pushes to itself with
-        tail (), so the rest of w is appended as it stands.  Otherwise the
-        joined tail is split again in A, so every tail comes from a split."""
+        forms changes only at the junction (Lyndon-Schupp IV.2): once the
+        tail is () and the stack does not end on the next syllable's side,
+        that syllable and every later one are canonical coset reps that
+        would each push to themselves with tail (), so the rest of w is
+        appended as it stands, with no push.  A tail of () after the last
+        push leaves w's tail as it is; otherwise the joined tail is split
+        again in A, so every tail comes from a split."""
         syllables, tail = list(nf.syllables), nf.tail
         for i, (side, piece) in enumerate(w.syllables):
+            if not tail and not (syllables and syllables[-1].side == side):
+                return NormalForm((*syllables, *w.syllables[i:]), w.tail, w.tail_image_a)
             tail = self._push(syllables, tail, side, piece)
-            if not tail and syllables and syllables[-1].side == side:
-                syllables += w.syllables[i + 1:]
-                return NormalForm(tuple(syllables), w.tail, w.tail_image_a)
+        if not tail:
+            return NormalForm(tuple(syllables), w.tail, w.tail_image_a)
         image = self.sub_a.embed(tail + w.tail)
         return NormalForm(tuple(syllables), self.sub_a._split(image)[1], image)
 

@@ -409,9 +409,12 @@ def fix_diameter_lb(spec: SplittingSpec, g: Word, radius: int = 8):
     about the base vertex.
 
     Returns -inf ("no fixed points") when the window is empty, in particular
-    for hyperbolic g.
+    for hyperbolic g.  The double sweep does not depend on member order, so
+    the window is not sorted.
     """
-    return region_diameter(fixed_set(spec, g, radius=radius))
+    base = base_vertex()
+    dist, complete = _fixed_window(spec, g, base, radius, NEIGHBOR_CAP)
+    return region_diameter(VertexRegion(base, radius, tuple(dist), complete))
 
 
 class AcylindricityCheck(NamedTuple):
@@ -442,7 +445,10 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
     to about that radius.  The check enumerates the freely reduced words of
     at most ``word_length`` letters over the abstract edge generators, maps
     them into factor A, and falsifies with a witness (the image in A) if
-    some windowed fixed set has diameter > k.
+    some windowed fixed set has diameter > k.  Fix(c^-1) = Fix(c), so once
+    c is tested and is no witness, c^-1 (keyed by its canonical form in A)
+    is skipped: it is no witness either, so the witness, its diameter and
+    the verdict are those of walking every word.
 
     "consistent" is not a proof, except for trivial edge subgroups, where
     every nontrivial elliptic element fixes a single vertex (factors of a
@@ -462,7 +468,7 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
         c = spec.sub_a.embed(cw)
         if c.is_empty or c.letters in seen:
             continue
-        seen.add(c.letters)
+        seen.update((c.letters, spec.factor_a._reduce(c.inverse()).letters))
         diam = fix_diameter_lb(spec, c, radius)
         if diam > k:
             return AcylindricityCheck(

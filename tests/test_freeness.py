@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegroups import freeness
+from treegroups import freeness, tree
 from treegroups.freeness import (WitnessInputError,
                                  certify_free_semigroup, certify_rank2_free,
                                  overlap_report, same_axis, semigroup_witness,
@@ -16,7 +16,8 @@ from treegroups.freeness import (WitnessInputError,
                                  witness_hyperbolic_pair,
                                  witness_length_bound_holds)
 from treegroups.splitting import SplittingSpec
-from treegroups.tree import classify, element_order
+from treegroups.tree import (VertexRegion, axis_window, classify, element_order,
+                             geodesic, mover, on_axis, region_diameter)
 from treegroups.words import Word
 
 from conftest import random_word
@@ -324,8 +325,9 @@ def test_overlap_single_vertex(f2):
 
 
 def test_overlap_pushes_junctions_not_vertices(f2, monkeypatch):
-    # each axis test moves a vertex by one mover per element: 78 pushes,
-    # where renormalizing g rep(v) for every vertex took 237
+    # each axis test moves a vertex by one mover per element, and the
+    # overlap is walked, not windowed: 34 pushes, where renormalizing
+    # g rep(v) for every vertex of the window took 237
     pushes = []
     push = SplittingSpec._push
 
@@ -335,7 +337,7 @@ def test_overlap_pushes_junctions_not_vertices(f2, monkeypatch):
 
     monkeypatch.setattr(SplittingSpec, "_push", counted)
     assert overlap_report(f2, 0, XY, W("y^2 x y^-1")).diameter == 0
-    assert len(pushes) <= 100
+    assert len(pushes) <= 40
 
 
 def test_overlap_shared_segment(f2):
@@ -402,6 +404,97 @@ def test_branch_totality_random_pairs(f2):
         w = witness_hyperbolic_pair(f2, 0, h1, h2, depth=5)
         assert w.certified
         checked += 1
+
+
+def windowed_overlap(spec, h1, c1, h2, c2, radius):
+    """Reference for ``freeness._axis_intersection``: the window of Axis(h1)
+    of the given radius about the crossing q*, built by ``axis_window`` and
+    kept where it lies on Axis(h2), then its ``region_diameter``."""
+    move2 = mover(spec, h2)
+    q_star = next(v for v in geodesic(c1.witness_vertex, c2.witness_vertex)
+                  if on_axis(move2, c2.tau, v))
+    if not on_axis(mover(spec, h1), c1.tau, q_star):
+        return -math.inf, q_star
+    window = axis_window(spec, h1, q_star, radius)
+    members = tuple(v for v in window.members if on_axis(move2, c2.tau, v))
+    return region_diameter(VertexRegion(q_star, radius, members, True)), q_star
+
+
+def reference_overlap_report(spec, k, h1, h2):
+    c1, c2 = freeness._distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
+    diam, crossing = windowed_overlap(spec, h1, c1, h2, c2, 3 * k + c1.tau + c2.tau + 6)
+    return diam, "small" if diam <= 3 * k else "large", crossing
+
+
+def reference_power_pair(spec, h1, h2, n, depth):
+    c1, c2 = freeness._distinct_axes(spec, h1, h2, max(n + 2, 8))
+    bound = n * min(c1.tau, c2.tau)
+    diam, _ = windowed_overlap(spec, h1, c1, h2, c2, bound + c1.tau + c2.tau + 6)
+    if not diam < bound:
+        raise WitnessInputError(
+            f"axis overlap diameter {diam} is not < n*min(tau) = {bound}")
+    return freeness._certified(spec, "hyperbolic_small_overlap", (h1 ** n, h2 ** n),
+                               n, depth)
+
+
+def outcome(call):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return call()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec", ["f2", "z2z3", "z3z4", "f2_amalgam"])
+def test_overlap_walk_matches_the_window(request, spec):
+    # the walk along Axis(h1) from the crossing against the windowed
+    # intersection; one h2 in three shares a stretch of Axis(h1) and one is
+    # conjugated away from it, so the draws cover disjoint, single-vertex
+    # and large overlaps
+    spec = request.getfixturevalue(spec)
+    rng = random.Random(33)
+    diameters = set()
+    pairs = 0
+    while pairs < 15:
+        h1, h2 = (random_word(rng, spec.gen_names, 4) for _ in range(2))
+        if pairs % 3 == 0:
+            h2 = h1 ** rng.randint(1, 3) * random_word(rng, spec.gen_names, 2)
+        elif pairs % 3 == 1:  # six letters alternating between the factors
+            c = Word.of((rng.choice(spec.factor(side).gen_names), 1) for side in "ABABAB")
+            h2 = c * h2 * c.inverse()
+        if not (classify(spec, h1).is_hyperbolic and classify(spec, h2).is_hyperbolic):
+            continue
+        pairs += 1
+        for k in range(5):
+            got = outcome(lambda: tuple(overlap_report(spec, k, h1, h2)))
+            assert got == outcome(lambda: reference_overlap_report(spec, k, h1, h2))
+            if isinstance(got[0], (int, float)):
+                diameters.add(got[0])
+        for n in (1, 2, 3):
+            assert (outcome(lambda: witness_power_pair(spec, h1, h2, n, depth=2))
+                    == outcome(lambda: reference_power_pair(spec, h1, h2, n, 2)))
+    assert -math.inf in diameters and max(diameters) >= 4
+
+
+def test_overlap_is_walked_not_windowed(f2_amalgam, monkeypatch):
+    # at k = 300 the window would have radius 910; the walk stops one step
+    # past the crossing in each direction
+    def no_window(*args, **kwargs):
+        raise AssertionError("axis_window called")
+
+    monkeypatch.setattr(tree, "axis_window", no_window)
+    monkeypatch.setattr(freeness, "axis_window", no_window, raising=False)
+    tests = []
+    on_axis_ = freeness.on_axis
+
+    def counted(*args):
+        tests.append(args)
+        return on_axis_(*args)
+
+    monkeypatch.setattr(freeness, "on_axis", counted)
+    rep = overlap_report(f2_amalgam, 300, W("b d"), W("d b"))
+    assert rep.diameter == 1 and rep.branch == "small"
+    assert len(tests) <= 12
 
 
 # -- semigroup clause -----------------------------------------------------------

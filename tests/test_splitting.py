@@ -83,12 +83,9 @@ def test_extend_is_normal_form_of_product(z2z3, z3z4, z70z3, z2z2, triv_z5, f2,
     assert got.tail_image_a == want.tail_image_a
 
 
-def test_extend_pushes_only_the_junction(f2, monkeypatch):
-    # v's 40 syllables do not cancel against u: the first stays on the stack
-    # with tail 1, and the other 39 are appended as they stand
-    u, v = W("x^2 y x"), W(" ".join(["y^3 x^-2"] * 20))
-    nf_u, nf_v = f2.normal_form(u), f2.normal_form(v)
-    assert len(nf_v.syllables) == 40
+def extend_pushes(spec, monkeypatch, u, v):
+    """The pushes ``extend(nf(u), nf(v))`` makes, after checking its result."""
+    nf_u, nf_v = spec.normal_form(u), spec.normal_form(v)
     pushes = []
     push = SplittingSpec._push
 
@@ -97,9 +94,26 @@ def test_extend_pushes_only_the_junction(f2, monkeypatch):
         return push(self, *args)
 
     monkeypatch.setattr(SplittingSpec, "_push", counted)
-    got = f2.extend(nf_u, nf_v)
-    assert len(pushes) == 1
-    assert got == f2.normal_form(u * v)
+    got = spec.extend(nf_u, nf_v)
+    monkeypatch.undo()
+    assert got == spec.normal_form(u * v)
+    return pushes
+
+
+def test_extend_pushes_only_the_junction(f2, monkeypatch):
+    # u ends on x's side with tail 1 and v's 40 syllables start on y's side:
+    # nothing can cancel, so all 40 are appended as they stand
+    u, v = W("x^2 y x"), W(" ".join(["y^3 x^-2"] * 20))
+    assert len(f2.normal_form(v).syllables) == 40
+    assert len(extend_pushes(f2, monkeypatch, u, v)) == 0
+
+
+def test_extend_pushes_a_junction_that_cancels(f2, monkeypatch):
+    # y cancels against y^-1 and x^2 merges with x into x^3; then the tail is
+    # 1 and the stack ends on x's side, so the other 38 syllables are appended
+    u, v = W("x^2 y"), W("y^-1 x " + " ".join(["y^3 x^-2"] * 19))
+    assert len(f2.normal_form(v).syllables) == 40
+    assert len(extend_pushes(f2, monkeypatch, u, v)) == 2
 
 
 def test_extend_by_edge_powers_keeps_a_split_tail(f2_amalgam):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -16,7 +17,7 @@ from treegroups.tree import (EllipticElementError, TreeVertex, VertexRegion,
                              fix_diameter_lb, fixed_set, geodesic,
                              geodesic_vertex, mover, on_axis, region_diameter,
                              region_distance, t_set, tree_distance, vertex_of)
-from treegroups.words import Word
+from treegroups.words import Word, shortlex
 
 from conftest import min_displacement_bruteforce, random_elliptic, random_word
 
@@ -317,7 +318,8 @@ def test_fixed_set_reports_capped_free_cyclic_conjugators():
 
 def test_classify_normalizes_the_element_once(f2_amalgam, monkeypatch):
     # one normal form pushes g's 120 runs; moving A:1 (no syllables) pushes
-    # nothing, and moving g A:1 pushes its junction alone
+    # nothing, and moving g A:1, whose syllables start on the side g's form
+    # does not end on, pushes nothing either
     g = W("b d") ** 60
     calls = {"normal_form": 0, "_push": 0}
     for name in calls:
@@ -329,7 +331,7 @@ def test_classify_normalizes_the_element_once(f2_amalgam, monkeypatch):
 
         monkeypatch.setattr(SplittingSpec, name, counted)
     assert classify(f2_amalgam, g).tau == 120
-    assert calls == {"normal_form": 1, "_push": 121}
+    assert calls == {"normal_form": 1, "_push": 120}
 
 
 def test_classify_reads_one_vertex_off_the_geodesic(f2_amalgam, monkeypatch):
@@ -710,6 +712,77 @@ def test_check_acylindricity_validates_inputs(z2z3):
                           ((0, 6, -3), "window radius must be >= 0, got -3")]:
         with pytest.raises(ValueError, match=message):
             check_acylindricity(z2z3, *args)
+
+
+def reference_acylindricity(spec, k, word_length, radius):
+    """The first edge element, by shortlex order of its edge word, whose
+    sorted fixed-set window has diameter > k, and that diameter; every
+    element is walked, inverses included.  (None, None) when there is none."""
+    seen = set()
+    for cw in shortlex(range(len(spec.edge_gens)), word_length):
+        c = spec.sub_a.embed(cw)
+        if c.is_empty or c.letters in seen:
+            continue
+        seen.add(c.letters)
+        diam = region_diameter(fixed_set(spec, c, radius=radius))
+        if diam > k:
+            return c, diam
+    return None, None
+
+
+def z6z9():
+    # Z/6 *_{a^2 = b^3} Z/9: the edge group is Z/3, and a^-2 reduces to a^4
+    return SplittingSpec("amalgam", make_cyclic(6, "a", "A"), make_cyclic(9, "b", "B"),
+                         ["t"], [W("a^2")], [W("b^3")])
+
+
+def long_edge():
+    # F2 *_{(ab)^3 = (cd)^2} F2, as in the long-edge-elements test
+    return SplittingSpec("amalgam", make_free(2, ["a", "b"], "A"),
+                         make_free(2, ["c", "d"], "B"), ["t"],
+                         [W("a b a b a b")], [W("c d c d")])
+
+
+def capped():
+    # F2 *_{x^20=u} F2: x^20 fixes 20 edges at A:1, and the windows keep 16
+    return SplittingSpec("amalgam", make_free(2, ["x", "y"], "A"),
+                         make_free(2, ["u", "v"], "B"), ["t"], [W("x^20")], [W("u")])
+
+
+@pytest.mark.parametrize("spec", ["z2z3", "z3z4", "z70z3", "z2z2", "triv_z5", "f2",
+                                  "klein", "f2_amalgam", "z2_amalgam", "z4z6_table",
+                                  z6z9, long_edge, capped],
+                         ids=lambda s: getattr(s, "__name__", s))
+def test_check_acylindricity_matches_walking_every_word(request, spec):
+    # skipping c^-1 once c is tested changes no witness, diameter or verdict
+    # Z^2 *_{x=u} Z^2: x fixes the whole tree, so its windows grow as 16^radius
+    radii = (1, 2) if spec == "z2_amalgam" else (2, 4, 6)
+    spec = spec() if callable(spec) else request.getfixturevalue(spec)
+    for k, word_length, radius in itertools.product((0, 1, 2, 5), (0, 1, 3, 4), radii):
+        chk = check_acylindricity(spec, k, word_length, radius)
+        want = reference_acylindricity(spec, k, word_length, radius)
+        assert (chk.witness, chk.witness_diameter) == want
+        assert chk.falsified == (want[0] is not None)
+
+
+@pytest.mark.parametrize("spec, args, walks", [
+    ("f2_amalgam", (2, 4, 8), 4),  # t^1 .. t^4, not their 4 inverses too
+    # a^-2 is a^4 in Z/6, so keying the skip by the bare inverse walks twice
+    (z6z9, (20, 2, 4), 1),
+], ids=["f2_amalgam", "z6z9"])
+def test_check_acylindricity_walks_an_element_or_its_inverse(request, monkeypatch,
+                                                               spec, args, walks):
+    spec = spec() if callable(spec) else request.getfixturevalue(spec)
+    calls = []
+    fixed_window = tree._fixed_window
+
+    def counted(*call):
+        calls.append(call)
+        return fixed_window(*call)
+
+    monkeypatch.setattr(tree, "_fixed_window", counted)
+    assert check_acylindricity(spec, *args).verdict == "consistent"
+    assert len(calls) == walks
 
 
 def test_windows_reject_negative_radius(z2z3):
