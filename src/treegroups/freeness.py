@@ -14,7 +14,10 @@ certificate, each extended from the last.  A relation of cost m is a
 collision of two words of costs ceil(m/2) and floor(m/2), so a rank-2
 certificate walks the ball of half its depth, about ×√3 per level for
 infinite orders, and a failing one names the relation of its first
-collision (the argument is in ``certify_rank2_free``).  Depths past
+collision (the argument is in ``certify_rank2_free``).  Each generator
+is normalized once, and the constructors pass its order: conjugates have
+equal orders, so g^(h^-p) has the order of g, and hyperbolic witnesses
+have infinite order (Serre, Trees, §I.6).  Depths past
 ``MAX_CERTIFICATE_DEPTH`` and certificates of more than
 ``MAX_CERTIFICATE_NODES`` words are input errors.  It refutes
 non-freeness up to that depth; it is a guard, not a proof; the freeness
@@ -25,20 +28,20 @@ Each case hypothesis is checked in one place: the element type by
 ``_require``, disjoint fixed sets by ``_fixed_set_distance``, distinct axes
 by ``_distinct_axes`` (whose three-point sampling ``_axes_coincide`` also
 answers ``same_axis``), and every rank-2 witness is certified and wrapped
-by ``_certified``.  Window radii and axis spreads are derived from the
-inputs, not passed in.
+by ``_certified``, sharing each input's form, class and mover.  Window
+radii and axis spreads are derived from the inputs, not passed in.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .splitting import NormalForm, SplittingSpec
-from .tree import (ElementClass, TreeVertex, act, check_nonnegative, classify,
-                   element_order, fixed_set, geodesic, mover, on_axis,
-                   region_distance, t_set)
+from .tree import (NEIGHBOR_CAP, ElementClass, TreeVertex, _classify, _element_order,
+                   _fixed_window, _mover, act, base_vertex, check_nonnegative, geodesic,
+                   mover, on_axis, region_distance, t_set, tree_distance)
 from .words import Word
 
 
@@ -109,18 +112,20 @@ def _exponent_range(order: Optional[int], budget: int) -> List[int]:
     return [e for mag in range(1, budget + 1) for e in (mag, -mag)]
 
 
-def _power_forms(spec: SplittingSpec, w: Word, order: Optional[int],
+def _power_forms(spec: SplittingSpec, w: Word, nf: NormalForm, order: Optional[int],
                  depth: int) -> Dict[int, NormalForm]:
-    """nf(w^e) for every exponent in ``_exponent_range(order, depth)``, each
-    extended from the last: nf(w^(s(m+1))) = extend(nf(w^(sm)), nf(w^s)) for
-    s = +1, -1, so the table costs O(depth) junctions.  A finite order keys
-    w^-m by its residue order - m, and runs the second chain only as far as
-    the first one has not reached."""
+    """nf(w^e) for every exponent in ``_exponent_range(order, depth)``, from
+    nf = nf(w) and nf(w^-1): nf(w^(s(m+1))) = extend(nf(w^(sm)), nf(w^s)),
+    so the table costs O(depth) junctions.  A finite order keys w^-m by its
+    residue order - m, and runs the second chain only as far as the first
+    one has not reached."""
     up = depth if order is None else min(depth, order - 1)
     down = depth if order is None else min(depth, order - 1 - up)
     forms: Dict[int, NormalForm] = {}
     for s, count in ((1, up), (-1, down)):
-        step = spec.normal_form(w ** s)
+        if not count:
+            continue
+        step = nf if s == 1 else spec.normal_form(w ** s)
         chain = itertools.accumulate(itertools.repeat(step, count - 1), spec.extend,
                                      initial=step)
         for m, nf in zip(range(1, count + 1), chain):
@@ -150,7 +155,7 @@ def _ball_size(orders: Tuple[Optional[int], ...], radius: int) -> int:
     return sum(ends[0]) + sum(ends[1])
 
 
-def _ball_collision(spec: SplittingSpec, words: Tuple[Word, Word],
+def _ball_collision(spec: SplittingSpec, words: Tuple[Word, Word], nfs: Tuple[NormalForm, ...],
                     orders: Tuple[Optional[int], ...], depth: int) -> Optional[tuple]:
     """The first two distinct words u, v of costs <= ceil(depth/2) and
     <= floor(depth/2) with the same normal form, or None.  The walk goes by
@@ -158,8 +163,8 @@ def _ball_collision(spec: SplittingSpec, words: Tuple[Word, Word],
     and v is the first word that reached the form.  A word is nested as
     (parent, side, exponent), the root being ()."""
     low, high = depth // 2, (depth + 1) // 2
-    forms = [_power_forms(spec, w, order, high) for w, order in zip(words, orders)]
-    identity = spec.normal_form(Word())
+    forms = [_power_forms(spec, *gen, high) for gen in zip(words, nfs, orders)]
+    identity = NormalForm((), (), Word())
     first = {identity: ()}  # each stored form's first word
     # ends[i][c]: (word, normal form) of the words of cost c ending on side i
     ends = [[[((), identity)]], [[((), identity)]]]
@@ -226,13 +231,19 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
     are equal elements; the tests compare it with a walk that normalizes
     every word from scratch.
     """
+    return _certify_rank2(spec, (w1, w2), None, depth)
+
+
+def _certify_rank2(spec: SplittingSpec, words: Tuple[Word, Word], orders: Optional[tuple],
+                   depth: int) -> Tuple[bool, Optional[str]]:
+    """``certify_rank2_free``, reading each order off its form unless it is known."""
     _check_depth(depth)
-    if spec.is_trivial(w1) or spec.is_trivial(w2):
+    forms = tuple(map(spec.normal_form, words))
+    if any(nf.is_trivial for nf in forms):
         return False, "a witness generator is trivial"
-    words = (w1, w2)
-    orders = tuple(element_order(spec, w) for w in words)
+    orders = orders or tuple(_element_order(spec, nf, _classify(spec, nf)) for nf in forms)
     _check_nodes(depth, _ball_size(orders, (depth + 1) // 2))
-    collision = _ball_collision(spec, words, orders, depth)
+    collision = _ball_collision(spec, words, forms, orders, depth)
     if collision is None:
         return True, None
     u, v = collision
@@ -273,63 +284,62 @@ def certify_free_semigroup(spec: SplittingSpec, w1: Word, w2: Word,
 # ---------------------------------------------------------------------------
 
 
-def _require(spec: SplittingSpec, w: Word, name: str, hyperbolic: bool) -> ElementClass:
-    """w's class, rejected unless it is hyperbolic (or elliptic) as required."""
-    cls = classify(spec, w)
+def _require(spec: SplittingSpec, w: Word, name: str, hyperbolic: bool) -> tuple:
+    """w's form and class, rejected unless w is hyperbolic (or elliptic) as required."""
+    cls = _classify(spec, nf := spec.normal_form(w))
     if cls.is_hyperbolic != hyperbolic:
         if hyperbolic:
             raise WitnessInputError(f"{name} = {w} is elliptic; a hyperbolic element is required")
         raise WitnessInputError(f"{name} = {w} is hyperbolic; an elliptic element is required")
-    return cls
+    return nf, cls
 
 
-def _fixed_set_distance(spec: SplittingSpec, g1: Word, g2: Word) -> float:
+def _fixed_set_distance(spec: SplittingSpec, g1: Word, g2: Word) -> tuple:
     """d(Fix(g1), Fix(g2)) for elliptic g1, g2, on a window of radius
-    4 max(|g1|, |g2|) + 4 about the base; rejects intersecting fixed sets."""
-    _require(spec, g1, "g1", False)
-    _require(spec, g2, "g2", False)
-    radius = 4 * max(g1.letter_length(), g2.letter_length()) + 4
-    d = region_distance(fixed_set(spec, g1, radius=radius),
-                        fixed_set(spec, g2, radius=radius))
+    4 max(|g1|, |g2|) + 4 about the base, and the inputs' (form, class)
+    pairs; rejects intersecting fixed sets."""
+    required = [_require(spec, g1, "g1", False), _require(spec, g2, "g2", False)]
+    base, radius = base_vertex(), 4 * max(g1.letter_length(), g2.letter_length()) + 4
+    fix1, fix2 = (_fixed_window(spec, nf, cls, base, radius, NEIGHBOR_CAP)[0]
+                  for nf, cls in required)
+    d = min((tree_distance(u, v) for u in fix1 for v in fix2), default=math.inf)
     if d < 1:
         raise WitnessInputError(
             "the windowed fixed sets of g1 and g2 intersect; "
             "Fix(g1) ∩ Fix(g2) = ∅ is required")
-    return d
+    return d, required
 
 
-def _axes_coincide(spec: SplittingSpec, h1: Word, c1: ElementClass,
-                   h2: Word, c2: ElementClass, spread: int) -> bool:
+def _axes_coincide(spec: SplittingSpec, h1: Word, c1: ElementClass, move2: Callable,
+                   c2: ElementClass, spread: int) -> bool:
     """Whether three Axis(h1) points spread 2*spread*tau(h1) apart all lie on
-    Axis(h2).  If so, the axes share a segment at least that long (axes are
-    convex), which we take as equality.  Distinct axes overlap in a bounded
-    segment, so a large spread makes this decisive for the elements under test."""
-    p1, move2 = c1.witness_vertex, mover(spec, h2)
-    return all(on_axis(move2, c2.tau, act(spec, h1 ** j, p1))
-               for j in (-spread, 0, spread))
+    Axis(h2), h2 moving by move2.  If so, the axes share a segment at least
+    that long (axes are convex), which we take as equality.  Distinct axes
+    overlap in a bounded segment, so a large spread makes this decisive."""
+    p1 = c1.witness_vertex
+    return all(on_axis(move2, c2.tau, act(spec, h1 ** j, p1) if j else p1)
+               for j in (0, -spread, spread))
 
 
 def same_axis(spec: SplittingSpec, h1: Word, h2: Word) -> bool:
     """Windowed test for Axis(h1) = Axis(h2), sampled with spread 8."""
-    return _axes_coincide(spec, h1, _require(spec, h1, "h1", True),
-                          h2, _require(spec, h2, "h2", True), 8)
+    (_, c1), (nf2, c2) = _require(spec, h1, "h1", True), _require(spec, h2, "h2", True)
+    return _axes_coincide(spec, h1, c1, _mover(spec, nf2), c2, 8)
 
 
-def _distinct_axes(spec: SplittingSpec, h1: Word, h2: Word,
-                   spread: int) -> Tuple[ElementClass, ElementClass]:
-    """The classes of hyperbolic h1, h2; rejects axes that coincide when
-    sampled with the given spread."""
-    c1 = _require(spec, h1, "h1", True)
-    c2 = _require(spec, h2, "h2", True)
-    if _axes_coincide(spec, h1, c1, h2, c2, spread):
+def _distinct_axes(spec: SplittingSpec, h1: Word, h2: Word, spread: int) -> tuple:
+    """The class and the mover of hyperbolic h1 and of h2; rejects axes that
+    coincide when sampled with the given spread."""
+    (nf1, c1), (nf2, c2) = _require(spec, h1, "h1", True), _require(spec, h2, "h2", True)
+    move2 = _mover(spec, nf2)
+    if _axes_coincide(spec, h1, c1, move2, c2, spread):
         raise WitnessInputError(
             f"h1 = {h1} and h2 = {h2} share an axis; distinct axes are required")
-    return c1, c2
+    return (c1, _mover(spec, nf1)), (c2, move2)
 
 
-def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass,
-                       h2: Word, c2: ElementClass,
-                       radius: int) -> Tuple[float, TreeVertex]:
+def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass, move1: Callable,
+                       c2: ElementClass, move2: Callable, radius: int) -> Tuple[float, TreeVertex]:
     """Diameter of Axis(h1) ∩ Axis(h2) within radius of q*, the projection
     of Axis(h1) onto Axis(h2), and q*; -inf when the axes are disjoint.  If
     the axes meet, q* lies in the intersection, so a radius R certifies any
@@ -341,10 +351,8 @@ def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass,
     off Axis(h2) or R steps; the diameter is the sum of the two extents.
     The walk costs the overlap, not a window of radius R."""
     p1, p2 = c1.witness_vertex, c2.witness_vertex
-    move2 = mover(spec, h2)
     # p2 itself is on Axis(h2)
     q_star = next(v for v in geodesic(p1, p2) if on_axis(move2, c2.tau, v))
-    move1 = mover(spec, h1)
     if not on_axis(move1, c1.tau, q_star):
         return -math.inf, q_star
 
@@ -364,20 +372,20 @@ def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass,
 def overlap_report(spec: SplittingSpec, k: int, h1: Word, h2: Word) -> OverlapReport:
     """Diameter of Axis(h1) ∩ Axis(h2) and the 3k branch selection."""
     check_nonnegative("k", k)
-    c1, c2 = _distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
+    (c1, move1), (c2, move2) = _distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
     radius = 3 * k + c1.tau + c2.tau + 6
-    diam, crossing = _axis_intersection(spec, h1, c1, h2, c2, radius)
+    diam, crossing = _axis_intersection(spec, h1, c1, move1, c2, move2, radius)
     branch = "small" if diam <= 3 * k else "large"
     # the walk radius exceeds 3k, so the branch verdict is exhaustive
     return OverlapReport(diam, branch, crossing)
 
 
-def _certified(spec: SplittingSpec, case: str, pair: Tuple[Word, Word], power: int,
-               depth: int, branch: Optional[str] = None) -> FreenessWitness:
-    """Certify the pair and wrap it; elliptic cases claim a free product,
-    hyperbolic ones a free subgroup."""
+def _certified(spec: SplittingSpec, case: str, pair: Tuple[Word, Word], order: Optional[int],
+               power: int, depth: int, branch: Optional[str] = None) -> FreenessWitness:
+    """Certify the pair, whose common order the case knows, and wrap it;
+    elliptic cases claim a free product, hyperbolic ones a free subgroup."""
     claim = "free_product_rank2" if case.startswith("elliptic") else "free_subgroup_rank2"
-    ok, fail = certify_rank2_free(spec, pair[0], pair[1], depth)
+    ok, fail = _certify_rank2(spec, pair, (order, order), depth)
     return FreenessWitness(case, pair, power, claim, depth, ok, branch, fail)
 
 
@@ -391,20 +399,20 @@ def witness_elliptic_pair(spec: SplittingSpec, k: int, g1: Word, g2: Word,
     """Elliptic pair with disjoint fixed sets: witnesses (g1, h^p g1 h^-p)
     with h = g1 g2 and p = ceil((k+1)/2)."""
     check_nonnegative("k", k)
-    _fixed_set_distance(spec, g1, g2)
-    p = (k + 2) // 2
-    return _certified(spec, "elliptic_elliptic",
-                      (g1, g1.conjugated_by((g1 * g2) ** -p)), p, depth)
+    _, [(nf, cls), _] = _fixed_set_distance(spec, g1, g2)
+    p, order = (k + 2) // 2, _element_order(spec, nf, cls)
+    return _certified(spec, "elliptic_elliptic", (g1, g1.conjugated_by((g1 * g2) ** -p)),
+                      order, p, depth)
 
 
 def witness_elliptic_hyperbolic(spec: SplittingSpec, k: int, g: Word, h: Word,
                                 depth: int = 6) -> FreenessWitness:
     """Elliptic g, hyperbolic h: witnesses (g, h^p g h^-p) with p = k+1."""
     check_nonnegative("k", k)
-    _require(spec, g, "g", False)
+    nf, cls = _require(spec, g, "g", False)
     _require(spec, h, "h", True)
-    p = k + 1
-    return _certified(spec, "elliptic_hyperbolic", (g, g.conjugated_by(h ** -p)), p, depth)
+    p, order = k + 1, _element_order(spec, nf, cls)
+    return _certified(spec, "elliptic_hyperbolic", (g, g.conjugated_by(h ** -p)), order, p, depth)
 
 
 def witness_hyperbolic_pair(spec: SplittingSpec, k: int, h1: Word, h2: Word,
@@ -417,13 +425,13 @@ def witness_hyperbolic_pair(spec: SplittingSpec, k: int, h1: Word, h2: Word,
     """
     if overlap_report(spec, k, h1, h2).branch == "small":
         q = 3 * k + 1
-        return _certified(spec, "hyperbolic_small_overlap", (h1 ** q, h2 ** q), q,
+        return _certified(spec, "hyperbolic_small_overlap", (h1 ** q, h2 ** q), None, q,
                           depth, "small")
     p = 3
     for conjugator, seed, label in ((h1, h2, "h1 conjugates h2"),
                                     (h2, h1, "h2 conjugates h1")):
         witness = _certified(spec, "hyperbolic_large_overlap",
-                             (seed, seed.conjugated_by(conjugator ** -p)), p, depth,
+                             (seed, seed.conjugated_by(conjugator ** -p)), None, p, depth,
                              f"large ({label})")
         if witness.certified:
             return witness
@@ -463,10 +471,10 @@ def product_translation_length(spec: SplittingSpec, g1: Word,
                                g2: Word) -> ProductTranslationReport:
     """For elliptic g1, g2 with disjoint fixed sets, returns tau(g1 g2) and
     d(Fix(g1), Fix(g2)); the caller asserts tau = 2 d."""
-    d = _fixed_set_distance(spec, g1, g2)
+    d, [(nf1, _), (nf2, _)] = _fixed_set_distance(spec, g1, g2)
     if d == math.inf:
         raise WitnessInputError("a fixed set is empty on the window")
-    tau = classify(spec, g1 * g2).tau
+    tau = _classify(spec, spec.extend(nf1, nf2)).tau
     return ProductTranslationReport(tau, int(d))
 
 
@@ -484,13 +492,13 @@ def witness_power_pair(spec: SplittingSpec, h1: Word, h2: Word, n: int,
     (h1^n, h2^n) generate a rank-2 free subgroup; certified witness."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    c1, c2 = _distinct_axes(spec, h1, h2, max(n + 2, 8))
+    (c1, move1), (c2, move2) = _distinct_axes(spec, h1, h2, max(n + 2, 8))
     bound = n * min(c1.tau, c2.tau)
-    diam, _ = _axis_intersection(spec, h1, c1, h2, c2, bound + c1.tau + c2.tau + 6)
+    diam, _ = _axis_intersection(spec, h1, c1, move1, c2, move2, bound + c1.tau + c2.tau + 6)
     if not diam < bound:
         raise WitnessInputError(
             f"axis overlap diameter {diam} is not < n*min(tau) = {bound}")
-    return _certified(spec, "hyperbolic_small_overlap", (h1 ** n, h2 ** n), n, depth)
+    return _certified(spec, "hyperbolic_small_overlap", (h1 ** n, h2 ** n), None, n, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ neighbours are read off syllable tuples, so distances, geodesics and region
 diameters take vertices only.  The action normalizes g once (``mover``):
 s is itself a normal form with trivial tail, so g moves each vertex by
 extending nf(g) by s, and a vertex costs the junction, not |g| + |s|.
-Factor membership is the only other normal form.
+If g fixes v, g rep(v) = rep(v) x_v for x_v in X, which is read off the
+same junction (``_factor_element``), so g is normalized once per call.
 
 The tree is infinite (and not even locally finite when a factor has infinite
 edge index), so balls, fixed sets and T-sets come from one depth-bounded
@@ -96,17 +97,16 @@ def vertex_of(spec: SplittingSpec, side: str, w: Word) -> TreeVertex:
     return _coset_vertex(side, spec.normal_form(w).syllables)
 
 
-def mover(spec: SplittingSpec, g: Word) -> Callable[[TreeVertex], TreeVertex]:
-    """The action of g as a map on vertices.  nf(g) is computed once; a
-    vertex (X, s) has rep(v) = s, a normal form with trivial tail, so
-    nf(g rep(v)) is nf(g) extended by s, which costs the junction
-    (``SplittingSpec.extend``)."""
-    nf = spec.normal_form(g)
+def _mover(spec: SplittingSpec, nf: NormalForm) -> Callable[[TreeVertex], TreeVertex]:
+    """The action of g = nf on vertices: nf(g rep(v)) is nf extended by v's
+    syllables with trivial tail, which costs the junction (``extend``)."""
+    return lambda v: _coset_vertex(
+        v.side, spec.extend(nf, NormalForm(v.syllables, (), Word())).syllables)
 
-    def move(v: TreeVertex) -> TreeVertex:
-        rep = NormalForm(v.syllables, (), Word())
-        return _coset_vertex(v.side, spec.extend(nf, rep).syllables)
-    return move
+
+def mover(spec: SplittingSpec, g: Word) -> Callable[[TreeVertex], TreeVertex]:
+    """The action of g as a map on vertices; nf(g) is computed once."""
+    return _mover(spec, spec.normal_form(g))
 
 
 def act(spec: SplittingSpec, g: Word, v: TreeVertex) -> TreeVertex:
@@ -163,9 +163,13 @@ def classify(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None) ->
     vertex.  The witness is a fixed vertex (midpoint of [v, gv]) for elliptic
     g, and an axis vertex for hyperbolic g.
     """
+    return _classify(spec, spec.normal_form(g), base)
+
+
+def _classify(spec: SplittingSpec, nf: NormalForm, base=None) -> ElementClass:
     if base is None:
         base = base_vertex()
-    move = mover(spec, g)
+    move = _mover(spec, nf)
     gv = move(base)
     ggv = move(gv)
     d1 = tree_distance(base, gv)
@@ -266,16 +270,17 @@ def _region(base: TreeVertex, radius: int, dist: Dict[TreeVertex, int],
 # ---------------------------------------------------------------------------
 
 
-def _factor_element(spec: SplittingSpec, v: TreeVertex, g: Word) -> Word:
-    """x_v = rep(v)^-1 g rep(v) as a canonical element of v's factor, for g fixing v."""
-    nf = spec.normal_form(v.rep_word().inverse() * g * v.rep_word())
-    factor = spec.factor(v.side)
-    tail = nf.tail_image_a if v.side == SIDE_A else spec.sub_b.embed(nf.tail)
-    if not nf.syllables:
-        return tail  # an embed, canonical already
-    assert len(nf.syllables) == 1 and nf.syllables[0].side == v.side, \
+def _factor_element(spec: SplittingSpec, v: TreeVertex, nf: NormalForm) -> Word:
+    """x_v = rep(v)^-1 g rep(v) as a canonical element of v's factor X, for
+    g = nf fixing v: nf(g rep(v)) = nf(rep(v) x_v) is rep(v)'s syllables and
+    at most one syllable of X, so x_v is that syllable times the tail (an
+    embed, canonical already)."""
+    n, gs = len(v.syllables), spec.extend(nf, NormalForm(v.syllables, (), Word()))
+    x = gs.syllables[n:]
+    assert gs.syllables[:n] == v.syllables and [s.side for s in x] in ([], [v.side]), \
         "fixed vertex must conjugate g into its factor"
-    return factor._reduce(nf.syllables[0].word * tail)
+    tail = gs.tail_image_a if v.side == SIDE_A else spec.sub_b.embed(gs.tail)
+    return spec.factor(v.side)._reduce(x[0].word * tail) if x else tail
 
 
 def element_order(spec: SplittingSpec, g: Word) -> Optional[int]:
@@ -286,25 +291,28 @@ def element_order(spec: SplittingSpec, g: Word) -> Optional[int]:
     vertex hX, so x = h^-1 g h lies in the factor X and g, a conjugate of x,
     has the order of x in X.
     """
-    cls = classify(spec, g)
+    return _element_order(spec, nf := spec.normal_form(g), _classify(spec, nf))
+
+
+def _element_order(spec: SplittingSpec, nf: NormalForm, cls: ElementClass) -> Optional[int]:
+    """``element_order`` of g = nf, whose class (about any base) is cls."""
     if cls.is_hyperbolic:
         return None
     v = cls.witness_vertex
-    return spec.factor(v.side).element_order(_factor_element(spec, v, g))
+    return spec.factor(v.side).element_order(_factor_element(spec, v, nf))
 
 
-def _fixed_window(spec: SplittingSpec, g: Word, base: TreeVertex, radius: int,
-                  neighbor_cap: Optional[int]) -> Tuple[Dict[TreeVertex, int], bool]:
-    """Fix(g) within radius of base as {vertex: distance from base}, and
-    the flag; the walk is set out in the module docstring."""
+def _fixed_window(spec: SplittingSpec, nf: NormalForm, cls: ElementClass, base: TreeVertex,
+                  radius: int, neighbor_cap: Optional[int]) -> Tuple[Dict[TreeVertex, int], bool]:
+    """Fix(g) within radius of base as {vertex: distance from base}, and the
+    flag, for g = nf of class cls about base, by the module docstring's walk."""
     check_nonnegative("window radius", radius)
-    cls = classify(spec, g, base)
     start = cls.witness_vertex
     d0 = tree_distance(base, start)
     if cls.is_hyperbolic or d0 > radius:
         return {}, True
     depth, complete = _walk(start, radius - d0, _moves(spec, neighbor_cap),
-                            _factor_element(spec, start, g))
+                            _factor_element(spec, start, nf))
     return {v: d0 + d for v, d in depth.items()}, complete
 
 
@@ -318,7 +326,9 @@ def fixed_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
     """
     if base is None:
         base = base_vertex()
-    return _region(base, radius, *_fixed_window(spec, g, base, radius, neighbor_cap))
+    nf = spec.normal_form(g)
+    return _region(base, radius, *_fixed_window(spec, nf, _classify(spec, nf, base), base,
+                                                radius, neighbor_cap))
 
 
 def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
@@ -337,14 +347,16 @@ def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
         raise ValueError("max_power must be >= 1")
     if base is None:
         base = base_vertex()
-    o = element_order(spec, g) or 0
+    o = _element_order(spec, nf := spec.normal_form(g), _classify(spec, nf, base)) or 0
     top = min(max_power, o - 1) if o else max_power  # gcd(n, o) has period o in n
     ds = {math.gcd(n, o) for n in range(1, top + 1)}
     dist: Dict[TreeVertex, int] = {}
     exhaustive = o != 0 and max_power >= o - 1
     for d in sorted(ds):
         if not any(k * d in ds for k in range(2, top // d + 1)):
-            window, complete = _fixed_window(spec, g ** d, base, radius, NEIGHBOR_CAP)
+            nf_d = nf if d == 1 else spec.normal_form(g ** d)
+            window, complete = _fixed_window(spec, nf_d, _classify(spec, nf_d, base), base,
+                                             radius, NEIGHBOR_CAP)
             dist.update(window)
             exhaustive = exhaustive and complete
     return _region(base, radius, dist, exhaustive)
@@ -412,8 +424,8 @@ def fix_diameter_lb(spec: SplittingSpec, g: Word, radius: int = 8):
     for hyperbolic g.  The double sweep does not depend on member order, so
     the window is not sorted.
     """
-    base = base_vertex()
-    dist, complete = _fixed_window(spec, g, base, radius, NEIGHBOR_CAP)
+    base, nf = base_vertex(), spec.normal_form(g)
+    dist, complete = _fixed_window(spec, nf, _classify(spec, nf, base), base, radius, NEIGHBOR_CAP)
     return region_diameter(VertexRegion(base, radius, tuple(dist), complete))
 
 

@@ -83,6 +83,20 @@ def z4z6_table():
                          make_table(*cyclic_table(6, "s"), group_id="B"),
                          ["t"], [W("r2")], [W("s3")])
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` (a module function or a class's method) so that
+    each call appends its positional arguments to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def random_word(rng: random.Random, gen_names, max_len: int,
                 max_exp: int = 2) -> Word:
     letters = []

@@ -20,7 +20,7 @@ from treegroups.tree import (VertexRegion, axis_window, classify, element_order,
                              geodesic, mover, on_axis, region_diameter)
 from treegroups.words import Word
 
-from conftest import random_word
+from conftest import count_calls, random_word
 
 W = Word.parse
 XY = W("x y")
@@ -184,26 +184,16 @@ def test_certificate_names_the_first_word_of_a_form(f2):
 def test_certificate_splits_relations_by_parity(f2, w2, depth, verdict):
     assert certify_rank2_free(f2, W("x"), W(w2), depth) == verdict
     assert reference_certificate(f2, W("x"), W(w2), depth) == verdict
-    collision = freeness._ball_collision(f2, (W("x"), W(w2)), (None, None), depth)
+    words = (W("x"), W(w2))
+    collision = freeness._ball_collision(f2, words, tuple(map(f2.normal_form, words)),
+                                         (None, None), depth)
     assert (collision is None) == verdict[0]
-
-
-def counted_extends(monkeypatch):
-    calls = []
-    extend = SplittingSpec.extend
-
-    def counted(self, *args):
-        calls.append(args)
-        return extend(self, *args)
-
-    monkeypatch.setattr(SplittingSpec, "extend", counted)
-    return calls
 
 
 def test_passing_certificate_walks_the_half_ball(f2, monkeypatch):
     # a passing certificate walks the 160 words of cost <= 4 at depth 7, one
     # extend each past the powers
-    calls = counted_extends(monkeypatch)
+    calls = count_calls(monkeypatch, SplittingSpec, "extend")
     assert certify_rank2_free(f2, XY, W("y^2 x y^-1"), 7) == (True, None)
     assert len(calls) <= 200
 
@@ -211,7 +201,7 @@ def test_passing_certificate_walks_the_half_ball(f2, monkeypatch):
 def test_failing_certificate_stops_at_its_first_collision(klein, monkeypatch):
     # the commutator of a b and b a costs 4, so the walk stops in its second
     # layer however deep the certificate
-    calls = counted_extends(monkeypatch)
+    calls = count_calls(monkeypatch, SplittingSpec, "extend")
     assert certify_rank2_free(klein, W("a b"), W("b a"), 18) == (
         False, "W1^1 W2^1 W1^-1 W2^-1 = 1")
     assert len(calls) <= 100
@@ -263,7 +253,7 @@ def test_power_forms_are_the_normal_forms_of_the_powers(request, spec, w):
     spec, w = request.getfixturevalue(spec), W(w)
     order = element_order(spec, w)
     for depth in range(9):
-        forms = freeness._power_forms(spec, w, order, depth)
+        forms = freeness._power_forms(spec, w, spec.normal_form(w), order, depth)
         exps = freeness._exponent_range(order, depth)
         if order is not None:
             cost = lambda e: min(e % order, order - e % order)
@@ -328,14 +318,7 @@ def test_overlap_pushes_junctions_not_vertices(f2, monkeypatch):
     # each axis test moves a vertex by one mover per element, and the
     # overlap is walked, not windowed: 34 pushes, where renormalizing
     # g rep(v) for every vertex of the window took 237
-    pushes = []
-    push = SplittingSpec._push
-
-    def counted(self, *args):
-        pushes.append(args)
-        return push(self, *args)
-
-    monkeypatch.setattr(SplittingSpec, "_push", counted)
+    pushes = count_calls(monkeypatch, SplittingSpec, "_push")
     assert overlap_report(f2, 0, XY, W("y^2 x y^-1")).diameter == 0
     assert len(pushes) <= 40
 
@@ -421,20 +404,20 @@ def windowed_overlap(spec, h1, c1, h2, c2, radius):
 
 
 def reference_overlap_report(spec, k, h1, h2):
-    c1, c2 = freeness._distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
+    (c1, _), (c2, _) = freeness._distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
     diam, crossing = windowed_overlap(spec, h1, c1, h2, c2, 3 * k + c1.tau + c2.tau + 6)
     return diam, "small" if diam <= 3 * k else "large", crossing
 
 
 def reference_power_pair(spec, h1, h2, n, depth):
-    c1, c2 = freeness._distinct_axes(spec, h1, h2, max(n + 2, 8))
+    (c1, _), (c2, _) = freeness._distinct_axes(spec, h1, h2, max(n + 2, 8))
     bound = n * min(c1.tau, c2.tau)
     diam, _ = windowed_overlap(spec, h1, c1, h2, c2, bound + c1.tau + c2.tau + 6)
     if not diam < bound:
         raise WitnessInputError(
             f"axis overlap diameter {diam} is not < n*min(tau) = {bound}")
     return freeness._certified(spec, "hyperbolic_small_overlap", (h1 ** n, h2 ** n),
-                               n, depth)
+                               None, n, depth)
 
 
 def outcome(call):
@@ -484,17 +467,47 @@ def test_overlap_is_walked_not_windowed(f2_amalgam, monkeypatch):
 
     monkeypatch.setattr(tree, "axis_window", no_window)
     monkeypatch.setattr(freeness, "axis_window", no_window, raising=False)
-    tests = []
-    on_axis_ = freeness.on_axis
-
-    def counted(*args):
-        tests.append(args)
-        return on_axis_(*args)
-
-    monkeypatch.setattr(freeness, "on_axis", counted)
+    tests = count_calls(monkeypatch, freeness, "on_axis")
     rep = overlap_report(f2_amalgam, 300, W("b d"), W("d b"))
     assert rep.diameter == 1 and rep.branch == "small"
     assert len(tests) <= 12
+
+
+@pytest.mark.parametrize("call, bound", [
+    # 2 today: the two inputs; tau(g1 g2) reads extend(nf(g1), nf(g2))
+    (lambda s: product_translation_length(s["z2z3"], W("a"), W("b")), 3),
+    # 4 today: g1 and g2, then the conjugate witness; order-2 generators
+    # have no w^-1 chain, and the orders come from g1's class
+    (lambda s: witness_elliptic_pair(s["z2z3"], 5, W("b a b^-1"), W("a b a^-1"), 7), 8),
+    # 8 today: h1, h2, h1^-902 (the first axis sample off Axis(h2)), h1^-1
+    # for the overlap walk, and h1^901, h2^901 with their inverses
+    (lambda s: witness_hyperbolic_pair(s["f2_amalgam"], 300, W("b d"), W("d b"), 2), 11),
+], ids=["product_translation_length", "witness_elliptic_pair", "witness_hyperbolic_pair"])
+def test_witnesses_normalize_each_element_once(z2z3, f2_amalgam, monkeypatch, call, bound):
+    forms = count_calls(monkeypatch, SplittingSpec, "normal_form")
+    call({"z2z3": z2z3, "f2_amalgam": f2_amalgam})
+    assert len(forms) <= bound
+
+
+def test_constructors_pass_the_generators_orders(z2z3, f2, f2_amalgam, monkeypatch):
+    # the acceptance witnesses (criterion 4) and the free-witness goldens:
+    # an elliptic pair has the order of its first generator (conjugates
+    # have equal orders), and hyperbolic witnesses have infinite order
+    calls = count_calls(monkeypatch, freeness, "_certified")
+    for k in (0, 4, 7):
+        witness_elliptic_pair(z2z3, k, W("a"), W("b"))
+    for k in (0, 2, 4):
+        witness_elliptic_hyperbolic(z2z3, k, W("a"), W("a b"))
+    for k in (0, 2):
+        witness_hyperbolic_pair(f2, k, XY, W("y^2 x y^-1"))
+    witness_hyperbolic_pair(f2, 0, XY, W("y x"))
+    for k in (0, 2):
+        witness_hyperbolic_pair(f2_amalgam, k, W("b d"), W("d b"), depth=5)
+    witness_elliptic_pair(z2z3, 2, W("b a b^-1"), W("a b a^-1"))
+    witness_power_pair(f2, XY, W("y^2 x y^-1"), 2)
+    assert len(calls) == 13
+    for spec, _, pair, order, *_ in calls:
+        assert (order, order) == tuple(element_order(spec, w) for w in pair)
 
 
 # -- semigroup clause -----------------------------------------------------------

@@ -13,7 +13,7 @@ from treegroups.splitting import (HnnNotSupportedError, SpecError,
 from treegroups.tree import TreeVertex
 from treegroups.words import Word, WordError
 
-from conftest import random_word
+from conftest import count_calls, random_word
 
 W = Word.parse
 
@@ -86,14 +86,7 @@ def test_extend_is_normal_form_of_product(z2z3, z3z4, z70z3, z2z2, triv_z5, f2,
 def extend_pushes(spec, monkeypatch, u, v):
     """The pushes ``extend(nf(u), nf(v))`` makes, after checking its result."""
     nf_u, nf_v = spec.normal_form(u), spec.normal_form(v)
-    pushes = []
-    push = SplittingSpec._push
-
-    def counted(self, *args):
-        pushes.append(args)
-        return push(self, *args)
-
-    monkeypatch.setattr(SplittingSpec, "_push", counted)
+    pushes = count_calls(monkeypatch, SplittingSpec, "_push")
     got = spec.extend(nf_u, nf_v)
     monkeypatch.undo()
     assert got == spec.normal_form(u * v)

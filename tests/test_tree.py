@@ -1,8 +1,10 @@
 import itertools
+import json
 import math
 import random
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from treegroups import tree
 from treegroups.oracles import make_cyclic, make_free, make_table
-from treegroups.splitting import SplittingSpec, Syllable, other_side
+from treegroups.splitting import SplittingSpec, Syllable, load_spec, other_side
 from treegroups.tree import (EllipticElementError, TreeVertex, VertexRegion,
                              act, axis_window, ball, base_vertex,
                              check_acylindricity, classify, element_order,
@@ -19,7 +21,7 @@ from treegroups.tree import (EllipticElementError, TreeVertex, VertexRegion,
                              region_distance, t_set, tree_distance, vertex_of)
 from treegroups.words import Word, shortlex
 
-from conftest import min_displacement_bruteforce, random_elliptic, random_word
+from conftest import count_calls, min_displacement_bruteforce, random_elliptic, random_word
 
 W = Word.parse
 
@@ -321,29 +323,15 @@ def test_classify_normalizes_the_element_once(f2_amalgam, monkeypatch):
     # nothing, and moving g A:1, whose syllables start on the side g's form
     # does not end on, pushes nothing either
     g = W("b d") ** 60
-    calls = {"normal_form": 0, "_push": 0}
-    for name in calls:
-        method = getattr(SplittingSpec, name)
-
-        def counted(self, *args, _name=name, _method=method):
-            calls[_name] += 1
-            return _method(self, *args)
-
-        monkeypatch.setattr(SplittingSpec, name, counted)
+    forms = count_calls(monkeypatch, SplittingSpec, "normal_form")
+    pushes = count_calls(monkeypatch, SplittingSpec, "_push")
     assert classify(f2_amalgam, g).tau == 120
-    assert calls == {"normal_form": 1, "_push": 120}
+    assert (len(forms), len(pushes)) == (1, 120)
 
 
 def test_classify_reads_one_vertex_off_the_geodesic(f2_amalgam, monkeypatch):
     # the witness is one prefix of base or of g base, not the whole geodesic
-    calls = []
-    prefix_vertex = tree._prefix_vertex
-
-    def counted(v, j):
-        calls.append(j)
-        return prefix_vertex(v, j)
-
-    monkeypatch.setattr(tree, "_prefix_vertex", counted)
+    calls = count_calls(monkeypatch, tree, "_prefix_vertex")
     for g in (W("b d") ** 500, W("b d a") ** 300, W("b d") ** 400 * W("a") * W("b d") ** -400):
         calls.clear()
         classify(f2_amalgam, g)
@@ -413,6 +401,53 @@ def test_element_order_matches_power_walk(z2z3, z3z4, klein, f2_amalgam, z70z3):
             assert order == power_walk_order(spec, g), str(g)
             seen.add(order)
     assert {None, 1, 2, 3, 70} <= seen
+
+
+def scratch_factor_element(spec, v, g):
+    """Reference for ``tree._factor_element``: x_v = rep(v)^-1 g rep(v),
+    normalized from scratch, for g fixing v."""
+    nf = spec.normal_form(v.rep_word().inverse() * g * v.rep_word())
+    tail = nf.tail_image_a if v.side == "A" else spec.sub_b.embed(nf.tail)
+    if not nf.syllables:
+        return tail
+    assert len(nf.syllables) == 1 and nf.syllables[0].side == v.side
+    return spec.factor(v.side)._reduce(nf.syllables[0].word * tail)
+
+
+FACTOR_SPECS = ["z2z3", "z3z4", "z70z3", "z2z2", "triv_z5", "f2", "klein", "f2_amalgam",
+                "z2_amalgam", "z4z6_table"]
+
+
+def test_factor_element_reads_the_junction(request):
+    # every fixture and every splitting in tests/data (table and lattice
+    # factors included), on seeded elliptic u x u^-1, edge-group elements
+    # and 1, at every vertex of a fixed-set window
+    specs = [request.getfixturevalue(name) for name in FACTOR_SPECS]
+    specs += [load_spec(str(p)) for p in sorted((Path(__file__).parent / "data").glob("*.json"))
+              if "factors" in json.loads(p.read_text())]
+    rng = random.Random(34)
+    checked = 0
+    sides = set()
+    for spec in specs:
+        edge = [spec.sub_a.embed(cw) for cw in shortlex(range(len(spec.edge_gens)), 2)]
+        for g in [random_elliptic(spec, rng, 4) for _ in range(24)] + edge + [Word()]:
+            nf = spec.normal_form(g)
+            for v in fixed_set(spec, g, radius=3, neighbor_cap=4).members:
+                assert tree._factor_element(spec, v, nf) == scratch_factor_element(spec, v, g)
+                sides.add((v.side, bool(v.syllables), g.is_empty or g in edge))
+                checked += 1
+    assert checked > 2000
+    # vertices on both sides, B:1 (empty s on side B) under edge elements
+    assert {("A", True, False), ("B", True, False), ("B", False, True)} <= sides
+
+
+def test_element_order_normalizes_the_element_once(z2z3, klein, f2_amalgam, monkeypatch):
+    forms = count_calls(monkeypatch, SplittingSpec, "normal_form")
+    for spec, g, order in [(z2z3, "b a b^-1", 2), (z2z3, "a b^-1 a", 3), (klein, "a b a^-1", None),
+                           (f2_amalgam, "b d b^-1", None), (z2z3, "a b", None)]:
+        forms.clear()
+        assert element_order(spec, W(g)) == order
+        assert len(forms) == 1
 
 
 def test_translation_identity(z2z3, z3z4, klein, f2):
@@ -773,14 +808,7 @@ def test_check_acylindricity_matches_walking_every_word(request, spec):
 def test_check_acylindricity_walks_an_element_or_its_inverse(request, monkeypatch,
                                                                spec, args, walks):
     spec = spec() if callable(spec) else request.getfixturevalue(spec)
-    calls = []
-    fixed_window = tree._fixed_window
-
-    def counted(*call):
-        calls.append(call)
-        return fixed_window(*call)
-
-    monkeypatch.setattr(tree, "_fixed_window", counted)
+    calls = count_calls(monkeypatch, tree, "_fixed_window")
     assert check_acylindricity(spec, *args).verdict == "consistent"
     assert len(calls) == walks
 
