@@ -39,16 +39,17 @@ def _emit(payload: dict, human: str, as_json: bool) -> None:
         print(human)
 
 
-def _region_payload(region) -> dict:
+def _diameter(region) -> Optional[int]:
     from .tree import region_diameter
     diam = region_diameter(region)
-    return {
-        "center": str(region.center),
-        "radius": region.radius,
-        "members": [str(v) for v in region.members],
-        "exhaustive_within_radius": region.exhaustive_within_radius,
-        "diameter": None if diam == -math.inf else int(diam),
-    }
+    return None if diam == -math.inf else int(diam)
+
+
+def _region_payload(region, **fields) -> dict:
+    return {"center": str(region.center), "radius": region.radius,
+            "members": [str(v) for v in region.members],
+            "exhaustive_within_radius": region.exhaustive_within_radius,
+            "diameter": _diameter(region), **fields}
 
 
 def _cmd_classify(args) -> int:
@@ -82,11 +83,11 @@ def _cmd_fix(args) -> int:
     else:
         region = fixed_set(spec, g, radius=args.radius)
         label = f"Fix({args.element})"
-    payload = _region_payload(region)
-    payload["element"] = args.element
-    human = (f"{label} within radius {args.radius}: "
-             f"{len(region.members)} vertices, diameter {payload['diameter']}")
-    _emit(payload, human, args.json)
+    if args.json:
+        _emit(_region_payload(region, element=args.element), "", True)
+    else:
+        print(f"{label} within radius {args.radius}: "
+              f"{len(region.members)} vertices, diameter {_diameter(region)}")
     return EXIT_OK
 
 
@@ -97,11 +98,11 @@ def _cmd_axis(args) -> int:
     g = spec.parse_word(args.element)
     cls = classify(spec, g)
     region = axis_window(spec, g, radius=args.radius)
-    payload = _region_payload(region)
-    payload.update({"element": args.element, "tau": cls.tau})
-    _emit(payload,
-          f"Axis({args.element}) within radius {args.radius}: "
-          f"{len(region.members)} vertices, tau={cls.tau}", args.json)
+    if args.json:
+        _emit(_region_payload(region, element=args.element, tau=cls.tau), "", True)
+    else:
+        print(f"Axis({args.element}) within radius {args.radius}: "
+              f"{len(region.members)} vertices, tau={cls.tau}")
     return EXIT_OK
 
 

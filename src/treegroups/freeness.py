@@ -28,8 +28,8 @@ Each case hypothesis is checked in one place: the element type by
 ``_require``, disjoint fixed sets by ``_fixed_set_distance``, distinct axes
 by ``_distinct_axes`` (whose three-point sampling ``_axes_coincide`` also
 answers ``same_axis``), and every rank-2 witness is certified and wrapped
-by ``_certified``, sharing each input's form, class and mover.  Window
-radii and axis spreads are derived from the inputs, not passed in.
+by ``_certified``, sharing each input's form, class and mover.  Axis
+spreads are derived from the inputs, not passed in.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ import math
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .splitting import NormalForm, SplittingSpec
-from .tree import (NEIGHBOR_CAP, ElementClass, TreeVertex, _classify, _element_order,
-                   _fixed_window, _mover, act, base_vertex, check_nonnegative, geodesic,
-                   mover, on_axis, region_distance, t_set, tree_distance)
+from .tree import (ElementClass, TreeVertex, _classify, _element_order, _mover, act,
+                   check_nonnegative, geodesic, mover, on_axis, t_set)
 from .words import Word
 
 
@@ -295,18 +294,26 @@ def _require(spec: SplittingSpec, w: Word, name: str, hyperbolic: bool) -> tuple
 
 
 def _fixed_set_distance(spec: SplittingSpec, g1: Word, g2: Word) -> tuple:
-    """d(Fix(g1), Fix(g2)) for elliptic g1, g2, on a window of radius
-    4 max(|g1|, |g2|) + 4 about the base, and the inputs' (form, class)
-    pairs; rejects intersecting fixed sets."""
+    """d(Fix(g1), Fix(g2)) for elliptic g1, g2, and the inputs' (form, class)
+    pairs; rejects intersecting fixed sets.
+
+    Fix(g_i) is a subtree holding classify's witness p_i (Serre, Trees,
+    §I.6), so [p1, p2] meets Fix(g1) in an initial segment of a vertices and
+    Fix(g2) in a final one of b.  Sets sharing a vertex s share the median
+    of p1, p2 and s, which lies on [p1, p2]; disjoint ones are bridged on
+    [p1, p2], between the segments.  So the distance is d(p1, p2) + 2 - a - b,
+    below 1 exactly when the sets meet, for 2 (d(p1, p2) + 1) tests at most."""
+    def fixed_run(nf, vs):  # the leading vertices of vs that g = nf fixes
+        move = _mover(spec, nf)
+        return sum(1 for _ in itertools.takewhile(lambda v: move(v) == v, vs))
+
     required = [_require(spec, g1, "g1", False), _require(spec, g2, "g2", False)]
-    base, radius = base_vertex(), 4 * max(g1.letter_length(), g2.letter_length()) + 4
-    fix1, fix2 = (_fixed_window(spec, nf, cls, base, radius, NEIGHBOR_CAP)[0]
-                  for nf, cls in required)
-    d = min((tree_distance(u, v) for u in fix1 for v in fix2), default=math.inf)
+    (nf1, c1), (nf2, c2) = required
+    path = geodesic(c1.witness_vertex, c2.witness_vertex)
+    d = len(path) + 1 - fixed_run(nf1, path) - fixed_run(nf2, reversed(path))
     if d < 1:
         raise WitnessInputError(
-            "the windowed fixed sets of g1 and g2 intersect; "
-            "Fix(g1) ∩ Fix(g2) = ∅ is required")
+            "the fixed sets of g1 and g2 intersect; Fix(g1) ∩ Fix(g2) = ∅ is required")
     return d, required
 
 
@@ -472,10 +479,7 @@ def product_translation_length(spec: SplittingSpec, g1: Word,
     """For elliptic g1, g2 with disjoint fixed sets, returns tau(g1 g2) and
     d(Fix(g1), Fix(g2)); the caller asserts tau = 2 d."""
     d, [(nf1, _), (nf2, _)] = _fixed_set_distance(spec, g1, g2)
-    if d == math.inf:
-        raise WitnessInputError("a fixed set is empty on the window")
-    tau = _classify(spec, spec.extend(nf1, nf2)).tau
-    return ProductTranslationReport(tau, int(d))
+    return ProductTranslationReport(_classify(spec, spec.extend(nf1, nf2)).tau, d)
 
 
 def verify_disjoint_tsets(spec: SplittingSpec, g1: Word, g2: Word) -> bool:
@@ -483,7 +487,7 @@ def verify_disjoint_tsets(spec: SplittingSpec, g1: Word, g2: Word) -> bool:
     T-set windows of radius 8 and powers up to 6."""
     _require(spec, g1, "g1", False)
     _require(spec, g2, "g2", False)
-    return region_distance(t_set(spec, g1), t_set(spec, g2)) >= 1
+    return set(t_set(spec, g1).members).isdisjoint(t_set(spec, g2).members)
 
 
 def witness_power_pair(spec: SplittingSpec, h1: Word, h2: Word, n: int,

@@ -409,13 +409,6 @@ def region_diameter(region: VertexRegion):
     return max(tree_distance(far, v) for v in vs)
 
 
-def region_distance(r1: VertexRegion, r2: VertexRegion):
-    """Min distance between two windowed sets; +inf if either is empty."""
-    if not r1.members or not r2.members:
-        return math.inf
-    return min(tree_distance(u, v) for u in r1.members for v in r2.members)
-
-
 def fix_diameter_lb(spec: SplittingSpec, g: Word, radius: int = 8):
     """Certified lower bound for diam Fix(g): the diameter of its window
     about the base vertex.

@@ -1,11 +1,14 @@
 import json
 import os
+import re
 
 import pytest
 
 from treegroups import freeness, tree
 from treegroups.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, run
 from treegroups.freeness import MAX_CERTIFICATE_DEPTH, CertificationFailure
+
+from conftest import count_calls
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
@@ -122,6 +125,19 @@ def test_fix_and_axis(capsys):
     assert rc == EXIT_OK
     doc = json.loads(out)
     assert doc["tau"] == 2 and "A:1" in doc["members"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fix", "--group", data("klein.json"), "--element", "a^2", "--radius", "6"],
+    ["fix", "--group", data("klein.json"), "--element", "a", "--max-power", "2"],
+    ["axis", "--group", data("f2_amalgam.json"), "--element", "b d", "--radius", "6"],
+], ids=["fix", "t-set", "axis"])
+def test_human_window_output_names_no_vertex(capsys, monkeypatch, argv):
+    # each member is named once, by the window's sort; only --json prints names
+    names = count_calls(monkeypatch, tree.TreeVertex, "__str__")
+    rc, out, _ = invoke(capsys, *argv)
+    assert rc == EXIT_OK
+    assert len(names) == int(re.search(r"(\d+) vertices", out)[1]) > 1
 
 
 def test_fix_stops_at_the_vertex_limit(capsys, monkeypatch, tmp_path):

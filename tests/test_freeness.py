@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,13 @@ from treegroups.freeness import (WitnessInputError,
                                  witness_hyperbolic_pair,
                                  witness_length_bound_holds)
 from treegroups.splitting import SplittingSpec
-from treegroups.tree import (VertexRegion, axis_window, classify, element_order,
-                             geodesic, mover, on_axis, region_diameter)
+from treegroups.oracles import NEIGHBOR_CAP
+from treegroups.tree import (VertexRegion, axis_window, base_vertex, classify, element_order,
+                             geodesic, mover, on_axis, region_diameter, t_set,
+                             tree_distance)
 from treegroups.words import Word
 
-from conftest import count_calls, random_word
+from conftest import count_calls, random_elliptic, random_word
 
 W = Word.parse
 XY = W("x y")
@@ -547,7 +550,6 @@ def test_product_translation_conjugated(z2z3):
 
 
 def test_product_translation_random_pairs(z2z3, z3z4, f2_amalgam):
-    from conftest import random_elliptic
     rng = random.Random(24)
     for spec in (z2z3, z3z4, f2_amalgam):
         done = 0
@@ -570,8 +572,79 @@ def test_product_translation_rejects_intersecting(z2z3):
 def test_disjoint_tsets(z2z3, klein):
     assert verify_disjoint_tsets(z2z3, W("a"), W("b"))
     assert not verify_disjoint_tsets(z2z3, W("a"), W("a"))
+    far = W("a b") ** 5 * W("a") * W("a b") ** -5  # fixes one vertex 10 steps out
+    assert not t_set(z2z3, far).members and verify_disjoint_tsets(z2z3, W("a"), far)
     # central edge: every T-set swallows the window
     assert not verify_disjoint_tsets(klein, W("a"), W("b"))
+
+
+def windowed_fixed_set_distance(spec, g1, g2):
+    """Reference for ``freeness._fixed_set_distance``: Fix(g1) and Fix(g2)
+    within 4 max(|g1|, |g2|) + 4 of the base, walked by ``_fixed_window``,
+    and the least distance over every pair of members; None when a window
+    is incomplete."""
+    base, radius = base_vertex(), 4 * max(g1.letter_length(), g2.letter_length()) + 4
+    windows = []
+    for g in (g1, g2):
+        nf = spec.normal_form(g)
+        window, complete = tree._fixed_window(spec, nf, tree._classify(spec, nf, base), base,
+                                              radius, NEIGHBOR_CAP)
+        if not complete:
+            return None
+        windows.append(window)
+    return min(tree_distance(u, v) for u in windows[0] for v in windows[1])
+
+
+@pytest.mark.parametrize("spec", ["z2z3", "z3z4", "z70z3", "z2z2", "triv_z5", "f2", "klein",
+                                  "f2_amalgam", "z2_amalgam", "z4z6_table"])
+def test_fixed_set_distance_matches_the_windows(request, monkeypatch, spec):
+    # the geodesic read against the windowed pairwise minimum, on pairs
+    # whose windows are complete with at most 2,000 members each
+    rng = random.Random(spec)
+    spec = request.getfixturevalue(spec)
+    monkeypatch.setattr(tree, "MAX_WINDOW_VERTICES", 2000)
+    compared = 0
+    for _ in range(20):
+        g1, g2 = random_elliptic(spec, rng), random_elliptic(spec, rng)
+        d = windowed_fixed_set_distance(spec, g1, g2)
+        if d is None:
+            continue
+        compared += 1
+        got = outcome(lambda: tuple(product_translation_length(spec, g1, g2)))
+        if d < 1:
+            assert got[0] is WitnessInputError and re.match(FIXED_SETS_MEET, got[1])
+        else:
+            assert got == (2 * d, d)
+    assert compared >= 5
+
+
+def test_fixed_set_checks_walk_no_window(f2, z4z6_table, z2_amalgam, monkeypatch):
+    # the identity of F2, the central r2 and s3, and x of Z^2 *_{x=u} Z^2 fix
+    # the whole tree, whose windows would hold up to MAX_WINDOW_VERTICES each
+    def no_walk(*args):
+        raise AssertionError("window walked")
+
+    monkeypatch.setattr(tree, "_walk", no_walk)
+    for call in (lambda: witness_elliptic_pair(f2, 0, Word(), Word()),
+                 lambda: witness_elliptic_pair(z4z6_table, 0, W("r2"), W("s3")),
+                 lambda: product_translation_length(z2_amalgam, W("x"), W("y"))):
+        with pytest.raises(WitnessInputError, match=FIXED_SETS_MEET):
+            call()
+
+
+def test_fixed_set_distance_tests_one_geodesic(z2z3, monkeypatch):
+    # each input is tested on at most the d(p1, p2) + 1 vertices of [p1, p2]
+    tested = []
+
+    def counted_mover(spec, nf):
+        move = tree._mover(spec, nf)
+        return lambda v: tested.append(v) or move(v)
+
+    monkeypatch.setattr(freeness, "_mover", counted_mover)
+    g1, g2 = W("a"), W("b a b^-1")
+    assert tuple(product_translation_length(z2z3, g1, g2)) == (4, 2)
+    p1, p2 = (classify(z2z3, g).witness_vertex for g in (g1, g2))
+    assert 0 < len(tested) <= 2 * (tree_distance(p1, p2) + 1)
 
 
 def test_witness_power_pair(f2):
@@ -588,7 +661,7 @@ def test_witness_power_pair(f2):
 
 NEGATIVE_K = "k must be >= 0, got -1"
 SAME_AXIS = "share an axis; distinct axes are required"
-FIXED_SETS_MEET = r"the windowed fixed sets of g1 and g2 intersect; Fix\(g1\) ∩ Fix\(g2\) = ∅"
+FIXED_SETS_MEET = r"the fixed sets of g1 and g2 intersect; Fix\(g1\) ∩ Fix\(g2\) = ∅"
 
 
 @pytest.mark.parametrize("fn,spec,args,error,message", [

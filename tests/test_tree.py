@@ -18,7 +18,7 @@ from treegroups.tree import (EllipticElementError, TreeVertex, VertexRegion,
                              check_acylindricity, classify, element_order,
                              fix_diameter_lb, fixed_set, geodesic,
                              geodesic_vertex, mover, on_axis, region_diameter,
-                             region_distance, t_set, tree_distance, vertex_of)
+                             t_set, tree_distance, vertex_of)
 from treegroups.words import Word, shortlex
 
 from conftest import count_calls, min_displacement_bruteforce, random_elliptic, random_word
@@ -821,11 +821,3 @@ def test_windows_reject_negative_radius(z2z3):
         with pytest.raises(ValueError, match="window radius must be >= 0"):
             window()
     assert ball(z2z3, base, 0) == ({base: 0}, True)
-
-
-def test_region_distance(z2z3):
-    f1 = fixed_set(z2z3, W("a"), radius=5)
-    f2_ = fixed_set(z2z3, W("b"), radius=5)
-    assert region_distance(f1, f2_) == 1
-    empty = fixed_set(z2z3, W("a b"), radius=5)
-    assert region_distance(f1, empty) == math.inf
