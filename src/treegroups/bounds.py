@@ -27,8 +27,8 @@ SMALL_X_THRESHOLD = 21.0 / 125.0
 
 
 def _validate_ed(E: float, D: float) -> None:
-    if not (E > 0 and D > 0):
-        raise ValueError(f"E and D must be positive, got E={E}, D={D}")
+    if not (0 < E < math.inf and 0 < D < math.inf):
+        raise ValueError(f"E and D must be positive and finite, got E={E}, D={D}")
 
 
 def _validate_k(k: int) -> None:
@@ -87,8 +87,8 @@ def volume_lower_bound(E: float, D: float, k: int, n: int = 3,
     _validate_k(k)
     if int(n) != n or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n}")
-    if not C_n > 0:
-        raise ValueError(f"C_n must be positive, got {C_n}")
+    if not 0 < C_n < math.inf:
+        raise ValueError(f"C_n must be positive and finite, got {C_n}")
     return C_n * s0_general(E, D, k) ** n
 
 
@@ -184,17 +184,27 @@ class BoundsReport(NamedTuple):
 def build_bounds_report(E: float, D: float, k: int, n: int = 3,
                         C_n: float = 1.0, include_volume: bool = True,
                         volume_note: Optional[str] = None) -> BoundsReport:
+    """Every bound for (E, D, k, n, C_n); the inputs are checked even where
+    the volume is suppressed, and a report holding a float that is not
+    finite is rejected with a ValueError that names the inputs."""
     comparison = compare_case_bounds(E, D, k)
-    volume = volume_lower_bound(E, D, k, n, C_n) if include_volume else None
-    return BoundsReport(
+    try:
+        volume = volume_lower_bound(E, D, k, n, C_n)
+    except OverflowError:  # C_n s0^n past the largest double
+        volume = math.inf
+    report = BoundsReport(
         E=E, D=D, k=k, n=n, C_n=C_n,
         s0_general=s0_general(E, D, k),
         s0_jsj=s0_jsj(E, D),
         hyperbolic_branch=hyperbolic_branch_bound(E, D),
         free_product_k0=free_product_bound(E, D),
         effective_systole_lb=comparison.effective_bound,
-        volume_lb=volume,
+        volume_lb=volume if include_volume else None,
         delta0=delta0(E, D),
         dominant_branch=comparison.dominant_branch,
         volume_note=volume_note,
     )
+    if not all(math.isfinite(v) for v in report if isinstance(v, float)):
+        raise ValueError(f"the bounds for E={E}, D={D}, k={k}, n={n}, C_n={C_n} "
+                         "are not finite doubles")
+    return report

@@ -34,14 +34,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(payload: dict, human: str, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         print(human)
 
 
 def _diameter(region) -> Optional[int]:
     from .tree import region_diameter
-    diam = region_diameter(region)
+    diam = region_diameter(region.members)
     return None if diam == -math.inf else int(diam)
 
 
@@ -201,8 +201,7 @@ def _cmd_dichotomy(args) -> int:
     verdict = classify_manifold(desc)
     payload = verdict._asdict()  # json writes the conflict_notes tuple as a list
     if verdict.is_acylindrical and args.entropy is not None and args.diam is not None:
-        report = systole_bound_for(desc, args.entropy, args.diam,
-                                   C_n=args.cn, n=args.dim)
+        report = systole_bound_for(desc, args.entropy, args.diam, C_n=args.cn)
         payload["bound_report"] = report.to_json_dict()
     if verdict.verdict == "not_applicable":
         _emit(payload, f"not applicable: {verdict.reason}", args.json)
@@ -290,7 +289,6 @@ def build_parser() -> _Parser:
     p.add_argument("manifold", metavar="FILE")
     p.add_argument("--entropy", type=float, default=None)
     p.add_argument("--diam", type=float, default=None)
-    p.add_argument("--dim", type=int, default=3)
     p.add_argument("--cn", type=float, default=1.0)
     p.set_defaults(func=_cmd_dichotomy)
 

@@ -25,7 +25,7 @@ statements themselves come from acylindricity, the certificate only
 guards the computation.
 
 Each case hypothesis is checked in one place: the element type by
-``_require``, disjoint fixed sets by ``_fixed_set_distance``, distinct axes
+``_require``, disjoint fixed sets by ``_fixed_gap``, distinct axes
 by ``_distinct_axes`` (whose three-point sampling ``_axes_coincide`` also
 answers ``same_axis``), and every rank-2 witness is certified and wrapped
 by ``_certified``, sharing each input's form, class and mover.  Axis
@@ -39,8 +39,8 @@ import math
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .splitting import NormalForm, SplittingSpec
-from .tree import (ElementClass, TreeVertex, _classify, _element_order, _mover, act,
-                   check_nonnegative, geodesic, mover, on_axis, t_set)
+from .tree import (ElementClass, TreeVertex, _axis_ray, _classify, _element_order, _mover,
+                   _t_powers, act, check_nonnegative, geodesic, mover, on_axis)
 from .words import Word
 
 
@@ -293,24 +293,30 @@ def _require(spec: SplittingSpec, w: Word, name: str, hyperbolic: bool) -> tuple
     return nf, cls
 
 
-def _fixed_set_distance(spec: SplittingSpec, g1: Word, g2: Word) -> tuple:
-    """d(Fix(g1), Fix(g2)) for elliptic g1, g2, and the inputs' (form, class)
-    pairs; rejects intersecting fixed sets.
+def _fixed_gap(spec: SplittingSpec, r1: tuple, r2: tuple) -> int:
+    """d(Fix(g1), Fix(g2)) for elliptic g1, g2 given by their (form, class)
+    pairs r1, r2; below 1 exactly when the fixed sets meet.
 
     Fix(g_i) is a subtree holding classify's witness p_i (Serre, Trees,
     §I.6), so [p1, p2] meets Fix(g1) in an initial segment of a vertices and
     Fix(g2) in a final one of b.  Sets sharing a vertex s share the median
     of p1, p2 and s, which lies on [p1, p2]; disjoint ones are bridged on
     [p1, p2], between the segments.  So the distance is d(p1, p2) + 2 - a - b,
-    below 1 exactly when the sets meet, for 2 (d(p1, p2) + 1) tests at most."""
+    for 2 (d(p1, p2) + 1) tests at most."""
     def fixed_run(nf, vs):  # the leading vertices of vs that g = nf fixes
         move = _mover(spec, nf)
         return sum(1 for _ in itertools.takewhile(lambda v: move(v) == v, vs))
 
-    required = [_require(spec, g1, "g1", False), _require(spec, g2, "g2", False)]
-    (nf1, c1), (nf2, c2) = required
+    (nf1, c1), (nf2, c2) = r1, r2
     path = geodesic(c1.witness_vertex, c2.witness_vertex)
-    d = len(path) + 1 - fixed_run(nf1, path) - fixed_run(nf2, reversed(path))
+    return len(path) + 1 - fixed_run(nf1, path) - fixed_run(nf2, reversed(path))
+
+
+def _fixed_set_distance(spec: SplittingSpec, g1: Word, g2: Word) -> tuple:
+    """d(Fix(g1), Fix(g2)) for elliptic g1, g2, and the inputs' (form, class)
+    pairs; rejects intersecting fixed sets."""
+    required = [_require(spec, g1, "g1", False), _require(spec, g2, "g2", False)]
+    d = _fixed_gap(spec, *required)
     if d < 1:
         raise WitnessInputError(
             "the fixed sets of g1 and g2 intersect; Fix(g1) ∩ Fix(g2) = ∅ is required")
@@ -363,16 +369,10 @@ def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass, move1: C
     if not on_axis(move1, c1.tau, q_star):
         return -math.inf, q_star
 
-    def ray(move):  # the vertices after q* on Axis(h1), in move's direction
-        a = q_star
-        while True:
-            b = move(a)
-            yield from geodesic(a, b)[1:]
-            a = b
-
-    extents = (sum(1 for _ in itertools.takewhile(lambda v: on_axis(move2, c2.tau, v),
-                                                  itertools.islice(ray(move), radius)))
-               for move in (move1, mover(spec, h1.inverse())))
+    rays = (itertools.islice(_axis_ray(move, q_star), radius)
+            for move in (move1, mover(spec, h1.inverse())))
+    extents = (sum(1 for _ in itertools.takewhile(lambda v: on_axis(move2, c2.tau, v), ray))
+               for ray in rays)
     return sum(extents), q_star
 
 
@@ -483,11 +483,17 @@ def product_translation_length(spec: SplittingSpec, g1: Word,
 
 
 def verify_disjoint_tsets(spec: SplittingSpec, g1: Word, g2: Word) -> bool:
-    """Check of T(g1) ∩ T(g2) = ∅ (the rank-2 free product hypothesis) on the
-    T-set windows of radius 8 and powers up to 6."""
-    _require(spec, g1, "g1", False)
-    _require(spec, g2, "g2", False)
-    return set(t_set(spec, g1).members).isdisjoint(t_set(spec, g2).members)
+    """Exact check of T(g1) ∩ T(g2) = ∅ (the rank-2 free product
+    hypothesis) for powers up to 6: T(g) is the union of Fix(g^d) over
+    ``_t_powers``' d, so the T-sets are disjoint exactly when every pair
+    Fix(g1^d1), Fix(g2^d2) is, each read off one geodesic (``_fixed_gap``)."""
+    powers = []
+    for g, name in ((g1, "g1"), (g2, "g2")):
+        nf, cls = _require(spec, g, name, False)
+        forms = [nf if d == 1 else spec.normal_form(g ** d)
+                 for d in _t_powers(_element_order(spec, nf, cls) or 0, 6)]
+        powers.append([(f, _classify(spec, f)) for f in forms])
+    return all(_fixed_gap(spec, r1, r2) >= 1 for r1, r2 in itertools.product(*powers))
 
 
 def witness_power_pair(spec: SplittingSpec, h1: Word, h2: Word, n: int,

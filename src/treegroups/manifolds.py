@@ -154,7 +154,6 @@ class _ManifoldFields(NamedTuple):
     prime_pieces: Tuple[PieceDescription, ...]
     torsionless: bool = True
     boundary: str = "empty"
-    orientable: bool = True
 
 
 class ManifoldDescription(_ManifoldFields):
@@ -190,78 +189,57 @@ _NON_ELEM_FREE_PRODUCT = ("a nontrivial free product other than Z/2 * Z/2 "
 _NON_ELEM_JSJ = "contains a rank 2 free abelian subgroup (a peripheral torus group)"
 
 
+_GEOMETRIC_PRIMES = {
+    "geometric_atom": "irreducible with trivial JSJ decomposition",
+    "s2xs1": "S^2 x S^1 carries the S^2 x R geometry",
+    "rp3": "spherical space form (S^3 geometry)",
+}
+
+
 def classify_manifold(desc: ManifoldDescription) -> DichotomyVerdict:
     if desc.boundary == "spherical_present":
         return DichotomyVerdict(
             "not_applicable",
             "spherical boundary components present: excising balls preserves "
             "the fundamental group, so the dichotomy does not apply")
+    notes = tuple(
+        f"declared JSJ graph on a {p.kind} piece is ignored: Sol-type "
+        "pieces are treated as geometric despite their nontrivial JSJ"
+        for p in desc.prime_pieces
+        if p.kind in ("torus_bundle", "twisted_double") and p.jsj is not None)
+    return DichotomyVerdict(*_case(desc.prime_pieces), conflict_notes=notes)
 
-    notes: List[str] = []
-    for p in desc.prime_pieces:
-        if p.kind in ("torus_bundle", "twisted_double") and p.jsj is not None:
-            notes.append(
-                f"declared JSJ graph on a {p.kind} piece is ignored: Sol-type "
-                "pieces are treated as geometric despite their nontrivial JSJ")
 
-    pieces = desc.prime_pieces
+def _case(pieces: Tuple[PieceDescription, ...]) -> tuple:
+    """The case analysis: (verdict, reason) for a geometric verdict, and
+    (verdict, reason, k, non_elementary_reason) for an acylindrical one."""
     if len(pieces) >= 2:
         if len(pieces) == 2 and all(p.kind == "rp3" for p in pieces):
-            return DichotomyVerdict(
-                "geometric",
-                "RP^3 # RP^3: the unique orientable non-prime Seifert fibered "
-                "space (S^2 x R geometry)", conflict_notes=tuple(notes))
-        return DichotomyVerdict(
-            "acylindrical",
-            "nontrivial prime decomposition: the fundamental group splits as "
-            "a free product with trivial edge stabilizers",
-            k=0, non_elementary_reason=_NON_ELEM_FREE_PRODUCT,
-            conflict_notes=tuple(notes))
-
+            return ("geometric", "RP^3 # RP^3: the unique orientable non-prime Seifert "
+                                 "fibered space (S^2 x R geometry)")
+        return ("acylindrical", "nontrivial prime decomposition: the fundamental group "
+                                "splits as a free product with trivial edge stabilizers",
+                0, _NON_ELEM_FREE_PRODUCT)
     piece = pieces[0]
-    if piece.kind == "geometric_atom":
-        return DichotomyVerdict(
-            "geometric", "irreducible with trivial JSJ decomposition",
-            conflict_notes=tuple(notes))
-    if piece.kind == "s2xs1":
-        return DichotomyVerdict(
-            "geometric", "S^2 x S^1 carries the S^2 x R geometry",
-            conflict_notes=tuple(notes))
-    if piece.kind == "rp3":
-        return DichotomyVerdict(
-            "geometric", "spherical space form (S^3 geometry)",
-            conflict_notes=tuple(notes))
+    if piece.kind in _GEOMETRIC_PRIMES:
+        return "geometric", _GEOMETRIC_PRIMES[piece.kind]
     if piece.kind == "torus_bundle":
         if is_anosov(piece.monodromy):
-            return DichotomyVerdict(
-                "geometric", "torus bundle with Anosov monodromy: Sol geometry",
-                conflict_notes=tuple(notes))
-        return DichotomyVerdict(
-            "geometric",
-            "torus bundle with non-Anosov monodromy: Seifert fibered "
-            "(Nil or Euclidean geometry, trivial JSJ)",
-            conflict_notes=tuple(notes))
+            return "geometric", "torus bundle with Anosov monodromy: Sol geometry"
+        return ("geometric", "torus bundle with non-Anosov monodromy: Seifert fibered "
+                             "(Nil or Euclidean geometry, trivial JSJ)")
     if piece.kind == "twisted_double":
         if twisted_double_check(piece.gluing):
-            return DichotomyVerdict(
-                "geometric",
-                "twisted double with Anosov J A J A^-1: Sol geometry",
-                conflict_notes=tuple(notes))
-        return DichotomyVerdict(
-            "acylindrical",
-            "twisted double outside the Sol case: graph manifold with a "
-            "nontrivial JSJ splitting",
-            k=4, non_elementary_reason=_NON_ELEM_JSJ, conflict_notes=tuple(notes))
+            return "geometric", "twisted double with Anosov J A J A^-1: Sol geometry"
+        return ("acylindrical", "twisted double outside the Sol case: graph manifold "
+                                "with a nontrivial JSJ splitting", 4, _NON_ELEM_JSJ)
     # irreducible_with_jsj
-    return DichotomyVerdict(
-        "acylindrical",
-        "irreducible with nontrivial JSJ decomposition: the JSJ splitting is "
-        "4-acylindrical",
-        k=4, non_elementary_reason=_NON_ELEM_JSJ, conflict_notes=tuple(notes))
+    return ("acylindrical", "irreducible with nontrivial JSJ decomposition: the JSJ "
+                            "splitting is 4-acylindrical", 4, _NON_ELEM_JSJ)
 
 
 def systole_bound_for(desc: ManifoldDescription, E: float, D: float,
-                      C_n: float = 1.0, n: int = 3) -> BoundsReport:
+                      C_n: float = 1.0) -> BoundsReport:
     """Bounds report for a non-geometric description, with k taken from the
     verdict (0 for prime splittings, 4 for JSJ).
 
@@ -287,7 +265,7 @@ def systole_bound_for(desc: ManifoldDescription, E: float, D: float,
         note = ("volume bound suppressed: " +
                 ("connected sum of S^2 x S^1 copies collapses volume"
                  if pure_s2xs1 else "manifold is not closed"))
-    return build_bounds_report(E, D, verdict.k, n=n, C_n=C_n,
+    return build_bounds_report(E, D, verdict.k, n=3, C_n=C_n,
                                include_volume=include_volume, volume_note=note)
 
 
@@ -319,6 +297,9 @@ def _piece_from_dict(doc: dict) -> PieceDescription:
 def manifold_from_dict(doc: dict) -> ManifoldDescription:
     if not isinstance(doc, dict):
         raise ManifoldError("manifold description must be a JSON object")
+    if doc.get("orientable", True) is not True:
+        raise ManifoldError("only orientable manifolds are supported: the case "
+                            "analysis is the orientable one")
     pieces = doc.get("prime_pieces")
     if not isinstance(pieces, list):
         raise ManifoldError("manifold description needs a prime_pieces list")
@@ -326,7 +307,6 @@ def manifold_from_dict(doc: dict) -> ManifoldDescription:
         prime_pieces=tuple(_piece_from_dict(p) for p in pieces),
         torsionless=bool(doc.get("torsionless", True)),
         boundary=doc.get("boundary", "empty"),
-        orientable=bool(doc.get("orientable", True)),
     )
 
 

@@ -15,7 +15,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .oracles import (CWord, DesignatedSubgroup, GroupOracle, OracleError,
                       make_cyclic, make_free, make_free_abelian, make_table)
-from .words import Word, WordError, shortlex
+from .words import Word, WordError, shortlex, valid_gen_name
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -95,8 +95,8 @@ class SplittingSpec:
         self.factor_a = factor_a
         self.factor_b = factor_b
         self.declared_k = declared_k
-        if declared_k is not None and declared_k < 0:
-            raise SpecError("declared_k must be a nonnegative integer")
+        if declared_k is not None and not (type(declared_k) is int and declared_k >= 0):
+            raise SpecError(f"declared_k must be a nonnegative integer, got {declared_k!r}")
 
         overlap = set(factor_a.gen_names) & set(factor_b.gen_names)
         if overlap:
@@ -115,6 +115,8 @@ class SplittingSpec:
                 raise SpecError("edge generator images must match the generator list")
             used = set(factor_a.gen_names) | set(factor_b.gen_names)
             for g in edge_gens:
+                if not valid_gen_name(g):
+                    raise SpecError(f"invalid edge generator name: {g!r}")
                 if g in used:
                     raise SpecError(f"edge generator name {g!r} collides with a factor")
             self.edge_gens = tuple(edge_gens)

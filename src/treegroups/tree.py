@@ -25,8 +25,8 @@ BFS, ``_walk``, of at most ``MAX_WINDOW_VERTICES`` vertices, and every
 window carries an exhaustiveness flag.  Classify's elliptic witness is the
 projection of the base onto the subtree Fix(g) (Serre, Trees, §I.6), so
 each fixed v has d(base, v) = d(base, start) + d(start, v), and the walk
-from it carries x_v = rep(v)^-1 g rep(v) in v's factor X.  One child rule,
-``_moves``, serves every walk: the fixed children are the cosets tC with
+from it carries x_v = rep(v)^-1 g rep(v) in v's factor X.  ``_walk`` lists
+each vertex's fixed children by one rule: they are the cosets tC with
 t^-1 x_v t in C, and if (., cw) = split_X(t^-1 x_v t) a child's element is
 embed_Y(cw), or s embed_Y(cw) s^-1 for t = 1 and v's last syllable s.  A
 ball is the walk of Fix(1) from its centre: every coset conjugates 1 into
@@ -36,8 +36,9 @@ a ball computes no normal form.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .oracles import NEIGHBOR_CAP
 from .splitting import SIDE_A, NormalForm, SplittingSpec, Syllable, other_side
@@ -193,50 +194,35 @@ def _neighbor(v: TreeVertex, t: Word) -> TreeVertex:
     return TreeVertex(other_side(v.side), v.syllables + (Syllable(v.side, t),))
 
 
-def _moves(spec: SplittingSpec, cap: Optional[int]) -> Callable:
-    """The child rule of every walk: ``children(v, x, seen)`` lists the
-    (child, x_child) pairs of a vertex v fixed by an element acting as x in
-    v's factor, the children not in ``seen``, at most ``cap`` conjugator
-    cosets per vertex; the module docstring sets out the rule.  When x is 1
-    every child's element is 1, and no split is made."""
-    def children(v, x, seen):
-        sub, side = spec.subgroup(v.side), other_side(v.side)
-        ts, complete = sub.conjugator_cosets(x, cap)
-        kids = []
-        for t in ts:
-            kid = _neighbor(v, t)
-            if kid in seen:
-                continue
-            y = x
-            if not x.is_empty:
-                y = spec.subgroup(side).embed(sub._split(x.conjugated_by(t))[1])
-                if t.is_empty and v.syllables:  # the step drops v's last syllable
-                    s = v.syllables[-1].word
-                    y = spec.factor(side)._reduce(s * y * s.inverse())
-            kids.append((kid, y))
-        return kids, complete
-    return children
+def _walk(spec: SplittingSpec, start: TreeVertex, levels: int, x: Word,
+          cap: Optional[int]) -> Tuple[Dict[TreeVertex, int], bool]:
+    """Depth-bounded BFS of Fix(g) from start: ({vertex: depth}, complete).
 
-
-def _walk(start: TreeVertex, levels: int, children: Callable,
-          state: Word) -> Tuple[Dict[TreeVertex, int], bool]:
-    """Depth-bounded BFS from start: ({vertex: depth}, complete).
-
-    ``children(v, state, seen)`` gives v's (child, child_state) pairs not in
-    ``seen`` and whether v's neighbour list was complete; the last level is
-    not expanded.  Past ``MAX_WINDOW_VERTICES`` vertices the walk stops and
-    reports an incomplete window."""
+    Each vertex carries x_v (x at start) and lists its unwalked fixed
+    children, at most ``cap`` cosets, by the module docstring's rule; the
+    last level is not expanded.  Past ``MAX_WINDOW_VERTICES`` vertices the
+    walk stops and reports an incomplete window."""
     depth = {start: 0}
-    frontier = [(start, state)]
+    frontier = [(start, x)]
     complete = True
     for d in range(1, levels + 1):
         nxt = []
-        for v, s in frontier:
-            kids, kids_complete = children(v, s, depth)
+        for v, x in frontier:
+            sub, side = spec.subgroup(v.side), other_side(v.side)
+            ts, kids_complete = sub.conjugator_cosets(x, cap)
             complete = complete and kids_complete
-            for kid, kid_state in kids:
+            for t in ts:
+                kid = _neighbor(v, t)
+                if kid in depth:
+                    continue
+                y = x
+                if not x.is_empty:
+                    y = spec.subgroup(side).embed(sub._split(x.conjugated_by(t))[1])
+                    if t.is_empty and v.syllables:  # the step drops v's last syllable
+                        s = v.syllables[-1].word
+                        y = spec.factor(side)._reduce(s * y * s.inverse())
                 depth[kid] = d
-                nxt.append((kid, kid_state))
+                nxt.append((kid, y))
                 if len(depth) > MAX_WINDOW_VERTICES:
                     return depth, False
         frontier = nxt
@@ -255,7 +241,7 @@ def ball(spec: SplittingSpec, center: TreeVertex, radius: int,
     """BFS ball as {vertex: distance}, the walk of Fix(1); second value
     reports completeness."""
     check_nonnegative("window radius", radius)
-    return _walk(center, radius, _moves(spec, neighbor_cap), Word())
+    return _walk(spec, center, radius, Word(), neighbor_cap)
 
 
 def _region(base: TreeVertex, radius: int, dist: Dict[TreeVertex, int],
@@ -311,8 +297,8 @@ def _fixed_window(spec: SplittingSpec, nf: NormalForm, cls: ElementClass, base: 
     d0 = tree_distance(base, start)
     if cls.is_hyperbolic or d0 > radius:
         return {}, True
-    depth, complete = _walk(start, radius - d0, _moves(spec, neighbor_cap),
-                            _factor_element(spec, start, nf))
+    depth, complete = _walk(spec, start, radius - d0, _factor_element(spec, start, nf),
+                            neighbor_cap)
     return {v: d0 + d for v, d in depth.items()}, complete
 
 
@@ -331,57 +317,73 @@ def fixed_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
                                                 radius, neighbor_cap))
 
 
+def _t_powers(order: int, max_power: int) -> List[int]:
+    """The powers d whose fixed sets make up T(g), g of order o (0 when
+    infinite): Fix(g^-n) = Fix(g^n), g^n = 1 when o divides n, else
+    Fix(g^n) = Fix(g^d) for d = gcd(n, o); Fix(g^d) lies in Fix(g^(kd)), so
+    only the maximal d under divisibility are returned, ascending."""
+    top = min(max_power, order - 1) if order else max_power  # gcd(n, o) has period o in n
+    ds = {math.gcd(n, order) for n in range(1, top + 1)}
+    return [d for d in sorted(ds) if not any(k * d in ds for k in range(2, top // d + 1))]
+
+
 def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
           radius: int = 8, max_power: int = 6) -> VertexRegion:
-    """Union of Fix(g^n) over 1 <= n <= max_power with g^n nontrivial.
-
-    Fix(g^-n) = Fix(g^n), so positive powers suffice.  With o the order of
-    g (0 when infinite), g^n is trivial exactly when o divides n, and
-    otherwise <g^n> = <g^d> for d = gcd(n, o), so Fix(g^n) = Fix(g^d).  As
-    Fix(g^d) lies in Fix(g^(kd)), only the maximal elements under
-    divisibility of D = {gcd(n, o) : 1 <= n <= max_power, o does not divide
-    n} are walked.  The region is flagged exhaustive only when every walk
-    was and max_power covers the finite order of g.
+    """Union of Fix(g^n) over 1 <= n <= max_power with g^n nontrivial,
+    walked for ``_t_powers``' maximal powers only.  The region is flagged
+    exhaustive only when every walk was and max_power covers the finite
+    order of g.
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
     if base is None:
         base = base_vertex()
     o = _element_order(spec, nf := spec.normal_form(g), _classify(spec, nf, base)) or 0
-    top = min(max_power, o - 1) if o else max_power  # gcd(n, o) has period o in n
-    ds = {math.gcd(n, o) for n in range(1, top + 1)}
     dist: Dict[TreeVertex, int] = {}
     exhaustive = o != 0 and max_power >= o - 1
-    for d in sorted(ds):
-        if not any(k * d in ds for k in range(2, top // d + 1)):
-            nf_d = nf if d == 1 else spec.normal_form(g ** d)
-            window, complete = _fixed_window(spec, nf_d, _classify(spec, nf_d, base), base,
-                                             radius, NEIGHBOR_CAP)
-            dist.update(window)
-            exhaustive = exhaustive and complete
+    for d in _t_powers(o, max_power):
+        nf_d = nf if d == 1 else spec.normal_form(g ** d)
+        window, complete = _fixed_window(spec, nf_d, _classify(spec, nf_d, base), base,
+                                         radius, NEIGHBOR_CAP)
+        dist.update(window)
+        exhaustive = exhaustive and complete
     return _region(base, radius, dist, exhaustive)
+
+
+def _axis_ray(move: Callable[[TreeVertex], TreeVertex], start: TreeVertex):
+    """The vertices after start along Axis(h) in h's direction, for start on
+    the axis and ``move = mover(spec, h)``: one period [a, h a] at a time."""
+    a = start
+    while True:
+        b = move(a)
+        yield from geodesic(a, b)[1:]
+        a = b
 
 
 def axis_window(spec: SplittingSpec, h: Word, base: Optional[TreeVertex] = None,
                 radius: int = 8) -> VertexRegion:
     """Axis(h) intersected with ball(base, radius); errors on elliptic h.
 
-    The axis is the set of vertices moved exactly tau(h), and classify's
-    witness p lies on it.  Every axis vertex within radius of the base lies
-    within radius + d(base, p) of p, so the geodesic from h^-K p to h^K p
-    with K = (radius + d(base, p)) // tau + 1 covers the window exactly.
+    Classify's witness p is the base's projection onto the axis: [v, h v]
+    reaches it after d(v, Axis) = (d(v, h v) - tau) / 2 steps, the index
+    classify reads.  So d(base, q) = d(base, p) + d(p, q) for axis vertices
+    q, and the window is p and radius - d(base, p) vertices on each side of
+    it, walked with the movers of h and h^-1 (empty when that is negative).
     """
     check_nonnegative("window radius", radius)
     if base is None:
         base = base_vertex()
-    cls = classify(spec, h, base)
+    cls = _classify(spec, nf := spec.normal_form(h), base)
     if not cls.is_hyperbolic:
         raise EllipticElementError(f"element {h} is elliptic; it has no axis")
-    p = cls.witness_vertex
-    k = (radius + tree_distance(base, p)) // cls.tau + 1
-    path = geodesic(act(spec, h ** -k, p), act(spec, h ** k, p))
-    return _region(base, radius, {q: d for q in path
-                                  if (d := tree_distance(base, q)) <= radius}, True)
+    p, d0 = cls.witness_vertex, tree_distance(base, cls.witness_vertex)
+    if d0 > radius:
+        return _region(base, radius, {}, True)
+    dist = {p: d0}
+    for move in (_mover(spec, nf), mover(spec, h.inverse())):
+        ray = enumerate(itertools.islice(_axis_ray(move, p), radius - d0), d0 + 1)
+        dist.update((q, d) for d, q in ray)
+    return _region(base, radius, dist, True)
 
 
 def on_axis(move: Callable[[TreeVertex], TreeVertex], tau: int, v: TreeVertex) -> bool:
@@ -395,14 +397,13 @@ def on_axis(move: Callable[[TreeVertex], TreeVertex], tau: int, v: TreeVertex) -
 # ---------------------------------------------------------------------------
 
 
-def region_diameter(region: VertexRegion):
-    """Diameter of the member set; -inf for an empty region.
+def region_diameter(vs: Sequence[TreeVertex]):
+    """Diameter of a vertex set; -inf for an empty one.
 
-    Double sweep: in a tree, a member v farthest from any member u ends a
-    longest path between members (connected or not), so the diameter is the
-    largest distance from v.
+    Double sweep: in a tree, a vertex v of the set farthest from any member
+    u ends a longest path between members (connected or not), so the
+    diameter is the largest distance from v.
     """
-    vs = region.members
     if not vs:
         return -math.inf
     far = max(vs, key=lambda v: tree_distance(vs[0], v))
@@ -418,8 +419,8 @@ def fix_diameter_lb(spec: SplittingSpec, g: Word, radius: int = 8):
     the window is not sorted.
     """
     base, nf = base_vertex(), spec.normal_form(g)
-    dist, complete = _fixed_window(spec, nf, _classify(spec, nf, base), base, radius, NEIGHBOR_CAP)
-    return region_diameter(VertexRegion(base, radius, tuple(dist), complete))
+    dist, _ = _fixed_window(spec, nf, _classify(spec, nf, base), base, radius, NEIGHBOR_CAP)
+    return region_diameter(tuple(dist))
 
 
 class AcylindricityCheck(NamedTuple):

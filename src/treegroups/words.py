@@ -24,7 +24,7 @@ class WordError(ValueError):
 
 
 def valid_gen_name(name: str) -> bool:
-    return bool(GEN_NAME_RE.match(name))
+    return isinstance(name, str) and bool(GEN_NAME_RE.match(name))
 
 
 def _merge(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
@@ -109,6 +109,8 @@ class Word(NamedTuple):
     @staticmethod
     def parse(text: str) -> "Word":
         """Parse whitespace-separated ``gen^exp`` tokens; "" and "1" are identity."""
+        if not isinstance(text, str):
+            raise WordError(f"a word must be a string, got {text!r}")
         text = text.strip()
         if not text or text == "1":
             return Word()

@@ -4,7 +4,7 @@ import pytest
 
 from treegroups.oracles import make_cyclic, make_free, make_free_abelian, make_table
 from treegroups.splitting import SplittingSpec
-from treegroups.tree import act, ball, tree_distance
+from treegroups.tree import VertexRegion, act, ball, classify, geodesic, tree_distance
 from treegroups.words import Word
 
 W = Word.parse
@@ -127,3 +127,18 @@ def min_displacement_bruteforce(spec, g, center, radius,
     candidates = list(dist) + list(extra_vertices)
     best = min(tree_distance(v, act(spec, g, v)) for v in candidates)
     return best, complete
+
+
+def reference_axis_window(spec, h, base, radius) -> VertexRegion:
+    """Independent oracle for ``axis_window``: every axis vertex within
+    radius of the base lies within radius + d(base, p) of classify's witness
+    p, so the geodesic from h^-K p to h^K p with K = (radius + d(base, p))
+    // tau + 1 covers the window; its vertices within radius are kept, in
+    the window's order."""
+    cls = classify(spec, h, base)
+    p = cls.witness_vertex
+    k = (radius + tree_distance(base, p)) // cls.tau + 1
+    path = geodesic(act(spec, h ** -k, p), act(spec, h ** k, p))
+    dist = {q: d for q in path if (d := tree_distance(base, q)) <= radius}
+    return VertexRegion(base, radius, tuple(sorted(dist, key=lambda v: (dist[v], v.side, str(v)))),
+                        True)

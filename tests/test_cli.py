@@ -5,7 +5,7 @@ import re
 import pytest
 
 from treegroups import freeness, tree
-from treegroups.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, run
+from treegroups.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, _emit, run
 from treegroups.freeness import MAX_CERTIFICATE_DEPTH, CertificationFailure
 
 from conftest import count_calls
@@ -303,6 +303,56 @@ def test_input_errors(capsys):
         rc, out, err = invoke(capsys, *argv)
         assert rc == EXIT_INPUT and not out
         assert err.startswith("error: ") and message in err
+
+
+def f2_amalgam_with(tmp_path, edit):
+    """A copy of f2_amalgam.json with ``edit`` applied to its document."""
+    with open(data("f2_amalgam.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(declared_k="2"), "declared_k"),
+    (lambda doc: doc.update(declared_k=2.5), "declared_k"),
+    (lambda doc: doc.update(declared_k=True), "declared_k"),
+    (lambda doc: doc["edge"].update(into_A=[5]), "a word must be a string"),
+    (lambda doc: doc["edge"].update(generators=[3]), "invalid edge generator name"),
+], ids=["k_string", "k_float", "k_bool", "image_number", "generator_number"])
+def test_malformed_spec_is_input_error(capsys, tmp_path, edit, message):
+    group = f2_amalgam_with(tmp_path, edit)
+    for argv in (["classify", "--element", "b d"],
+                 ["free-witness", "--g1", "b d", "--g2", "d b", "--json"]):
+        rc, out, err = invoke(capsys, argv[0], "--group", group, *argv[1:])
+        assert rc == EXIT_INPUT and not out
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--json", "--entropy", "inf", "--diam", "1"], "finite"),
+    (["bounds", "--json", "--entropy", "1", "--diam", "1", "--cn", "inf"], "finite"),
+    (["bounds", "--json", "--entropy", "1e-310", "--diam", "1"], "E=1e-310"),
+    (["bounds", "--json", "--entropy", "1e-300", "--diam", "1"], "E=1e-300"),
+    (["dichotomy", data("two_hyperbolic_jsj.json"), "--json", "--entropy", "inf",
+      "--diam", "1"], "finite"),
+    (["dichotomy", data("two_hyperbolic_jsj.json"), "--dim", "4"], "--dim"),
+], ids=["entropy_inf", "cn_inf", "entropy_subnormal", "volume_overflow", "dichotomy_inf",
+        "dichotomy_dim"])
+def test_bounds_stay_finite(capsys, argv, message):
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == EXIT_INPUT and not out
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_json_holds_no_infinity(capsys):
+    # no report can print Infinity or NaN, which JSON does not have
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            _emit({"E": value}, "", True)
+    assert not capsys.readouterr().out
 
 
 def test_unknown_flag_is_input_error(capsys):

@@ -18,12 +18,11 @@ from treegroups.freeness import (WitnessInputError,
                                  witness_length_bound_holds)
 from treegroups.splitting import SplittingSpec
 from treegroups.oracles import NEIGHBOR_CAP
-from treegroups.tree import (VertexRegion, axis_window, base_vertex, classify, element_order,
-                             geodesic, mover, on_axis, region_diameter, t_set,
-                             tree_distance)
+from treegroups.tree import (base_vertex, classify, element_order, fixed_set, geodesic, mover,
+                             on_axis, region_diameter, t_set, tree_distance)
 from treegroups.words import Word
 
-from conftest import count_calls, random_elliptic, random_word
+from conftest import count_calls, random_elliptic, random_word, reference_axis_window
 
 W = Word.parse
 XY = W("x y")
@@ -394,16 +393,16 @@ def test_branch_totality_random_pairs(f2):
 
 def windowed_overlap(spec, h1, c1, h2, c2, radius):
     """Reference for ``freeness._axis_intersection``: the window of Axis(h1)
-    of the given radius about the crossing q*, built by ``axis_window`` and
-    kept where it lies on Axis(h2), then its ``region_diameter``."""
+    of the given radius about the crossing q*, read off a geodesic by
+    ``reference_axis_window`` and kept where it lies on Axis(h2), then its
+    ``region_diameter``."""
     move2 = mover(spec, h2)
     q_star = next(v for v in geodesic(c1.witness_vertex, c2.witness_vertex)
                   if on_axis(move2, c2.tau, v))
     if not on_axis(mover(spec, h1), c1.tau, q_star):
         return -math.inf, q_star
-    window = axis_window(spec, h1, q_star, radius)
-    members = tuple(v for v in window.members if on_axis(move2, c2.tau, v))
-    return region_diameter(VertexRegion(q_star, radius, members, True)), q_star
+    window = reference_axis_window(spec, h1, q_star, radius)
+    return region_diameter([v for v in window.members if on_axis(move2, c2.tau, v)]), q_star
 
 
 def reference_overlap_report(spec, k, h1, h2):
@@ -574,8 +573,59 @@ def test_disjoint_tsets(z2z3, klein):
     assert not verify_disjoint_tsets(z2z3, W("a"), W("a"))
     far = W("a b") ** 5 * W("a") * W("a b") ** -5  # fixes one vertex 10 steps out
     assert not t_set(z2z3, far).members and verify_disjoint_tsets(z2z3, W("a"), far)
+    # T(far) meets itself outside every window of radius 8
+    assert not verify_disjoint_tsets(z2z3, far, far)
     # central edge: every T-set swallows the window
     assert not verify_disjoint_tsets(klein, W("a"), W("b"))
+
+
+def windowed_disjoint_tsets(spec, g1, g2):
+    """Reference for ``verify_disjoint_tsets``: whether T(g1) and T(g2),
+    each the union of the fixed-set windows of radius 8 of its nontrivial
+    powers g^n, n <= 6, share no vertex; and whether that answer is decisive.
+    It is when a vertex is shared, or when every window is complete and
+    Fix(g1), Fix(g2) meet the window: each Fix(g^n) holds Fix(g), so then
+    any two of the subtrees meet the ball, and two that meet each other
+    meet inside it (Helly's property for subtrees)."""
+    members, decisive = [], True
+    for g in (g1, g2):
+        regions = [fixed_set(spec, g ** n) for n in range(1, 7) if not spec.is_trivial(g ** n)]
+        members.append(set().union(*(r.members for r in regions)))
+        decisive = decisive and bool(regions) and bool(regions[0].members) and all(
+            r.exhaustive_within_radius for r in regions)
+    disjoint = members[0].isdisjoint(members[1])
+    return disjoint, decisive or not disjoint
+
+
+@pytest.mark.parametrize("spec", ["z2z3", "z3z4", "z70z3", "z2z2", "triv_z5", "f2", "klein",
+                                  "f2_amalgam", "z2_amalgam", "z4z6_table"])
+def test_disjoint_tsets_match_the_windows(request, monkeypatch, spec):
+    # the exact check against the windowed T-sets wherever those decide;
+    # one pair in four is conjugated into a shared factor
+    rng = random.Random(spec)
+    spec = request.getfixturevalue(spec)
+    monkeypatch.setattr(tree, "MAX_WINDOW_VERTICES", 300)
+    compared = 0
+    for i in range(24):
+        g1, g2 = random_elliptic(spec, rng, 2), random_elliptic(spec, rng, 2)
+        if i % 4 == 0:
+            g2 = g1 ** rng.randint(1, 3)
+        disjoint, decisive = windowed_disjoint_tsets(spec, g1, g2)
+        if decisive:
+            compared += 1
+            assert verify_disjoint_tsets(spec, g1, g2) == disjoint, (str(g1), str(g2))
+    assert compared >= 16
+
+
+def test_disjoint_tsets_walk_no_window(z2_amalgam, monkeypatch):
+    # x is central in Z^2 *_{x=u} Z^2, so its T-set is the whole tree, whose
+    # windows of radius 8 would hold up to MAX_WINDOW_VERTICES each
+    def no_walk(*args):
+        raise AssertionError("window walked")
+
+    monkeypatch.setattr(tree, "_walk", no_walk)
+    assert not verify_disjoint_tsets(z2_amalgam, W("x"), W("y"))
+    assert verify_disjoint_tsets(z2_amalgam, W("y"), W("v"))
 
 
 def windowed_fixed_set_distance(spec, g1, g2):

@@ -170,8 +170,7 @@ def test_fuzzer_totality_determinism_and_k_values():
         desc = ManifoldDescription(
             tuple(random_piece() for _ in range(rng.randint(1, 4))),
             torsionless=rng.random() < 0.8,
-            boundary=rng.choice(("empty", "toral", "spherical_present", "other")),
-            orientable=True)
+            boundary=rng.choice(("empty", "toral", "spherical_present", "other")))
         v1 = classify_manifold(desc)
         v2 = classify_manifold(desc)
         assert v1 == v2
@@ -211,6 +210,11 @@ def test_bounds_suppressed_for_boundary():
         manifold(piece("irreducible_with_jsj", jsj=JSJ_TWO_HYP), boundary="toral"),
         1.0, 1.0)
     assert rep.volume_lb is None and "not closed" in rep.volume_note
+    # C_n is checked even where the volume is suppressed
+    with pytest.raises(ValueError, match="C_n must be positive and finite"):
+        systole_bound_for(
+            manifold(piece("irreducible_with_jsj", jsj=JSJ_TWO_HYP), boundary="toral"),
+            1.0, 1.0, C_n=-5.0)
 
 
 def test_bounds_errors():
@@ -237,3 +241,6 @@ def test_manifold_from_dict():
     assert classify_manifold(desc).verdict == "acylindrical"
     with pytest.raises(ManifoldError):
         manifold_from_dict({"prime_pieces": "nope"})
+    # the case analysis is the orientable one
+    with pytest.raises(ManifoldError, match="orientable"):
+        manifold_from_dict({**doc, "orientable": False})

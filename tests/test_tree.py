@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from treegroups import tree
 from treegroups.oracles import make_cyclic, make_free, make_table
 from treegroups.splitting import SplittingSpec, Syllable, load_spec, other_side
-from treegroups.tree import (EllipticElementError, TreeVertex, VertexRegion,
+from treegroups.tree import (EllipticElementError, TreeVertex,
                              act, axis_window, ball, base_vertex,
                              check_acylindricity, classify, element_order,
                              fix_diameter_lb, fixed_set, geodesic,
@@ -21,7 +21,8 @@ from treegroups.tree import (EllipticElementError, TreeVertex, VertexRegion,
                              t_set, tree_distance, vertex_of)
 from treegroups.words import Word, shortlex
 
-from conftest import count_calls, min_displacement_bruteforce, random_elliptic, random_word
+from conftest import (count_calls, min_displacement_bruteforce, random_elliptic, random_word,
+                      reference_axis_window)
 
 W = Word.parse
 
@@ -552,7 +553,7 @@ def test_central_element_fixes_whole_window(klein):
     assert complete
     assert set(region.members) == set(window)
     assert len(region.members) == 13  # the tree is a line: 2R + 1 vertices
-    assert region_diameter(region) == 12
+    assert region_diameter(region.members) == 12
 
 
 def test_t_set_examples(z2z3, klein):
@@ -633,6 +634,42 @@ def test_axis_window_matches_reference(z2z3, z3z4, klein, z4z6_table):
             assert region.exhaustive_within_radius
 
 
+def test_axis_window_matches_the_geodesic_reference(request):
+    # the walk from the base's projection against the translates h^±K p and
+    # their geodesic: 24 hyperbolic h in each fixture that has them, radii
+    # 0-12, bases up to 5 letters from A:1 or B:1, some farther from the
+    # axis than the radius
+    rng = random.Random(36)
+    radii, empty = set(), 0
+    for name in ("z2z3", "z3z4", "z70z3", "z2z2", "f2", "klein", "f2_amalgam", "z2_amalgam",
+                 "z4z6_table"):
+        spec, cases = request.getfixturevalue(name), 0
+        while cases < 24:
+            h = random_word(rng, spec.gen_names, 5)
+            if not classify(spec, h).is_hyperbolic:
+                continue
+            cases += 1
+            base = act(spec, random_word(rng, spec.gen_names, 5, max_exp=1),
+                       base_vertex(rng.choice(["A", "B"])))
+            radius = rng.randint(0, 12)
+            region = axis_window(spec, h, base, radius)
+            assert region == reference_axis_window(spec, h, base, radius), (name, str(h))
+            radii.add(radius)
+            empty += not region.members
+    assert radii == set(range(13)) and empty >= 5
+
+
+def test_axis_window_normalizes_h_and_its_inverse_only(f2_amalgam, monkeypatch):
+    # the walk moves by nf(b d) and nf(d^-1 b^-1); the translates h^±K p
+    # would normalize two words of 302 letters
+    h = W("b d")
+    calls = count_calls(monkeypatch, SplittingSpec, "normal_form")
+    region = axis_window(f2_amalgam, h, radius=300)
+    assert len(region.members) == 601
+    assert len(calls) <= 2
+    assert all(w.letter_length() <= h.letter_length() for _, w in calls)
+
+
 def test_t_set_is_the_union_over_every_power(z2z3, z3z4, klein, z4z6_table, z70z3):
     rng = random.Random(33)
     cases = [(z70z3, W("a"), 69), (z70z3, W("a^4"), 69), (z70z3, W("b a^10 b^-1"), 40),
@@ -709,10 +746,9 @@ def test_region_diameter_is_pairwise_max(z2z3, klein, f2_amalgam):
     def check(data):
         spec, vertices = data.draw(st.sampled_from(windows))
         members = data.draw(st.lists(st.sampled_from(vertices), unique=True, max_size=12))
-        region = VertexRegion(vertices[0], 3, tuple(members), False)
         pairwise = max((tree_distance(u, v) for u in members for v in members),
                        default=-math.inf)
-        assert region_diameter(region) == pairwise
+        assert region_diameter(members) == pairwise
 
     check()
 
@@ -759,7 +795,7 @@ def reference_acylindricity(spec, k, word_length, radius):
         if c.is_empty or c.letters in seen:
             continue
         seen.add(c.letters)
-        diam = region_diameter(fixed_set(spec, c, radius=radius))
+        diam = region_diameter(fixed_set(spec, c, radius=radius).members)
         if diam > k:
             return c, diam
     return None, None
