@@ -163,7 +163,7 @@ def _ball_collision(spec: SplittingSpec, words: Tuple[Word, Word], nfs: Tuple[No
     (parent, side, exponent), the root being ()."""
     low, high = depth // 2, (depth + 1) // 2
     forms = [_power_forms(spec, *gen, high) for gen in zip(words, nfs, orders)]
-    identity = NormalForm((), (), Word())
+    identity = NormalForm((), ())
     first = {identity: ()}  # each stored form's first word
     # ends[i][c]: (word, normal form) of the words of cost c ending on side i
     ends = [[[((), identity)]], [[((), identity)]]]
@@ -270,9 +270,9 @@ def certify_free_semigroup(spec: SplittingSpec, w1: Word, w2: Word,
         for label, nf in frontier:
             for tag, form in gens:
                 lab2, nf2 = label + tag, spec.extend(nf, form)
-                if nf2 in seen:
-                    return False, f"W{lab2} collides with W{seen[nf2]}"
-                seen[nf2] = lab2
+                first = seen.setdefault(nf2, lab2)
+                if first != lab2:
+                    return False, f"W{lab2} collides with W{first}"
                 nxt.append((lab2, nf2))
         frontier = nxt
     return True, None

@@ -5,6 +5,8 @@ canonical coset representatives strictly alternating between the two factors
 (never in the edge subgroup) and c lies in the edge subgroup C (trivial for
 free products).  The transversal choice is deterministic per factor kind, so
 normal forms, tree vertices and certificates are reproducible bit for bit.
+The tail c, a word over the edge generators, is always the A-side split of
+its image, so one element has one form and forms compare as plain records.
 """
 
 from __future__ import annotations
@@ -52,36 +54,15 @@ class Syllable(NamedTuple):
 
 class NormalForm(NamedTuple):
     syllables: Tuple[Syllable, ...]
-    tail: CWord  # over the abstract edge generators, from some side's split
-    tail_image_a: Word  # canonical image of the tail in factor A
+    tail: CWord  # over the abstract edge generators: the A-side split of its image
 
     @property
     def is_trivial(self) -> bool:
-        return not self.syllables and self.tail_image_a.is_empty
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return (self.syllables == other.syllables
-                and self.tail_image_a == other.tail_image_a)
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self) -> int:
-        return hash((self.syllables, self.tail_image_a))
-
-    def __str__(self) -> str:
-        parts = [str(s) for s in self.syllables]
-        if not self.tail_image_a.is_empty:
-            parts.append(f"[{self.tail_image_a}]")
-        return "".join(parts) if parts else "[1]"
+        return not self.syllables and not self.tail
 
     def key(self) -> Tuple:
         """Hashable canonical key (for dedup tables)."""
-        return (tuple((s.side, s.word.letters) for s in self.syllables),
-                self.tail_image_a.letters)
+        return (tuple((s.side, s.word.letters) for s in self.syllables), self.tail)
 
 
 class SplittingSpec:
@@ -188,7 +169,7 @@ class SplittingSpec:
         for side, run in itertools.groupby(self.resolve_word(w).letters,
                                            lambda letter: self._side_of[letter[0]]):
             tail = self._push(syllables, tail, side, Word(tuple(run)))
-        return NormalForm(tuple(syllables), tail, self.sub_a.embed(tail))
+        return self._form(syllables, tail)
 
     def extend(self, nf: NormalForm, w: NormalForm) -> NormalForm:
         """nf(u v) from nf = nf(u) and w = nf(v): each ``_push`` keeps the
@@ -200,16 +181,17 @@ class SplittingSpec:
         would each push to themselves with tail (), so the rest of w is
         appended as it stands, with no push.  A tail of () after the last
         push leaves w's tail as it is; otherwise the joined tail is split
-        again in A, so every tail comes from a split."""
+        again in A, so every tail is the A-side split of its image."""
         syllables, tail = list(nf.syllables), nf.tail
         for i, (side, piece) in enumerate(w.syllables):
             if not tail and not (syllables and syllables[-1].side == side):
-                return NormalForm((*syllables, *w.syllables[i:]), w.tail, w.tail_image_a)
+                return NormalForm((*syllables, *w.syllables[i:]), w.tail)
             tail = self._push(syllables, tail, side, piece)
-        if not tail:
-            return NormalForm(tuple(syllables), w.tail, w.tail_image_a)
-        image = self.sub_a.embed(tail + w.tail)
-        return NormalForm(tuple(syllables), self.sub_a._split(image)[1], image)
+        return self._form(syllables, tail + w.tail) if tail else NormalForm(tuple(syllables), w.tail)
+
+    def _form(self, syllables: List[Syllable], tail: CWord) -> NormalForm:
+        """The form with ``tail``, which either side may have split, split in A."""
+        return NormalForm(tuple(syllables), self.sub_a._split(self.sub_a.embed(tail))[1])
 
     def _push(self, syllables: List[Syllable], tail: CWord, side: str,
               piece: Word) -> CWord:
@@ -265,22 +247,26 @@ def classify_elementarity(spec: SplittingSpec) -> ElementarityVerdict:
 # ---------------------------------------------------------------------------
 
 
+def _array(doc: dict, key: str) -> list:
+    if not isinstance(doc[key], list):  # a string would be read letter by letter
+        raise SpecError(f"{key!r} must be a JSON array, got {doc[key]!r}")
+    return doc[key]
+
+
 def _oracle_from_decl(decl: dict, group_id: str) -> GroupOracle:
     if not isinstance(decl, dict) or "type" not in decl:
         raise SpecError(f"bad oracle declaration: {decl!r}")
     t = decl["type"]
     try:
         if t == "cyclic":
-            (gen,) = decl["gens"]
+            (gen,) = _array(decl, "gens")
             return make_cyclic(int(decl["order"]), gen, group_id)
-        if t == "free":
-            gens = list(decl["gens"])
-            return make_free(int(decl.get("rank", len(gens))), gens, group_id)
-        if t == "free_abelian":
-            gens = list(decl["gens"])
-            return make_free_abelian(int(decl.get("rank", len(gens))), gens, group_id)
+        if t in ("free", "free_abelian"):
+            gens = _array(decl, "gens")
+            make = make_free if t == "free" else make_free_abelian
+            return make(int(decl.get("rank", len(gens))), gens, group_id)
         if t == "table":
-            return make_table(decl["elements"], decl["table"], group_id)
+            return make_table(_array(decl, "elements"), decl["table"], group_id)
     except (KeyError, ValueError, TypeError) as exc:
         if isinstance(exc, (SpecError, OracleError)):
             raise
@@ -299,14 +285,12 @@ def spec_from_dict(doc: dict) -> SplittingSpec:
     a = _oracle_from_decl(factors[0], "A")
     b = _oracle_from_decl(factors[1], "B")
     edge = doc.get("edge")
-    edge_gens: Sequence[str] = ()
-    into_a: Sequence[Word] = ()
-    into_b: Sequence[Word] = ()
+    edge_gens, into_a, into_b = [], [], []
     if edge is not None:
         try:
-            edge_gens = list(edge["generators"])
-            into_a = [Word.parse(s) for s in edge["into_A"]]
-            into_b = [Word.parse(s) for s in edge["into_B"]]
+            edge_gens = _array(edge, "generators")
+            into_a, into_b = ([Word.parse(s) for s in _array(edge, key)]
+                              for key in ("into_A", "into_B"))
         except (KeyError, TypeError) as exc:
             raise SpecError(f"bad edge declaration: {exc}") from exc
     declared_k = doc.get("declared_k")

@@ -102,7 +102,7 @@ def _mover(spec: SplittingSpec, nf: NormalForm) -> Callable[[TreeVertex], TreeVe
     """The action of g = nf on vertices: nf(g rep(v)) is nf extended by v's
     syllables with trivial tail, which costs the junction (``extend``)."""
     return lambda v: _coset_vertex(
-        v.side, spec.extend(nf, NormalForm(v.syllables, (), Word())).syllables)
+        v.side, spec.extend(nf, NormalForm(v.syllables, ())).syllables)
 
 
 def mover(spec: SplittingSpec, g: Word) -> Callable[[TreeVertex], TreeVertex]:
@@ -261,11 +261,11 @@ def _factor_element(spec: SplittingSpec, v: TreeVertex, nf: NormalForm) -> Word:
     g = nf fixing v: nf(g rep(v)) = nf(rep(v) x_v) is rep(v)'s syllables and
     at most one syllable of X, so x_v is that syllable times the tail (an
     embed, canonical already)."""
-    n, gs = len(v.syllables), spec.extend(nf, NormalForm(v.syllables, (), Word()))
+    n, gs = len(v.syllables), spec.extend(nf, NormalForm(v.syllables, ()))
     x = gs.syllables[n:]
     assert gs.syllables[:n] == v.syllables and [s.side for s in x] in ([], [v.side]), \
         "fixed vertex must conjugate g into its factor"
-    tail = gs.tail_image_a if v.side == SIDE_A else spec.sub_b.embed(gs.tail)
+    tail = spec.subgroup(v.side).embed(gs.tail)
     return spec.factor(v.side)._reduce(x[0].word * tail) if x else tail
 
 

@@ -321,7 +321,17 @@ def f2_amalgam_with(tmp_path, edit):
     (lambda doc: doc.update(declared_k=True), "declared_k"),
     (lambda doc: doc["edge"].update(into_A=[5]), "a word must be a string"),
     (lambda doc: doc["edge"].update(generators=[3]), "invalid edge generator name"),
-], ids=["k_string", "k_float", "k_bool", "image_number", "generator_number"])
+    # a string where the format wants an array is not read letter by letter
+    (lambda doc: doc["factors"][0].update(gens="ab"), "'gens' must be a JSON array"),
+    (lambda doc: doc["factors"].__setitem__(1, {"type": "cyclic", "order": 3, "gens": "c"}),
+     "'gens' must be a JSON array"),
+    (lambda doc: doc["factors"].__setitem__(
+        0, {"type": "table", "elements": "eg", "table": [[0, 1], [1, 0]]}),
+     "'elements' must be a JSON array"),
+    (lambda doc: doc.update(edge={"generators": "t", "into_A": "a", "into_B": "c"}),
+     "'generators' must be a JSON array"),
+], ids=["k_string", "k_float", "k_bool", "image_number", "generator_number", "free_gens_string",
+        "cyclic_gens_string", "table_elements_string", "edge_strings"])
 def test_malformed_spec_is_input_error(capsys, tmp_path, edit, message):
     group = f2_amalgam_with(tmp_path, edit)
     for argv in (["classify", "--element", "b d"],

@@ -150,10 +150,10 @@ def test_rank2_edge_subgroup():
     # are {1, x} (x-exponent mod 2).  x u = x^3 = x . x^2 -> [x][x^2];
     # x^3 u^-1 = x^3 x^-2 = x, and x is not in C_A -> [x], empty tail.
     nf = spec.normal_form(W("x u"))
-    assert nf.tail_image_a == W("x^2") and len(nf.syllables) == 1
+    assert spec.sub_a.embed(nf.tail) == W("x^2") and len(nf.syllables) == 1
     assert nf.syllables[0].side == "A" and nf.syllables[0].word == W("x")
     nf = spec.normal_form(W("x^3 u^-1"))
-    assert nf.tail_image_a == Word() and len(nf.syllables) == 1
+    assert spec.sub_a.embed(nf.tail) == Word() and len(nf.syllables) == 1
     assert nf.syllables[0].side == "A" and nf.syllables[0].word == W("x")
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegroups.oracles import make_cyclic
+from treegroups.oracles import make_cyclic, make_table
 from treegroups.splitting import (HnnNotSupportedError, SpecError,
                                   SplittingSpec, classify_elementarity,
                                   load_spec, spec_from_dict)
@@ -18,9 +18,9 @@ from conftest import count_calls, random_word
 W = Word.parse
 
 
-def nf_word(nf):
+def nf_word(spec, nf):
     """The element of a normal form as a plain word (tail via factor A)."""
-    return TreeVertex("A", nf.syllables).rep_word() * nf.tail_image_a
+    return TreeVertex("A", nf.syllables).rep_word() * spec.sub_a.embed(nf.tail)
 
 
 def test_normal_form_alternating_example(z2z3):
@@ -28,7 +28,7 @@ def test_normal_form_alternating_example(z2z3):
     assert [str(s.word) for s in nf.syllables] == ["a", "b", "a", "b^2"]
     assert [s.side for s in nf.syllables] == ["A", "B", "A", "B"]
     assert len(nf.syllables) == 4
-    assert nf.tail_image_a.is_empty
+    assert z2z3.sub_a.embed(nf.tail).is_empty
 
 
 def test_normal_form_trivial(z2z3):
@@ -42,7 +42,7 @@ def test_edge_generator_substitution(f2_amalgam):
     nf_c = f2_amalgam.normal_form(W("c"))
     assert nf_c == f2_amalgam.normal_form(W("a"))
     assert len(nf_c.syllables) == 0
-    assert nf_c.tail_image_a == W("a")
+    assert f2_amalgam.sub_a.embed(nf_c.tail) == W("a")
     # the abstract edge generator name works in input words too
     assert f2_amalgam.normal_form(W("t")) == nf_c
 
@@ -53,7 +53,7 @@ def test_normal_form_idempotent(z2z3, klein, f2_amalgam):
         for _ in range(100):
             w = random_word(rng, spec.gen_names, 6)
             nf = spec.normal_form(w)
-            again = spec.normal_form(nf_word(nf))
+            again = spec.normal_form(nf_word(spec, nf))
             assert nf == again
 
 
@@ -80,7 +80,54 @@ def test_extend_is_normal_form_of_product(z2z3, z3z4, z70z3, z2z2, triv_z5, f2,
     got = spec.extend(spec.normal_form(u), spec.normal_form(v))
     want = spec.normal_form(u * v)
     assert got == want
-    assert got.tail_image_a == want.tail_image_a
+    assert spec.sub_a.embed(got.tail) == spec.sub_a.embed(want.tail)
+
+
+# Z/8 (a table) *_{r2 = s^3} Z/12: the sides spell the edge group Z/4
+# differently, t^3 splitting as t^-1 in A and as t^3 in B
+Z8_Z12 = SplittingSpec(
+    "amalgam",
+    make_table([f"r{i}" for i in range(8)], [[(i + j) % 8 for j in range(8)] for i in range(8)],
+               group_id="A"),
+    make_cyclic(12, "s", "B"), ["t"], [W("r2")], [W("s^3")])
+
+
+def respell(data, spec, w):
+    """w with 1 to 3 trivial words inserted at drawn places: x X(x^-1) for a
+    factor letter x, X(x^-1) the factor's own spelling of its inverse, or
+    image_A(t) image_B(t)^-1 for an edge generator t, or its inverse."""
+    letters = list(w.letters)
+    for _ in range(data.draw(st.integers(1, 3))):
+        g = data.draw(st.sampled_from(spec.gen_names))
+        x = Word.gen(g, data.draw(st.integers(-3, 3).filter(bool)))
+        trivial = [x * spec.factor(spec._side_of[g]).canonical(x.inverse())]
+        trivial += [(a * b.inverse()) ** sign for a, b in zip(spec.sub_a.image_words,
+                                                             spec.sub_b.image_words)
+                    for sign in (1, -1)]
+        at = data.draw(st.integers(0, len(letters)))
+        letters[at:at] = data.draw(st.sampled_from(trivial)).letters
+    return Word.of(letters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_two_spellings_of_an_element_have_one_form(z2z3, z3z4, z70z3, z2z2, triv_z5, f2,
+                                                   klein, f2_amalgam, z2_amalgam,
+                                                   z4z6_table, data):
+    # the form is a plain record, so one element must have one form, tail
+    # and all: every tail is the A-side split of its image.  Only Z8_Z12's
+    # sides spell an edge element differently, so it gets half the draws.
+    spec = data.draw(st.one_of(st.sampled_from([z2z3, z3z4, z70z3, z2z2, triv_z5, f2, klein,
+                                                f2_amalgam, z2_amalgam, z4z6_table]),
+                               st.just(Z8_Z12)))
+    letters = st.tuples(st.sampled_from(spec.gen_names), st.integers(-3, 3).filter(bool))
+    u, v = (Word.of(data.draw(st.lists(letters, max_size=8))) for _ in range(2))
+    u2, v2 = respell(data, spec, u), respell(data, spec, v)
+    for w, w2 in ((u, u2), (v, v2)):
+        one, other = spec.normal_form(w), spec.normal_form(w2)
+        assert one == other and hash(one) == hash(other)
+    assert spec.normal_form(u * v) == spec.extend(spec.normal_form(u), spec.normal_form(v))
+    assert spec.normal_form(u * v) == spec.extend(spec.normal_form(u2), spec.normal_form(v2))
 
 
 def extend_pushes(spec, monkeypatch, u, v):
@@ -125,7 +172,7 @@ def test_normal_form_soundness_500_random(z2z3, z3z4, klein, f2_amalgam):
     for spec in (z2z3, z3z4, klein, f2_amalgam):
         for _ in range(500):
             w = random_word(rng, spec.gen_names, 6)
-            assert spec.is_trivial(w * nf_word(spec.normal_form(w)).inverse())
+            assert spec.is_trivial(w * nf_word(spec, spec.normal_form(w)).inverse())
 
 
 def test_normal_form_uniqueness(z2z3, klein, f2_amalgam):
@@ -186,7 +233,8 @@ def test_spec_from_dict_roundtrip():
     for decl in (table, dict(table, gens=["x"])):
         spec = spec_from_dict({"kind": "free_product", "factors": [
             decl, {"type": "cyclic", "order": 3, "gens": ["b"]}]})
-        assert str(spec.normal_form(W("g b g g"))) == "[g][b]"
+        nf = spec.normal_form(W("g b g g"))
+        assert [str(s.word) for s in nf.syllables] == ["g", "b"] and not nf.tail
 
 
 def test_spec_from_dict_errors():
