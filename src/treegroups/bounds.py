@@ -85,11 +85,15 @@ def volume_lower_bound(E: float, D: float, k: int, n: int = 3,
     """C_n * s0_general^n (volume bound for 1-essential closed manifolds)."""
     _validate_ed(E, D)
     _validate_k(k)
+    _validate_volume(n, C_n)
+    return C_n * s0_general(E, D, k) ** n
+
+
+def _validate_volume(n: int, C_n: float) -> None:
     if int(n) != n or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n}")
     if not 0 < C_n < math.inf:
         raise ValueError(f"C_n must be positive and finite, got {C_n}")
-    return C_n * s0_general(E, D, k) ** n
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +170,9 @@ class BoundsReport(NamedTuple):
     volume_note: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "inputs": {"E": self.E, "D": self.D, "k": self.k,
-                       "n": self.n, "C_n": self.C_n},
-            "s0_general": self.s0_general,
-            "s0_jsj": self.s0_jsj,
-            "hyperbolic_branch": self.hyperbolic_branch,
-            "free_product_k0": self.free_product_k0,
-            "effective_systole_lb": self.effective_systole_lb,
-            "volume_lb": self.volume_lb,
-            "delta0": self.delta0,
-            "dominant_branch": self.dominant_branch,
-            "volume_note": self.volume_note,
-        }
+        fields = self._asdict()
+        return {"inputs": {key: fields.pop(key) for key in ("E", "D", "k", "n", "C_n")},
+                **fields}
 
 
 def build_bounds_report(E: float, D: float, k: int, n: int = 3,
@@ -188,19 +182,21 @@ def build_bounds_report(E: float, D: float, k: int, n: int = 3,
     the volume is suppressed, and a report holding a float that is not
     finite is rejected with a ValueError that names the inputs."""
     comparison = compare_case_bounds(E, D, k)
+    _validate_volume(n, C_n)
     try:
-        volume = volume_lower_bound(E, D, k, n, C_n)
+        volume = C_n * comparison.s0_general ** n
     except OverflowError:  # C_n s0^n past the largest double
         volume = math.inf
+    jsj = s0_jsj(E, D)
     report = BoundsReport(
         E=E, D=D, k=k, n=n, C_n=C_n,
-        s0_general=s0_general(E, D, k),
-        s0_jsj=s0_jsj(E, D),
-        hyperbolic_branch=hyperbolic_branch_bound(E, D),
-        free_product_k0=free_product_bound(E, D),
+        s0_general=comparison.s0_general,
+        s0_jsj=jsj,
+        hyperbolic_branch=comparison.hyperbolic_branch,
+        free_product_k0=comparison.effective_bound if k == 0 else free_product_bound(E, D),
         effective_systole_lb=comparison.effective_bound,
         volume_lb=volume if include_volume else None,
-        delta0=delta0(E, D),
+        delta0=jsj / 40.0,
         dominant_branch=comparison.dominant_branch,
         volume_note=volume_note,
     )

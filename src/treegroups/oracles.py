@@ -204,6 +204,9 @@ class DesignatedSubgroup:
         """Image in the ambient oracle of an abstract subgroup word."""
         if not cw:
             return Word()
+        if len(cw) == 1:
+            (idx, exp), = cw
+            return self.oracle._reduce(self.image_words[idx] ** exp)
         return self.oracle._reduce(Word.of(
             letter for idx, exp in cw for letter in (self.image_words[idx] ** exp).letters))
 
@@ -231,9 +234,9 @@ class _ResidueSubgroup(DesignatedSubgroup):
         self._coeffs = coeffs
 
     def _split(self, x: Word) -> Tuple[Word, CWord]:
+        if self.d == 0:  # the trivial subgroup: each element is its own coset
+            return self.oracle._reduce(x), ()
         e = self.oracle._exponent(x)
-        if self.d == 0:
-            return self.oracle._from_exponent(e), ()
         m = e // self.d
         cw = tuple((i, c * m) for i, c in enumerate(self._coeffs) if c * m != 0)
         return self.oracle._from_exponent(e % self.d), cw

@@ -182,6 +182,9 @@ class SplittingSpec:
         appended as it stands, with no push.  A tail of () after the last
         push leaves w's tail as it is; otherwise the joined tail is split
         again in A, so every tail is the A-side split of its image."""
+        if not nf.tail and not (nf.syllables and w.syllables
+                                and nf.syllables[-1].side == w.syllables[0].side):
+            return NormalForm(nf.syllables + w.syllables, w.tail)  # no junction to push
         syllables, tail = list(nf.syllables), nf.tail
         for i, (side, piece) in enumerate(w.syllables):
             if not tail and not (syllables and syllables[-1].side == side):
@@ -196,7 +199,7 @@ class SplittingSpec:
     def _push(self, syllables: List[Syllable], tail: CWord, side: str,
               piece: Word) -> CWord:
         sub = self.subgroup(side)
-        y = sub.embed(tail) * piece
+        y = sub.embed(tail) * piece if tail else piece
         if syllables and syllables[-1].side == side:
             y = syllables.pop().word * y
         rep, tail = sub._split(y)

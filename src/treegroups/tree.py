@@ -21,17 +21,20 @@ same junction (``_factor_element``), so g is normalized once per call.
 
 The tree is infinite (and not even locally finite when a factor has infinite
 edge index), so balls, fixed sets and T-sets come from one depth-bounded
-BFS, ``_walk``, of at most ``MAX_WINDOW_VERTICES`` vertices, and every
-window carries an exhaustiveness flag.  Classify's elliptic witness is the
-projection of the base onto the subtree Fix(g) (Serre, Trees, §I.6), so
-each fixed v has d(base, v) = d(base, start) + d(start, v), and the walk
+BFS, ``_walk``, of at most ``MAX_WINDOW_VERTICES`` vertices whose names
+hold at most ``MAX_WINDOW_SYLLABLES`` syllables in all (a window of radius
+R on a line holds about R^2), and every window carries an exhaustiveness
+flag.  Classify's elliptic witness is the projection of the base onto the
+subtree Fix(g) (Serre, Trees, §I.6), so each fixed v has d(base, v) = d(base, start) + d(start, v), and the walk
 from it carries x_v = rep(v)^-1 g rep(v) in v's factor X.  ``_walk`` lists
 each vertex's fixed children by one rule: they are the cosets tC with
 t^-1 x_v t in C, and if (., cw) = split_X(t^-1 x_v t) a child's element is
-embed_Y(cw), or s embed_Y(cw) s^-1 for t = 1 and v's last syllable s.  A
-ball is the walk of Fix(1) from its centre: every coset conjugates 1 into
-C, so the children are the capped transversal, and the state stays 1, so
-a ball computes no normal form.
+embed_Y(cw), or s embed_Y(cw) s^-1 for t = 1 and v's last syllable s.
+Only s depends on more than the state (X, x_v), so one walk works out the
+cosets once per state and each embed_Y(cw) once per state and t.  A ball is the walk of Fix(1)
+from its centre: every coset conjugates 1 into C, so the children are the
+capped transversal, and the state stays 1, so a ball computes no normal
+form.
 """
 
 from __future__ import annotations
@@ -44,8 +47,12 @@ from .oracles import NEIGHBOR_CAP
 from .splitting import SIDE_A, NormalForm, SplittingSpec, Syllable, other_side
 from .words import Word, shortlex
 
-# most vertices a windowed walk collects before it reports an incomplete window
+# most vertices, and most syllables summed over their names, a window
+# collects before it reports an incomplete window
 MAX_WINDOW_VERTICES = 200_000
+MAX_WINDOW_SYLLABLES = 1_000_000
+# most freely reduced edge words an acylindricity check may enumerate
+MAX_EDGE_WORDS = 200_000
 
 
 class TreeVertex(NamedTuple):
@@ -200,16 +207,24 @@ def _walk(spec: SplittingSpec, start: TreeVertex, levels: int, x: Word,
 
     Each vertex carries x_v (x at start) and lists its unwalked fixed
     children, at most ``cap`` cosets, by the module docstring's rule; the
-    last level is not expanded.  Past ``MAX_WINDOW_VERTICES`` vertices the
-    walk stops and reports an incomplete window."""
+    last level is not expanded.  A memo that lives for this walk only holds
+    the cosets per state (side, x_v) and embed_Y(cw) per state and t, the
+    latter filled when such a child is first unseen.  Past ``MAX_WINDOW_VERTICES`` vertices or ``MAX_WINDOW_SYLLABLES``
+    syllables the walk stops and reports an incomplete window."""
     depth = {start: 0}
     frontier = [(start, x)]
     complete = True
+    held = len(start.syllables)
+    cosets: Dict[Tuple[str, Word], Tuple[List[Word], bool]] = {}
+    kid_elements: Dict[Tuple[str, Word, Word], Word] = {}
     for d in range(1, levels + 1):
         nxt = []
         for v, x in frontier:
             sub, side = spec.subgroup(v.side), other_side(v.side)
-            ts, kids_complete = sub.conjugator_cosets(x, cap)
+            state = (v.side, x)
+            if state not in cosets:
+                cosets[state] = sub.conjugator_cosets(x, cap)
+            ts, kids_complete = cosets[state]
             complete = complete and kids_complete
             for t in ts:
                 kid = _neighbor(v, t)
@@ -217,13 +232,18 @@ def _walk(spec: SplittingSpec, start: TreeVertex, levels: int, x: Word,
                     continue
                 y = x
                 if not x.is_empty:
-                    y = spec.subgroup(side).embed(sub._split(x.conjugated_by(t))[1])
+                    key = (*state, t)
+                    if key not in kid_elements:
+                        kid_elements[key] = spec.subgroup(side).embed(
+                            sub._split(x.conjugated_by(t))[1])
+                    y = kid_elements[key]
                     if t.is_empty and v.syllables:  # the step drops v's last syllable
                         s = v.syllables[-1].word
                         y = spec.factor(side)._reduce(s * y * s.inverse())
                 depth[kid] = d
+                held += len(kid.syllables)
                 nxt.append((kid, y))
-                if len(depth) > MAX_WINDOW_VERTICES:
+                if len(depth) > MAX_WINDOW_VERTICES or held > MAX_WINDOW_SYLLABLES:
                     return depth, False
         frontier = nxt
     return depth, complete
@@ -369,6 +389,8 @@ def axis_window(spec: SplittingSpec, h: Word, base: Optional[TreeVertex] = None,
     classify reads.  So d(base, q) = d(base, p) + d(p, q) for axis vertices
     q, and the window is p and radius - d(base, p) vertices on each side of
     it, walked with the movers of h and h^-1 (empty when that is negative).
+    Past ``MAX_WINDOW_SYLLABLES`` syllables the walk stops and reports an
+    incomplete window.
     """
     check_nonnegative("window radius", radius)
     if base is None:
@@ -379,10 +401,13 @@ def axis_window(spec: SplittingSpec, h: Word, base: Optional[TreeVertex] = None,
     p, d0 = cls.witness_vertex, tree_distance(base, cls.witness_vertex)
     if d0 > radius:
         return _region(base, radius, {}, True)
-    dist = {p: d0}
+    dist, held = {p: d0}, len(p.syllables)
     for move in (_mover(spec, nf), mover(spec, h.inverse())):
-        ray = enumerate(itertools.islice(_axis_ray(move, p), radius - d0), d0 + 1)
-        dist.update((q, d) for d, q in ray)
+        for d, q in enumerate(itertools.islice(_axis_ray(move, p), radius - d0), d0 + 1):
+            dist[q] = d
+            held += len(q.syllables)
+            if held > MAX_WINDOW_SYLLABLES:
+                return _region(base, radius, dist, False)
     return _region(base, radius, dist, True)
 
 
@@ -459,6 +484,9 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
     "consistent" is not a proof, except for trivial edge subgroups, where
     every nontrivial elliptic element fixes a single vertex (factors of a
     free product are malnormal) and the verdict is certified for every k >= 0.
+    A word length whose words number more than ``MAX_EDGE_WORDS`` is an
+    input error: there are 1 + sum_{l <= L} 2r(2r-1)^(l-1) of them for r
+    edge generators.
     """
     check_nonnegative("k", k)
     check_nonnegative("word length", word_length)
@@ -469,8 +497,15 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
             "consistent", k, word_length, radius, None, None, True,
             "trivial edge stabilizers: every nontrivial elliptic element "
             "fixes exactly one vertex, so the action is 0-acylindrical")
+    rank, count, level = len(spec.edge_gens), 1, 2 * len(spec.edge_gens)
+    for _ in range(word_length):  # count grows by 2 or more per length
+        count += level
+        if count > MAX_EDGE_WORDS:
+            raise ValueError(f"word length {word_length} over {rank} edge generators "
+                             f"enumerates more than {MAX_EDGE_WORDS} edge words")
+        level *= 2 * rank - 1
     seen = set()
-    for cw in shortlex(range(len(spec.edge_gens)), word_length):
+    for cw in shortlex(range(rank), word_length):
         c = spec.sub_a.embed(cw)
         if c.is_empty or c.letters in seen:
             continue

@@ -45,7 +45,13 @@ def _merge(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
 
 
 class Word(NamedTuple):
-    """A merged sequence of (generator, exponent) letters."""
+    """A merged sequence of (generator, exponent) letters.
+
+    ``Word(letters)`` takes letters that are merged already (no zero
+    exponent, no two adjacent letters on one generator); ``Word.of`` merges
+    any letters.  Products and powers rely on it: they merge only where
+    their operands meet.
+    """
 
     letters: Tuple[Letter, ...] = ()
 
@@ -72,7 +78,15 @@ class Word(NamedTuple):
             return other
         if not other.letters:
             return self
-        return Word(_merge(self.letters + other.letters))
+        # both sides are merged, so only letters at the junction can meet
+        a, b = self.letters, other.letters
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            exp = a[i - 1][1] + b[j][1]
+            if exp:
+                return Word(a[:i - 1] + ((b[j][0], exp),) + b[j + 1:])
+            i, j = i - 1, j + 1
+        return Word(a[:i] + b[j:])
 
     def inverse(self) -> "Word":
         return Word(tuple((name, -exp) for name, exp in reversed(self.letters)))
@@ -80,6 +94,9 @@ class Word(NamedTuple):
     def __pow__(self, n: int) -> "Word":
         if n == 0:
             return Word()
+        if len(self.letters) == 1:
+            (name, exp), = self.letters
+            return Word(((name, exp * n),))
         base = self if n > 0 else self.inverse()
         n = abs(n)
         out = Word()

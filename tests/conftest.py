@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from treegroups import tree
 from treegroups.oracles import make_cyclic, make_free, make_free_abelian, make_table
-from treegroups.splitting import SplittingSpec
+from treegroups.splitting import SplittingSpec, other_side
 from treegroups.tree import VertexRegion, act, ball, classify, geodesic, tree_distance
 from treegroups.words import Word
 
@@ -83,6 +84,36 @@ def z4z6_table():
                          make_table(*cyclic_table(6, "s"), group_id="B"),
                          ["t"], [W("r2")], [W("s3")])
 
+def _permutation_table(gens, prefix):
+    """Elements (identity first) and multiplication table of the group of
+    tuples that ``gens`` generate, composed as (p q)(i) = p(q(i))."""
+    elements = [tuple(range(len(gens[0])))]
+    for p in elements:
+        for g in gens:
+            q = tuple(p[i] for i in g)
+            if q not in elements:
+                elements.append(q)
+    index = {p: i for i, p in enumerate(elements)}
+    table = [[index[tuple(p[i] for i in q)] for q in elements] for p in elements]
+    return [f"{prefix}{i}" for i in range(len(elements))], table, index
+
+
+@pytest.fixture(scope="session")
+def a4_s3z2_table():
+    # A4 *_V (S3 x Z/2) as tables: the Klein four-group V is normal in A4, whose
+    # 3-cycles permute its involutions, while in S3 x Z/2 the image of one
+    # involution is central and those of the others are not
+    names_a, table_a, index_a = _permutation_table([(1, 2, 0, 3), (1, 0, 3, 2)], "p")
+    # S3 x Z/2 as permutations of 5 points: S3 on 0-2, the swap of 3 and 4
+    names_b, table_b, index_b = _permutation_table([(1, 0, 2, 3, 4), (1, 2, 0, 3, 4),
+                                                    (0, 1, 2, 4, 3)], "q")
+    return SplittingSpec(
+        "amalgam", make_table(names_a, table_a, group_id="A"),
+        make_table(names_b, table_b, group_id="B"), ["u", "w"],
+        [W(names_a[index_a[(1, 0, 3, 2)]]), W(names_a[index_a[(2, 3, 0, 1)]])],
+        [W(names_b[index_b[(1, 0, 2, 3, 4)]]), W(names_b[index_b[(0, 1, 2, 4, 3)]])])
+
+
 def count_calls(monkeypatch, owner, name: str) -> list:
     """Wrap ``owner.name`` (a module function or a class's method) so that
     each call appends its positional arguments to the returned list."""
@@ -142,3 +173,33 @@ def reference_axis_window(spec, h, base, radius) -> VertexRegion:
     dist = {q: d for q in path if (d := tree_distance(base, q)) <= radius}
     return VertexRegion(base, radius, tuple(sorted(dist, key=lambda v: (dist[v], v.side, str(v)))),
                         True)
+
+
+def reference_walk(spec, start, levels, x, cap):
+    """Reference for ``tree._walk`` without its memo: each vertex lists its
+    conjugator cosets and works out each unseen child's element anew."""
+    depth = {start: 0}
+    frontier = [(start, x)]
+    complete = True
+    for d in range(1, levels + 1):
+        nxt = []
+        for v, x in frontier:
+            sub, side = spec.subgroup(v.side), other_side(v.side)
+            ts, kids_complete = sub.conjugator_cosets(x, cap)
+            complete = complete and kids_complete
+            for t in ts:
+                kid = tree._neighbor(v, t)
+                if kid in depth:
+                    continue
+                y = x
+                if not x.is_empty:
+                    y = spec.subgroup(side).embed(sub._split(x.conjugated_by(t))[1])
+                    if t.is_empty and v.syllables:  # the step drops v's last syllable
+                        s = v.syllables[-1].word
+                        y = spec.factor(side)._reduce(s * y * s.inverse())
+                depth[kid] = d
+                nxt.append((kid, y))
+                if len(depth) > tree.MAX_WINDOW_VERTICES:
+                    return depth, False
+        frontier = nxt
+    return depth, complete

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from treegroups import bounds
 from treegroups.bounds import (SMALL_X_THRESHOLD, build_bounds_report,
                                compare_case_bounds, delta0,
                                free_product_bound, hyperbolic_branch_bound,
@@ -16,6 +17,8 @@ from treegroups.bounds import (SMALL_X_THRESHOLD, build_bounds_report,
                                threshold_implication_holds,
                                volume_lower_bound)
 from treegroups.growth import free_group_entropy_root
+
+from conftest import count_calls
 
 
 def mp_s0(x: float) -> float:
@@ -235,6 +238,16 @@ def test_small_x_auxiliary_dense_grid():
     for i in range(1, 2001):
         x = i * SMALL_X_THRESHOLD / 2000.0
         assert small_x_auxiliary_holds(x)
+
+
+def test_bounds_report_computes_each_bound_once(monkeypatch):
+    # s0_general and the threshold's premise, s0_jsj, the free-product bound
+    calls = count_calls(monkeypatch, bounds, "s0_core")
+    build_bounds_report(1.0, 1.0, 3)
+    assert len(calls) == 4
+    calls.clear()
+    build_bounds_report(1.0, 1.0, 0)  # the free-product bound is the effective one
+    assert len(calls) == 3
 
 
 def test_bounds_report():

@@ -187,6 +187,21 @@ def test_acyl_check_exit_codes(capsys):
     assert doc["verdict"] == "falsified" and doc["witness"] == "a^2"
 
 
+def test_acyl_check_rejects_too_many_edge_words(capsys, tmp_path):
+    # 1 + 2 (3^40 - 1) words over two edge generators: rejected before any is walked
+    group = tmp_path / "z2_by_z2.json"
+    group.write_text(json.dumps({
+        "kind": "amalgam",
+        "factors": [{"type": "free_abelian", "rank": 2, "gens": ["x", "y"]},
+                    {"type": "free_abelian", "rank": 2, "gens": ["u", "v"]}],
+        "edge": {"generators": ["s", "t"], "into_A": ["x", "y"], "into_B": ["u", "v"]}}))
+    rc, out, err = invoke(capsys, "acyl-check", "--group", str(group), "--k", "2",
+                          "--length", "40")
+    assert rc == EXIT_INPUT and out == ""
+    assert err.splitlines() == [f"error: word length 40 over 2 edge generators enumerates "
+                                f"more than {tree.MAX_EDGE_WORDS} edge words"]
+
+
 def test_free_witness(capsys):
     rc, out, _ = invoke(capsys, "free-witness", "--group", data("z2z3.json"),
                         "--g1", "a", "--g2", "b", "--json")

@@ -22,7 +22,7 @@ from treegroups.tree import (EllipticElementError, TreeVertex,
 from treegroups.words import Word, shortlex
 
 from conftest import (count_calls, min_displacement_bruteforce, random_elliptic, random_word,
-                      reference_axis_window)
+                      reference_axis_window, reference_walk)
 
 W = Word.parse
 
@@ -702,6 +702,51 @@ def test_windows_stop_at_the_vertex_limit(z2_amalgam, monkeypatch):
     assert len(ball(z2_amalgam, base_vertex(), 8, neighbor_cap=16)[0]) == 301
 
 
+WINDOW_FIXTURES = ("z2z3", "z3z4", "z70z3", "z2z2", "triv_z5", "f2", "klein", "f2_amalgam",
+                   "z2_amalgam", "z4z6_table", "a4_s3z2_table")
+
+
+def test_walk_matches_the_walk_without_memo(request, monkeypatch):
+    # members, order and flags of every window, against a walk that works
+    # each child out anew; the low vertex limit makes wide windows stop too
+    monkeypatch.setattr(tree, "MAX_WINDOW_VERTICES", 2000)
+    rng = random.Random(37)
+    for name in WINDOW_FIXTURES:
+        spec = request.getfixturevalue(name)
+        for i in range(24):
+            g = [Word(), random_elliptic(spec, rng), random_word(rng, spec.gen_names, 4)][i % 3]
+            base, radius = random_base(spec, rng), rng.randint(0, 6)
+            cap, max_power = rng.choice((None, 4, 6, 16)), rng.randint(1, 6)
+            windows = (lambda: fixed_set(spec, g, base, radius, cap),
+                       lambda: t_set(spec, g, base, radius, max_power),
+                       lambda: [*ball(spec, base, radius, cap)[0].items()])
+            got = [window() for window in windows]
+            with monkeypatch.context() as m:
+                m.setattr(tree, "_walk", reference_walk)
+                assert got == [window() for window in windows], (name, str(g))
+
+
+def test_walk_lists_the_cosets_once_per_state(klein, monkeypatch):
+    # every vertex of Fix(a^2), the whole line, has the state (A, a^2) or (B, b^2)
+    calls = count_calls(monkeypatch, type(klein.sub_a), "conjugator_cosets")
+    assert len(fixed_set(klein, W("a^2"), radius=8).members) == 17
+    assert len(calls) == 2 and {calls[0][0], calls[1][0]} == {klein.sub_a, klein.sub_b}
+
+
+def test_windows_stop_at_the_syllable_limit(klein, monkeypatch):
+    # a window of radius R on the line holds about R^2 syllables
+    monkeypatch.setattr(tree, "MAX_WINDOW_SYLLABLES", 400)
+    regions = (fixed_set(klein, W("a^2"), radius=100),
+               t_set(klein, W("a^2"), radius=100, max_power=2),
+               axis_window(klein, W("a b"), radius=100))
+    for region in regions:
+        held = sum(len(v.syllables) for v in region.members)
+        assert not region.exhaustive_within_radius and 400 < held <= 400 + 101
+    dist, complete = ball(klein, base_vertex(), 100)
+    assert not complete and 400 < sum(len(v.syllables) for v in dist) <= 400 + 101
+    assert fixed_set(klein, W("a^2"), radius=18).exhaustive_within_radius
+
+
 def test_fixed_window_flags_only_truncation_inside_the_window(z2_amalgam):
     # neighbour lists are truncated at every vertex, but a window of radius
     # d(base, Fix(x)) holds one fixed vertex and expands none
@@ -776,6 +821,15 @@ def test_check_acylindricity_finds_long_edge_elements():
     assert chk.falsified
     assert chk.witness == W("a b") ** 3
     assert chk.witness_diameter > 2
+
+
+def test_check_acylindricity_bounds_the_edge_words(klein, monkeypatch):
+    # 1 + 2L words of at most L letters over one edge generator
+    monkeypatch.setattr(tree, "MAX_EDGE_WORDS", 11)
+    assert check_acylindricity(klein, 5, word_length=5).falsified
+    with pytest.raises(ValueError, match="length 6 over 1 edge generators enumerates "
+                                         "more than 11 edge words"):
+        check_acylindricity(klein, 5, word_length=6)
 
 
 def test_check_acylindricity_validates_inputs(z2z3):

@@ -37,6 +37,8 @@ def test_inverse_and_power():
     assert w ** 0 == Word()
     assert w ** -2 == (w.inverse()) ** 2
     assert (W("a") ** 5).letters == (("a", 5),)
+    assert (W("a^-3") ** -4).letters == (("a", 12),)
+    assert (W("b") ** 10 ** 30).letters == (("b", 10 ** 30),)
 
 
 def test_letter_length():
@@ -62,6 +64,24 @@ def test_concatenation_associative_and_invertible(u, v, w):
     assert (u * v) * w == u * (v * w)
     assert (u * v).inverse() == v.inverse() * u.inverse()
     assert (u * u.inverse() * v) == v
+
+
+@given(words, st.integers(0, 8), words)
+def test_product_merges_at_the_junction_as_a_full_merge_does(u, cut, w):
+    # v opens with the inverse of u's last letters, so the junction cancels
+    v = Word.of(u.inverse().letters[:cut] + w.letters)
+    assert u * v == Word.of(u.letters + v.letters)
+    assert v * u == Word.of(v.letters + u.letters)
+
+
+@given(words, words, st.integers(-6, 6))
+def test_power_is_the_repeated_product(u, x, n):
+    # a conjugate's powers cancel at every junction
+    for w in (x, Word(x.letters[:1]), Word.of(u.letters + x.letters + u.inverse().letters)):
+        want, step = Word(), w if n >= 0 else w.inverse()
+        for _ in range(abs(n)):
+            want = Word.of(want.letters + step.letters)
+        assert w ** n == want
 
 
 def _shortlex_key(units, symbols):
