@@ -177,11 +177,13 @@ class BoundsReport(NamedTuple):
 
 def build_bounds_report(E: float, D: float, k: int, n: int = 3,
                         C_n: float = 1.0, include_volume: bool = True,
-                        volume_note: Optional[str] = None) -> BoundsReport:
+                        volume_note: Optional[str] = None,
+                        comparison: Optional[CaseComparison] = None) -> BoundsReport:
     """Every bound for (E, D, k, n, C_n); the inputs are checked even where
     the volume is suppressed, and a report holding a float that is not
-    finite is rejected with a ValueError that names the inputs."""
-    comparison = compare_case_bounds(E, D, k)
+    finite is rejected with a ValueError that names the inputs.  A caller
+    that holds ``compare_case_bounds(E, D, k)`` passes it as ``comparison``."""
+    comparison = comparison or compare_case_bounds(E, D, k)
     _validate_volume(n, C_n)
     try:
         volume = C_n * comparison.s0_general ** n

@@ -52,6 +52,11 @@ def _region_payload(region, **fields) -> dict:
             "diameter": _diameter(region), **fields}
 
 
+def _cut_note(region) -> str:
+    """The human output's mark of a window cut short of its radius."""
+    return "" if region.exhaustive_within_radius else " (window cut: not exhaustive)"
+
+
 def _cmd_classify(args) -> int:
     from .splitting import load_spec
     from .tree import classify
@@ -87,7 +92,8 @@ def _cmd_fix(args) -> int:
         _emit(_region_payload(region, element=args.element), "", True)
     else:
         print(f"{label} within radius {args.radius}: "
-              f"{len(region.members)} vertices, diameter {_diameter(region)}")
+              f"{len(region.members)} vertices, diameter {_diameter(region)}"
+              + _cut_note(region))
     return EXIT_OK
 
 
@@ -102,7 +108,7 @@ def _cmd_axis(args) -> int:
         _emit(_region_payload(region, element=args.element, tau=cls.tau), "", True)
     else:
         print(f"Axis({args.element}) within radius {args.radius}: "
-              f"{len(region.members)} vertices, tau={cls.tau}")
+              f"{len(region.members)} vertices, tau={cls.tau}" + _cut_note(region))
     return EXIT_OK
 
 
@@ -184,11 +190,11 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_bounds(args) -> int:
     from .bounds import build_bounds_report, compare_case_bounds
+    comparison = compare_case_bounds(args.entropy, args.diam, args.k)
     report = build_bounds_report(args.entropy, args.diam, args.k,
-                                 n=args.dim, C_n=args.cn)
+                                 n=args.dim, C_n=args.cn, comparison=comparison)
     payload = report.to_json_dict()
-    payload["comparison"] = compare_case_bounds(args.entropy, args.diam,
-                                                args.k)._asdict()
+    payload["comparison"] = comparison._asdict()
     human = (f"s0={report.s0_general:.6g}  volume>={report.volume_lb:.6g}  "
              f"delta0={report.delta0:.6g}  (k={args.k})")
     _emit(payload, human, args.json)

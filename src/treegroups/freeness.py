@@ -19,10 +19,15 @@ is normalized once, and the constructors pass its order: conjugates have
 equal orders, so g^(h^-p) has the order of g, and hyperbolic witnesses
 have infinite order (Serre, Trees, §I.6).  Depths past
 ``MAX_CERTIFICATE_DEPTH`` and certificates of more than
-``MAX_CERTIFICATE_NODES`` words are input errors.  It refutes
+``MAX_CERTIFICATE_NODES`` words are input errors.  In general it refutes
 non-freeness up to that depth; it is a guard, not a proof; the freeness
 statements themselves come from acylindricity, the certificate only
-guards the computation.
+guards the computation.  On a free spec (``_free_spec``: a free product
+of free factors, or an amalgam of free factors over one edge generator
+whose image on some side is a basis letter) it decides: there <w1, w2> is
+free on w1, w2 unless [w1, w2] = 1 (Nielsen-Schreier and Hopficity), so
+a rank-2 certificate walks to depth 4 at most and a semigroup one to
+depth 2, and either gives the verdict of the requested depth.
 
 Each case hypothesis is checked in one place: the element type by
 ``_require``, disjoint fixed sets by ``_fixed_gap``, distinct axes
@@ -94,6 +99,21 @@ def _check_depth(depth: int) -> None:
     check_nonnegative("certificate depth", depth)
     if depth > MAX_CERTIFICATE_DEPTH:
         raise ValueError(f"certificate depth must be <= {MAX_CERTIFICATE_DEPTH}, got {depth}")
+
+
+def _free_spec(spec: SplittingSpec) -> bool:
+    """Whether the spec's group is free by its shape: a free product of free
+    factors, or an amalgam of free factors over one edge generator whose
+    image on some side is a letter x^±1, since a Tietze move deletes x:
+    F(X) *_{x=w} F(Y) = F(X - x) * F(Y).  Other free splittings (a primitive
+    edge word that is no letter) are not detected."""
+    if spec.factor_a.kind != "free" or spec.factor_b.kind != "free":
+        return False
+    if spec.kind == "free_product":
+        return True
+    images = [sub.image_words[0].letters for sub in (spec.sub_a, spec.sub_b)]
+    return len(spec.edge_gens) == 1 and any(len(im) == 1 and abs(im[0][1]) == 1
+                                            for im in images)
 
 
 def _syllable_cost(exp: int, order: Optional[int]) -> int:
@@ -229,6 +249,16 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
     walk trusts that ``extend`` returns a normal form, in which equal forms
     are equal elements; the tests compare it with a walk that normalizes
     every word from scratch.
+
+    On a free spec (``_free_spec``) depth 4 decides.  <w1, w2> is free
+    (Nielsen-Schreier) of rank <= 2; unless it is cyclic, hence [w1, w2] = 1,
+    a relation of cost 4, it has rank 2 and, free groups being Hopfian, w1
+    and w2 are a basis, so no alternating word is trivial.  The walk of
+    depth min(depth, 4) is a prefix of the walk of the requested depth:
+    both store the same layers 1 and 2, in the same order.  So it meets the
+    same first collision or, walking past [w1, w2] unmatched, none at all:
+    the verdict and the named relation are those of the requested depth,
+    which alone the node budget judges.
     """
     return _certify_rank2(spec, (w1, w2), None, depth)
 
@@ -242,7 +272,8 @@ def _certify_rank2(spec: SplittingSpec, words: Tuple[Word, Word], orders: Option
         return False, "a witness generator is trivial"
     orders = orders or tuple(_element_order(spec, nf, _classify(spec, nf)) for nf in forms)
     _check_nodes(depth, _ball_size(orders, (depth + 1) // 2))
-    collision = _ball_collision(spec, words, forms, orders, depth)
+    collision = _ball_collision(spec, words, forms, orders,
+                                min(depth, 4) if _free_spec(spec) else depth)
     if collision is None:
         return True, None
     u, v = collision
@@ -258,14 +289,22 @@ def _certify_rank2(spec: SplittingSpec, words: Tuple[Word, Word], orders: Option
 def certify_free_semigroup(spec: SplittingSpec, w1: Word, w2: Word,
                            depth: int = 6) -> Tuple[bool, Optional[str]]:
     """All positive words of length <= depth in (w1, w2) are pairwise distinct;
-    the 2^(depth+1) - 2 nonempty words count against ``MAX_CERTIFICATE_NODES``."""
+    the 2^(depth+1) - 2 nonempty words count against ``MAX_CERTIFICATE_NODES``.
+
+    On a free spec (``_free_spec``) length 2 decides: if w1 w2 = w2 w1, the
+    words W12 and W21 collide; if not, w1 and w2 are a basis of the free
+    group they generate (Nielsen-Schreier and Hopficity), so no two positive
+    words collide.  The walk of min(depth, 2) levels is a prefix of the
+    walk of the requested depth, level by level in the same order, so it
+    names the same first collision, or finds none exactly when that walk
+    does; the node budget still judges the requested depth."""
     _check_depth(depth)
     _check_nodes(depth, 2 ** (depth + 1) - 2)
     empty = spec.normal_form(Word())
     seen = {empty: ""}
     frontier: List[Tuple[str, NormalForm]] = [("", empty)]
     gens = (("1", spec.normal_form(w1)), ("2", spec.normal_form(w2)))
-    for _ in range(depth):
+    for _ in range(min(depth, 2) if _free_spec(spec) else depth):
         nxt = []
         for label, nf in frontier:
             for tag, form in gens:

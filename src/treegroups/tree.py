@@ -51,8 +51,11 @@ from .words import Word, shortlex
 # collects before it reports an incomplete window
 MAX_WINDOW_VERTICES = 200_000
 MAX_WINDOW_SYLLABLES = 1_000_000
-# most freely reduced edge words an acylindricity check may enumerate
+# most freely reduced edge words an acylindricity check may enumerate, and
+# most letters they hold in all (over one edge generator, L(L + 1) letters
+# for 2L + 1 words; two edge generators at length 10 hold 1,121,932)
 MAX_EDGE_WORDS = 200_000
+MAX_EDGE_LETTERS = 2_000_000
 
 
 class TreeVertex(NamedTuple):
@@ -484,9 +487,10 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
     "consistent" is not a proof, except for trivial edge subgroups, where
     every nontrivial elliptic element fixes a single vertex (factors of a
     free product are malnormal) and the verdict is certified for every k >= 0.
-    A word length whose words number more than ``MAX_EDGE_WORDS`` is an
-    input error: there are 1 + sum_{l <= L} 2r(2r-1)^(l-1) of them for r
-    edge generators.
+    A word length whose words number more than ``MAX_EDGE_WORDS``, or hold
+    more than ``MAX_EDGE_LETTERS`` letters in all, is an input error: there
+    are 1 + sum_{l <= L} 2r(2r-1)^(l-1) of them for r edge generators, and
+    the l-letter ones are built by copying, so the letters bound the work.
     """
     check_nonnegative("k", k)
     check_nonnegative("word length", word_length)
@@ -497,12 +501,15 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
             "consistent", k, word_length, radius, None, None, True,
             "trivial edge stabilizers: every nontrivial elliptic element "
             "fixes exactly one vertex, so the action is 0-acylindrical")
-    rank, count, level = len(spec.edge_gens), 1, 2 * len(spec.edge_gens)
-    for _ in range(word_length):  # count grows by 2 or more per length
-        count += level
+    rank, count, letters, level = len(spec.edge_gens), 1, 0, 2 * len(spec.edge_gens)
+    for length in range(1, word_length + 1):  # count grows by 2 or more per length
+        count, letters = count + level, letters + level * length
         if count > MAX_EDGE_WORDS:
             raise ValueError(f"word length {word_length} over {rank} edge generators "
                              f"enumerates more than {MAX_EDGE_WORDS} edge words")
+        if letters > MAX_EDGE_LETTERS:
+            raise ValueError(f"word length {word_length} over {rank} edge generators "
+                             f"enumerates more than {MAX_EDGE_LETTERS} letters")
         level *= 2 * rank - 1
     seen = set()
     for cw in shortlex(range(rank), word_length):

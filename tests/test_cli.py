@@ -140,6 +140,21 @@ def test_human_window_output_names_no_vertex(capsys, monkeypatch, argv):
     assert len(names) == int(re.search(r"(\d+) vertices", out)[1]) > 1
 
 
+def test_human_window_output_says_when_a_window_was_cut(capsys, monkeypatch):
+    # complete windows print as before; past the syllable limit the line says so
+    fix = ["fix", "--group", data("klein.json"), "--element", "a^2"]
+    axis = ["axis", "--group", data("klein.json"), "--element", "a b"]
+    assert invoke(capsys, *fix, "--radius", "6")[1] == (
+        "Fix(a^2) within radius 6: 13 vertices, diameter 12\n")
+    assert invoke(capsys, *axis, "--radius", "6")[1] == "Axis(a b) within radius 6: 13 vertices, tau=2\n"
+    monkeypatch.setattr(tree, "MAX_WINDOW_SYLLABLES", 400)
+    for argv in (fix, axis):
+        rc, out, _ = invoke(capsys, *argv, "--radius", "100")
+        assert rc == EXIT_OK and out.endswith(" (window cut: not exhaustive)\n")
+        assert invoke(capsys, *argv, "--radius", "100", "--json")[1].count(
+            '"exhaustive_within_radius": false') == 1
+
+
 def test_fix_stops_at_the_vertex_limit(capsys, monkeypatch, tmp_path):
     # x fixes the whole tree of Z^2 *_{x=u} Z^2, whose vertex degrees are infinite
     monkeypatch.setattr(tree, "MAX_WINDOW_VERTICES", 300)
@@ -200,6 +215,42 @@ def test_acyl_check_rejects_too_many_edge_words(capsys, tmp_path):
     assert rc == EXIT_INPUT and out == ""
     assert err.splitlines() == [f"error: word length 40 over 2 edge generators enumerates "
                                 f"more than {tree.MAX_EDGE_WORDS} edge words"]
+
+
+def test_acyl_check_rejects_too_many_edge_letters(capsys, monkeypatch):
+    # over one edge generator, length L makes 2L + 1 words of L(L + 1) letters
+    monkeypatch.setattr(tree, "MAX_EDGE_LETTERS", 30)
+    argv = ["acyl-check", "--group", data("klein.json"), "--k", "20"]
+    assert invoke(capsys, *argv, "--length", "5")[0] == EXIT_OK
+    rc, out, err = invoke(capsys, *argv, "--length", "6")
+    assert rc == EXIT_INPUT and out == ""
+    assert err.splitlines() == ["error: word length 6 over 1 edge generators enumerates "
+                                "more than 30 letters"]
+
+
+def test_acyl_check_admits_two_edge_generators_at_length_10(capsys, monkeypatch, tmp_path):
+    # Z^2 *_{Z^2} Z^2 at length 10: 118,097 words of 1,121,932 letters pass
+    # both limits (the walk itself, skipped here, takes about 1.5 s)
+    monkeypatch.setattr(tree, "shortlex", lambda symbols, max_len: iter(()))
+    group = tmp_path / "z2_by_z2.json"
+    group.write_text(json.dumps({
+        "kind": "amalgam",
+        "factors": [{"type": "free_abelian", "rank": 2, "gens": ["x", "y"]},
+                    {"type": "free_abelian", "rank": 2, "gens": ["u", "v"]}],
+        "edge": {"generators": ["s", "t"], "into_A": ["x", "y"], "into_B": ["u", "v"]}}))
+    rc, out, _ = invoke(capsys, "acyl-check", "--group", str(group), "--k", "2",
+                        "--length", "10")
+    assert rc == EXIT_OK and out.startswith("consistent with k=2")
+
+
+def test_bounds_compares_the_cases_once(capsys, monkeypatch):
+    # s0_general and the threshold implication for the comparison, s0_jsj and
+    # the free-product bound for the report: 4 calls, where comparing twice made 6
+    from treegroups import bounds
+    calls = count_calls(monkeypatch, bounds, "s0_core")
+    rc, out, _ = invoke(capsys, "bounds", "--entropy", "1", "--diam", "1", "--json")
+    assert rc == EXIT_OK and len(calls) == 4
+    assert json.loads(out)["comparison"]["dominant_branch"] == "hyperbolic_branch"
 
 
 def test_free_witness(capsys):

@@ -17,7 +17,7 @@ from treegroups.freeness import (WitnessInputError,
                                  witness_hyperbolic_pair,
                                  witness_length_bound_holds)
 from treegroups.splitting import SplittingSpec
-from treegroups.oracles import NEIGHBOR_CAP
+from treegroups.oracles import NEIGHBOR_CAP, make_free
 from treegroups.tree import (base_vertex, classify, element_order, fixed_set, geodesic, mover,
                              on_axis, region_diameter, t_set, tree_distance)
 from treegroups.words import Word
@@ -193,11 +193,20 @@ def test_certificate_splits_relations_by_parity(f2, w2, depth, verdict):
 
 
 def test_passing_certificate_walks_the_half_ball(f2, monkeypatch):
-    # a passing certificate walks the 160 words of cost <= 4 at depth 7, one
-    # extend each past the powers
+    # F2 is free, so depth 7 walks as depth 4: 4 extends classify the two
+    # generators, 4 build their squares and inverse squares, and 8 reach the
+    # words of cost 2 that are no power (the whole ball of cost <= 4 takes 160)
     calls = count_calls(monkeypatch, SplittingSpec, "extend")
     assert certify_rank2_free(f2, XY, W("y^2 x y^-1"), 7) == (True, None)
-    assert len(calls) <= 200
+    assert len(calls) == 16
+
+
+def test_passing_semigroup_certificate_walks_two_levels(f2, monkeypatch):
+    # F2 is free, so depth 7 walks the 6 positive words of length <= 2
+    # (all 254 of length <= 7 take 254)
+    calls = count_calls(monkeypatch, SplittingSpec, "extend")
+    assert certify_free_semigroup(f2, XY, W("y^2 x y^-1"), 7) == (True, None)
+    assert len(calls) == 6
 
 
 def test_failing_certificate_stops_at_its_first_collision(klein, monkeypatch):
@@ -263,6 +272,142 @@ def test_power_forms_are_the_normal_forms_of_the_powers(request, spec, w):
         assert sorted(forms) == sorted(exps)
         for e in exps:
             assert forms[e] == spec.normal_form(w ** e)
+
+
+# -- free specs: depth 4 decides -------------------------------------------------
+
+def f2_by_f2(into_a, into_b):
+    """F(a, b) *_{into_a = into_b} F(c, d)."""
+    return SplittingSpec("amalgam", make_free(2, ["a", "b"], "A"),
+                         make_free(2, ["c", "d"], "B"), ["t"], [W(into_a)], [W(into_b)])
+
+
+@pytest.fixture(scope="module")
+def free_specs(f2, f2_amalgam):
+    # F2 *_{ab=c} F2 and F2 *_{a^2=c} F2 are F(a, b, d), by a Tietze move on c
+    return [f2, f2_amalgam, f2_by_f2("a b", "c"), f2_by_f2("a^2", "c")]
+
+
+def test_free_spec_shapes(free_specs, klein, z2z3, z2_amalgam, z4z6_table, a4_s3z2_table):
+    assert all(map(freeness._free_spec, free_specs))
+    assert freeness._free_spec(f2_by_f2("a b", "c^-1"))
+    # klein's edge images a^2, b^2 are no letters, nor are (ab)^3 and (cd)^2;
+    # tables and lattices are not free factors
+    for spec in (klein, z2z3, f2_by_f2("a b a b a b", "c d c d"), z4z6_table,
+                 a4_s3z2_table, z2_amalgam):
+        assert not freeness._free_spec(spec)
+
+
+def reference_semigroup(spec, w1, w2, depth):
+    """The level walk of ``certify_free_semigroup`` with each positive word
+    normalized from scratch."""
+    seen = {spec.normal_form(Word()): ""}
+    level = [""]
+    for _ in range(depth):
+        level = [label + tag for label in level for tag in "12"]
+        for label in level:
+            nf = spec.normal_form(Word.of(letter for tag in label
+                                          for letter in (w1, w2)[int(tag) - 1].letters))
+            if seen.setdefault(nf, label) != label:
+                return False, f"W{label} collides with W{seen[nf]}"
+    return True, None
+
+
+def draw_free_pair(data, spec):
+    """Two words over the factors, half the time powers r^i, r^j of one word,
+    which commute."""
+    letters = st.tuples(st.sampled_from(spec.gen_names), st.integers(-2, 2).filter(bool))
+    words = st.lists(letters, min_size=1, max_size=3).map(Word.of)
+    r = data.draw(words)
+    powers = st.integers(-3, 3).map(lambda e: r ** e)
+    return data.draw(st.one_of(st.tuples(powers, powers), st.tuples(words, words)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_free_spec_certificates_match_the_full_walk(free_specs, data):
+    # the walks stop at depth 4 and 2, yet give the verdicts and named
+    # relations of walking the requested depth
+    spec = data.draw(st.sampled_from(free_specs))
+    w1, w2 = draw_free_pair(data, spec)
+    depth = data.draw(st.integers(0, 10))
+    assert certify_rank2_free(spec, w1, w2, depth) == reference_certificate(spec, w1, w2, depth)
+    assert certify_free_semigroup(spec, w1, w2, depth) == reference_semigroup(spec, w1, w2,
+                                                                              depth)
+
+
+def _fold_pair(edges):
+    """Two vertices that edges of one label and direction reach from one
+    vertex, or None when the graph is folded."""
+    ends = {}
+    for tail, g, head in edges:
+        for key, end in (((tail, g, 1), head), ((head, g, -1), tail)):
+            if ends.setdefault(key, end) != end:
+                return ends[key], end
+    return None
+
+
+def folded_rank(words):
+    """The rank of the subgroup that the words generate in the free group on
+    their letters, by Stallings folding (Stallings, Invent. Math. 71, 1983;
+    Kapovich-Myasnikov, J. Algebra 248, 2002): the wedge of the words'
+    loops at vertex 0, one edge per letter, is folded until no two edges of
+    one label and direction leave a vertex, and the folded graph has rank
+    E - V + 1.  No normal form is involved."""
+    edges, count = set(), 1  # (tail, generator, head)
+    for w in words:
+        units = [(g, e // abs(e)) for g, e in w.letters for _ in range(abs(e))]
+        tail = 0
+        for n, (g, sign) in enumerate(units, 1):
+            head = 0 if n == len(units) else count
+            count += head != 0
+            edges.add((tail, g, head) if sign > 0 else (head, g, tail))
+            tail = head
+    while (pair := _fold_pair(edges)) is not None:
+        keep, drop = min(pair), max(pair)
+        edges = {(keep if t == drop else t, g, keep if h == drop else h) for t, g, h in edges}
+    return len(edges) - len({0, *(v for t, _, h in edges for v in (t, h))}) + 1
+
+
+def free_basis_word(spec, w):
+    """w over a free basis of a free spec: an amalgam's edge image that is a
+    letter x^s, matched with y on the other side, is eliminated by x = y^s."""
+    if spec.kind == "free_product":
+        return w
+    for sub, other in ((spec.sub_a, spec.sub_b), (spec.sub_b, spec.sub_a)):
+        (x, s), *rest = sub.image_words[0].letters
+        if not rest and abs(s) == 1:
+            y = other.image_words[0] ** s
+            return Word.of(letter for g, e in w.letters
+                           for letter in ((y ** e).letters if g == x else ((g, e),)))
+
+
+@pytest.mark.parametrize("spec,w1,w2,rank", [
+    ("f2", "x", "y", 2), ("f2", "x^5", "x^7", 1), ("f2", "x y", "y x", 2),
+    ("f2", "x y x^-1", "x y^2 x^-1", 1), ("f2", "x x^-1", "y", 1),
+    ("f2_amalgam", "a b", "c b", 1), ("f2_amalgam", "b d", "d b", 2),
+])
+def test_folded_rank(request, spec, w1, w2, rank):
+    spec = request.getfixturevalue(spec)
+    assert folded_rank([free_basis_word(spec, W(w)) for w in (w1, w2)]) == rank
+
+
+def test_commuting_pair_fails_on_its_commutator(f2):
+    # x^5 and x^7 meet no relation of cost < 4: the walk names the commutator
+    assert certify_rank2_free(f2, W("x^5"), W("x^7"), 8) == (
+        False, "W1^1 W2^1 W1^-1 W2^-1 = 1")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_free_spec_certificates_decide_the_folded_rank(free_specs, data):
+    # from depth 4 a rank-2 certificate, and from depth 2 a semigroup one,
+    # passes exactly when the pair is a basis of a rank-2 subgroup
+    spec = data.draw(st.sampled_from(free_specs))
+    w1, w2 = draw_free_pair(data, spec)
+    basis = folded_rank([free_basis_word(spec, w) for w in (w1, w2)]) == 2
+    assert certify_rank2_free(spec, w1, w2, data.draw(st.integers(4, 10)))[0] == basis
+    assert certify_free_semigroup(spec, w1, w2, data.draw(st.integers(2, 10)))[0] == basis
 
 
 # -- elliptic pair witnesses ----------------------------------------------------
