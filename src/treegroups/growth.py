@@ -164,25 +164,6 @@ def entropy_from_counts(series: BallCountSeries) -> EntropyEstimate:
     return EntropyEstimate(lo, hi, "dp_exact", radii[-1])
 
 
-def monotonicity_check(series1: BallCountSeries, series2: BallCountSeries) -> bool:
-    """Ball nesting: with pointwise-comparable weights, the series of the
-    smaller weights dominates; True iff count1(R) >= count2(R) on the shared
-    radii.  Incomparable or missing weight vectors are rejected."""
-    if series1.weights is None or series2.weights is None:
-        raise ValueError("both series must carry their weight vectors")
-    w1, w2 = series1.weights, series2.weights
-    le = all(a <= b for a, b in zip(w1, w2))
-    ge = all(a >= b for a, b in zip(w1, w2))
-    if not (le or ge):
-        raise ValueError(f"incomparable weight vectors {w1} vs {w2}")
-    common = sorted(set(series1.radii) & set(series2.radii))
-    if not common:
-        raise ValueError("the series share no sample radii")
-    c1 = dict(zip(series1.radii, series1.counts))
-    c2 = dict(zip(series2.radii, series2.counts))
-    return all(c1[r] >= c2[r] for r in common)
-
-
 # ---------------------------------------------------------------------------
 # analytic roots
 # ---------------------------------------------------------------------------
@@ -270,16 +251,9 @@ def analytic_root_estimate(kind: str, l1, l2) -> EntropyEstimate:
 # ---------------------------------------------------------------------------
 
 
-def bcg_objective(a: float, l1, l2) -> float:
-    """((1+a) log(1+a) - a log a) / (l1 + a l2) for a > 0."""
-    if a <= 0.0:
-        raise ValueError("the objective is defined for a > 0")
-    num = (1.0 + a) * math.log1p(a) - a * math.log(a)
-    return num / (float(l1) + a * float(l2))
-
-
 def bcg_lower_bound(l1, l2) -> float:
-    """sup over a > 0 of ``bcg_objective``, which is the semigroup root.
+    """sup over a > 0 of ((1+a) log(1+a) - a log a) / (l1 + a l2), which is
+    the semigroup root.
 
     With p = 1/(1+a) the objective is H(p) / (p l1 + (1-p) l2), where
     H(p) = -p log p - (1-p) log(1-p): the entropy of a two-letter

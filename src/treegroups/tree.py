@@ -51,11 +51,6 @@ from .words import Word, shortlex
 # collects before it reports an incomplete window
 MAX_WINDOW_VERTICES = 200_000
 MAX_WINDOW_SYLLABLES = 1_000_000
-# most freely reduced edge words an acylindricity check may enumerate, and
-# most letters they hold in all (over one edge generator, L(L + 1) letters
-# for 2L + 1 words; two edge generators at length 10 hold 1,121,932)
-MAX_EDGE_WORDS = 200_000
-MAX_EDGE_LETTERS = 2_000_000
 
 
 class TreeVertex(NamedTuple):
@@ -476,21 +471,39 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
     edge), and Fix(s c s^-1) = s Fix(c) has the diameter of Fix(c).  So it
     suffices to test the elements c of C: each fixes the base edge, and the
     window of the given radius about the base vertex sees every diameter up
-    to about that radius.  The check enumerates the freely reduced words of
-    at most ``word_length`` letters over the abstract edge generators, maps
-    them into factor A, and falsifies with a witness (the image in A) if
-    some windowed fixed set has diameter > k.  Fix(c^-1) = Fix(c), so once
-    c is tested and is no witness, c^-1 (keyed by its canonical form in A)
-    is skipped: it is no witness either, so the witness, its diameter and
-    the verdict are those of walking every word.
+    to about that radius.  The check runs through the edge elements written
+    by freely reduced words of at most ``word_length`` letters over the
+    abstract edge generators, in shortlex order, maps them into factor A,
+    and falsifies with a witness (the image in A) if some windowed fixed
+    set has diameter > k.  Witness, diameter and verdict are those of
+    walking every word, yet only elements whose fixed sets can differ are
+    walked.
+
+    Lemma: if each factor is abelian, or free with C = <u> cyclic (the only
+    edge group a free factor admits), then Fix(c) = Fix(c') for all c, c'
+    in C - {1}.  The walk from A:1 (``_walk``) carries states x in C and
+    lists at x the cosets tC with t^-1 x t in C.  In an abelian factor every
+    coset does, for every x in C, and the state does not change.  In a free
+    factor t^-1 u^m t lies in <u> exactly when t centralizes u, whatever
+    m != 0 is, so a child's state is the m-th power of the state for u.
+    Either way the walks of all c != 1 list the same cosets in the same
+    order.  So without a table factor the first nontrivial element decides
+    and is the only one walked.
+
+    With a table factor C is finite, and each element is walked once:
+    ``shortlex`` keys the words by their image in that factor, so a word
+    spelling an element met before is neither yielded nor extended.  Every
+    prefix of a shortlex-least word is shortlex-least for its own element,
+    so each element comes once, at its least word, in the order the
+    every-word walk first meets it, and the levels end when one adds no
+    element.  Fix(c^-1) = Fix(c), so once c is tested and is no witness,
+    c^-1 (keyed by its canonical form in A) is skipped; its word is still
+    extended.  So any ``word_length`` costs one walk, or on tables at most
+    one per inverse pair of C - {1}.
 
     "consistent" is not a proof, except for trivial edge subgroups, where
     every nontrivial elliptic element fixes a single vertex (factors of a
     free product are malnormal) and the verdict is certified for every k >= 0.
-    A word length whose words number more than ``MAX_EDGE_WORDS``, or hold
-    more than ``MAX_EDGE_LETTERS`` letters in all, is an input error: there
-    are 1 + sum_{l <= L} 2r(2r-1)^(l-1) of them for r edge generators, and
-    the l-letter ones are built by copying, so the letters bound the work.
     """
     check_nonnegative("k", k)
     check_nonnegative("word length", word_length)
@@ -501,27 +514,21 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
             "consistent", k, word_length, radius, None, None, True,
             "trivial edge stabilizers: every nontrivial elliptic element "
             "fixes exactly one vertex, so the action is 0-acylindrical")
-    rank, count, letters, level = len(spec.edge_gens), 1, 0, 2 * len(spec.edge_gens)
-    for length in range(1, word_length + 1):  # count grows by 2 or more per length
-        count, letters = count + level, letters + level * length
-        if count > MAX_EDGE_WORDS:
-            raise ValueError(f"word length {word_length} over {rank} edge generators "
-                             f"enumerates more than {MAX_EDGE_WORDS} edge words")
-        if letters > MAX_EDGE_LETTERS:
-            raise ValueError(f"word length {word_length} over {rank} edge generators "
-                             f"enumerates more than {MAX_EDGE_LETTERS} letters")
-        level *= 2 * rank - 1
-    seen = set()
-    for cw in shortlex(range(rank), word_length):
+    tables = [sub for sub in (spec.sub_a, spec.sub_b) if sub.oracle.kind == "table"]
+    key = (lambda cw: tables[0].embed(cw).letters) if tables else None
+    skipped = set()
+    for cw in shortlex(range(len(spec.edge_gens)), word_length, key):
         c = spec.sub_a.embed(cw)
-        if c.is_empty or c.letters in seen:
+        if c.is_empty or c.letters in skipped:
             continue
-        seen.update((c.letters, spec.factor_a._reduce(c.inverse()).letters))
+        skipped.add(spec.factor_a._reduce(c.inverse()).letters)
         diam = fix_diameter_lb(spec, c, radius)
         if diam > k:
             return AcylindricityCheck(
                 "falsified", k, word_length, radius, c, diam, True,
                 f"elliptic witness {c} has windowed fixed-set diameter {diam} > {k}")
+        if not tables:
+            break
     return AcylindricityCheck(
         "consistent", k, word_length, radius, None, None, False,
         f"no edge-group element of word length <= {word_length} violates "

@@ -74,12 +74,15 @@ def z2_amalgam():
 
 
 
+def cyclic_table(n, prefix):
+    """Element names and multiplication table of Z/n."""
+    return ([f"{prefix}{i}" for i in range(n)],
+            [[(i + j) % n for j in range(n)] for i in range(n)])
+
+
 @pytest.fixture(scope="session")
 def z4z6_table():
     # Z/4 *_{Z/2} Z/6 with both factors given as multiplication tables
-    def cyclic_table(n, prefix):
-        return ([f"{prefix}{i}" for i in range(n)],
-                [[(i + j) % n for j in range(n)] for i in range(n)])
     return SplittingSpec("amalgam", make_table(*cyclic_table(4, "r"), group_id="A"),
                          make_table(*cyclic_table(6, "s"), group_id="B"),
                          ["t"], [W("r2")], [W("s3")])

@@ -202,45 +202,19 @@ def test_acyl_check_exit_codes(capsys):
     assert doc["verdict"] == "falsified" and doc["witness"] == "a^2"
 
 
-def test_acyl_check_rejects_too_many_edge_words(capsys, tmp_path):
-    # 1 + 2 (3^40 - 1) words over two edge generators: rejected before any is walked
-    group = tmp_path / "z2_by_z2.json"
-    group.write_text(json.dumps({
-        "kind": "amalgam",
-        "factors": [{"type": "free_abelian", "rank": 2, "gens": ["x", "y"]},
-                    {"type": "free_abelian", "rank": 2, "gens": ["u", "v"]}],
-        "edge": {"generators": ["s", "t"], "into_A": ["x", "y"], "into_B": ["u", "v"]}}))
-    rc, out, err = invoke(capsys, "acyl-check", "--group", str(group), "--k", "2",
-                          "--length", "40")
-    assert rc == EXIT_INPUT and out == ""
-    assert err.splitlines() == [f"error: word length 40 over 2 edge generators enumerates "
-                                f"more than {tree.MAX_EDGE_WORDS} edge words"]
-
-
-def test_acyl_check_rejects_too_many_edge_letters(capsys, monkeypatch):
-    # over one edge generator, length L makes 2L + 1 words of L(L + 1) letters
-    monkeypatch.setattr(tree, "MAX_EDGE_LETTERS", 30)
-    argv = ["acyl-check", "--group", data("klein.json"), "--k", "20"]
-    assert invoke(capsys, *argv, "--length", "5")[0] == EXIT_OK
-    rc, out, err = invoke(capsys, *argv, "--length", "6")
-    assert rc == EXIT_INPUT and out == ""
-    assert err.splitlines() == ["error: word length 6 over 1 edge generators enumerates "
-                                "more than 30 letters"]
-
-
-def test_acyl_check_admits_two_edge_generators_at_length_10(capsys, monkeypatch, tmp_path):
-    # Z^2 *_{Z^2} Z^2 at length 10: 118,097 words of 1,121,932 letters pass
-    # both limits (the walk itself, skipped here, takes about 1.5 s)
-    monkeypatch.setattr(tree, "shortlex", lambda symbols, max_len: iter(()))
-    group = tmp_path / "z2_by_z2.json"
-    group.write_text(json.dumps({
-        "kind": "amalgam",
-        "factors": [{"type": "free_abelian", "rank": 2, "gens": ["x", "y"]},
-                    {"type": "free_abelian", "rank": 2, "gens": ["u", "v"]}],
-        "edge": {"generators": ["s", "t"], "into_A": ["x", "y"], "into_B": ["u", "v"]}}))
-    rc, out, _ = invoke(capsys, "acyl-check", "--group", str(group), "--k", "2",
-                        "--length", "10")
-    assert rc == EXIT_OK and out.startswith("consistent with k=2")
+@pytest.mark.parametrize("group, k", [("klein.json", 5), ("f2_amalgam.json", 2)])
+def test_acyl_check_at_length_1000000_walks_one_edge_element(capsys, monkeypatch, group, k):
+    # no table factor: every nontrivial edge element has the fixed set of the
+    # first, so any length walks one window and answers as length 5 does
+    argv = ["acyl-check", "--group", data(group), "--k", str(k), "--json"]
+    rc, out, _ = invoke(capsys, *argv, "--length", "5")
+    want = json.loads(out)
+    calls = count_calls(monkeypatch, tree, "_fixed_window")
+    rc_long, out, _ = invoke(capsys, *argv, "--length", "1000000")
+    got = json.loads(out)
+    assert rc_long == rc and len(calls) == 1
+    assert [got[key] for key in ("verdict", "witness", "witness_diameter", "certified")] == \
+        [want[key] for key in ("verdict", "witness", "witness_diameter", "certified")]
 
 
 def test_bounds_compares_the_cases_once(capsys, monkeypatch):

