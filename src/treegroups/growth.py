@@ -45,7 +45,6 @@ def _check_weights(l1, l2) -> Tuple[Fraction, Fraction]:
 class _BallCountFields(NamedTuple):
     radii: Tuple[float, ...]
     counts: Tuple[int, ...]
-    weights: Optional[Tuple[float, float]] = None
 
 
 class BallCountSeries(_BallCountFields):
@@ -132,8 +131,7 @@ def ball_series(kind: str, l1, l2, radius) -> BallCountSeries:
             shells[bisect.bisect_left(scaled, i * a + j * b)] += n
         prev = row
     counts = tuple(itertools.accumulate(shells))
-    return BallCountSeries(tuple(float(x) for x in radii), counts,
-                           (float(l1), float(l2)))
+    return BallCountSeries(tuple(float(x) for x in radii), counts)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ factors pay for compiling them too.
 Designated subgroups carry the extra structure amalgams need.  One query,
 ``split(x) -> (rep, cw)``, writes x = rep * embed(cw) with rep the canonical
 representative of the left coset xH (empty exactly when x lies in H) and cw
-a word over the subgroup generators; membership and coset representatives
-are read off it.  Each kind lists its canonical coset representatives
+a word over the subgroup generators.  Callers read membership (an empty
+rep) and coset representatives off it; there is no separate query for
+either.  Each kind lists its canonical coset representatives
 lazily, in one fixed order, through ``cosets()``, and solves "which
 conjugators push this element into the subgroup", which fixed-point sets on
 the coset tree use.  ``_capped`` is the one place a coset or conjugator list
@@ -141,13 +142,14 @@ class DesignatedSubgroup:
 
     ``image_words`` are the canonical images of the abstract subgroup
     generators inside the ambient oracle.  Each kind implements only
-    ``_split``; ``split``, membership and coset representatives read it.
+    ``_split``; callers read membership (x lies in H exactly when
+    ``split(x)[0]`` is empty) and the coset representative ``split(x)[0]``
+    off ``split``.
     """
 
     def __init__(self, oracle: "GroupOracle", image_words: Sequence[Word]):
         self.oracle = oracle
         self.image_words = tuple(oracle.canonical(w) for w in image_words)
-        self._transversals: dict = {}  # cap -> (reps, complete)
 
     def split(self, x: Word) -> Tuple[Word, CWord]:
         """Return (rep, cw) with x = rep * embed(cw).
@@ -162,12 +164,6 @@ class DesignatedSubgroup:
         """``split`` for any word over the ambient generators, unchecked."""
         raise NotImplementedError
 
-    def contains(self, x: Word) -> bool:
-        return self.split(x)[0].is_empty
-
-    def coset_rep(self, x: Word) -> Word:
-        return self.split(x)[0]
-
     def index(self) -> Optional[int]:
         """Subgroup index, or None when infinite."""
         raise NotImplementedError
@@ -179,16 +175,11 @@ class DesignatedSubgroup:
     def transversal(self, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         """The first ``cap`` coset reps, and whether they are all of them.
 
-        With no cap an infinite index lists ``NEIGHBOR_CAP`` reps.  The tree
-        walks ask once per vertex, so each cap is built once; callers get a
-        list of their own.
+        With no cap an infinite index lists ``NEIGHBOR_CAP`` reps.
         """
         if cap is None and self.index() is None:
             cap = NEIGHBOR_CAP
-        if cap not in self._transversals:
-            self._transversals[cap] = _capped(self.cosets(), cap)
-        reps, complete = self._transversals[cap]
-        return list(reps), complete
+        return _capped(self.cosets(), cap)
 
     def conjugator_cosets(self, x: Word, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         """All transversal reps t with t^-1 x t in the subgroup.
@@ -255,7 +246,7 @@ class _ResidueSubgroup(DesignatedSubgroup):
 
     def conjugator_cosets(self, x: Word, cap: Optional[int] = None) -> Tuple[List[Word], bool]:
         # abelian ambient group: t^-1 x t = x for every t
-        if self.contains(x):
+        if self.split(x)[0].is_empty:
             return self.transversal(cap)
         return [], True
 
@@ -369,30 +360,17 @@ class GroupOracle:
         """``canonical`` for a word over this group's generators, unchecked."""
         raise NotImplementedError
 
-    def is_identity(self, w: Word) -> bool:
-        return self.canonical(w).is_empty
-
-    def multiply(self, u: Word, v: Word) -> Word:
-        return self.canonical(u * v)
-
-    def invert(self, u: Word) -> Word:
-        return self.canonical(u.inverse())
-
     def order(self) -> Optional[int]:
         """Group order; None when infinite."""
         return None
 
     def element_order(self, w: Word) -> Optional[int]:
-        raise NotImplementedError
-
-    def enumerate_elements(self) -> Iterator[Word]:
-        raise OracleError(f"{self.kind} group is not finitely enumerable")
+        """Order of w; None when infinite.  This default is for torsion-free
+        kinds, where only the identity has finite order."""
+        return 1 if self.canonical(w).is_empty else None
 
     def designated_subgroup(self, image_words: Sequence[Word]) -> DesignatedSubgroup:
         raise NotImplementedError
-
-    def trivial_subgroup(self) -> DesignatedSubgroup:
-        return self.designated_subgroup([])
 
 
 class CyclicOracle(GroupOracle):
@@ -420,10 +398,6 @@ class CyclicOracle(GroupOracle):
     def element_order(self, w: Word) -> int:
         e = self._exponent(self._check(w))
         return self.n // gcd(self.n, e) if e else 1
-
-    def enumerate_elements(self) -> Iterator[Word]:
-        for e in range(self.n):
-            yield self._from_exponent(e)
 
     def designated_subgroup(self, image_words: Sequence[Word]) -> DesignatedSubgroup:
         return _ResidueSubgroup(self, image_words, self.n)
@@ -461,9 +435,6 @@ class FreeOracle(GroupOracle):
         return (w.letter_length(),
                 tuple((s, 0, abs(e)) if nxt < s else (s, 1, -abs(e))
                       for s, (_, e), nxt in zip(syms, w.letters, syms[1:] + [2 * self.rank])))
-
-    def element_order(self, w: Word) -> Optional[int]:
-        return 1 if self.canonical(w).is_empty else None
 
     def designated_subgroup(self, image_words: Sequence[Word]) -> DesignatedSubgroup:
         if self.rank == 1:

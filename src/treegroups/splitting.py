@@ -87,8 +87,8 @@ class SplittingSpec:
             if edge_gens or into_a or into_b:
                 raise SpecError("free products take no edge data")
             self.edge_gens: Tuple[str, ...] = ()
-            self.sub_a = factor_a.trivial_subgroup()
-            self.sub_b = factor_b.trivial_subgroup()
+            self.sub_a = factor_a.designated_subgroup(())
+            self.sub_b = factor_b.designated_subgroup(())
         else:
             if not edge_gens:
                 raise SpecError("amalgams need at least one edge generator")
@@ -140,10 +140,7 @@ class SplittingSpec:
 
     def edge_index(self, side: str) -> Optional[int]:
         """Index of the edge subgroup in the given factor (None = infinite)."""
-        idx = self.subgroup(side).index()
-        if idx is not None:
-            return idx
-        return self.factor(side).order()  # None stays None
+        return self.subgroup(side).index()
 
     def parse_word(self, text: str) -> Word:
         """Parse a word, substituting edge-generator letters by their A-images."""

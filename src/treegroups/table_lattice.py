@@ -147,8 +147,14 @@ class _LatticeSubgroup(DesignatedSubgroup):
 class TableOracle(GroupOracle):
     """Finite group by multiplication table; element 0 is the identity.
 
-    Validated eagerly: closure, identity, inverses, and associativity
-    (exhaustively up to order 64, on 512 random triples beyond that).
+    Validated eagerly: closure, identity, inverses and associativity.  By
+    Light's test (Clifford and Preston, The Algebraic Theory of Semigroups
+    I, section 1.2) the elements g with (x g) y = x (g y) for all x, y are
+    closed under products, so the table is associative once each element
+    of a generating set passes.  Each generator is the least element that
+    the earlier ones do not reach; in a group each one at least doubles the
+    subgroup they generate, so a table that needs more than log2(order) of
+    them is not a group.  The check costs O(order^2 log(order)).
     """
 
     kind = "table"
@@ -160,33 +166,39 @@ class TableOracle(GroupOracle):
             raise OracleError("table elements must be nonempty and distinct")
         if len(table) != m or any(len(row) != m for row in table):
             raise OracleError("multiplication table must be square of the group order")
+        valid = set(range(m))
         for row in table:
-            for v in row:
-                if not (0 <= v < m):
-                    raise OracleError(f"table entry {v} out of range (closure fails)")
-        for i in range(m):
-            if table[0][i] != i or table[i][0] != i:
-                raise OracleError("element 0 is not an identity")
-        inv = [None] * m
-        for i in range(m):
-            for j in range(m):
-                if table[i][j] == 0 and table[j][i] == 0:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
+            if not valid.issuperset(row):
+                v = next(v for v in row if v not in valid)
+                raise OracleError(f"table entry {v!r} out of range (closure fails)")
+        table = [list(row) for row in table]
+        if table[0] != list(range(m)) or any(row[0] != i for i, row in enumerate(table)):
+            raise OracleError("element 0 is not an identity")
+        inv = []
+        for i, row in enumerate(table):
+            j = row.index(0) if 0 in row else None
+            if j is None or table[j][i] != 0:
                 raise OracleError(f"element {elements[i]!r} has no inverse")
-        if m <= 64:
-            triples = itertools.product(range(m), repeat=3)
-        else:
-            import random
-            rng = random.Random(0)
-            triples = ((rng.randrange(m), rng.randrange(m), rng.randrange(m))
-                       for _ in range(512))
-        for a, b, c in triples:
-            if table[table[a][b]][c] != table[a][table[b][c]]:
+            inv.append(j)
+        gens: List[int] = []
+        reached = {0}
+        while len(reached) < m:
+            g = min(valid - reached)
+            gens.append(g)
+            # (x g) y == x (g y) for every row x at once, y running over the columns
+            if 2 ** len(gens) > m or any(table[row[g]] != [row[z] for z in table[g]]
+                                         for row in table):
                 raise OracleError("multiplication table is not associative")
+            stack = list(reached)
+            while stack:
+                a = stack.pop()
+                for h in gens:
+                    b = table[a][h]
+                    if b not in reached:
+                        reached.add(b)
+                        stack.append(b)
         super().__init__(list(elements), group_id)
-        self.table = [list(row) for row in table]
+        self.table = table
         self._inv = inv
         self._idx = {name: i for i, name in enumerate(elements)}
 
@@ -222,10 +234,6 @@ class TableOracle(GroupOracle):
         i = self._index_of(self._check(w))
         return 1 if i == 0 else self._elt_order(i)
 
-    def enumerate_elements(self) -> Iterator[Word]:
-        for i in range(self.order()):
-            yield self._from_index(i)
-
     def designated_subgroup(self, image_words: Sequence[Word]) -> DesignatedSubgroup:
         return _TableSubgroup(self, image_words)
 
@@ -251,9 +259,6 @@ class FreeAbelianOracle(GroupOracle):
 
     def _reduce(self, w: Word) -> Word:
         return self._from_vector(self._vector(w))
-
-    def element_order(self, w: Word) -> Optional[int]:
-        return 1 if self.canonical(w).is_empty else None
 
     def designated_subgroup(self, image_words: Sequence[Word]) -> DesignatedSubgroup:
         return _LatticeSubgroup(self, image_words)

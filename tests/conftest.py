@@ -146,7 +146,7 @@ def random_elliptic(spec, rng: random.Random, max_conj_len: int = 3) -> Word:
         side = rng.choice(["A", "B"])
         factor = spec.factor(side)
         s = random_word(rng, factor.gen_names, 2)
-        if factor.is_identity(s):
+        if factor.canonical(s).is_empty:
             continue
         conj = random_word(rng, spec.gen_names, max_conj_len)
         return conj * s * conj.inverse()

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +15,7 @@ from conftest import count_calls
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
 GOLDEN = os.path.join(HERE, "golden")
+SRC = os.path.join(HERE, os.pardir, "src")
 
 
 def data(name):
@@ -241,6 +244,21 @@ def test_free_witness(capsys):
     assert doc["certified"]
 
 
+def test_free_witness_needs_k_on_an_amalgam_without_declared_k(capsys):
+    rc, out, err = invoke(capsys, "free-witness", "--group", data("klein.json"),
+                          "--g1", "a", "--g2", "b")
+    assert rc == EXIT_INPUT and not out and "acylindricity constant is required" in err
+
+
+def test_free_witness_takes_the_elliptic_element_from_either_side(capsys):
+    # g1 hyperbolic and g2 elliptic is the swapped elliptic-hyperbolic case
+    argv = ["free-witness", "--group", data("z2z3.json"), "--k", "1", "--json"]
+    swapped = invoke(capsys, *argv, "--g1", "a b", "--g2", "a")
+    assert swapped[0] == EXIT_OK
+    assert swapped == invoke(capsys, *argv, "--g1", "a", "--g2", "a b")
+    assert json.loads(swapped[1])["case"] == "elliptic_hyperbolic"
+
+
 @pytest.mark.parametrize("witness,flags", [("witness_hyperbolic_pair", []),
                                            ("semigroup_witness", ["--semigroup"])])
 def test_free_witness_certification_failure_is_input_error(capsys, monkeypatch,
@@ -298,6 +316,34 @@ def test_dichotomy_bound_attachment(capsys):
     assert rc == EXIT_OK
     doc = json.loads(out)
     assert doc["bound_report"]["volume_lb"] is None
+
+
+def test_dichotomy_not_applicable_human(capsys, tmp_path):
+    manifold = tmp_path / "spherical.json"
+    manifold.write_text(json.dumps({
+        "orientable": True, "torsionless": True, "boundary": "spherical_present",
+        "prime_pieces": [{"kind": "s2xs1"}]}))
+    rc, out, _ = invoke(capsys, "dichotomy", str(manifold))
+    assert rc == EXIT_VERDICT
+    assert out.startswith("not applicable: spherical boundary components present")
+
+
+def test_non_group_table_fails_at_load(tmp_path):
+    # Z/100 with row 20, column 1 set to 10, free product with Z/2: e1's
+    # powers would cycle without reaching the identity
+    table = [[(i + j) % 100 for j in range(100)] for i in range(100)]
+    table[20][1] = 10
+    group = tmp_path / "bad_z100_z2.json"
+    group.write_text(json.dumps({"kind": "free_product", "factors": [
+        {"type": "table", "elements": [f"e{i}" for i in range(100)], "table": table},
+        {"type": "cyclic", "order": 2, "gens": ["b"]}]}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-m", "treegroups.cli", "classify", "--group",
+                          str(group), "--element", "e1 b"],
+                         env=env, capture_output=True, text=True, timeout=2)
+    assert out.returncode == EXIT_INPUT and not out.stdout
+    assert "not associative" in out.stderr
 
 
 def test_input_errors(capsys):

@@ -377,13 +377,10 @@ def test_bcg_proof_step_inequality():
             assert float(l1) >= (1.0 / e_star) * math.exp(-e_star * float(l2)) - 1e-11
 
 
-def monotonicity_check(series1: BallCountSeries, series2: BallCountSeries) -> bool:
-    """Ball nesting: with pointwise-comparable weights, the series of the
-    smaller weights dominates; True iff count1(R) >= count2(R) on the shared
-    radii.  Incomparable or missing weight vectors are rejected."""
-    if series1.weights is None or series2.weights is None:
-        raise ValueError("both series must carry their weight vectors")
-    w1, w2 = series1.weights, series2.weights
+def monotonicity_check(series1: BallCountSeries, w1, series2: BallCountSeries, w2) -> bool:
+    """Ball nesting: with pointwise-comparable weight vectors w1 and w2, the
+    series of the smaller weights dominates; True iff count1(R) >= count2(R)
+    on the shared radii.  Incomparable weight vectors are rejected."""
     le = all(a <= b for a, b in zip(w1, w2))
     ge = all(a >= b for a, b in zip(w1, w2))
     if not (le or ge):
@@ -399,10 +396,10 @@ def monotonicity_check(series1: BallCountSeries, series2: BallCountSeries) -> bo
 def test_monotonicity_check():
     s_small = ball_series("group", 1, 1, 8)
     s_large = ball_series("group", 1, 2, 8)
-    assert monotonicity_check(s_small, s_large)
-    assert monotonicity_check(s_small, s_small)
+    assert monotonicity_check(s_small, (1, 1), s_large, (1, 2))
+    assert monotonicity_check(s_small, (1, 1), s_small, (1, 1))
     incomparable = ball_series("group", 2, 1, 8)
     with pytest.raises(ValueError):
-        monotonicity_check(ball_series("group", 1, 3, 8), incomparable)
+        monotonicity_check(ball_series("group", 1, 3, 8), (1, 3), incomparable, (2, 1))
     with pytest.raises(ValueError):
-        monotonicity_check(BallCountSeries((0.0,), (1,)), s_small)
+        monotonicity_check(BallCountSeries((0.5,), (1,)), (1, 1), s_small, (1, 1))

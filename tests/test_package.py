@@ -1,6 +1,8 @@
 """The package's public names, which layers a CLI call loads, and how its
 records behave."""
 
+import ast
+import glob
 import importlib
 import inspect
 import json
@@ -134,6 +136,17 @@ def test_subcommands_load_only_their_layers(tmp_path):
 
 
 # -- records are NamedTuples ------------------------------------------------------
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml requires Python >= 3.10, so no file may use later syntax
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    paths = sorted(glob.glob(os.path.join(root, "src", "**", "*.py"), recursive=True) +
+                   glob.glob(os.path.join(root, "tests", "**", "*.py"), recursive=True))
+    assert len(paths) > 20
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=path, feature_version=(3, 10))
+
 
 def test_record_hashes_are_the_hashes_of_their_field_tuples():
     # the frozen dataclasses hashed the same tuples, so set and dict

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegroups.oracles import make_cyclic, make_table
+from treegroups.oracles import make_cyclic, make_free, make_table
 from treegroups.splitting import (HnnNotSupportedError, SpecError,
                                   SplittingSpec, classify_elementarity,
                                   load_spec, spec_from_dict)
@@ -202,6 +202,19 @@ def test_elementarity(z2z3, z2z2, triv_z5, klein, f2_amalgam):
     assert classify_elementarity(triv_z5).verdict == "elliptic_action"
     assert classify_elementarity(klein).verdict == "linear_action"
     assert classify_elementarity(f2_amalgam).verdict == "non_elementary"
+
+
+def test_rank1_free_factor_with_a_negative_edge_image():
+    # <a, b | a^-2 = b^2>: <a^-2> in Z = F(a) flips the sign of its Bezout
+    # coefficient with the residue
+    spec = SplittingSpec("amalgam", make_free(1, ["a"], "A"), make_free(1, ["b"], "B"),
+                         ["t"], [W("a^-2")], [W("b^2")])
+    assert spec.edge_index("A") == 2
+    assert spec.sub_a.split(W("a^4")) == (Word(), ((0, -2),))
+    assert spec.sub_a.split(W("a^-5")) == (W("a"), ((0, 3),))
+    assert spec.is_trivial(W("a^2 b^2")) and not spec.is_trivial(W("a^2 b^-2"))
+    nf = spec.normal_form(W("a^-3 b^4"))
+    assert [str(s.word) for s in nf.syllables] == ["a"] and nf.tail == ((0, 4),)  # a^-7
 
 
 def test_elementarity_amalgam_with_index_one():

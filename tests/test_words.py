@@ -25,6 +25,11 @@ def test_parse_rejects_garbage():
             W(bad)
 
 
+def test_parse_drops_zero_exponents():
+    assert W("a^0 b") == W("b") and W("a^0 b").letters == (("b", 1),)
+    assert W("b^0") == Word()
+
+
 def test_merge_cascades():
     # (x y) (y^-1 x) collapses to x^2
     assert W("x y") * W("y^-1 x") == W("x^2")
