@@ -31,8 +31,16 @@ def _validate_ed(E: float, D: float) -> None:
         raise ValueError(f"E and D must be positive and finite, got E={E}, D={D}")
 
 
+def _is_whole(x: float, least: int) -> bool:
+    """Whether x is a whole number >= least; infinities and NaN are not."""
+    try:
+        return int(x) == x >= least
+    except (OverflowError, ValueError):  # int() of an infinity, of NaN
+        return False
+
+
 def _validate_k(k: int) -> None:
-    if int(k) != k or k < 0:
+    if not _is_whole(k, 0):
         raise ValueError(f"k must be a nonnegative integer, got {k}")
 
 
@@ -90,7 +98,7 @@ def volume_lower_bound(E: float, D: float, k: int, n: int = 3,
 
 
 def _validate_volume(n: int, C_n: float) -> None:
-    if int(n) != n or n < 1:
+    if not _is_whole(n, 1):
         raise ValueError(f"dimension must be a positive integer, got {n}")
     if not 0 < C_n < math.inf:
         raise ValueError(f"C_n must be positive and finite, got {C_n}")

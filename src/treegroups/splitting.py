@@ -17,7 +17,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .oracles import (CWord, DesignatedSubgroup, GroupOracle, OracleError,
                       make_cyclic, make_free, make_free_abelian, make_table)
-from .words import Word, WordError, shortlex, valid_gen_name
+from .words import Word, WordError, valid_gen_name
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -115,16 +115,20 @@ class SplittingSpec:
     # -- construction helpers ------------------------------------------------
 
     def _check_edge_identification(self) -> None:
-        """Bounded isomorphism sanity check: short edge words are trivial on
-        one side iff trivial on the other (reduced words up to length 4, at
-        most 5000 of them)."""
-        for cw in itertools.islice(shortlex(range(len(self.edge_gens)), 4), 5000):
-            ta = self.sub_a.embed(cw).is_empty
-            tb = self.sub_b.embed(cw).is_empty
-            if ta != tb:
-                raise SpecError(
-                    "edge embeddings do not identify isomorphic subgroups "
-                    f"(edge word {cw} is trivial on one side only)")
+        """The edge maps identify isomorphic subgroups exactly when the maps
+        phi_A, phi_B from the free group on the edge generators have one
+        kernel: for one generator, when its images have one order."""
+        a, b = self.sub_a, self.sub_b
+        if len(self.edge_gens) == 1:
+            same = (self.factor_a.element_order(a.image_words[0])
+                    == self.factor_b.element_order(b.image_words[0]))
+        elif tables := [s.oracle.order() for s in (a, b) if s.oracle.kind == "table"]:
+            same = _pairs_match(a, b, tables[0])
+        else:
+            same = _kernel_dies(a, b) and _kernel_dies(b, a)
+        if not same:
+            raise SpecError("edge embeddings do not identify isomorphic subgroups "
+                            "(some edge word is trivial on one side only)")
 
     # -- basic queries ---------------------------------------------------------
 
@@ -206,6 +210,37 @@ class SplittingSpec:
 
     def is_trivial(self, w: Word) -> bool:
         return self.normal_form(w).is_trivial
+
+
+def _pairs_match(a: DesignatedSubgroup, b: DesignatedSubgroup, bound: int) -> bool:
+    """Whether the pairs (phi_A(w), phi_B(w)), reached by right products (a
+    finite monoid in a group is a group), number at most ``bound`` and match
+    each element of either side with one of the other."""
+    seen = frontier = {(Word(), Word())}
+    while frontier and len(seen) <= bound:
+        frontier = {(a.oracle._reduce(x * ga), b.oracle._reduce(y * gb)) for x, y in frontier
+                    for ga, gb in zip(a.image_words, b.image_words)} - seen
+        seen = seen | frontier
+    return len(seen) == len({x for x, _ in seen}) == len({y for _, y in seen}) <= bound
+
+
+def _images(sub: DesignatedSubgroup) -> Tuple[List[List[int]], int]:
+    """Images as exponent vectors, and their modulus (a cyclic order, else 0)."""
+    if sub.oracle.kind == "free_abelian":
+        return [list(sub.oracle._vector(w)) for w in sub.image_words], 0
+    return [[r] for r in sub.residues], sub.modulus
+
+
+def _kernel_dies(x: DesignatedSubgroup, y: DesignatedSubgroup) -> bool:
+    """Whether phi_y kills the kernel of phi_x (abelian factors): row reduction
+    zeroes rows of phi_x's images and modulus, whose coefficients span it."""
+    from .table_lattice import _echelon
+    (xs, mx), (ys, my) = _images(x), _images(y)
+    n = len(xs[0])  # mx is 0 unless n is 1
+    rows = xs + [[mx] * n]
+    images = ([sum(c * v[i] for c, v in zip(row[n:], ys)) for i in range(len(ys[0]))]
+              for row in rows[len(_echelon(rows, n)):])
+    return not any(e % my if my else e for image in images for e in image)
 
 
 # ---------------------------------------------------------------------------

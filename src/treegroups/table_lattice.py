@@ -18,6 +18,34 @@ from .oracles import (CWord, DesignatedSubgroup, GroupOracle, OracleError,
 from .words import Word
 
 
+def _echelon(rows: List[List[int]], n: int) -> List[Tuple[int, int]]:
+    """Bring integer ``rows`` to row echelon (Hermite-style) form on their
+    first n columns, in place, and return the (row, col) pivots.  Each row
+    gets a unit vector appended first, so the trailing columns track the
+    unimodular transform: the rows past the pivots vanish on the first n
+    columns, and their trailing parts generate the kernel of the input rows."""
+    k = len(rows)
+    for i, row in enumerate(rows):
+        row += [int(i == j) for j in range(k)]
+    pivots: List[Tuple[int, int]] = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, k) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, k):
+            while rows[i][col] != 0:
+                q = rows[r][col] // rows[i][col]
+                rows[r] = [a - q * b for a, b in zip(rows[r], rows[i])]
+                rows[r], rows[i] = rows[i], rows[r]
+        if rows[r][col] < 0:
+            rows[r] = [-a for a in rows[r]]
+        pivots.append((r, col))
+        r += 1
+    return pivots
+
+
 # ---------------------------------------------------------------------------
 # designated subgroups
 # ---------------------------------------------------------------------------
@@ -40,7 +68,8 @@ class _TableSubgroup(DesignatedSubgroup):
                             decomp[tgt] = decomp[a] + ((gi, step),)
                             nxt.append(tgt)
             frontier = nxt
-        self._decomp = decomp
+        # the least edge word of each element of H, in shortlex order
+        self.words = tuple(decomp.values())
         # element x splits as (x h) h^-1 for the h in H that minimises x h
         self._splits = []
         for x in range(oracle.order()):
@@ -52,7 +81,7 @@ class _TableSubgroup(DesignatedSubgroup):
         return self._splits[self.oracle._index_of(x)]
 
     def index(self) -> Optional[int]:
-        return self.oracle.order() // len(self._decomp)
+        return self.oracle.order() // len(self.words)
 
     def cosets(self) -> Iterator[Word]:
         return iter(self._reps)
@@ -63,36 +92,9 @@ class _LatticeSubgroup(DesignatedSubgroup):
 
     def __init__(self, oracle: "FreeAbelianOracle", image_words: Sequence[Word]):
         super().__init__(oracle, image_words)
-        n = oracle.rank
-        k = len(self.image_words)
-        rows = [list(oracle._vector(w)) + unit for w, unit in
-                zip(self.image_words, ([0] * i + [1] + [0] * (k - i - 1) for i in range(k)))]
-        # integer row echelon (Hermite-style) on the first n columns,
-        # transform tracked in the trailing k columns
-        pivots: List[Tuple[int, int]] = []  # (row, col)
-        r = 0
-        for col in range(n):
-            piv = None
-            for i in range(r, k):
-                if rows[i][col] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(r + 1, k):
-                while rows[i][col] != 0:
-                    q = rows[r][col] // rows[i][col]
-                    rows[r] = [a - q * b for a, b in zip(rows[r], rows[i])]
-                    rows[r], rows[i] = rows[i], rows[r]
-            if rows[r][col] < 0:
-                rows[r] = [-a for a in rows[r]]
-            pivots.append((r, col))
-            r += 1
-        self.rows = rows
-        self.pivots = pivots
-        self.n = n
-        self.k = k
+        self.n, self.k = oracle.rank, len(self.image_words)
+        self.rows = [list(oracle._vector(w)) for w in self.image_words]
+        self.pivots = _echelon(self.rows, self.n)
 
     def _split_vector(self, vec: Sequence[int]) -> Tuple[List[int], List[int]]:
         """(remainder, coeffs) with vec = remainder + sum coeffs[j] * generator j;
@@ -167,10 +169,11 @@ class TableOracle(GroupOracle):
         if len(table) != m or any(len(row) != m for row in table):
             raise OracleError("multiplication table must be square of the group order")
         valid = set(range(m))
-        for row in table:
-            if not valid.issuperset(row):
-                v = next(v for v in row if v not in valid)
-                raise OracleError(f"table entry {v!r} out of range (closure fails)")
+        for row in table:  # 1.0 and True are equal to 1, so the types are checked too
+            if not (all(type(v) is int for v in row) and valid.issuperset(row)):
+                v = next(v for v in row if type(v) is not int or v not in valid)
+                raise OracleError(f"table entry {v!r} is not an element index 0..{m - 1} "
+                                  "(closure fails)")
         table = [list(row) for row in table]
         if table[0] != list(range(m)) or any(row[0] != i for i, row in enumerate(table)):
             raise OracleError("element 0 is not an identity")

@@ -45,7 +45,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .oracles import NEIGHBOR_CAP
 from .splitting import SIDE_A, NormalForm, SplittingSpec, Syllable, other_side
-from .words import Word, shortlex
+from .words import Word
 
 # most vertices, and most syllables summed over their names, a window
 # collects before it reports an incomplete window
@@ -471,13 +471,12 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
     edge), and Fix(s c s^-1) = s Fix(c) has the diameter of Fix(c).  So it
     suffices to test the elements c of C: each fixes the base edge, and the
     window of the given radius about the base vertex sees every diameter up
-    to about that radius.  The check runs through the edge elements written
-    by freely reduced words of at most ``word_length`` letters over the
-    abstract edge generators, in shortlex order, maps them into factor A,
-    and falsifies with a witness (the image in A) if some windowed fixed
-    set has diameter > k.  Witness, diameter and verdict are those of
-    walking every word, yet only elements whose fixed sets can differ are
-    walked.
+    to about that radius.  The check walks edge elements, maps them into
+    factor A, and falsifies with a witness (the image in A) if some windowed
+    fixed set has diameter > k.  Witness, diameter and verdict are those of
+    walking, in shortlex order, every edge element written by a freely
+    reduced word of at most ``word_length`` letters over the abstract edge
+    generators; only elements whose fixed sets can differ are walked.
 
     Lemma: if each factor is abelian, or free with C = <u> cyclic (the only
     edge group a free factor admits), then Fix(c) = Fix(c') for all c, c'
@@ -487,19 +486,16 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
     factor t^-1 u^m t lies in <u> exactly when t centralizes u, whatever
     m != 0 is, so a child's state is the m-th power of the state for u.
     Either way the walks of all c != 1 list the same cosets in the same
-    order.  So without a table factor the first nontrivial element decides
-    and is the only one walked.
+    order.  So without a table factor the first nontrivial element decides:
+    a word is trivial when each of its letters is, so that is the first
+    edge generator with a nontrivial image, and it is the only one walked.
 
-    With a table factor C is finite, and each element is walked once:
-    ``shortlex`` keys the words by their image in that factor, so a word
-    spelling an element met before is neither yielded nor extended.  Every
-    prefix of a shortlex-least word is shortlex-least for its own element,
-    so each element comes once, at its least word, in the order the
-    every-word walk first meets it, and the levels end when one adds no
-    element.  Fix(c^-1) = Fix(c), so once c is tested and is no witness,
-    c^-1 (keyed by its canonical form in A) is skipped; its word is still
-    extended.  So any ``word_length`` costs one walk, or on tables at most
-    one per inverse pair of C - {1}.
+    With a table factor C is finite, and each element is walked once: the
+    table's edge subgroup lists each element at its shortlex-least word, in
+    shortlex order, which is the order the every-word walk first meets
+    them.  Fix(c^-1) = Fix(c), so once c is tested and is no witness, c^-1
+    (keyed by its canonical form in A) is skipped.  So any ``word_length``
+    costs one walk, or on tables at most one per inverse pair of C - {1}.
 
     "consistent" is not a proof, except for trivial edge subgroups, where
     every nontrivial elliptic element fixes a single vertex (factors of a
@@ -514,10 +510,11 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
             "consistent", k, word_length, radius, None, None, True,
             "trivial edge stabilizers: every nontrivial elliptic element "
             "fixes exactly one vertex, so the action is 0-acylindrical")
-    tables = [sub for sub in (spec.sub_a, spec.sub_b) if sub.oracle.kind == "table"]
-    key = (lambda cw: tables[0].embed(cw).letters) if tables else None
+    tables = [sub.words for sub in (spec.sub_a, spec.sub_b) if sub.oracle.kind == "table"]
+    gens = [((i, 1),) for i, im in enumerate(spec.sub_a.image_words) if not im.is_empty]
+    words = tables[0] if tables else gens[:1]
     skipped = set()
-    for cw in shortlex(range(len(spec.edge_gens)), word_length, key):
+    for cw in itertools.takewhile(lambda cw: len(cw) <= word_length, words):
         c = spec.sub_a.embed(cw)
         if c.is_empty or c.letters in skipped:
             continue
@@ -527,8 +524,6 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
             return AcylindricityCheck(
                 "falsified", k, word_length, radius, c, diam, True,
                 f"elliptic witness {c} has windowed fixed-set diameter {diam} > {k}")
-        if not tables:
-            break
     return AcylindricityCheck(
         "consistent", k, word_length, radius, None, None, False,
         f"no edge-group element of word length <= {word_length} violates "

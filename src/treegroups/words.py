@@ -9,8 +9,7 @@ whether a word is trivial in a given group is the oracle's business
 from __future__ import annotations
 
 import re
-from typing import (Callable, Hashable, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 GEN_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -143,33 +142,17 @@ class Word(NamedTuple):
         return Word.of(letters)
 
 
-def shortlex(symbols: Sequence[Hashable], max_len: Optional[int] = None,
-             key: Optional[Callable[[Units], Hashable]] = None) -> Iterator[Units]:
+def shortlex(symbols: Sequence[Hashable], max_len: Optional[int] = None) -> Iterator[Units]:
     """Freely reduced words over ``symbols`` in shortlex order, as unit tuples.
 
     A unit is ``(symbol, 1)`` or ``(symbol, -1)``; the alphabet runs through
     the symbols in order, each before its inverse.  The empty word comes
     first; the levels stop after ``max_len`` letters (never when None).
-
-    With ``key``, a word whose key an earlier word already had is neither
-    yielded nor extended.  When the key is the element a word spells in some
-    group, every prefix of a shortlex-least word is shortlex-least for its
-    own element (else a smaller prefix would give a smaller word), so each
-    element is yielded once, at its shortlex-least word, and the levels end
-    after the first that adds no element.
     """
     alphabet = [(s, e) for s in symbols for e in (1, -1)]
     level: List[Units] = [()]
-    seen: set = set()
     length = 0
     while level:
-        if key is not None:
-            fresh = []
-            for u in level:
-                if (k := key(u)) not in seen:
-                    seen.add(k)
-                    fresh.append(u)
-            level = fresh
         yield from level
         if length == max_len:
             return

@@ -189,6 +189,20 @@ def test_input_validation():
         volume_lower_bound(1.0, 1.0, 4, 3, 0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2.5])
+def test_non_finite_or_fractional_k_and_n_are_value_errors(value):
+    # int() of an infinity raises OverflowError, of NaN ValueError: neither
+    # may escape the one rejection path
+    with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+        s0_general(1.0, 1.0, value)
+    with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+        compare_case_bounds(1.0, 1.0, value)
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        volume_lower_bound(1.0, 1.0, 4, n=value)
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        build_bounds_report(1.0, 1.0, 4, n=value)
+
+
 # -- the proof's case comparison ----------------------------------------------------
 
 def test_compare_unit_inputs():

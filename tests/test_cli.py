@@ -346,6 +346,37 @@ def test_non_group_table_fails_at_load(tmp_path):
     assert "not associative" in out.stderr
 
 
+def test_non_integer_table_entry_is_input_error(capsys, tmp_path):
+    group = tmp_path / "float_table.json"
+    group.write_text(json.dumps({"kind": "free_product", "factors": [
+        {"type": "table", "elements": ["e", "g"], "table": [[0, 1.0], [1.0, 0]]},
+        {"type": "cyclic", "order": 3, "gens": ["b"]}]}))
+    rc, out, err = invoke(capsys, "classify", "--group", str(group), "--element", "g b")
+    assert rc == EXIT_INPUT and not out
+    assert err.startswith("error: ") and "table entry 1.0 is not an element index" in err
+
+
+def test_edge_identification_of_huge_cyclic_groups_reads_no_element(tmp_path):
+    # Z/10^9 *_{<r, r^2> = <s, s^2>} Z/10^9 loads without walking either group,
+    # and F2 *_{a = c} Z/5 is an input error
+    specs = {"huge": ({"type": "cyclic", "order": 10 ** 9, "gens": ["r"]},
+                      {"type": "cyclic", "order": 10 ** 9, "gens": ["s"]},
+                      ["r", "r^2"], ["s", "s^2"], "r s", EXIT_OK),
+             "f2_z5": ({"type": "free", "rank": 2, "gens": ["a", "b"]},
+                       {"type": "cyclic", "order": 5, "gens": ["c"]}, ["a"], ["c"], "a c", EXIT_INPUT)}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for name, (fa, fb, into_a, into_b, element, code) in specs.items():
+        group = tmp_path / f"{name}.json"
+        group.write_text(json.dumps({"kind": "amalgam", "factors": [fa, fb], "edge": {
+            "generators": ["p", "q"][:len(into_a)], "into_A": into_a, "into_B": into_b}}))
+        out = subprocess.run([sys.executable, "-m", "treegroups.cli", "classify", "--group",
+                              str(group), "--element", element],
+                             env=env, capture_output=True, text=True, timeout=2)
+        assert out.returncode == code
+        assert ("do not identify isomorphic subgroups" in out.stderr) == (code == EXIT_INPUT)
+
+
 def test_input_errors(capsys):
     rc, _, err = invoke(capsys, "classify", "--group", "/does/not/exist.json",
                         "--element", "a")

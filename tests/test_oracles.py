@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from treegroups.oracles import (OracleError, _cancelled, cyclic_decompose, make_cyclic,
                                 make_free, make_free_abelian, make_table)
-from treegroups.words import Word, WordError
+from treegroups.words import Word, WordError, shortlex
 
 import unit_words
 from conftest import _permutation_table, cyclic_table, random_word
@@ -138,6 +138,14 @@ def test_table_validation_rejects_broken_tables():
         make_table(["e", "g"], [[0, 1], [1, 2]])
     with pytest.raises(OracleError):  # not associative (and g lacks an inverse)
         make_table(["e", "g", "h"], [[0, 1, 2], [1, 1, 0], [2, 0, 0]])
+
+
+def test_table_entries_must_be_int_element_indices():
+    # 1.0 and True are equal to 1, so a range test alone lets them through
+    for table in ([[0, 1.0], [1.0, 0]], [[0, True], [True, 0]], [[0, "1"], ["1", 0]],
+                  [[0, 1], [1, None]]):
+        with pytest.raises(OracleError, match="is not an element index 0..1"):
+            make_table(["e", "g"], table)
 
 
 def _changed(table, i, j, v):
@@ -340,6 +348,35 @@ def test_table_transversal_is_read_off_the_splits():
             assert reps == expected and complete == (len(expected) == len(scan))
             reps.clear()  # must not reach the next call
             assert sub.transversal(cap) == (expected, complete)
+
+
+def _first_seen(sub, max_len):
+    """The first word of each element of ``sub`` among the freely reduced
+    edge words of at most ``max_len`` letters, in plain shortlex order."""
+    seen, first = set(), []
+    for cw in shortlex(range(len(sub.image_words)), max_len):
+        if (c := sub.embed(cw)) not in seen:
+            seen.add(c)
+            first.append(cw)
+    return first
+
+
+def test_table_subgroup_lists_each_element_at_its_first_shortlex_word(
+        request, a4_s3z2_table, z4z6_table):
+    # cyclic tables of orders 1-40 with 1-3 random edge images, and both
+    # sides of the permutation-table fixtures; the listed words are the
+    # first-seen filter of plain shortlex, as far as the levels are walked
+    rng = random.Random(44)
+    subs = []
+    for m in range(1, 41):
+        o = make_table(*cyclic_table(m, "r"))
+        for k in (1, 2, 3):
+            subs.append(o.designated_subgroup([o._from_index(rng.randrange(m)) for _ in range(k)]))
+    subs += [spec.subgroup(side) for spec in (a4_s3z2_table, z4z6_table) for side in "AB"]
+    for sub in subs:
+        max_len = 6 if len(sub.image_words) < 3 else 4
+        assert [cw for cw in sub.words if len(cw) <= max_len] == _first_seen(sub, max_len)
+        assert len({sub.embed(cw) for cw in sub.words}) == len(sub.words)
 
 
 def test_coset_rep_is_identity_exactly_on_the_subgroup():

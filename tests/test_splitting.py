@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegroups.oracles import make_cyclic, make_free, make_table
+from treegroups.oracles import make_cyclic, make_free, make_free_abelian, make_table
 from treegroups.splitting import (HnnNotSupportedError, SpecError,
                                   SplittingSpec, classify_elementarity,
                                   load_spec, spec_from_dict)
 from treegroups.tree import TreeVertex
-from treegroups.words import Word, WordError
+from treegroups.words import Word, WordError, shortlex
 
 from conftest import count_calls, random_word
 
@@ -272,6 +272,52 @@ def test_edge_identification_sanity_check():
     with pytest.raises(SpecError):
         SplittingSpec("amalgam", make_cyclic(2, "a", "A"),
                       make_cyclic(3, "b", "B"), ["t"], [W("a")], [W("b")])
+
+
+def _amalgam(factor_a, factor_b, into_a, into_b):
+    gens = ["p", "q", "s"][:len(into_a)]
+    return SplittingSpec("amalgam", factor_a, factor_b, gens,
+                         [W(w) for w in into_a], [W(w) for w in into_b])
+
+
+V4 = (["e", "i", "j", "k"], [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+
+
+@pytest.mark.parametrize("factors, into_a, into_b", [
+    # a has infinite order, c has order 5: c^5 was trivial on one side only
+    ((make_free(2, ["a", "b"], "A"), make_cyclic(5, "c", "B")), ["a"], ["c"]),
+    # p^7 q^-5 (12 letters) is trivial in B only
+    ((make_free_abelian(2, ["x", "y"], "A"), make_free_abelian(2, ["u", "v"], "B")),
+     ["x", "y"], ["u^5", "u^7"]),
+    # q^2 is trivial in A only
+    ((make_cyclic(12, "r", "A"), make_cyclic(6, "s", "B")), ["r^4", "r^6"], ["s^2", "s^2"]),
+    # p^3 q^-2 is trivial in A only
+    ((make_free(1, ["a"], "A"), make_free(1, ["b"], "B")), ["a^2", "a^3"], ["b^2", "b^4"]),
+    # the table sides: (p q)^2 is trivial in A only, and Z is not finite
+    ((make_table(*V4, group_id="A"), make_cyclic(4, "s", "B")), ["i", "j"], ["s^2", "s^2"]),
+    ((make_table(*V4, group_id="A"), make_free(1, ["b"], "B")), ["i", "j"], ["b", "b^2"]),
+    ((make_cyclic(3, "r", "A"), make_table(*V4, group_id="B")), ["r", "1"], ["i", "j"]),
+], ids=["f2_z5", "z2_u5_u7", "z12_z6", "z_z", "v4_z4", "v4_z", "z3_v4"])
+def test_edge_maps_with_different_kernels_are_input_errors(factors, into_a, into_b):
+    with pytest.raises(SpecError, match="do not identify isomorphic subgroups"):
+        _amalgam(*factors, into_a, into_b)
+
+
+@pytest.mark.parametrize("factors, into_a, into_b", [
+    ((make_cyclic(12, "r", "A"), make_cyclic(6, "s", "B")), ["r^4", "r^6"], ["s^2", "s^3"]),
+    ((make_free(1, ["a"], "A"), make_free(1, ["b"], "B")), ["a^2", "a^3"], ["b^2", "b^3"]),
+    ((make_cyclic(10 ** 9, "r", "A"), make_cyclic(10 ** 9, "s", "B")), ["r", "r^2"], ["s", "s^2"]),
+    ((make_free_abelian(2, ["x", "y"], "A"), make_cyclic(1, "s", "B")), ["1", "1"], ["1", "s"]),
+    ((make_free_abelian(2, ["x", "y"], "A"), make_free_abelian(3, ["u", "v", "w"], "B")),
+     ["x y", "x^2 y^2", "y"], ["u^3 w", "u^6 w^2", "v"]),
+    ((make_table(*V4, group_id="A"), make_cyclic(2, "s", "B")), ["i", "i"], ["s", "s^3"]),
+    ((make_cyclic(6, "r", "A"), make_table(*V4, group_id="B")), ["r^3", "1", "r^3"], ["i", "e", "i"]),
+], ids=["z12_z6", "z_z", "z1e9", "trivial", "z2_z3", "v4_z2", "z6_v4"])
+def test_edge_maps_with_one_kernel_load(factors, into_a, into_b):
+    # the bounded check that the exact one replaces agrees
+    spec = _amalgam(*factors, into_a, into_b)
+    for cw in shortlex(range(len(into_a)), 4):
+        assert spec.sub_a.embed(cw).is_empty == spec.sub_b.embed(cw).is_empty
 
 
 def test_foreign_generator_rejected(z2z3):

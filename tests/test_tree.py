@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegroups import tree
+from treegroups import oracles, splitting, tree, words
 from treegroups.oracles import make_cyclic, make_free, make_free_abelian, make_table
 from treegroups.splitting import SplittingSpec, Syllable, load_spec, other_side
 from treegroups.tree import (EllipticElementError, TreeVertex,
@@ -897,6 +897,13 @@ def z8z12_table():
                          ["t"], [W("r2")], [W("s3")])
 
 
+def z6z9_trivial_first():
+    # Z/6 *_{p = 1 = 1, q = a^2 = b^3} Z/9: the first edge generator is
+    # trivial on both sides, so the walk starts at the second
+    return SplittingSpec("amalgam", make_cyclic(6, "a", "A"), make_cyclic(9, "b", "B"),
+                         ["p", "q"], [Word(), W("a^2")], [Word(), W("b^3")])
+
+
 def z_free_mix():
     # Z *_{a^3 = c d c^-1 d^-1} F2: an abelian factor and a free one
     return SplittingSpec("amalgam", make_free_abelian(1, ["a"], "A"),
@@ -906,7 +913,7 @@ def z_free_mix():
 @pytest.mark.parametrize("spec", ["z2z3", "z3z4", "z70z3", "z2z2", "triv_z5", "f2",
                                   "klein", "f2_amalgam", "z2_amalgam", "z4z6_table",
                                   "a4_s3z2_table", z6z9, long_edge, capped, z2_rank2_edge,
-                                  z_free_mix, v_z3_s3z2_table],
+                                  z_free_mix, v_z3_s3z2_table, z6z9_trivial_first],
                          ids=lambda s: getattr(s, "__name__", s))
 def test_check_acylindricity_matches_walking_every_word(request, spec):
     # walking the first nontrivial element (no table factor), or each element
@@ -933,9 +940,10 @@ def test_check_acylindricity_matches_walking_every_word(request, spec):
     (z8z12_table, 20, 2),  # r2 (not also r6) and r4
     (z2_rank2_edge, 20, 1),
     ("z2_amalgam", 0, 1),
+    (z6z9_trivial_first, 20, 1),
 ], ids=["f2_amalgam", "z6z9", "a4_s3z2_table", "a4_s3z2_table-falsified", "z4z6_table",
         "v_z3_s3z2_table", "v_z3_s3z2_table-falsified", "z8z12_table", "z2_rank2_edge",
-        "z2_amalgam"])
+        "z2_amalgam", "z6z9_trivial_first"])
 def test_check_acylindricity_walks_an_element_or_its_inverse(request, monkeypatch,
                                                                spec, k, walks):
     # one walk without a table factor, else one per inverse pair of the
@@ -949,6 +957,29 @@ def test_check_acylindricity_walks_an_element_or_its_inverse(request, monkeypatc
         answers.append((chk.verdict, chk.witness, chk.witness_diameter))
         assert len(calls) == walks
     assert answers[0] == answers[1]
+
+
+def test_check_acylindricity_walks_the_first_nontrivial_generator():
+    # q, not p, as the every-word reference finds: a^2 is central on both
+    # sides, so it fixes the whole tree
+    chk = check_acylindricity(z6z9_trivial_first(), 0, 1, 2)
+    assert chk.falsified and chk.witness == W("a^2")
+
+
+def test_spec_loading_and_acylindricity_enumerate_no_words(request, monkeypatch):
+    # edge identification and the acylindricity check read the edge group
+    # (element orders, kernels, pair walks, a table's element list), never
+    # edge words from ``shortlex``
+    calls = [count_calls(monkeypatch, module, "shortlex")
+             for module in (words, oracles, splitting, tree) if hasattr(module, "shortlex")]
+    specs = [request.getfixturevalue(name) for name in FACTOR_SPECS + ["a4_s3z2_table"]]
+    specs += [make() for make in (z6z9, long_edge, capped, z2_rank2_edge, v_z3_s3z2_table,
+                                  z8z12_table, z_free_mix, z6z9_trivial_first)]
+    specs += [load_spec(str(p)) for p in sorted((Path(__file__).parent / "data").glob("*.json"))
+              if "factors" in json.loads(p.read_text())]
+    for spec in specs:
+        check_acylindricity(spec, 2, 6, 2)
+    assert not any(calls)
 
 
 def test_windows_reject_negative_radius(z2z3):

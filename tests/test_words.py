@@ -104,29 +104,3 @@ def test_shortlex_levels(r, n):
         assert all(x != (y[0], -y[1]) for x, y in zip(u, u[1:]))
     keys = [_shortlex_key(u, symbols) for u in words]
     assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
-
-
-@given(st.integers(1, 3), st.integers(0, 5),
-       st.lists(st.permutations(range(4)), min_size=3, max_size=3))
-def test_shortlex_key_yields_each_image_at_its_first_word(r, n, perms):
-    # keyed by the image in S4 under symbol i -> perms[i], the pruned walk is
-    # the unpruned one with every word after the first of its image dropped
-    symbols = "abc"[:r]
-
-    def image(units):
-        p = tuple(range(4))
-        for s, e in units:
-            g = perms[symbols.index(s)]
-            if e < 0:
-                g = tuple(sorted(range(4), key=g.__getitem__))
-            p = tuple(g[i] for i in p)
-        return p
-
-    seen, want = set(), []
-    for u in shortlex(symbols, n):
-        if image(u) not in seen:
-            seen.add(image(u))
-            want.append(u)
-    assert list(shortlex(symbols, n, key=image)) == want
-    # the levels end once one adds no image, whatever the length limit
-    assert len(list(shortlex(symbols, None, key=image))) <= 24
