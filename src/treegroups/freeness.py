@@ -30,11 +30,12 @@ a rank-2 certificate walks to depth 4 at most and a semigroup one to
 depth 2, and either gives the verdict of the requested depth.
 
 Each case hypothesis is checked in one place: the element type by
-``_require``, disjoint fixed sets by ``_fixed_gap``, distinct axes
+``_require``, disjoint fixed sets by ``_fixed_set_distance``, distinct axes
 by ``_distinct_axes`` (whose three-point sampling ``_axes_coincide`` also
 answers ``same_axis``), and every rank-2 witness is certified and wrapped
-by ``_certified``, sharing each input's form, class and mover.  Axis
-spreads are derived from the inputs, not passed in.
+by ``_certified``, sharing each input's form and class.  Fixed-set gaps,
+T-set disjointness and the axes' crossing are read off one rule,
+``_bridge``.  Axis spreads are derived from the inputs, not passed in.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .splitting import NormalForm, SplittingSpec
 from .tree import (ElementClass, TreeVertex, _axis_ray, _classify, _element_order, _mover,
-                   _t_powers, act, check_nonnegative, geodesic, mover, on_axis)
+                   _t_powers, act, check_count, mover, on_axis, tree_distance)
 from .words import Word
 
 
@@ -96,7 +97,7 @@ def _check_depth(depth: int) -> None:
     """Reject a negative certificate depth, or one past
     ``MAX_CERTIFICATE_DEPTH``, as an input error: the node budget does not
     bound the depth where the ball grows linearly."""
-    check_nonnegative("certificate depth", depth)
+    check_count("certificate depth", depth)
     if depth > MAX_CERTIFICATE_DEPTH:
         raise ValueError(f"certificate depth must be <= {MAX_CERTIFICATE_DEPTH}, got {depth}")
 
@@ -332,30 +333,27 @@ def _require(spec: SplittingSpec, w: Word, name: str, hyperbolic: bool) -> tuple
     return nf, cls
 
 
-def _fixed_gap(spec: SplittingSpec, r1: tuple, r2: tuple) -> int:
-    """d(Fix(g1), Fix(g2)) for elliptic g1, g2 given by their (form, class)
-    pairs r1, r2; below 1 exactly when the fixed sets meet.
+def _bridge(spec: SplittingSpec, r1: tuple, r2: tuple) -> Tuple[TreeVertex, TreeVertex]:
+    """The ends (q1, q2) of the shortest path from S1 to S2, for inputs given
+    by their (form, class) pairs r1, r2, where S_i is Fix(g_i) for elliptic
+    g_i and Axis(g_i) for hyperbolic g_i; q1 = q2 exactly when S1 and S2 meet.
 
-    Fix(g_i) is a subtree holding classify's witness p_i (Serre, Trees,
-    §I.6), so [p1, p2] meets Fix(g1) in an initial segment of a vertices and
-    Fix(g2) in a final one of b.  Sets sharing a vertex s share the median
-    of p1, p2 and s, which lies on [p1, p2]; disjoint ones are bridged on
-    [p1, p2], between the segments.  So the distance is d(p1, p2) + 2 - a - b,
-    for 2 (d(p1, p2) + 1) tests at most."""
-    def fixed_run(nf, vs):  # the leading vertices of vs that g = nf fixes
-        move = _mover(spec, nf)
-        return sum(1 for _ in itertools.takewhile(lambda v: move(v) == v, vs))
-
-    (nf1, c1), (nf2, c2) = r1, r2
-    path = geodesic(c1.witness_vertex, c2.witness_vertex)
-    return len(path) + 1 - fixed_run(nf1, path) - fixed_run(nf2, reversed(path))
+    Classify's witness about a base is the base's projection onto S (Serre,
+    Trees, §I.6), so q2 projects classify's p1 in S1 onto S2, and q1 projects
+    q2 onto S1.  If the subtrees meet in s, q2 lies on [p1, s], which lies
+    in S1 (subtrees are convex), so q1 = q2.  If not, one bridge [b1, b2]
+    joins them, every path from S1 to S2 runs through it, and so q2 = b2 and
+    q1 = b1.  Either way the gap costs two classifications."""
+    (nf1, c1), (nf2, _) = r1, r2
+    q2 = _classify(spec, nf2, c1.witness_vertex).witness_vertex
+    return _classify(spec, nf1, q2).witness_vertex, q2
 
 
 def _fixed_set_distance(spec: SplittingSpec, g1: Word, g2: Word) -> tuple:
     """d(Fix(g1), Fix(g2)) for elliptic g1, g2, and the inputs' (form, class)
     pairs; rejects intersecting fixed sets."""
     required = [_require(spec, g1, "g1", False), _require(spec, g2, "g2", False)]
-    d = _fixed_gap(spec, *required)
+    d = tree_distance(*_bridge(spec, *required))
     if d < 1:
         raise WitnessInputError(
             "the fixed sets of g1 and g2 intersect; Fix(g1) ∩ Fix(g2) = ∅ is required")
@@ -380,20 +378,21 @@ def same_axis(spec: SplittingSpec, h1: Word, h2: Word) -> bool:
 
 
 def _distinct_axes(spec: SplittingSpec, h1: Word, h2: Word, spread: int) -> tuple:
-    """The class and the mover of hyperbolic h1 and of h2; rejects axes that
+    """The (form, class) pairs of hyperbolic h1 and h2; rejects axes that
     coincide when sampled with the given spread."""
-    (nf1, c1), (nf2, c2) = _require(spec, h1, "h1", True), _require(spec, h2, "h2", True)
-    move2 = _mover(spec, nf2)
-    if _axes_coincide(spec, h1, c1, move2, c2, spread):
+    r1, r2 = _require(spec, h1, "h1", True), _require(spec, h2, "h2", True)
+    if _axes_coincide(spec, h1, r1[1], _mover(spec, r2[0]), r2[1], spread):
         raise WitnessInputError(
             f"h1 = {h1} and h2 = {h2} share an axis; distinct axes are required")
-    return (c1, _mover(spec, nf1)), (c2, move2)
+    return r1, r2
 
 
-def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass, move1: Callable,
-                       c2: ElementClass, move2: Callable, radius: int) -> Tuple[float, TreeVertex]:
+def _axis_intersection(spec: SplittingSpec, h1: Word, r1: tuple, r2: tuple,
+                       radius: int) -> Tuple[float, TreeVertex]:
     """Diameter of Axis(h1) ∩ Axis(h2) within radius of q*, the projection
-    of Axis(h1) onto Axis(h2), and q*; -inf when the axes are disjoint.  If
+    of Axis(h1) onto Axis(h2), and q*; -inf when the axes are disjoint.  The
+    inputs come as (form, class) pairs, and q* is the end on Axis(h2) of
+    their ``_bridge``, so the axes meet exactly when its two ends agree.  If
     the axes meet, q* lies in the intersection, so a radius R certifies any
     diameter verdict below R.
 
@@ -402,14 +401,13 @@ def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass, move1: C
     period [a, h1 a] at a time, in each direction, up to the first vertex
     off Axis(h2) or R steps; the diameter is the sum of the two extents.
     The walk costs the overlap, not a window of radius R."""
-    p1, p2 = c1.witness_vertex, c2.witness_vertex
-    # p2 itself is on Axis(h2)
-    q_star = next(v for v in geodesic(p1, p2) if on_axis(move2, c2.tau, v))
-    if not on_axis(move1, c1.tau, q_star):
+    q1, q_star = _bridge(spec, r1, r2)
+    if q1 != q_star:
         return -math.inf, q_star
-
+    (nf1, _), (nf2, c2) = r1, r2
+    move2 = _mover(spec, nf2)
     rays = (itertools.islice(_axis_ray(move, q_star), radius)
-            for move in (move1, mover(spec, h1.inverse())))
+            for move in (_mover(spec, nf1), mover(spec, h1.inverse())))
     extents = (sum(1 for _ in itertools.takewhile(lambda v: on_axis(move2, c2.tau, v), ray))
                for ray in rays)
     return sum(extents), q_star
@@ -417,10 +415,10 @@ def _axis_intersection(spec: SplittingSpec, h1: Word, c1: ElementClass, move1: C
 
 def overlap_report(spec: SplittingSpec, k: int, h1: Word, h2: Word) -> OverlapReport:
     """Diameter of Axis(h1) ∩ Axis(h2) and the 3k branch selection."""
-    check_nonnegative("k", k)
-    (c1, move1), (c2, move2) = _distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
-    radius = 3 * k + c1.tau + c2.tau + 6
-    diam, crossing = _axis_intersection(spec, h1, c1, move1, c2, move2, radius)
+    check_count("k", k)
+    r1, r2 = _distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
+    radius = 3 * k + r1[1].tau + r2[1].tau + 6
+    diam, crossing = _axis_intersection(spec, h1, r1, r2, radius)
     branch = "small" if diam <= 3 * k else "large"
     # the walk radius exceeds 3k, so the branch verdict is exhaustive
     return OverlapReport(diam, branch, crossing)
@@ -444,7 +442,7 @@ def witness_elliptic_pair(spec: SplittingSpec, k: int, g1: Word, g2: Word,
                           depth: int = 6) -> FreenessWitness:
     """Elliptic pair with disjoint fixed sets: witnesses (g1, h^p g1 h^-p)
     with h = g1 g2 and p = ceil((k+1)/2)."""
-    check_nonnegative("k", k)
+    check_count("k", k)
     _, [(nf, cls), _] = _fixed_set_distance(spec, g1, g2)
     p, order = (k + 2) // 2, _element_order(spec, nf, cls)
     return _certified(spec, "elliptic_elliptic", (g1, g1.conjugated_by((g1 * g2) ** -p)),
@@ -454,7 +452,7 @@ def witness_elliptic_pair(spec: SplittingSpec, k: int, g1: Word, g2: Word,
 def witness_elliptic_hyperbolic(spec: SplittingSpec, k: int, g: Word, h: Word,
                                 depth: int = 6) -> FreenessWitness:
     """Elliptic g, hyperbolic h: witnesses (g, h^p g h^-p) with p = k+1."""
-    check_nonnegative("k", k)
+    check_count("k", k)
     nf, cls = _require(spec, g, "g", False)
     _require(spec, h, "h", True)
     p, order = k + 1, _element_order(spec, nf, cls)
@@ -525,25 +523,26 @@ def verify_disjoint_tsets(spec: SplittingSpec, g1: Word, g2: Word) -> bool:
     """Exact check of T(g1) ∩ T(g2) = ∅ (the rank-2 free product
     hypothesis) for powers up to 6: T(g) is the union of Fix(g^d) over
     ``_t_powers``' d, so the T-sets are disjoint exactly when every pair
-    Fix(g1^d1), Fix(g2^d2) is, each read off one geodesic (``_fixed_gap``)."""
+    Fix(g1^d1), Fix(g2^d2) is, each read off their ``_bridge``."""
     powers = []
     for g, name in ((g1, "g1"), (g2, "g2")):
         nf, cls = _require(spec, g, name, False)
         forms = [nf if d == 1 else spec.normal_form(g ** d)
                  for d in _t_powers(_element_order(spec, nf, cls) or 0, 6)]
         powers.append([(f, _classify(spec, f)) for f in forms])
-    return all(_fixed_gap(spec, r1, r2) >= 1 for r1, r2 in itertools.product(*powers))
+    return all(tree_distance(*_bridge(spec, r1, r2)) >= 1
+               for r1, r2 in itertools.product(*powers))
 
 
 def witness_power_pair(spec: SplittingSpec, h1: Word, h2: Word, n: int,
                        depth: int = 6) -> FreenessWitness:
     """If diam(Axis(h1) ∩ Axis(h2)) < n min(tau1, tau2), the powers
     (h1^n, h2^n) generate a rank-2 free subgroup; certified witness."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    (c1, move1), (c2, move2) = _distinct_axes(spec, h1, h2, max(n + 2, 8))
+    check_count("n", n, 1)
+    r1, r2 = _distinct_axes(spec, h1, h2, max(n + 2, 8))
+    (_, c1), (_, c2) = r1, r2
     bound = n * min(c1.tau, c2.tau)
-    diam, _ = _axis_intersection(spec, h1, c1, move1, c2, move2, bound + c1.tau + c2.tau + 6)
+    diam, _ = _axis_intersection(spec, h1, r1, r2, bound + c1.tau + c2.tau + 6)
     if not diam < bound:
         raise WitnessInputError(
             f"axis overlap diameter {diam} is not < n*min(tau) = {bound}")

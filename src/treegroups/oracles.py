@@ -4,11 +4,12 @@ Every oracle works on :class:`~treegroups.words.Word` values over its own
 generators and exposes a canonical form with an O(length) identity test:
 residue (cyclic), table index (finite table), exponent vector (free abelian),
 freely reduced word (free).  Exponents are plain Python integers, so powers
-never overflow.  Free words stay (generator, exponent) letters, so the
-cost of a free factor grows at most with the logarithm of an exponent.  What
-scales further: a free-cyclic ``conjugator_cosets`` scans up to |c| rotations
-of the edge word's cyclic core c, and table oracles multiply out powers mod
-the element order.
+never overflow.  Free words stay (generator, exponent) letters, table
+powers are taken by squaring, and residue and lattice subgroups embed edge
+words by summing exponents or vectors, so the cost of a factor grows at
+most with the logarithm of an exponent.  What scales further: a
+free-cyclic ``conjugator_cosets`` scans up to |c| rotations of the edge
+word's cyclic core c.
 
 This module holds the base classes and the cyclic and free kinds.  The
 table and free abelian kinds (``TableOracle``, ``FreeAbelianOracle`` and
@@ -223,6 +224,10 @@ class _ResidueSubgroup(DesignatedSubgroup):
             coeffs[i] = v
             g = g2
         self._coeffs = coeffs
+
+    def embed(self, cw: CWord) -> Word:
+        """The image, from the generators' exponents, at no cost in |exp|."""
+        return self.oracle._from_exponent(sum(self.residues[idx] * exp for idx, exp in cw))
 
     def _split(self, x: Word) -> Tuple[Word, CWord]:
         if self.d == 0:  # the trivial subgroup: each element is its own coset

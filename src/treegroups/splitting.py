@@ -154,7 +154,7 @@ class SplittingSpec:
         letters: List = []
         for name, exp in w.letters:
             if name in self._edge_index:
-                letters += (self.sub_a.image_words[self._edge_index[name]] ** exp).letters
+                letters += self.sub_a.embed(((self._edge_index[name], exp),)).letters
             elif name in self._side_of:
                 letters.append((name, exp))
             else:
@@ -227,7 +227,7 @@ def _pairs_match(a: DesignatedSubgroup, b: DesignatedSubgroup, bound: int) -> bo
 def _images(sub: DesignatedSubgroup) -> Tuple[List[List[int]], int]:
     """Images as exponent vectors, and their modulus (a cyclic order, else 0)."""
     if sub.oracle.kind == "free_abelian":
-        return [list(sub.oracle._vector(w)) for w in sub.image_words], 0
+        return [list(v) for v in sub.vectors], 0
     return [[r] for r in sub.residues], sub.modulus
 
 

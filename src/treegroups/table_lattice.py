@@ -93,8 +93,16 @@ class _LatticeSubgroup(DesignatedSubgroup):
     def __init__(self, oracle: "FreeAbelianOracle", image_words: Sequence[Word]):
         super().__init__(oracle, image_words)
         self.n, self.k = oracle.rank, len(self.image_words)
-        self.rows = [list(oracle._vector(w)) for w in self.image_words]
+        self.vectors = [oracle._vector(w) for w in self.image_words]  # _echelon reduces rows
+        self.rows = [list(v) for v in self.vectors]
         self.pivots = _echelon(self.rows, self.n)
+
+    def embed(self, cw: CWord) -> Word:
+        """The image, summed from the generators' vectors, at no cost in |exp|."""
+        v = [0] * self.n
+        for idx, exp in cw:
+            v = [a + exp * b for a, b in zip(v, self.vectors[idx])]
+        return self.oracle._from_vector(v)
 
     def _split_vector(self, vec: Sequence[int]) -> Tuple[List[int], List[int]]:
         """(remainder, coeffs) with vec = remainder + sum coeffs[j] * generator j;
@@ -206,15 +214,17 @@ class TableOracle(GroupOracle):
         self._idx = {name: i for i, name in enumerate(elements)}
 
     def _index_of(self, w: Word) -> int:
+        """The index of w, each letter's power by square and multiply: the
+        powers of one element commute, so a letter costs O(log |exp|)."""
         acc = 0
         for name, exp in w.letters:
             i = self._idx[name]
             if exp < 0:
-                i = self._inv[i]
-                exp = -exp
-            o = self._elt_order(i)
-            for _ in range(exp % o):
-                acc = self.table[acc][i]
+                i, exp = self._inv[i], -exp
+            while exp:
+                if exp & 1:
+                    acc = self.table[acc][i]
+                i, exp = self.table[i][i], exp >> 1
         return acc
 
     def _elt_order(self, i: int) -> int:

@@ -247,18 +247,21 @@ def _walk(spec: SplittingSpec, start: TreeVertex, levels: int, x: Word,
     return depth, complete
 
 
-def check_nonnegative(name: str, value: int) -> None:
-    """Reject a negative k, word length, window radius or certificate depth
-    as an input error."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+def check_count(name: str, value: int, least: int = 0) -> None:
+    """Reject a k, word length, window radius, certificate depth or power
+    that is not an int >= least as an input error; a float, even a whole
+    one, NaN or an infinity, and a bool are no counts."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def ball(spec: SplittingSpec, center: TreeVertex, radius: int,
          neighbor_cap: Optional[int] = None) -> Tuple[Dict[TreeVertex, int], bool]:
     """BFS ball as {vertex: distance}, the walk of Fix(1); second value
     reports completeness."""
-    check_nonnegative("window radius", radius)
+    check_count("window radius", radius)
     return _walk(spec, center, radius, Word(), neighbor_cap)
 
 
@@ -310,7 +313,7 @@ def _fixed_window(spec: SplittingSpec, nf: NormalForm, cls: ElementClass, base: 
                   radius: int, neighbor_cap: Optional[int]) -> Tuple[Dict[TreeVertex, int], bool]:
     """Fix(g) within radius of base as {vertex: distance from base}, and the
     flag, for g = nf of class cls about base, by the module docstring's walk."""
-    check_nonnegative("window radius", radius)
+    check_count("window radius", radius)
     start = cls.witness_vertex
     d0 = tree_distance(base, start)
     if cls.is_hyperbolic or d0 > radius:
@@ -352,8 +355,7 @@ def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
     exhaustive only when every walk was and max_power covers the finite
     order of g.
     """
-    if max_power < 1:
-        raise ValueError("max_power must be >= 1")
+    check_count("max_power", max_power, 1)
     if base is None:
         base = base_vertex()
     o = _element_order(spec, nf := spec.normal_form(g), _classify(spec, nf, base)) or 0
@@ -390,7 +392,7 @@ def axis_window(spec: SplittingSpec, h: Word, base: Optional[TreeVertex] = None,
     Past ``MAX_WINDOW_SYLLABLES`` syllables the walk stops and reports an
     incomplete window.
     """
-    check_nonnegative("window radius", radius)
+    check_count("window radius", radius)
     if base is None:
         base = base_vertex()
     cls = _classify(spec, nf := spec.normal_form(h), base)
@@ -501,9 +503,9 @@ def check_acylindricity(spec: SplittingSpec, k: int, word_length: int = 6,
     every nontrivial elliptic element fixes a single vertex (factors of a
     free product are malnormal) and the verdict is certified for every k >= 0.
     """
-    check_nonnegative("k", k)
-    check_nonnegative("word length", word_length)
-    check_nonnegative("window radius", radius)
+    check_count("k", k)
+    check_count("word length", word_length)
+    check_count("window radius", radius)
     trivial_edge = all(im.is_empty for im in spec.sub_a.image_words)
     if trivial_edge:
         return AcylindricityCheck(

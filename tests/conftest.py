@@ -1,4 +1,8 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +13,7 @@ from treegroups.tree import VertexRegion, act, ball, classify, geodesic, tree_di
 from treegroups.words import Word
 
 W = Word.parse
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 @pytest.fixture(scope="session")
@@ -206,3 +211,20 @@ def reference_walk(spec, start, levels, x, cap):
                     return depth, False
         frontier = nxt
     return depth, complete
+
+
+def run_cli(argv, seconds, max_mb) -> subprocess.CompletedProcess:
+    """``python -m treegroups.cli`` with ``argv`` in a child process that
+    imports this checkout's ``src`` first, is killed after ``seconds``
+    (``subprocess.TimeoutExpired``) and may map at most ``max_mb`` MB of
+    address space, so a call that regresses to work or memory linear in an
+    exponent fails fast instead of swapping the host."""
+    def cap_address_space():
+        limit = max_mb * 2 ** 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "treegroups.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=seconds,
+                          preexec_fn=cap_address_space)

@@ -1,8 +1,6 @@
 import json
 import os
 import re
-import subprocess
-import sys
 
 import pytest
 
@@ -10,12 +8,11 @@ from treegroups import freeness, tree
 from treegroups.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, _emit, run
 from treegroups.freeness import MAX_CERTIFICATE_DEPTH, CertificationFailure
 
-from conftest import count_calls
+from conftest import count_calls, run_cli
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
 GOLDEN = os.path.join(HERE, "golden")
-SRC = os.path.join(HERE, os.pardir, "src")
 
 
 def data(name):
@@ -337,11 +334,7 @@ def test_non_group_table_fails_at_load(tmp_path):
     group.write_text(json.dumps({"kind": "free_product", "factors": [
         {"type": "table", "elements": [f"e{i}" for i in range(100)], "table": table},
         {"type": "cyclic", "order": 2, "gens": ["b"]}]}))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-m", "treegroups.cli", "classify", "--group",
-                          str(group), "--element", "e1 b"],
-                         env=env, capture_output=True, text=True, timeout=2)
+    out = run_cli(["classify", "--group", str(group), "--element", "e1 b"], 2, 256)
     assert out.returncode == EXIT_INPUT and not out.stdout
     assert "not associative" in out.stderr
 
@@ -364,17 +357,29 @@ def test_edge_identification_of_huge_cyclic_groups_reads_no_element(tmp_path):
                       ["r", "r^2"], ["s", "s^2"], "r s", EXIT_OK),
              "f2_z5": ({"type": "free", "rank": 2, "gens": ["a", "b"]},
                        {"type": "cyclic", "order": 5, "gens": ["c"]}, ["a"], ["c"], "a c", EXIT_INPUT)}
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     for name, (fa, fb, into_a, into_b, element, code) in specs.items():
         group = tmp_path / f"{name}.json"
         group.write_text(json.dumps({"kind": "amalgam", "factors": [fa, fb], "edge": {
             "generators": ["p", "q"][:len(into_a)], "into_A": into_a, "into_B": into_b}}))
-        out = subprocess.run([sys.executable, "-m", "treegroups.cli", "classify", "--group",
-                              str(group), "--element", element],
-                             env=env, capture_output=True, text=True, timeout=2)
+        out = run_cli(["classify", "--group", str(group), "--element", element], 2, 256)
         assert out.returncode == code
         assert ("do not identify isomorphic subgroups" in out.stderr) == (code == EXIT_INPUT)
+
+
+@pytest.mark.parametrize("element", ["p^1000000000 u", "x^1000000000 y^-3 u v^7"])
+def test_huge_edge_group_exponents_cost_no_exponent(tmp_path, element):
+    # on Z^2 *_{p = x y, q = y} Z^2 both lie in the edge group (x = p q^-1),
+    # so each is elliptic and fixes A:1; edge images are raised to a power
+    # as exponent vectors, never spelled out as words
+    group = tmp_path / "z2_xy_z2.json"
+    group.write_text(json.dumps({"kind": "amalgam", "factors": [
+        {"type": "free_abelian", "rank": 2, "gens": ["x", "y"]},
+        {"type": "free_abelian", "rank": 2, "gens": ["u", "v"]}], "edge": {
+        "generators": ["p", "q"], "into_A": ["x y", "y"], "into_B": ["u", "v"]}}))
+    out = run_cli(["classify", "--group", str(group), "--element", element, "--json"], 2, 256)
+    assert out.returncode == EXIT_OK, out.stderr
+    assert json.loads(out.stdout) == {"element": element, "tau": 0, "verdict": "elliptic",
+                                      "witness_vertex": "A:1"}
 
 
 def test_input_errors(capsys):

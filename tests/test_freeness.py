@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -536,30 +537,54 @@ def test_branch_totality_random_pairs(f2):
         checked += 1
 
 
-def windowed_overlap(spec, h1, c1, h2, c2, radius):
-    """Reference for ``freeness._axis_intersection``: the window of Axis(h1)
-    of the given radius about the crossing q*, read off a geodesic by
-    ``reference_axis_window`` and kept where it lies on Axis(h2), then its
-    ``region_diameter``."""
-    move2 = mover(spec, h2)
+def scan_crossing(spec, r1, r2):
+    """Reference for the end q2 of ``freeness._bridge``: the first vertex of
+    [p1, p2], for classify's witnesses p_i, that lies on S2, scanned one
+    vertex at a time, and whether it lies on S1 too.  S_i is Fix(g_i) or
+    Axis(g_i) for g_i of (form, class) r_i, the vertices g_i moves by tau."""
+    (nf1, c1), (nf2, c2) = r1, r2
     q_star = next(v for v in geodesic(c1.witness_vertex, c2.witness_vertex)
-                  if on_axis(move2, c2.tau, v))
-    if not on_axis(mover(spec, h1), c1.tau, q_star):
+                  if on_axis(tree._mover(spec, nf2), c2.tau, v))
+    return q_star, on_axis(tree._mover(spec, nf1), c1.tau, q_star)
+
+
+def fixed_run_gap(spec, r1, r2):
+    """Reference for ``tree_distance(*freeness._bridge(...))``: [p1, p2]
+    meets S1 in an initial run of a vertices and S2 in a final one of b, so
+    d(S1, S2) = d(p1, p2) + 2 - a - b when the runs are disjoint, else 0;
+    each run is scanned one vertex at a time."""
+    def run(r, vs):
+        move = tree._mover(spec, r[0])
+        return sum(1 for _ in itertools.takewhile(
+            lambda v: tree_distance(v, move(v)) == r[1].tau, vs))
+
+    path = geodesic(r1[1].witness_vertex, r2[1].witness_vertex)
+    return max(0, len(path) + 1 - run(r1, path) - run(r2, reversed(path)))
+
+
+def windowed_overlap(spec, h1, r1, h2, r2, radius):
+    """Reference for ``freeness._axis_intersection``: the window of Axis(h1)
+    of the given radius about the crossing q* (``scan_crossing``), read off
+    a geodesic by ``reference_axis_window`` and kept where it lies on
+    Axis(h2), then its ``region_diameter``."""
+    q_star, meets = scan_crossing(spec, r1, r2)
+    if not meets:
         return -math.inf, q_star
+    move2, tau2 = mover(spec, h2), r2[1].tau
     window = reference_axis_window(spec, h1, q_star, radius)
-    return region_diameter([v for v in window.members if on_axis(move2, c2.tau, v)]), q_star
+    return region_diameter([v for v in window.members if on_axis(move2, tau2, v)]), q_star
 
 
 def reference_overlap_report(spec, k, h1, h2):
-    (c1, _), (c2, _) = freeness._distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
-    diam, crossing = windowed_overlap(spec, h1, c1, h2, c2, 3 * k + c1.tau + c2.tau + 6)
+    r1, r2 = (_, c1), (_, c2) = freeness._distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
+    diam, crossing = windowed_overlap(spec, h1, r1, h2, r2, 3 * k + c1.tau + c2.tau + 6)
     return diam, "small" if diam <= 3 * k else "large", crossing
 
 
 def reference_power_pair(spec, h1, h2, n, depth):
-    (c1, _), (c2, _) = freeness._distinct_axes(spec, h1, h2, max(n + 2, 8))
+    r1, r2 = (_, c1), (_, c2) = freeness._distinct_axes(spec, h1, h2, max(n + 2, 8))
     bound = n * min(c1.tau, c2.tau)
-    diam, _ = windowed_overlap(spec, h1, c1, h2, c2, bound + c1.tau + c2.tau + 6)
+    diam, _ = windowed_overlap(spec, h1, r1, h2, r2, bound + c1.tau + c2.tau + 6)
     if not diam < bound:
         raise WitnessInputError(
             f"axis overlap diameter {diam} is not < n*min(tau) = {bound}")
@@ -827,19 +852,62 @@ def test_fixed_set_checks_walk_no_window(f2, z4z6_table, z2_amalgam, monkeypatch
             call()
 
 
-def test_fixed_set_distance_tests_one_geodesic(z2z3, monkeypatch):
-    # each input is tested on at most the d(p1, p2) + 1 vertices of [p1, p2]
-    tested = []
+def test_a_gap_costs_two_classifications(z2z3, monkeypatch):
+    # g2 = u b u^-1, u = (a b)^n, fixes one vertex 2n steps from Fix(a): the
+    # bridge classifies twice at any distance, and product_translation_length
+    # classifies g1, g2, then the bridge's two projections, then g1 g2
+    for n in (1, 40, 400):
+        u = W("a b") ** n
+        g2 = u * W("b") * u.inverse()
+        pairs = [freeness._require(z2z3, g, "g", False) for g in (W("a"), g2)]
+        calls = count_calls(monkeypatch, freeness, "_classify")
+        assert tree_distance(*freeness._bridge(z2z3, *pairs)) == 2 * n - 1
+        assert len(calls) == 2
+        assert tuple(product_translation_length(z2z3, W("a"), g2)) == (4 * n - 2, 2 * n - 1)
+        assert len(calls) == 2 + 5
+        monkeypatch.undo()
 
-    def counted_mover(spec, nf):
-        move = tree._mover(spec, nf)
-        return lambda v: tested.append(v) or move(v)
 
-    monkeypatch.setattr(freeness, "_mover", counted_mover)
-    g1, g2 = W("a"), W("b a b^-1")
-    assert tuple(product_translation_length(z2z3, g1, g2)) == (4, 2)
-    p1, p2 = (classify(z2z3, g).witness_vertex for g in (g1, g2))
-    assert 0 < len(tested) <= 2 * (tree_distance(p1, p2) + 1)
+def random_pair(spec, rng, hyperbolic):
+    """Two random (form, class) pairs of the given type, the second one
+    conjugated by up to 6 letters in one draw of three, or None."""
+    pairs = []
+    for _ in range(400):
+        if hyperbolic:
+            g = random_word(rng, spec.gen_names, 4)
+        else:
+            g = random_elliptic(spec, rng, 2)
+        if pairs and rng.random() < 1 / 3:
+            c = random_word(rng, spec.gen_names, 6, 1)
+            g = c * g * c.inverse()
+        nf = spec.normal_form(g)
+        cls = tree._classify(spec, nf)
+        if not nf.is_trivial and cls.is_hyperbolic == hyperbolic:
+            pairs.append((nf, cls))
+            if len(pairs) == 2:
+                return pairs
+    return None
+
+
+@pytest.mark.parametrize("hyperbolic", [False, True], ids=["elliptic", "hyperbolic"])
+def test_bridge_matches_the_scans(request, hyperbolic):
+    # the two projections against the geodesic scans they replaced, on 30
+    # random pairs in each fixture that has them; the draws cover subtrees
+    # that meet, that lie one edge apart and that lie farther apart
+    gaps = set()
+    for name in ["z2z3", "z3z4", "z70z3", "z2z2", "triv_z5", "f2", "klein", "f2_amalgam",
+                 "z2_amalgam", "z4z6_table", "a4_s3z2_table"]:
+        spec, rng = request.getfixturevalue(name), random.Random(name)
+        for _ in range(30):
+            pair = random_pair(spec, rng, hyperbolic)
+            if pair is None:
+                break
+            q1, q2 = freeness._bridge(spec, *pair)
+            gap = tree_distance(q1, q2)
+            assert gap == fixed_run_gap(spec, *pair), name
+            assert scan_crossing(spec, *pair) == (q2, gap == 0), name
+            gaps.add(min(gap, 2))
+    assert gaps == {0, 1, 2}
 
 
 def test_witness_power_pair(f2):
@@ -875,6 +943,17 @@ FIXED_SETS_MEET = r"the fixed sets of g1 and g2 intersect; Fix\(g1\) ∩ Fix\(g2
      "g2 = a b is hyperbolic; an elliptic element is required"),
     (witness_elliptic_hyperbolic, "z2z3", (0, W("a"), W("b")), WitnessInputError,
      "h = b is elliptic; a hyperbolic element is required"),
+    (witness_elliptic_pair, "z2z3", (2.0, W("a"), W("b")), ValueError,
+     "k must be an integer, got 2.0"),
+    (witness_elliptic_hyperbolic, "z2z3", (True, W("a"), W("a b")), ValueError,
+     "k must be an integer, got True"),
+    (overlap_report, "f2", (math.nan, XY, W("y x")), ValueError, "k must be an integer, got nan"),
+    (witness_hyperbolic_pair, "f2", (math.inf, XY, W("y x")), ValueError,
+     "k must be an integer, got inf"),
+    (witness_elliptic_pair, "z2z3", (0, W("a"), W("b"), 6.0), ValueError,
+     "certificate depth must be an integer, got 6.0"),
+    (witness_power_pair, "f2", (XY, W("y x"), 2.5), ValueError, "n must be an integer, got 2.5"),
+    (witness_power_pair, "f2", (XY, W("y x"), 0), ValueError, "n must be >= 1, got 0"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_each_hypothesis_has_one_rejection_message(request, fn, spec, args, error, message):
     with pytest.raises(error, match=message):

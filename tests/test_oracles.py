@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegroups.oracles import (OracleError, _cancelled, cyclic_decompose, make_cyclic,
-                                make_free, make_free_abelian, make_table)
+from treegroups.oracles import (DesignatedSubgroup, OracleError, _cancelled, cyclic_decompose,
+                                make_cyclic, make_free, make_free_abelian, make_table)
 from treegroups.words import Word, WordError, shortlex
 
 import unit_words
@@ -192,6 +192,40 @@ def test_group_tables_load():
     assert len(tables[3][0]) == 64  # D32, the symmetries of a 32-gon
 
 
+def plain_index(o, w):
+    """Reference for ``TableOracle._index_of``: the letters multiplied in
+    left to right one step at a time, each power as |exp| mod the element's
+    order steps, the order walked out power by power."""
+    acc = 0
+    for name, exp in w.letters:
+        i = o._idx[name]
+        power, order = i, 1
+        while power:
+            power, order = o.table[power][i], order + 1
+        if exp < 0:
+            i = o._inv[i]
+        for _ in range(abs(exp) % order):
+            acc = o.table[acc][i]
+    return acc
+
+
+def test_table_powers_match_the_plain_product():
+    # square and multiply against the plain product, exponents up to 10^6,
+    # over cyclic tables and permutation tables (A4, S3 x Z/2, D32)
+    rng = random.Random(26)
+    tables = [cyclic_table(n, "r") for n in (2, 12, 500)]
+    tables += [_permutation_table(gens, "p")[:2] for gens in (
+        [(1, 2, 0, 3), (1, 0, 3, 2)],
+        [(1, 0, 2, 3, 4), (1, 2, 0, 3, 4), (0, 1, 2, 4, 3)],
+        [tuple((i + 1) % 32 for i in range(32)), tuple(-i % 32 for i in range(32))])]
+    for elements, table in tables:
+        o = make_table(elements, table)
+        for _ in range(40):
+            w = Word.of((rng.choice(elements), rng.choice([-1, 1]) * rng.randint(1, 10 ** 6))
+                        for _ in range(rng.randint(0, 6)))
+            assert o._index_of(w) == plain_index(o, w), str(w)
+
+
 def test_element_orders():
     assert make_cyclic(12, "r").element_order(W("r^4")) == 3
     assert make_cyclic(12, "r").element_order(W("r^5")) == 12
@@ -264,6 +298,24 @@ def test_residue_subgroup_split():
     assert not sub.split(W("r^3"))[0].is_empty
     rep, cw = sub.split(W("r^10"))
     assert rep.is_empty and o.canonical(sub.embed(cw)) == o.canonical(W("r^10"))
+
+
+def test_embed_matches_the_spelled_out_image():
+    # every kind's embed against the images raised to a power as words and
+    # reduced; the residue and lattice kinds sum exponents or vectors, so an
+    # exponent of 10^12 costs them no more than one of 3
+    rng = random.Random(44)
+    for o, gen_lists in all_oracles():
+        for gens in gen_lists:
+            sub = o.designated_subgroup([W(g) for g in gens])
+            for _ in range(20):
+                cw = tuple((rng.randrange(len(gens)), rng.choice([-3, -1, 1, 2]))
+                           for _ in range(rng.randint(0, 4) if gens else 0))
+                assert sub.embed(cw) == DesignatedSubgroup.embed(sub, cw), (gens, cw)
+    lat = make_free_abelian(2, ["x", "y"]).designated_subgroup([W("x y^2"), W("y^3")])
+    assert lat.embed(((0, 10 ** 12), (1, -1))) == W(f"x^{10 ** 12} y^{2 * 10 ** 12 - 3}")
+    res = make_cyclic(10 ** 9, "r").designated_subgroup([W("r^6")])
+    assert res.embed(((0, 10 ** 12 + 1),)) == W("r^6")
 
 
 def test_lattice_subgroup():

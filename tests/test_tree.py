@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -830,6 +831,26 @@ def test_check_acylindricity_validates_inputs(z2z3):
                           ((0, 6, -3), "window radius must be >= 0, got -3")]:
         with pytest.raises(ValueError, match=message):
             check_acylindricity(z2z3, *args)
+
+
+def test_counts_must_be_integers(klein):
+    # klein is falsified at every k >= 0, yet k = nan compared false against
+    # every diameter; floats, infinities and bools are no counts either
+    base = base_vertex()
+    for call, message in [
+            (lambda: check_acylindricity(klein, math.nan), "k must be an integer, got nan"),
+            (lambda: check_acylindricity(klein, 2.0), "k must be an integer, got 2.0"),
+            (lambda: check_acylindricity(klein, True), "k must be an integer, got True"),
+            (lambda: check_acylindricity(klein, 2, math.inf), "word length must be an integer"),
+            (lambda: check_acylindricity(klein, 2, 6, 8.0), "window radius must be an integer"),
+            (lambda: ball(klein, base, True), "window radius must be an integer, got True"),
+            (lambda: fixed_set(klein, W("a^2"), radius=2.5), "window radius must be an integer"),
+            (lambda: axis_window(klein, W("a b"), radius=2.5), "window radius must be an integer"),
+            (lambda: t_set(klein, W("a"), max_power=2.5), "max_power must be an integer"),
+            (lambda: t_set(klein, W("a"), max_power=0), "max_power must be >= 1, got 0")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+    assert check_acylindricity(klein, 2).falsified
 
 
 def reference_acylindricity(spec, k, word_length, radius):
