@@ -14,10 +14,11 @@ certificate, each extended from the last.  A relation of cost m is a
 collision of two words of costs ceil(m/2) and floor(m/2), so a rank-2
 certificate walks the ball of half its depth, about ×√3 per level for
 infinite orders, and a failing one names the relation of its first
-collision (the argument is in ``certify_rank2_free``).  Each generator
-is normalized once, and the constructors pass its order: conjugates have
-equal orders, so g^(h^-p) has the order of g, and hyperbolic witnesses
-have infinite order (Serre, Trees, §I.6).  Depths past
+collision (the argument is in ``certify_rank2_free``).  The constructors
+extend each generator's form, and its inverse's when a power table needs
+it, from the forms of their inputs (``_generator``, ``_conjugate``), and
+pass its order: conjugates have equal orders, so g^(h^-p) has the order
+of g, and hyperbolic witnesses have infinite order (Serre, Trees, §I.6).  Depths past
 ``MAX_CERTIFICATE_DEPTH`` and certificates of more than
 ``MAX_CERTIFICATE_NODES`` words are input errors.  In general it refutes
 non-freeness up to that depth; it is a guard, not a proof; the freeness
@@ -46,7 +47,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .splitting import NormalForm, SplittingSpec
 from .tree import (ElementClass, TreeVertex, _axis_ray, _classify, _element_order, _mover,
-                   _t_powers, act, check_count, mover, on_axis, tree_distance)
+                   _power, _project, _t_powers, check_count, mover, on_axis, tree_distance)
 from .words import Word
 
 
@@ -132,20 +133,40 @@ def _exponent_range(order: Optional[int], budget: int) -> List[int]:
     return [e for mag in range(1, budget + 1) for e in (mag, -mag)]
 
 
-def _power_forms(spec: SplittingSpec, w: Word, nf: NormalForm, order: Optional[int],
-                 depth: int) -> Dict[int, NormalForm]:
+def _generator(spec: SplittingSpec, w: Word, nf: NormalForm, n: int = 1) -> tuple:
+    """w^n as a certificate generator: (w^n, nf(w^n), a function that
+    returns nf(w^-n)), the forms powers of nf = nf(w) and of nf(w^-1), which
+    is normalized only when it is asked for (``_power_forms``).  The word
+    comes first, so a power past ``MAX_WORD_LETTERS`` builds no form."""
+    return w ** n, _power(spec, nf, n), lambda: _power(spec, spec.normal_form(w.inverse()), n)
+
+
+def _conjugate(spec: SplittingSpec, g: Word, nf_g: NormalForm, h: Word, nf_h: NormalForm,
+               p: int) -> tuple:
+    """The generator g^(h^-p) = h^p g h^-p (``_generator``), its forms
+    extended from nf(h^p) and nf(h^-p), powers of nf(h) and nf(h^-1),
+    instead of normalized from the spelled-out words; the word comes first,
+    as in ``_generator``."""
+    word = g.conjugated_by(h ** -p)
+    hp, hm = _power(spec, nf_h, p), _power(spec, spec.normal_form(h.inverse()), p)
+    conj = lambda x: spec.extend(spec.extend(hp, x), hm)
+    return word, conj(nf_g), lambda: conj(spec.normal_form(g.inverse()))
+
+
+def _power_forms(spec: SplittingSpec, nf: NormalForm, inverse: Callable[[], NormalForm],
+                 order: Optional[int], depth: int) -> Dict[int, NormalForm]:
     """nf(w^e) for every exponent in ``_exponent_range(order, depth)``, from
-    nf = nf(w) and nf(w^-1): nf(w^(s(m+1))) = extend(nf(w^(sm)), nf(w^s)),
-    so the table costs O(depth) junctions.  A finite order keys w^-m by its
-    residue order - m, and runs the second chain only as far as the first
-    one has not reached."""
+    nf = nf(w) and nf(w^-1) = inverse(): nf(w^(s(m+1))) = extend(nf(w^(sm)),
+    nf(w^s)), so the table costs O(depth) junctions.  A finite order keys
+    w^-m by its residue order - m, and runs the second chain, if at all,
+    only as far as the first one has not reached."""
     up = depth if order is None else min(depth, order - 1)
     down = depth if order is None else min(depth, order - 1 - up)
     forms: Dict[int, NormalForm] = {}
     for s, count in ((1, up), (-1, down)):
         if not count:
             continue
-        step = nf if s == 1 else spec.normal_form(w ** s)
+        step = nf if s == 1 else inverse()
         chain = itertools.accumulate(itertools.repeat(step, count - 1), spec.extend,
                                      initial=step)
         for m, nf in zip(range(1, count + 1), chain):
@@ -164,7 +185,9 @@ def _check_nodes(depth: int, count: int) -> None:
 def _ball_size(orders: Tuple[Optional[int], ...], radius: int) -> int:
     """|B(radius)| - 1 in the free product of the two cyclic groups, that is,
     the number of nontrivial alternating words of cost <= radius:
-    2(3^radius - 1) for two infinite orders."""
+    2(3^radius - 1) for two infinite orders, read off without the recurrence."""
+    if orders == (None, None):
+        return 2 * (3 ** radius - 1)
     costs = [[_syllable_cost(e, order) for e in _exponent_range(order, radius)]
              for order in orders]
     # ends[i][c]: the words of cost c whose last power is on side i
@@ -175,15 +198,17 @@ def _ball_size(orders: Tuple[Optional[int], ...], radius: int) -> int:
     return sum(ends[0]) + sum(ends[1])
 
 
-def _ball_collision(spec: SplittingSpec, words: Tuple[Word, Word], nfs: Tuple[NormalForm, ...],
-                    orders: Tuple[Optional[int], ...], depth: int) -> Optional[tuple]:
+def _ball_collision(spec: SplittingSpec, gens: tuple, orders: Tuple[Optional[int], ...],
+                    depth: int) -> Optional[tuple]:
     """The first two distinct words u, v of costs <= ceil(depth/2) and
-    <= floor(depth/2) with the same normal form, or None.  The walk goes by
+    <= floor(depth/2) with the same normal form, or None, for generators
+    given as ``_generator`` triples.  The walk goes by
     cost layers; each word is its parent's form extended by its last power,
     and v is the first word that reached the form.  A word is nested as
     (parent, side, exponent), the root being ()."""
     low, high = depth // 2, (depth + 1) // 2
-    forms = [_power_forms(spec, *gen, high) for gen in zip(words, nfs, orders)]
+    forms = [_power_forms(spec, nf, inverse, order, high)
+             for (_, nf, inverse), order in zip(gens, orders)]
     identity = NormalForm((), ())
     first = {identity: ()}  # each stored form's first word
     # ends[i][c]: (word, normal form) of the words of cost c ending on side i
@@ -261,20 +286,21 @@ def certify_rank2_free(spec: SplittingSpec, w1: Word, w2: Word,
     the verdict and the named relation are those of the requested depth,
     which alone the node budget judges.
     """
-    return _certify_rank2(spec, (w1, w2), None, depth)
-
-
-def _certify_rank2(spec: SplittingSpec, words: Tuple[Word, Word], orders: Optional[tuple],
-                   depth: int) -> Tuple[bool, Optional[str]]:
-    """``certify_rank2_free``, reading each order off its form unless it is known."""
     _check_depth(depth)
-    forms = tuple(map(spec.normal_form, words))
+    return _certify_rank2(spec, [_generator(spec, w, spec.normal_form(w)) for w in (w1, w2)],
+                          None, depth)
+
+
+def _certify_rank2(spec: SplittingSpec, gens: tuple, orders: Optional[tuple],
+                   depth: int) -> Tuple[bool, Optional[str]]:
+    """``certify_rank2_free`` of generators given as ``_generator`` triples,
+    reading each order off its form unless it is known."""
+    forms = [nf for _, nf, _ in gens]
     if any(nf.is_trivial for nf in forms):
         return False, "a witness generator is trivial"
     orders = orders or tuple(_element_order(spec, nf, _classify(spec, nf)) for nf in forms)
     _check_nodes(depth, _ball_size(orders, (depth + 1) // 2))
-    collision = _ball_collision(spec, words, forms, orders,
-                                min(depth, 4) if _free_spec(spec) else depth)
+    collision = _ball_collision(spec, gens, orders, min(depth, 4) if _free_spec(spec) else depth)
     if collision is None:
         return True, None
     u, v = collision
@@ -338,15 +364,14 @@ def _bridge(spec: SplittingSpec, r1: tuple, r2: tuple) -> Tuple[TreeVertex, Tree
     by their (form, class) pairs r1, r2, where S_i is Fix(g_i) for elliptic
     g_i and Axis(g_i) for hyperbolic g_i; q1 = q2 exactly when S1 and S2 meet.
 
-    Classify's witness about a base is the base's projection onto S (Serre,
-    Trees, §I.6), so q2 projects classify's p1 in S1 onto S2, and q1 projects
-    q2 onto S1.  If the subtrees meet in s, q2 lies on [p1, s], which lies
-    in S1 (subtrees are convex), so q1 = q2.  If not, one bridge [b1, b2]
-    joins them, every path from S1 to S2 runs through it, and so q2 = b2 and
-    q1 = b1.  Either way the gap costs two classifications."""
-    (nf1, c1), (nf2, _) = r1, r2
-    q2 = _classify(spec, nf2, c1.witness_vertex).witness_vertex
-    return _classify(spec, nf1, q2).witness_vertex, q2
+    q2 projects classify's witness p1 in S1 onto S2, and q1 projects q2
+    onto S1 (``_project``).  If the subtrees meet in s, q2 lies on [p1, s],
+    which lies in S1 (subtrees are convex), so q1 = q2.  If not, one bridge
+    [b1, b2] joins them, every path from S1 to S2 runs through it, and so
+    q2 = b2 and q1 = b1.  Either way the gap costs two moves."""
+    (nf1, c1), (nf2, c2) = r1, r2
+    q2 = _project(spec, nf2, c2.tau, c1.witness_vertex)
+    return _project(spec, nf1, c1.tau, q2), q2
 
 
 def _fixed_set_distance(spec: SplittingSpec, g1: Word, g2: Word) -> tuple:
@@ -360,28 +385,32 @@ def _fixed_set_distance(spec: SplittingSpec, g1: Word, g2: Word) -> tuple:
     return d, required
 
 
-def _axes_coincide(spec: SplittingSpec, h1: Word, c1: ElementClass, move2: Callable,
+def _axes_coincide(spec: SplittingSpec, h1: Word, r1: tuple, move2: Callable,
                    c2: ElementClass, spread: int) -> bool:
-    """Whether three Axis(h1) points spread 2*spread*tau(h1) apart all lie on
-    Axis(h2), h2 moving by move2.  If so, the axes share a segment at least
-    that long (axes are convex), which we take as equality.  Distinct axes
-    overlap in a bounded segment, so a large spread makes this decisive."""
-    p1 = c1.witness_vertex
-    return all(on_axis(move2, c2.tau, act(spec, h1 ** j, p1) if j else p1)
-               for j in (0, -spread, spread))
+    """Whether p1 and h1^±spread p1, three Axis(h1) points 2*spread*tau(h1)
+    apart, all lie on Axis(h2), h2 moving by move2, for h1's (form, class)
+    pair r1.  If so, the axes share a segment at least that long (axes are
+    convex), which we take as equality.  Distinct axes overlap in a bounded
+    segment, so a large spread makes this decisive."""
+    p1 = r1[1].witness_vertex
+    if not on_axis(move2, c2.tau, p1):
+        return False
+    _, up, down = _generator(spec, h1, r1[0], spread)
+    return (on_axis(move2, c2.tau, _mover(spec, up)(p1))
+            and on_axis(move2, c2.tau, _mover(spec, down())(p1)))
 
 
 def same_axis(spec: SplittingSpec, h1: Word, h2: Word) -> bool:
     """Windowed test for Axis(h1) = Axis(h2), sampled with spread 8."""
-    (_, c1), (nf2, c2) = _require(spec, h1, "h1", True), _require(spec, h2, "h2", True)
-    return _axes_coincide(spec, h1, c1, _mover(spec, nf2), c2, 8)
+    r1, (nf2, c2) = _require(spec, h1, "h1", True), _require(spec, h2, "h2", True)
+    return _axes_coincide(spec, h1, r1, _mover(spec, nf2), c2, 8)
 
 
 def _distinct_axes(spec: SplittingSpec, h1: Word, h2: Word, spread: int) -> tuple:
     """The (form, class) pairs of hyperbolic h1 and h2; rejects axes that
     coincide when sampled with the given spread."""
     r1, r2 = _require(spec, h1, "h1", True), _require(spec, h2, "h2", True)
-    if _axes_coincide(spec, h1, r1[1], _mover(spec, r2[0]), r2[1], spread):
+    if _axes_coincide(spec, h1, r1, _mover(spec, r2[0]), r2[1], spread):
         raise WitnessInputError(
             f"h1 = {h1} and h2 = {h2} share an axis; distinct axes are required")
     return r1, r2
@@ -415,22 +444,30 @@ def _axis_intersection(spec: SplittingSpec, h1: Word, r1: tuple, r2: tuple,
 
 def overlap_report(spec: SplittingSpec, k: int, h1: Word, h2: Word) -> OverlapReport:
     """Diameter of Axis(h1) ∩ Axis(h2) and the 3k branch selection."""
+    return _overlap(spec, k, h1, h2)[0]
+
+
+def _overlap(spec: SplittingSpec, k: int, h1: Word, h2: Word) -> tuple:
+    """``overlap_report``, and the inputs' (form, class) pairs."""
     check_count("k", k)
     r1, r2 = _distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
     radius = 3 * k + r1[1].tau + r2[1].tau + 6
     diam, crossing = _axis_intersection(spec, h1, r1, r2, radius)
     branch = "small" if diam <= 3 * k else "large"
     # the walk radius exceeds 3k, so the branch verdict is exhaustive
-    return OverlapReport(diam, branch, crossing)
+    return OverlapReport(diam, branch, crossing), r1, r2
 
 
-def _certified(spec: SplittingSpec, case: str, pair: Tuple[Word, Word], order: Optional[int],
+def _certified(spec: SplittingSpec, case: str, gens: tuple, order: Optional[int],
                power: int, depth: int, branch: Optional[str] = None) -> FreenessWitness:
-    """Certify the pair, whose common order the case knows, and wrap it;
-    elliptic cases claim a free product, hyperbolic ones a free subgroup."""
+    """Certify the generators (``_generator`` triples), whose common order
+    the case knows, and wrap them; elliptic cases claim a free product,
+    hyperbolic ones a free subgroup."""
+    _check_depth(depth)
     claim = "free_product_rank2" if case.startswith("elliptic") else "free_subgroup_rank2"
-    ok, fail = _certify_rank2(spec, pair, (order, order), depth)
-    return FreenessWitness(case, pair, power, claim, depth, ok, branch, fail)
+    ok, fail = _certify_rank2(spec, gens, (order, order), depth)
+    return FreenessWitness(case, tuple(w for w, _, _ in gens), power, claim, depth, ok,
+                           branch, fail)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +480,11 @@ def witness_elliptic_pair(spec: SplittingSpec, k: int, g1: Word, g2: Word,
     """Elliptic pair with disjoint fixed sets: witnesses (g1, h^p g1 h^-p)
     with h = g1 g2 and p = ceil((k+1)/2)."""
     check_count("k", k)
-    _, [(nf, cls), _] = _fixed_set_distance(spec, g1, g2)
-    p, order = (k + 2) // 2, _element_order(spec, nf, cls)
-    return _certified(spec, "elliptic_elliptic", (g1, g1.conjugated_by((g1 * g2) ** -p)),
-                      order, p, depth)
+    _, [(nf1, cls), (nf2, _)] = _fixed_set_distance(spec, g1, g2)
+    p, order = (k + 2) // 2, _element_order(spec, nf1, cls)
+    conj = _conjugate(spec, g1, nf1, g1 * g2, spec.extend(nf1, nf2), p)
+    return _certified(spec, "elliptic_elliptic", (_generator(spec, g1, nf1), conj), order, p,
+                      depth)
 
 
 def witness_elliptic_hyperbolic(spec: SplittingSpec, k: int, g: Word, h: Word,
@@ -454,9 +492,11 @@ def witness_elliptic_hyperbolic(spec: SplittingSpec, k: int, g: Word, h: Word,
     """Elliptic g, hyperbolic h: witnesses (g, h^p g h^-p) with p = k+1."""
     check_count("k", k)
     nf, cls = _require(spec, g, "g", False)
-    _require(spec, h, "h", True)
+    nf_h, _ = _require(spec, h, "h", True)
     p, order = k + 1, _element_order(spec, nf, cls)
-    return _certified(spec, "elliptic_hyperbolic", (g, g.conjugated_by(h ** -p)), order, p, depth)
+    conj = _conjugate(spec, g, nf, h, nf_h, p)
+    return _certified(spec, "elliptic_hyperbolic", (_generator(spec, g, nf), conj), order, p,
+                      depth)
 
 
 def witness_hyperbolic_pair(spec: SplittingSpec, k: int, h1: Word, h2: Word,
@@ -467,15 +507,16 @@ def witness_hyperbolic_pair(spec: SplittingSpec, k: int, h1: Word, h2: Word,
     Large overlap: p = 3 and one of (h2, h1^p h2 h1^-p), (h1, h2^p h1 h2^-p),
     trying the h1-conjugates-h2 order first.
     """
-    if overlap_report(spec, k, h1, h2).branch == "small":
+    report, (nf1, _), (nf2, _) = _overlap(spec, k, h1, h2)
+    if report.branch == "small":
         q = 3 * k + 1
-        return _certified(spec, "hyperbolic_small_overlap", (h1 ** q, h2 ** q), None, q,
-                          depth, "small")
+        return _certified(spec, "hyperbolic_small_overlap", (_generator(spec, h1, nf1, q),
+                          _generator(spec, h2, nf2, q)), None, q, depth, "small")
     p = 3
-    for conjugator, seed, label in ((h1, h2, "h1 conjugates h2"),
-                                    (h2, h1, "h2 conjugates h1")):
-        witness = _certified(spec, "hyperbolic_large_overlap",
-                             (seed, seed.conjugated_by(conjugator ** -p)), None, p, depth,
+    for conjugator, seed, label in (((h1, nf1), (h2, nf2), "h1 conjugates h2"),
+                                    ((h2, nf2), (h1, nf1), "h2 conjugates h1")):
+        witness = _certified(spec, "hyperbolic_large_overlap", (_generator(spec, *seed),
+                             _conjugate(spec, *seed, *conjugator, p)), None, p, depth,
                              f"large ({label})")
         if witness.certified:
             return witness
@@ -527,8 +568,7 @@ def verify_disjoint_tsets(spec: SplittingSpec, g1: Word, g2: Word) -> bool:
     powers = []
     for g, name in ((g1, "g1"), (g2, "g2")):
         nf, cls = _require(spec, g, name, False)
-        forms = [nf if d == 1 else spec.normal_form(g ** d)
-                 for d in _t_powers(_element_order(spec, nf, cls) or 0, 6)]
+        forms = [_power(spec, nf, d) for d in _t_powers(_element_order(spec, nf, cls) or 0, 6)]
         powers.append([(f, _classify(spec, f)) for f in forms])
     return all(tree_distance(*_bridge(spec, r1, r2)) >= 1
                for r1, r2 in itertools.product(*powers))
@@ -546,7 +586,8 @@ def witness_power_pair(spec: SplittingSpec, h1: Word, h2: Word, n: int,
     if not diam < bound:
         raise WitnessInputError(
             f"axis overlap diameter {diam} is not < n*min(tau) = {bound}")
-    return _certified(spec, "hyperbolic_small_overlap", (h1 ** n, h2 ** n), None, n, depth)
+    return _certified(spec, "hyperbolic_small_overlap", (_generator(spec, h1, r1[0], n),
+                      _generator(spec, h2, r2[0], n)), None, n, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ given), so a huge finite index costs no more than the cap.
 Words are checked where they enter: every public oracle and subgroup method
 rejects a foreign generator with a ``WordError``.  Each kind implements the
 unchecked ``_reduce`` and ``_split``, which internal code and ``embed`` use.
+Every kind splits the identity as (1, ()), which normal forms rely on.  A
+merged word over one generator has at most one letter, so the cyclic and
+rank-1 free kinds read a word's exponent off that letter.
 """
 
 from __future__ import annotations
@@ -234,7 +237,7 @@ class _ResidueSubgroup(DesignatedSubgroup):
             return self.oracle._reduce(x), ()
         e = self.oracle._exponent(x)
         m = e // self.d
-        cw = tuple((i, c * m) for i, c in enumerate(self._coeffs) if c * m != 0)
+        cw = tuple((i, c * m) for i, c in enumerate(self._coeffs) if c) if m else ()
         return self.oracle._from_exponent(e % self.d), cw
 
     def index(self) -> Optional[int]:
@@ -388,7 +391,7 @@ class CyclicOracle(GroupOracle):
         self.n = n
 
     def _exponent(self, w: Word) -> int:
-        return sum(e for _, e in w.letters) % self.n
+        return w.letters[0][1] % self.n if w.letters else 0
 
     def _from_exponent(self, e: int) -> Word:
         e %= self.n
@@ -423,7 +426,7 @@ class FreeOracle(GroupOracle):
 
     def _exponent(self, w: Word) -> int:
         # rank-1 helper: total exponent
-        return sum(e for _, e in w.letters)
+        return w.letters[0][1] if w.letters else 0
 
     def _from_exponent(self, e: int) -> Word:
         return Word.gen(self.gen_names[0], e)

@@ -7,6 +7,8 @@ free products).  The transversal choice is deterministic per factor kind, so
 normal forms, tree vertices and certificates are reproducible bit for bit.
 The tail c, a word over the edge generators, is always the A-side split of
 its image, so one element has one form and forms compare as plain records.
+Every designated subgroup splits the identity as (1, ()), so an empty tail
+is its own A-side split and a form with one is built without a split.
 """
 
 from __future__ import annotations
@@ -142,15 +144,13 @@ class SplittingSpec:
     def gen_names(self) -> Tuple[str, ...]:
         return self.factor_a.gen_names + self.factor_b.gen_names
 
-    def edge_index(self, side: str) -> Optional[int]:
-        """Index of the edge subgroup in the given factor (None = infinite)."""
-        return self.subgroup(side).index()
-
     def parse_word(self, text: str) -> Word:
         """Parse a word, substituting edge-generator letters by their A-images."""
         return self.resolve_word(Word.parse(text))
 
     def resolve_word(self, w: Word) -> Word:
+        if all(name in self._side_of for name, _ in w.letters):
+            return w  # no edge letter to substitute, and merged already
         letters: List = []
         for name, exp in w.letters:
             if name in self._edge_index:
@@ -194,17 +194,20 @@ class SplittingSpec:
         return self._form(syllables, tail + w.tail) if tail else NormalForm(tuple(syllables), w.tail)
 
     def _form(self, syllables: List[Syllable], tail: CWord) -> NormalForm:
-        """The form with ``tail``, which either side may have split, split in A."""
+        """The form with ``tail``, which either side may have split, split in A;
+        an empty tail is its own split, since the identity splits as (1, ())."""
+        if not tail:
+            return NormalForm(tuple(syllables), ())
         return NormalForm(tuple(syllables), self.sub_a._split(self.sub_a.embed(tail))[1])
 
     def _push(self, syllables: List[Syllable], tail: CWord, side: str,
               piece: Word) -> CWord:
-        sub = self.subgroup(side)
+        sub = self.sub_a if side == SIDE_A else self.sub_b
         y = sub.embed(tail) * piece if tail else piece
         if syllables and syllables[-1].side == side:
             y = syllables.pop().word * y
         rep, tail = sub._split(y)
-        if not rep.is_empty:
+        if rep.letters:
             syllables.append(Syllable(side, rep))
         return tail
 
@@ -241,40 +244,6 @@ def _kernel_dies(x: DesignatedSubgroup, y: DesignatedSubgroup) -> bool:
     images = ([sum(c * v[i] for c, v in zip(row[n:], ys)) for i in range(len(ys[0]))]
               for row in rows[len(_echelon(rows, n)):])
     return not any(e % my if my else e for image in images for e in image)
-
-
-# ---------------------------------------------------------------------------
-# elementarity
-# ---------------------------------------------------------------------------
-
-
-class ElementarityVerdict(NamedTuple):
-    verdict: str  # elliptic_action | linear_action | non_elementary
-    reason: str
-
-
-def classify_elementarity(spec: SplittingSpec) -> ElementarityVerdict:
-    """Structural elementarity of the action on the coset tree.
-
-    Decided from the factor-to-edge indices: any index 1 collapses the tree
-    to a bounded star (elliptic); indices (2, 2) make the tree a line.
-    """
-    ia = spec.edge_index(SIDE_A)
-    ib = spec.edge_index(SIDE_B)
-    fmt = lambda i: "inf" if i is None else str(i)
-    if ia == 1 or ib == 1:
-        return ElementarityVerdict(
-            "elliptic_action",
-            f"a factor equals the edge subgroup (indices {fmt(ia)}, {fmt(ib)}): "
-            "the tree is a bounded star with a fixed vertex")
-    if ia == 2 and ib == 2:
-        return ElementarityVerdict(
-            "linear_action",
-            "both factor-to-edge indices equal 2: the tree is a line")
-    return ElementarityVerdict(
-        "non_elementary",
-        f"factor-to-edge indices ({fmt(ia)}, {fmt(ib)}): some index >= 3 "
-        "and both >= 2, so no invariant point or line exists")
 
 
 # ---------------------------------------------------------------------------

@@ -179,11 +179,27 @@ def _classify(spec: SplittingSpec, nf: NormalForm, base=None) -> ElementClass:
     gv = move(base)
     ggv = move(gv)
     d1 = tree_distance(base, gv)
-    d2 = tree_distance(base, ggv)
-    if d2 > d1:
-        tau = d2 - d1
-        return ElementClass("hyperbolic", tau, geodesic_vertex(base, gv, (d1 - tau) // 2))
-    return ElementClass("elliptic", 0, geodesic_vertex(base, gv, d1 // 2))
+    tau = max(tree_distance(base, ggv) - d1, 0)
+    return ElementClass("hyperbolic" if tau else "elliptic", tau,
+                        geodesic_vertex(base, gv, (d1 - tau) // 2))
+
+
+def _project(spec: SplittingSpec, nf: NormalForm, tau: int, v: TreeVertex) -> TreeVertex:
+    """The projection of v onto S = Fix(g) (tau = 0) or Axis(g), for g = nf
+    of translation length tau: d(v, g v) = 2 d(v, S) + tau and [v, g v]
+    runs through it (Serre, Trees, §I.6), so once tau is known it costs
+    one move.  Classify's witness is the projection of its base."""
+    gv = _mover(spec, nf)(v)
+    return geodesic_vertex(v, gv, (tree_distance(v, gv) - tau) // 2)
+
+
+def _power(spec: SplittingSpec, nf: NormalForm, n: int) -> NormalForm:
+    """nf(g^n) for n >= 1 from nf = nf(g), by squaring: g^n is (g^2)^(n//2),
+    times g for odd n, so about 2 log2(n) extends build it."""
+    if n == 1:
+        return nf
+    half = _power(spec, spec.extend(nf, nf), n // 2)
+    return spec.extend(half, nf) if n % 2 else half
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +378,7 @@ def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
     dist: Dict[TreeVertex, int] = {}
     exhaustive = o != 0 and max_power >= o - 1
     for d in _t_powers(o, max_power):
-        nf_d = nf if d == 1 else spec.normal_form(g ** d)
+        nf_d = _power(spec, nf, d)
         window, complete = _fixed_window(spec, nf_d, _classify(spec, nf_d, base), base,
                                          radius, NEIGHBOR_CAP)
         dist.update(window)

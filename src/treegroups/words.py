@@ -15,6 +15,10 @@ GEN_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 _TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 
+# most merged letters a power may have: past it the power is an input error,
+# raised before the word is built
+MAX_WORD_LETTERS = 1_000_000
+
 Letter = Tuple[str, int]
 # a word over abstract symbols as (symbol, +1 or -1) units, as ``shortlex`` lists them
 Units = Tuple[Tuple[Hashable, int], ...]
@@ -98,14 +102,19 @@ class Word(NamedTuple):
         if len(self.letters) == 1:
             (name, exp), = self.letters
             return Word(((name, exp * n),))
-        base = self if n > 0 else self.inverse()
-        n = abs(n)
-        out = Word()
-        while n:  # binary powering; exponents may be huge
+        base, n, m = (self if n > 0 else self.inverse()), abs(n), len(self.letters)
+        # every junction of w w cancels and merges alike, so w^n has
+        # |w| + (n - 1)(|w w| - |w|) letters, worked out only past the budget
+        if m * n > MAX_WORD_LETTERS and m + (n - 1) * (len((self * self).letters) - m) \
+                > MAX_WORD_LETTERS:
+            raise WordError(f"the {n}-th power of a word of {m} letters has more than "
+                            f"{MAX_WORD_LETTERS} letters")
+        out = base if n & 1 else Word()
+        while n > 1:  # binary powering, squaring no further than n; exponents may be huge
+            n >>= 1
+            base = base * base
             if n & 1:
                 out = out * base
-            base = base * base
-            n >>= 1
         return out
 
     def conjugated_by(self, t: "Word") -> "Word":

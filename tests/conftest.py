@@ -1,14 +1,16 @@
+import math
 import os
 import random
 import resource
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 
 from treegroups import tree
 from treegroups.oracles import make_cyclic, make_free, make_free_abelian, make_table
-from treegroups.splitting import SplittingSpec, other_side
+from treegroups.splitting import SIDE_A, SIDE_B, SplittingSpec, other_side
 from treegroups.tree import VertexRegion, act, ball, classify, geodesic, tree_distance
 from treegroups.words import Word
 
@@ -122,6 +124,35 @@ def a4_s3z2_table():
         [W(names_b[index_b[(1, 0, 2, 3, 4)]]), W(names_b[index_b[(0, 1, 2, 4, 3)]])])
 
 
+class ElementarityVerdict(NamedTuple):
+    verdict: str  # elliptic_action | linear_action | non_elementary
+    reason: str
+
+
+def classify_elementarity(spec: SplittingSpec) -> ElementarityVerdict:
+    """Structural elementarity of the action on the coset tree.
+
+    Decided from the factor-to-edge indices: any index 1 collapses the tree
+    to a bounded star (elliptic); indices (2, 2) make the tree a line.
+    """
+    ia = spec.subgroup(SIDE_A).index()
+    ib = spec.subgroup(SIDE_B).index()
+    fmt = lambda i: "inf" if i is None else str(i)
+    if ia == 1 or ib == 1:
+        return ElementarityVerdict(
+            "elliptic_action",
+            f"a factor equals the edge subgroup (indices {fmt(ia)}, {fmt(ib)}): "
+            "the tree is a bounded star with a fixed vertex")
+    if ia == 2 and ib == 2:
+        return ElementarityVerdict(
+            "linear_action",
+            "both factor-to-edge indices equal 2: the tree is a line")
+    return ElementarityVerdict(
+        "non_elementary",
+        f"factor-to-edge indices ({fmt(ia)}, {fmt(ib)}): some index >= 3 "
+        "and both >= 2, so no invariant point or line exists")
+
+
 def count_calls(monkeypatch, owner, name: str) -> list:
     """Wrap ``owner.name`` (a module function or a class's method) so that
     each call appends its positional arguments to the returned list."""
@@ -134,6 +165,20 @@ def count_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def growth_exponent(run, sizes, counter: list) -> list:
+    """The log-log slopes, between consecutive sizes, of a deterministic
+    count: ``run(size)`` does the work and ``counter``, a list that
+    ``count_calls`` returned, grows by one per counted call.  A slope of 1
+    is linear growth in the size, 2 quadratic."""
+    counts = []
+    for size in sizes:
+        before = len(counter)
+        run(size)
+        counts.append(len(counter) - before)
+    return [math.log(c2 / c1) / math.log(s2 / s1)
+            for s1, s2, c1, c2 in zip(sizes, sizes[1:], counts, counts[1:])]
 
 
 def random_word(rng: random.Random, gen_names, max_len: int,

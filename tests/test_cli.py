@@ -382,6 +382,22 @@ def test_huge_edge_group_exponents_cost_no_exponent(tmp_path, element):
                                       "witness_vertex": "A:1"}
 
 
+@pytest.mark.parametrize("element", ["p^1000000000 b", "u^1000000000 b"])
+def test_powers_past_the_word_budget_are_input_errors(tmp_path, element):
+    # on F2 *_{p = a b} Z both spell the edge image a b to the 10^9-th power
+    # in A, a word of 2 * 10^9 letters: refused before it is built, with no
+    # traceback, well inside the time and address-space caps
+    group = tmp_path / "f2_ab_z.json"
+    group.write_text(json.dumps({"kind": "amalgam", "factors": [
+        {"type": "free", "rank": 2, "gens": ["a", "b"]},
+        {"type": "free", "rank": 1, "gens": ["u"]}], "edge": {
+        "generators": ["p"], "into_A": ["a b"], "into_B": ["u"]}}))
+    out = run_cli(["classify", "--group", str(group), "--element", element], 2, 256)
+    assert out.returncode == EXIT_INPUT and not out.stdout
+    assert out.stderr == ("error: the 1000000000-th power of a word of 2 letters has more "
+                          "than 1000000 letters\n")
+
+
 def test_input_errors(capsys):
     rc, _, err = invoke(capsys, "classify", "--group", "/does/not/exist.json",
                         "--element", "a")

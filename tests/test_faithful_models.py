@@ -11,11 +11,11 @@ random words.
 import random
 
 from treegroups.oracles import make_cyclic, make_free, make_free_abelian, make_table
-from treegroups.splitting import SplittingSpec, classify_elementarity
+from treegroups.splitting import SplittingSpec
 from treegroups.tree import base_vertex, classify, fixed_set
 from treegroups.words import Word
 
-from conftest import random_word
+from conftest import classify_elementarity, random_word
 
 W = Word.parse
 
@@ -126,7 +126,7 @@ def test_table_factor_amalgam():
                          make_cyclic(6, "s", "B"), ["t"], [W("r2")], [W("s^3")])
     assert spec.is_trivial(W("r2 s^-3"))
     assert not spec.is_trivial(W("r s^-3"))
-    assert spec.edge_index("A") == 2 and spec.edge_index("B") == 3
+    assert spec.subgroup("A").index() == 2 and spec.subgroup("B").index() == 3
     assert classify_elementarity(spec).verdict == "non_elementary"
     assert classify(spec, W("r")).verdict == "elliptic"
     cls = classify(spec, W("r s"))
@@ -145,7 +145,7 @@ def test_rank2_edge_subgroup():
     assert spec.is_trivial(W("x^2 u^-1"))
     assert spec.is_trivial(W("y v^-3"))
     assert not spec.is_trivial(W("x u^-1"))
-    assert spec.edge_index("A") == 2 and spec.edge_index("B") == 3
+    assert spec.subgroup("A").index() == 2 and spec.subgroup("B").index() == 3
     # by hand: u = x^2, C_A = <x^2, y>, coset representatives of C_A in A
     # are {1, x} (x-exponent mod 2).  x u = x^3 = x . x^2 -> [x][x^2];
     # x^3 u^-1 = x^3 x^-2 = x, and x is not in C_A -> [x], empty tail.

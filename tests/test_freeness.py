@@ -23,7 +23,8 @@ from treegroups.tree import (base_vertex, classify, element_order, fixed_set, ge
                              on_axis, region_diameter, t_set, tree_distance)
 from treegroups.words import Word
 
-from conftest import count_calls, random_elliptic, random_word, reference_axis_window
+from conftest import (count_calls, growth_exponent, random_elliptic, random_word,
+                      reference_axis_window)
 
 W = Word.parse
 XY = W("x y")
@@ -188,8 +189,8 @@ def test_certificate_splits_relations_by_parity(f2, w2, depth, verdict):
     assert certify_rank2_free(f2, W("x"), W(w2), depth) == verdict
     assert reference_certificate(f2, W("x"), W(w2), depth) == verdict
     words = (W("x"), W(w2))
-    collision = freeness._ball_collision(f2, words, tuple(map(f2.normal_form, words)),
-                                         (None, None), depth)
+    gens = [freeness._generator(f2, w, f2.normal_form(w)) for w in words]
+    collision = freeness._ball_collision(f2, gens, (None, None), depth)
     assert (collision is None) == verdict[0]
 
 
@@ -265,7 +266,8 @@ def test_power_forms_are_the_normal_forms_of_the_powers(request, spec, w):
     spec, w = request.getfixturevalue(spec), W(w)
     order = element_order(spec, w)
     for depth in range(9):
-        forms = freeness._power_forms(spec, w, spec.normal_form(w), order, depth)
+        forms = freeness._power_forms(spec, spec.normal_form(w),
+                                      lambda: spec.normal_form(w ** -1), order, depth)
         exps = freeness._exponent_range(order, depth)
         if order is not None:
             cost = lambda e: min(e % order, order - e % order)
@@ -588,8 +590,8 @@ def reference_power_pair(spec, h1, h2, n, depth):
     if not diam < bound:
         raise WitnessInputError(
             f"axis overlap diameter {diam} is not < n*min(tau) = {bound}")
-    return freeness._certified(spec, "hyperbolic_small_overlap", (h1 ** n, h2 ** n),
-                               None, n, depth)
+    gens = [freeness._generator(spec, h ** n, spec.normal_form(h ** n)) for h in (h1, h2)]
+    return freeness._certified(spec, "hyperbolic_small_overlap", gens, None, n, depth)
 
 
 def outcome(call):
@@ -648,12 +650,14 @@ def test_overlap_is_walked_not_windowed(f2_amalgam, monkeypatch):
 @pytest.mark.parametrize("call, bound", [
     # 2 today: the two inputs; tau(g1 g2) reads extend(nf(g1), nf(g2))
     (lambda s: product_translation_length(s["z2z3"], W("a"), W("b")), 3),
-    # 4 today: g1 and g2, then the conjugate witness; order-2 generators
-    # have no w^-1 chain, and the orders come from g1's class
-    (lambda s: witness_elliptic_pair(s["z2z3"], 5, W("b a b^-1"), W("a b a^-1"), 7), 8),
-    # 8 today: h1, h2, h1^-902 (the first axis sample off Axis(h2)), h1^-1
-    # for the overlap walk, and h1^901, h2^901 with their inverses
-    (lambda s: witness_hyperbolic_pair(s["f2_amalgam"], 300, W("b d"), W("d b"), 2), 11),
+    # 3 today: g1, g2 and (g1 g2)^-1; the conjugate witness's form is
+    # extended from theirs, order-2 generators have no w^-1 chain, and the
+    # orders come from g1's class
+    (lambda s: witness_elliptic_pair(s["z2z3"], 5, W("b a b^-1"), W("a b a^-1"), 7), 4),
+    # 5 today: h1, h2, h1^-1 for the overlap walk, and h1^-1 and h2^-1 for
+    # the certificate's negative powers; h1^901 and h2^901, and their
+    # inverses, are extended from those forms
+    (lambda s: witness_hyperbolic_pair(s["f2_amalgam"], 300, W("b d"), W("d b"), 2), 6),
 ], ids=["product_translation_length", "witness_elliptic_pair", "witness_hyperbolic_pair"])
 def test_witnesses_normalize_each_element_once(z2z3, f2_amalgam, monkeypatch, call, bound):
     forms = count_calls(monkeypatch, SplittingSpec, "normal_form")
@@ -678,8 +682,8 @@ def test_constructors_pass_the_generators_orders(z2z3, f2, f2_amalgam, monkeypat
     witness_elliptic_pair(z2z3, 2, W("b a b^-1"), W("a b a^-1"))
     witness_power_pair(f2, XY, W("y^2 x y^-1"), 2)
     assert len(calls) == 13
-    for spec, _, pair, order, *_ in calls:
-        assert (order, order) == tuple(element_order(spec, w) for w in pair)
+    for spec, _, gens, order, *_ in calls:
+        assert (order, order) == tuple(element_order(spec, w) for w, _, _ in gens)
 
 
 # -- semigroup clause -----------------------------------------------------------
@@ -852,20 +856,34 @@ def test_fixed_set_checks_walk_no_window(f2, z4z6_table, z2_amalgam, monkeypatch
             call()
 
 
-def test_a_gap_costs_two_classifications(z2z3, monkeypatch):
+def test_a_gap_costs_two_moves(z2z3, monkeypatch):
     # g2 = u b u^-1, u = (a b)^n, fixes one vertex 2n steps from Fix(a): the
-    # bridge classifies twice at any distance, and product_translation_length
-    # classifies g1, g2, then the bridge's two projections, then g1 g2
+    # bridge moves once per projection at any distance, and
+    # product_translation_length classifies g1 and g2 (two moves each), then
+    # takes the bridge's two moves, extends nf(g1) by nf(g2) and classifies
+    # g1 g2
     for n in (1, 40, 400):
         u = W("a b") ** n
         g2 = u * W("b") * u.inverse()
         pairs = [freeness._require(z2z3, g, "g", False) for g in (W("a"), g2)]
-        calls = count_calls(monkeypatch, freeness, "_classify")
+        calls = count_calls(monkeypatch, SplittingSpec, "extend")
         assert tree_distance(*freeness._bridge(z2z3, *pairs)) == 2 * n - 1
         assert len(calls) == 2
         assert tuple(product_translation_length(z2z3, W("a"), g2)) == (4 * n - 2, 2 * n - 1)
-        assert len(calls) == 2 + 5
+        assert len(calls) == 2 + 9
         monkeypatch.undo()
+
+
+def test_product_translation_length_pushes_grow_linearly(z2z3, monkeypatch):
+    # g2 = u b u^-1, u = (a b)^n: the inputs have about 4n syllables and the
+    # bridge spans 2n - 1 edges, and the pushes grow like n, not faster
+    def run(n):
+        u = W("a b") ** n
+        assert product_translation_length(z2z3, W("a"), u * W("b") * u.inverse()) == (
+            4 * n - 2, 2 * n - 1)
+
+    pushes = count_calls(monkeypatch, SplittingSpec, "_push")
+    assert max(growth_exponent(run, [100, 200, 400], pushes)) <= 1.1
 
 
 def random_pair(spec, rng, hyperbolic):

@@ -300,6 +300,17 @@ def test_residue_subgroup_split():
     assert rep.is_empty and o.canonical(sub.embed(cw)) == o.canonical(W("r^10"))
 
 
+@given(letters=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=6),
+       n=st.sampled_from([1, 2, 3, 70, 10 ** 9]))
+def test_one_generator_exponent_is_the_letter_sum(letters, n):
+    # a merged word over one generator has at most one letter, whose
+    # exponent the one-generator kinds read as the word's exponent sum
+    w = Word.of(("g", e) for e in letters)
+    assert len(w.letters) <= 1
+    assert make_cyclic(n, "g")._exponent(w) == sum(letters) % n
+    assert make_free(1, ["g"])._exponent(w) == sum(letters)
+
+
 def test_embed_matches_the_spelled_out_image():
     # every kind's embed against the images raised to a power as words and
     # reduced; the residue and lattice kinds sum exponents or vectors, so an

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegroups.oracles import make_cyclic, make_free, make_free_abelian, make_table
-from treegroups.splitting import (HnnNotSupportedError, SpecError,
-                                  SplittingSpec, classify_elementarity,
-                                  load_spec, spec_from_dict)
+from treegroups.splitting import (HnnNotSupportedError, SpecError, SplittingSpec, load_spec,
+                                  spec_from_dict)
 from treegroups.tree import TreeVertex
 from treegroups.words import Word, WordError, shortlex
 
-from conftest import count_calls, random_word
+from conftest import classify_elementarity, count_calls, random_word
 
 W = Word.parse
 
@@ -209,7 +208,7 @@ def test_rank1_free_factor_with_a_negative_edge_image():
     # coefficient with the residue
     spec = SplittingSpec("amalgam", make_free(1, ["a"], "A"), make_free(1, ["b"], "B"),
                          ["t"], [W("a^-2")], [W("b^2")])
-    assert spec.edge_index("A") == 2
+    assert spec.subgroup("A").index() == 2
     assert spec.sub_a.split(W("a^4")) == (Word(), ((0, -2),))
     assert spec.sub_a.split(W("a^-5")) == (W("a"), ((0, 3),))
     assert spec.is_trivial(W("a^2 b^2")) and not spec.is_trivial(W("a^2 b^-2"))
@@ -240,7 +239,7 @@ def test_spec_from_dict_roundtrip():
     spec = spec_from_dict(doc)
     assert spec.kind == "amalgam"
     assert spec.declared_k == 7
-    assert spec.edge_index("A") == 2 and spec.edge_index("B") == 2
+    assert spec.subgroup("A").index() == 2 and spec.subgroup("B").index() == 2
     # a table declaration's "gens" key is not part of the format and is ignored
     table = {"type": "table", "elements": ["e", "g"], "table": [[0, 1], [1, 0]]}
     for decl in (table, dict(table, gens=["x"])):
@@ -320,9 +319,27 @@ def test_edge_maps_with_one_kernel_load(factors, into_a, into_b):
         assert spec.sub_a.embed(cw).is_empty == spec.sub_b.embed(cw).is_empty
 
 
-def test_foreign_generator_rejected(z2z3):
-    with pytest.raises(WordError):
-        z2z3.normal_form(W("q"))
+def test_foreign_generator_rejected(z2z3, f2):
+    # a free product has no edge letter to substitute, so resolve_word returns
+    # a word of its own letters as it is, and rejects any other
+    for spec, word in ((z2z3, "q"), (z2z3, "a b q"), (f2, "x q^2 y")):
+        with pytest.raises(WordError, match="generator 'q' is foreign to this splitting"):
+            spec.normal_form(W(word))
+
+
+def test_the_identity_splits_as_itself(request):
+    # _form returns a form with an empty tail as it is, since every
+    # designated subgroup splits the identity as (1, ()): free-cyclic,
+    # residue, table and lattice subgroups, and the trivial ones of free products
+    kinds = set()
+    for spec in [request.getfixturevalue(name) for name in (
+            "z2z3", "z3z4", "z70z3", "z2z2", "triv_z5", "f2", "klein", "f2_amalgam",
+            "z2_amalgam", "z4z6_table", "a4_s3z2_table")] + DATA_SPECS:
+        for sub in (spec.sub_a, spec.sub_b):
+            assert sub._split(sub.embed(())) == (Word(), ())
+            kinds.add(type(sub).__name__)
+    assert kinds == {"_FreeCyclicSubgroup", "_ResidueSubgroup", "_TableSubgroup",
+                     "_LatticeSubgroup"}
 
 
 def test_foreign_generator_rejected_by_parse_word_and_normal_form(f2_amalgam):

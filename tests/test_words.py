@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from treegroups import words as words_module
 from treegroups.words import Word, WordError, shortlex
 
 W = Word.parse
@@ -46,6 +47,21 @@ def test_inverse_and_power():
     assert (W("b") ** 10 ** 30).letters == (("b", 10 ** 30),)
 
 
+def test_powers_past_the_letter_budget_are_input_errors(monkeypatch):
+    # w^n has |w| + (n - 1)(|w w| - |w|) merged letters, predicted exactly
+    # before the power is built: a b^-2 c has 3 letters and its square 6,
+    # a b a merges at each junction (2n + 1 letters), and a conjugate of one
+    # letter stays 3 letters at any power
+    monkeypatch.setattr(words_module, "MAX_WORD_LETTERS", 50)
+    for w, n_max in ((W("a b^-2 c"), 16), (W("a b a"), 24)):
+        assert len((w ** n_max).letters) <= 50 and len((w ** -n_max).letters) <= 50
+        for n in (n_max + 1, -(n_max + 1), 10 ** 9):
+            with pytest.raises(WordError, match="has more than 50 letters"):
+                w ** n
+    assert W("a b a^-1") ** 10 ** 9 == W(f"a b^{10 ** 9} a^-1")
+    assert (W("b") ** 10 ** 30).letters == (("b", 10 ** 30),)
+
+
 def test_letter_length():
     assert W("a b^-2 c").letter_length() == 4
     assert Word().letter_length() == 0
@@ -87,6 +103,9 @@ def test_power_is_the_repeated_product(u, x, n):
         for _ in range(abs(n)):
             want = Word.of(want.letters + step.letters)
         assert w ** n == want
+        # the letter count the word budget predicts before building a power
+        m = len(w.letters)
+        assert len(want.letters) == (m + (abs(n) - 1) * (len((w * w).letters) - m) if n else 0)
 
 
 def _shortlex_key(units, symbols):
