@@ -185,9 +185,7 @@ def _check_nodes(depth: int, count: int) -> None:
 def _ball_size(orders: Tuple[Optional[int], ...], radius: int) -> int:
     """|B(radius)| - 1 in the free product of the two cyclic groups, that is,
     the number of nontrivial alternating words of cost <= radius:
-    2(3^radius - 1) for two infinite orders, read off without the recurrence."""
-    if orders == (None, None):
-        return 2 * (3 ** radius - 1)
+    2(3^radius - 1) for two infinite orders."""
     costs = [[_syllable_cost(e, order) for e in _exponent_range(order, radius)]
              for order in orders]
     # ends[i][c]: the words of cost c whose last power is on side i
@@ -417,13 +415,13 @@ def _distinct_axes(spec: SplittingSpec, h1: Word, h2: Word, spread: int) -> tupl
 
 
 def _axis_intersection(spec: SplittingSpec, h1: Word, r1: tuple, r2: tuple,
-                       radius: int) -> Tuple[float, TreeVertex]:
-    """Diameter of Axis(h1) ∩ Axis(h2) within radius of q*, the projection
-    of Axis(h1) onto Axis(h2), and q*; -inf when the axes are disjoint.  The
-    inputs come as (form, class) pairs, and q* is the end on Axis(h2) of
-    their ``_bridge``, so the axes meet exactly when its two ends agree.  If
-    the axes meet, q* lies in the intersection, so a radius R certifies any
-    diameter verdict below R.
+                       bound: int) -> Tuple[float, TreeVertex]:
+    """Diameter of Axis(h1) ∩ Axis(h2) within radius R = bound + tau(h1) +
+    tau(h2) + 6 of q*, the projection of Axis(h1) onto Axis(h2), and q*;
+    -inf when the axes are disjoint.  The inputs come as (form, class)
+    pairs, and q* is the end on Axis(h2) of their ``_bridge``, so the axes
+    meet exactly when its two ends agree.  If the axes meet, q* lies in the
+    intersection, so R certifies any diameter verdict up to bound.
 
     Axes are convex, so Axis(h1) ∩ Axis(h2) is a segment of the line
     Axis(h1) through q*.  The overlap is walked from q* along Axis(h1), one
@@ -433,9 +431,9 @@ def _axis_intersection(spec: SplittingSpec, h1: Word, r1: tuple, r2: tuple,
     q1, q_star = _bridge(spec, r1, r2)
     if q1 != q_star:
         return -math.inf, q_star
-    (nf1, _), (nf2, c2) = r1, r2
+    (nf1, c1), (nf2, c2) = r1, r2
     move2 = _mover(spec, nf2)
-    rays = (itertools.islice(_axis_ray(move, q_star), radius)
+    rays = (itertools.islice(_axis_ray(move, q_star), bound + c1.tau + c2.tau + 6)
             for move in (_mover(spec, nf1), mover(spec, h1.inverse())))
     extents = (sum(1 for _ in itertools.takewhile(lambda v: on_axis(move2, c2.tau, v), ray))
                for ray in rays)
@@ -444,18 +442,12 @@ def _axis_intersection(spec: SplittingSpec, h1: Word, r1: tuple, r2: tuple,
 
 def overlap_report(spec: SplittingSpec, k: int, h1: Word, h2: Word) -> OverlapReport:
     """Diameter of Axis(h1) ∩ Axis(h2) and the 3k branch selection."""
-    return _overlap(spec, k, h1, h2)[0]
-
-
-def _overlap(spec: SplittingSpec, k: int, h1: Word, h2: Word) -> tuple:
-    """``overlap_report``, and the inputs' (form, class) pairs."""
     check_count("k", k)
     r1, r2 = _distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
-    radius = 3 * k + r1[1].tau + r2[1].tau + 6
-    diam, crossing = _axis_intersection(spec, h1, r1, r2, radius)
+    diam, crossing = _axis_intersection(spec, h1, r1, r2, 3 * k)
     branch = "small" if diam <= 3 * k else "large"
     # the walk radius exceeds 3k, so the branch verdict is exhaustive
-    return OverlapReport(diam, branch, crossing), r1, r2
+    return OverlapReport(diam, branch, crossing)
 
 
 def _certified(spec: SplittingSpec, case: str, gens: tuple, order: Optional[int],
@@ -507,8 +499,9 @@ def witness_hyperbolic_pair(spec: SplittingSpec, k: int, h1: Word, h2: Word,
     Large overlap: p = 3 and one of (h2, h1^p h2 h1^-p), (h1, h2^p h1 h2^-p),
     trying the h1-conjugates-h2 order first.
     """
-    report, (nf1, _), (nf2, _) = _overlap(spec, k, h1, h2)
-    if report.branch == "small":
+    check_count("k", k)
+    (nf1, _), (nf2, _) = r1, r2 = _distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
+    if _axis_intersection(spec, h1, r1, r2, 3 * k)[0] <= 3 * k:  # overlap_report's branch
         q = 3 * k + 1
         return _certified(spec, "hyperbolic_small_overlap", (_generator(spec, h1, nf1, q),
                           _generator(spec, h2, nf2, q)), None, q, depth, "small")
@@ -568,7 +561,8 @@ def verify_disjoint_tsets(spec: SplittingSpec, g1: Word, g2: Word) -> bool:
     powers = []
     for g, name in ((g1, "g1"), (g2, "g2")):
         nf, cls = _require(spec, g, name, False)
-        forms = [_power(spec, nf, d) for d in _t_powers(_element_order(spec, nf, cls) or 0, 6)]
+        forms = [nf if d == 1 else spec.normal_form(g ** d)
+                 for d in _t_powers(_element_order(spec, nf, cls) or 0, 6)]
         powers.append([(f, _classify(spec, f)) for f in forms])
     return all(tree_distance(*_bridge(spec, r1, r2)) >= 1
                for r1, r2 in itertools.product(*powers))
@@ -580,9 +574,8 @@ def witness_power_pair(spec: SplittingSpec, h1: Word, h2: Word, n: int,
     (h1^n, h2^n) generate a rank-2 free subgroup; certified witness."""
     check_count("n", n, 1)
     r1, r2 = _distinct_axes(spec, h1, h2, max(n + 2, 8))
-    (_, c1), (_, c2) = r1, r2
-    bound = n * min(c1.tau, c2.tau)
-    diam, _ = _axis_intersection(spec, h1, r1, r2, bound + c1.tau + c2.tau + 6)
+    bound = n * min(r1[1].tau, r2[1].tau)
+    diam, _ = _axis_intersection(spec, h1, r1, r2, bound)
     if not diam < bound:
         raise WitnessInputError(
             f"axis overlap diameter {diam} is not < n*min(tau) = {bound}")

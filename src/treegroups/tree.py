@@ -378,7 +378,7 @@ def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
     dist: Dict[TreeVertex, int] = {}
     exhaustive = o != 0 and max_power >= o - 1
     for d in _t_powers(o, max_power):
-        nf_d = _power(spec, nf, d)
+        nf_d = nf if d == 1 else spec.normal_form(g ** d)
         window, complete = _fixed_window(spec, nf_d, _classify(spec, nf_d, base), base,
                                          radius, NEIGHBOR_CAP)
         dist.update(window)
