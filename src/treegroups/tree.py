@@ -115,10 +115,6 @@ def mover(spec: SplittingSpec, g: Word) -> Callable[[TreeVertex], TreeVertex]:
     return _mover(spec, spec.normal_form(g))
 
 
-def act(spec: SplittingSpec, g: Word, v: TreeVertex) -> TreeVertex:
-    return mover(spec, g)(v)
-
-
 def _first_side(v: TreeVertex) -> str:
     """B when the path from A:1 to v runs through B:1, else A."""
     return v.syllables[0].side if v.syllables else v.side

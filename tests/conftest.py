@@ -11,7 +11,7 @@ import pytest
 from treegroups import tree
 from treegroups.oracles import make_cyclic, make_free, make_free_abelian, make_table
 from treegroups.splitting import SIDE_A, SIDE_B, SplittingSpec, other_side
-from treegroups.tree import VertexRegion, act, ball, classify, geodesic, tree_distance
+from treegroups.tree import TreeVertex, VertexRegion, ball, classify, geodesic, mover, tree_distance
 from treegroups.words import Word
 
 W = Word.parse
@@ -151,6 +151,11 @@ def classify_elementarity(spec: SplittingSpec) -> ElementarityVerdict:
         "non_elementary",
         f"factor-to-edge indices ({fmt(ia)}, {fmt(ib)}): some index >= 3 "
         "and both >= 2, so no invariant point or line exists")
+
+
+def act(spec: SplittingSpec, g: Word, v: TreeVertex) -> TreeVertex:
+    """g v, for tests; the library moves vertices with ``tree.mover``."""
+    return mover(spec, g)(v)
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:

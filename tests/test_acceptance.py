@@ -29,11 +29,11 @@ from treegroups.manifolds import (JsjGraph, ManifoldDescription,
                                   PieceDescription, SL2Matrix,
                                   classify_manifold, sl2_trace,
                                   systole_bound_for, twisted_double_conjugate)
-from treegroups.tree import (act, axis_window, base_vertex,
-                             check_acylindricity, classify, tree_distance)
+from treegroups.tree import (axis_window, base_vertex, check_acylindricity, classify,
+                             tree_distance)
 from treegroups.words import Word
 
-from conftest import random_elliptic, random_word
+from conftest import act, random_elliptic, random_word
 
 W = Word.parse
 

@@ -15,14 +15,14 @@ from treegroups import oracles, splitting, tree, words
 from treegroups.oracles import make_cyclic, make_free, make_free_abelian, make_table
 from treegroups.splitting import SplittingSpec, Syllable, load_spec, other_side
 from treegroups.tree import (EllipticElementError, TreeVertex,
-                             act, axis_window, ball, base_vertex,
+                             axis_window, ball, base_vertex,
                              check_acylindricity, classify, element_order,
                              fix_diameter_lb, fixed_set, geodesic,
                              geodesic_vertex, mover, on_axis, region_diameter,
                              t_set, tree_distance, vertex_of)
 from treegroups.words import Word, shortlex
 
-from conftest import (_permutation_table, count_calls, cyclic_table,
+from conftest import (_permutation_table, act, count_calls, cyclic_table,
                       min_displacement_bruteforce, random_elliptic, random_word,
                       reference_axis_window, reference_walk)
 
