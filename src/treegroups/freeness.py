@@ -34,7 +34,7 @@ Each case hypothesis is checked in one place: the element type by
 ``_require``, disjoint fixed sets by ``_fixed_set_distance``, distinct axes
 by ``_distinct_axes`` (whose three-point sampling ``_axes_coincide`` also
 answers ``same_axis``), and every rank-2 witness is certified and wrapped
-by ``_certified``, sharing each input's form and class.  Fixed-set gaps,
+by ``_certified``, sharing each input's ``Subtree``.  Fixed-set gaps,
 T-set disjointness and the axes' crossing are read off one rule,
 ``_bridge``.  Axis spreads are derived from the inputs, not passed in.
 """
@@ -46,8 +46,8 @@ import math
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .splitting import NormalForm, SplittingSpec
-from .tree import (ElementClass, TreeVertex, _axis_ray, _classify, _element_order, _mover,
-                   _power, _project, _t_powers, check_count, mover, on_axis, tree_distance)
+from .tree import (Subtree, TreeVertex, _axis_ray, _element_order, _mover, _power, _subtree,
+                   _t_powers, check_count, mover, tree_distance)
 from .words import Word
 
 
@@ -296,7 +296,7 @@ def _certify_rank2(spec: SplittingSpec, gens: tuple, orders: Optional[tuple],
     forms = [nf for _, nf, _ in gens]
     if any(nf.is_trivial for nf in forms):
         return False, "a witness generator is trivial"
-    orders = orders or tuple(_element_order(spec, nf, _classify(spec, nf)) for nf in forms)
+    orders = orders or tuple(_element_order(spec, _subtree(spec, nf)) for nf in forms)
     _check_nodes(depth, _ball_size(orders, (depth + 1) // 2))
     collision = _ball_collision(spec, gens, orders, min(depth, 4) if _free_spec(spec) else depth)
     if collision is None:
@@ -347,104 +347,98 @@ def certify_free_semigroup(spec: SplittingSpec, w1: Word, w2: Word,
 # ---------------------------------------------------------------------------
 
 
-def _require(spec: SplittingSpec, w: Word, name: str, hyperbolic: bool) -> tuple:
-    """w's form and class, rejected unless w is hyperbolic (or elliptic) as required."""
-    cls = _classify(spec, nf := spec.normal_form(w))
-    if cls.is_hyperbolic != hyperbolic:
+def _require(spec: SplittingSpec, w: Word, name: str, hyperbolic: bool) -> Subtree:
+    """w's ``Subtree``, rejected unless w is hyperbolic (or elliptic) as required."""
+    s = _subtree(spec, spec.normal_form(w))
+    if s.cls.is_hyperbolic != hyperbolic:
         if hyperbolic:
             raise WitnessInputError(f"{name} = {w} is elliptic; a hyperbolic element is required")
         raise WitnessInputError(f"{name} = {w} is hyperbolic; an elliptic element is required")
-    return nf, cls
+    return s
 
 
-def _bridge(spec: SplittingSpec, r1: tuple, r2: tuple) -> Tuple[TreeVertex, TreeVertex]:
-    """The ends (q1, q2) of the shortest path from S1 to S2, for inputs given
-    by their (form, class) pairs r1, r2, where S_i is Fix(g_i) for elliptic
-    g_i and Axis(g_i) for hyperbolic g_i; q1 = q2 exactly when S1 and S2 meet.
+def _bridge(s1: Subtree, s2: Subtree) -> Tuple[TreeVertex, TreeVertex]:
+    """The ends (q1, q2) of the shortest path from S1 to S2; q1 = q2 exactly
+    when S1 and S2 meet.
 
     q2 projects classify's witness p1 in S1 onto S2, and q1 projects q2
-    onto S1 (``_project``).  If the subtrees meet in s, q2 lies on [p1, s],
-    which lies in S1 (subtrees are convex), so q1 = q2.  If not, one bridge
-    [b1, b2] joins them, every path from S1 to S2 runs through it, and so
-    q2 = b2 and q1 = b1.  Either way the gap costs two moves."""
-    (nf1, c1), (nf2, c2) = r1, r2
-    q2 = _project(spec, nf2, c2.tau, c1.witness_vertex)
-    return _project(spec, nf1, c1.tau, q2), q2
+    onto S1.  If the subtrees meet in s, q2 lies on [p1, s], which lies in
+    S1 (subtrees are convex), so q1 = q2.  If not, one bridge [b1, b2]
+    joins them, every path from S1 to S2 runs through it, and so q2 = b2
+    and q1 = b1.  Either way the gap costs two moves."""
+    q2 = s2.project(s1.cls.witness_vertex)
+    return s1.project(q2), q2
 
 
 def _fixed_set_distance(spec: SplittingSpec, g1: Word, g2: Word) -> tuple:
-    """d(Fix(g1), Fix(g2)) for elliptic g1, g2, and the inputs' (form, class)
-    pairs; rejects intersecting fixed sets."""
+    """d(Fix(g1), Fix(g2)) for elliptic g1, g2, and the inputs' ``Subtree``s;
+    rejects intersecting fixed sets."""
     required = [_require(spec, g1, "g1", False), _require(spec, g2, "g2", False)]
-    d = tree_distance(*_bridge(spec, *required))
+    d = tree_distance(*_bridge(*required))
     if d < 1:
         raise WitnessInputError(
             "the fixed sets of g1 and g2 intersect; Fix(g1) ∩ Fix(g2) = ∅ is required")
     return d, required
 
 
-def _axes_coincide(spec: SplittingSpec, h1: Word, r1: tuple, move2: Callable,
-                   c2: ElementClass, spread: int) -> bool:
+def _axes_coincide(spec: SplittingSpec, h1: Word, s1: Subtree, s2: Subtree,
+                   spread: int) -> bool:
     """Whether p1 and h1^±spread p1, three Axis(h1) points 2*spread*tau(h1)
-    apart, all lie on Axis(h2), h2 moving by move2, for h1's (form, class)
-    pair r1.  If so, the axes share a segment at least that long (axes are
-    convex), which we take as equality.  Distinct axes overlap in a bounded
-    segment, so a large spread makes this decisive."""
-    p1 = r1[1].witness_vertex
-    if not on_axis(move2, c2.tau, p1):
+    apart, all lie on S2 = Axis(h2).  If so, the axes share a segment at
+    least that long (axes are convex), which we take as equality.  Distinct
+    axes overlap in a bounded segment, so a large spread makes this
+    decisive.  The powers come as a ``_generator``, so a spread past the
+    word budget is an input error, not a form too long to build."""
+    p1 = s1.cls.witness_vertex
+    if not s2.contains(p1):
         return False
-    _, up, down = _generator(spec, h1, r1[0], spread)
-    return (on_axis(move2, c2.tau, _mover(spec, up)(p1))
-            and on_axis(move2, c2.tau, _mover(spec, down())(p1)))
+    _, up, down = _generator(spec, h1, s1.nf, spread)
+    return s2.contains(_mover(spec, up)(p1)) and s2.contains(_mover(spec, down())(p1))
 
 
 def same_axis(spec: SplittingSpec, h1: Word, h2: Word) -> bool:
     """Windowed test for Axis(h1) = Axis(h2), sampled with spread 8."""
-    r1, (nf2, c2) = _require(spec, h1, "h1", True), _require(spec, h2, "h2", True)
-    return _axes_coincide(spec, h1, r1, _mover(spec, nf2), c2, 8)
+    return _axes_coincide(spec, h1, _require(spec, h1, "h1", True),
+                          _require(spec, h2, "h2", True), 8)
 
 
 def _distinct_axes(spec: SplittingSpec, h1: Word, h2: Word, spread: int) -> tuple:
-    """The (form, class) pairs of hyperbolic h1 and h2; rejects axes that
-    coincide when sampled with the given spread."""
-    r1, r2 = _require(spec, h1, "h1", True), _require(spec, h2, "h2", True)
-    if _axes_coincide(spec, h1, r1, _mover(spec, r2[0]), r2[1], spread):
+    """The ``Subtree``s of hyperbolic h1 and h2; rejects axes that coincide
+    when sampled with the given spread."""
+    s1, s2 = _require(spec, h1, "h1", True), _require(spec, h2, "h2", True)
+    if _axes_coincide(spec, h1, s1, s2, spread):
         raise WitnessInputError(
             f"h1 = {h1} and h2 = {h2} share an axis; distinct axes are required")
-    return r1, r2
+    return s1, s2
 
 
-def _axis_intersection(spec: SplittingSpec, h1: Word, r1: tuple, r2: tuple,
+def _axis_intersection(spec: SplittingSpec, h1: Word, s1: Subtree, s2: Subtree,
                        bound: int) -> Tuple[float, TreeVertex]:
     """Diameter of Axis(h1) ∩ Axis(h2) within radius R = bound + tau(h1) +
     tau(h2) + 6 of q*, the projection of Axis(h1) onto Axis(h2), and q*;
-    -inf when the axes are disjoint.  The inputs come as (form, class)
-    pairs, and q* is the end on Axis(h2) of their ``_bridge``, so the axes
-    meet exactly when its two ends agree.  If the axes meet, q* lies in the
-    intersection, so R certifies any diameter verdict up to bound.
+    -inf when the axes are disjoint.  q* is the end on Axis(h2) of the
+    inputs' ``_bridge``, so the axes meet exactly when its two ends agree.
+    If the axes meet, q* lies in the intersection, so R certifies any
+    diameter verdict up to bound.
 
     Axes are convex, so Axis(h1) ∩ Axis(h2) is a segment of the line
     Axis(h1) through q*.  The overlap is walked from q* along Axis(h1), one
     period [a, h1 a] at a time, in each direction, up to the first vertex
     off Axis(h2) or R steps; the diameter is the sum of the two extents.
     The walk costs the overlap, not a window of radius R."""
-    q1, q_star = _bridge(spec, r1, r2)
+    q1, q_star = _bridge(s1, s2)
     if q1 != q_star:
         return -math.inf, q_star
-    (nf1, c1), (nf2, c2) = r1, r2
-    move2 = _mover(spec, nf2)
-    rays = (itertools.islice(_axis_ray(move, q_star), bound + c1.tau + c2.tau + 6)
-            for move in (_mover(spec, nf1), mover(spec, h1.inverse())))
-    extents = (sum(1 for _ in itertools.takewhile(lambda v: on_axis(move2, c2.tau, v), ray))
-               for ray in rays)
-    return sum(extents), q_star
+    rays = (itertools.islice(_axis_ray(move, q_star), bound + s1.cls.tau + s2.cls.tau + 6)
+            for move in (s1.move, mover(spec, h1.inverse())))
+    return sum(sum(1 for _ in itertools.takewhile(s2.contains, ray)) for ray in rays), q_star
 
 
 def overlap_report(spec: SplittingSpec, k: int, h1: Word, h2: Word) -> OverlapReport:
     """Diameter of Axis(h1) ∩ Axis(h2) and the 3k branch selection."""
     check_count("k", k)
-    r1, r2 = _distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
-    diam, crossing = _axis_intersection(spec, h1, r1, r2, 3 * k)
+    s1, s2 = _distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
+    diam, crossing = _axis_intersection(spec, h1, s1, s2, 3 * k)
     branch = "small" if diam <= 3 * k else "large"
     # the walk radius exceeds 3k, so the branch verdict is exhaustive
     return OverlapReport(diam, branch, crossing)
@@ -472,10 +466,10 @@ def witness_elliptic_pair(spec: SplittingSpec, k: int, g1: Word, g2: Word,
     """Elliptic pair with disjoint fixed sets: witnesses (g1, h^p g1 h^-p)
     with h = g1 g2 and p = ceil((k+1)/2)."""
     check_count("k", k)
-    _, [(nf1, cls), (nf2, _)] = _fixed_set_distance(spec, g1, g2)
-    p, order = (k + 2) // 2, _element_order(spec, nf1, cls)
-    conj = _conjugate(spec, g1, nf1, g1 * g2, spec.extend(nf1, nf2), p)
-    return _certified(spec, "elliptic_elliptic", (_generator(spec, g1, nf1), conj), order, p,
+    _, (s1, s2) = _fixed_set_distance(spec, g1, g2)
+    p, order = (k + 2) // 2, _element_order(spec, s1)
+    conj = _conjugate(spec, g1, s1.nf, g1 * g2, spec.extend(s1.nf, s2.nf), p)
+    return _certified(spec, "elliptic_elliptic", (_generator(spec, g1, s1.nf), conj), order, p,
                       depth)
 
 
@@ -483,11 +477,10 @@ def witness_elliptic_hyperbolic(spec: SplittingSpec, k: int, g: Word, h: Word,
                                 depth: int = 6) -> FreenessWitness:
     """Elliptic g, hyperbolic h: witnesses (g, h^p g h^-p) with p = k+1."""
     check_count("k", k)
-    nf, cls = _require(spec, g, "g", False)
-    nf_h, _ = _require(spec, h, "h", True)
-    p, order = k + 1, _element_order(spec, nf, cls)
-    conj = _conjugate(spec, g, nf, h, nf_h, p)
-    return _certified(spec, "elliptic_hyperbolic", (_generator(spec, g, nf), conj), order, p,
+    s, nf_h = _require(spec, g, "g", False), _require(spec, h, "h", True).nf
+    p, order = k + 1, _element_order(spec, s)
+    conj = _conjugate(spec, g, s.nf, h, nf_h, p)
+    return _certified(spec, "elliptic_hyperbolic", (_generator(spec, g, s.nf), conj), order, p,
                       depth)
 
 
@@ -500,14 +493,14 @@ def witness_hyperbolic_pair(spec: SplittingSpec, k: int, h1: Word, h2: Word,
     trying the h1-conjugates-h2 order first.
     """
     check_count("k", k)
-    (nf1, _), (nf2, _) = r1, r2 = _distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
-    if _axis_intersection(spec, h1, r1, r2, 3 * k)[0] <= 3 * k:  # overlap_report's branch
+    s1, s2 = _distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
+    if _axis_intersection(spec, h1, s1, s2, 3 * k)[0] <= 3 * k:  # overlap_report's branch
         q = 3 * k + 1
-        return _certified(spec, "hyperbolic_small_overlap", (_generator(spec, h1, nf1, q),
-                          _generator(spec, h2, nf2, q)), None, q, depth, "small")
+        return _certified(spec, "hyperbolic_small_overlap", (_generator(spec, h1, s1.nf, q),
+                          _generator(spec, h2, s2.nf, q)), None, q, depth, "small")
     p = 3
-    for conjugator, seed, label in (((h1, nf1), (h2, nf2), "h1 conjugates h2"),
-                                    ((h2, nf2), (h1, nf1), "h2 conjugates h1")):
+    for conjugator, seed, label in (((h1, s1.nf), (h2, s2.nf), "h1 conjugates h2"),
+                                    ((h2, s2.nf), (h1, s1.nf), "h2 conjugates h1")):
         witness = _certified(spec, "hyperbolic_large_overlap", (_generator(spec, *seed),
                              _conjugate(spec, *seed, *conjugator, p)), None, p, depth,
                              f"large ({label})")
@@ -549,8 +542,8 @@ def product_translation_length(spec: SplittingSpec, g1: Word,
                                g2: Word) -> ProductTranslationReport:
     """For elliptic g1, g2 with disjoint fixed sets, returns tau(g1 g2) and
     d(Fix(g1), Fix(g2)); the caller asserts tau = 2 d."""
-    d, [(nf1, _), (nf2, _)] = _fixed_set_distance(spec, g1, g2)
-    return ProductTranslationReport(_classify(spec, spec.extend(nf1, nf2)).tau, d)
+    d, (s1, s2) = _fixed_set_distance(spec, g1, g2)
+    return ProductTranslationReport(_subtree(spec, spec.extend(s1.nf, s2.nf)).cls.tau, d)
 
 
 def verify_disjoint_tsets(spec: SplittingSpec, g1: Word, g2: Word) -> bool:
@@ -560,12 +553,10 @@ def verify_disjoint_tsets(spec: SplittingSpec, g1: Word, g2: Word) -> bool:
     Fix(g1^d1), Fix(g2^d2) is, each read off their ``_bridge``."""
     powers = []
     for g, name in ((g1, "g1"), (g2, "g2")):
-        nf, cls = _require(spec, g, name, False)
-        forms = [nf if d == 1 else spec.normal_form(g ** d)
-                 for d in _t_powers(_element_order(spec, nf, cls) or 0, 6)]
-        powers.append([(f, _classify(spec, f)) for f in forms])
-    return all(tree_distance(*_bridge(spec, r1, r2)) >= 1
-               for r1, r2 in itertools.product(*powers))
+        s = _require(spec, g, name, False)
+        powers.append([s if d == 1 else _subtree(spec, spec.normal_form(g ** d))
+                       for d in _t_powers(_element_order(spec, s) or 0, 6)])
+    return all(tree_distance(*_bridge(s1, s2)) >= 1 for s1, s2 in itertools.product(*powers))
 
 
 def witness_power_pair(spec: SplittingSpec, h1: Word, h2: Word, n: int,
@@ -573,14 +564,14 @@ def witness_power_pair(spec: SplittingSpec, h1: Word, h2: Word, n: int,
     """If diam(Axis(h1) ∩ Axis(h2)) < n min(tau1, tau2), the powers
     (h1^n, h2^n) generate a rank-2 free subgroup; certified witness."""
     check_count("n", n, 1)
-    r1, r2 = _distinct_axes(spec, h1, h2, max(n + 2, 8))
-    bound = n * min(r1[1].tau, r2[1].tau)
-    diam, _ = _axis_intersection(spec, h1, r1, r2, bound)
+    s1, s2 = _distinct_axes(spec, h1, h2, max(n + 2, 8))
+    bound = n * min(s1.cls.tau, s2.cls.tau)
+    diam, _ = _axis_intersection(spec, h1, s1, s2, bound)
     if not diam < bound:
         raise WitnessInputError(
             f"axis overlap diameter {diam} is not < n*min(tau) = {bound}")
-    return _certified(spec, "hyperbolic_small_overlap", (_generator(spec, h1, r1[0], n),
-                      _generator(spec, h2, r2[0], n)), None, n, depth)
+    return _certified(spec, "hyperbolic_small_overlap", (_generator(spec, h1, s1.nf, n),
+                      _generator(spec, h2, s2.nf, n)), None, n, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -24,17 +24,17 @@ edge index), so balls, fixed sets and T-sets come from one depth-bounded
 BFS, ``_walk``, of at most ``MAX_WINDOW_VERTICES`` vertices whose names
 hold at most ``MAX_WINDOW_SYLLABLES`` syllables in all (a window of radius
 R on a line holds about R^2), and every window carries an exhaustiveness
-flag.  Classify's elliptic witness is the projection of the base onto the
-subtree Fix(g) (Serre, Trees, §I.6), so each fixed v has d(base, v) = d(base, start) + d(start, v), and the walk
-from it carries x_v = rep(v)^-1 g rep(v) in v's factor X.  ``_walk`` lists
-each vertex's fixed children by one rule: they are the cosets tC with
-t^-1 x_v t in C, and if (., cw) = split_X(t^-1 x_v t) a child's element is
-embed_Y(cw), or s embed_Y(cw) s^-1 for t = 1 and v's last syllable s.
-Only s depends on more than the state (X, x_v), so one walk works out the
-cosets once per state and each embed_Y(cw) once per state and t.  A ball is the walk of Fix(1)
-from its centre: every coset conjugates 1 into C, so the children are the
-capped transversal, and the state stays 1, so a ball computes no normal
-form.
+flag.  Classify's elliptic witness is the base's projection onto Fix(g)
+(``Subtree``), so each fixed v has d(base, v) = d(base, start) + d(start, v),
+and the walk from it carries x_v = rep(v)^-1 g rep(v) in v's factor X.
+``_walk`` lists each vertex's fixed children by one rule: they are the
+cosets tC with t^-1 x_v t in C, and if (., cw) = split_X(t^-1 x_v t) a
+child's element is embed_Y(cw), or s embed_Y(cw) s^-1 for t = 1 and v's
+last syllable s.  Only s depends on more than the state (X, x_v), so one
+walk works out the cosets once per state and each embed_Y(cw) once per
+state and t.  A ball is the walk of Fix(1) from its centre: every coset
+conjugates 1 into C, so the children are the capped transversal, and the
+state stays 1, so a ball computes no normal form.
 """
 
 from __future__ import annotations
@@ -157,36 +157,46 @@ def geodesic_vertex(u: TreeVertex, v: TreeVertex, i: int) -> TreeVertex:
     return _prefix_vertex(v, 2 * m + i - n - (_first_side(u) != _first_side(v)))
 
 
+class Subtree(NamedTuple):
+    """S = Fix(g) for elliptic g, else Axis(g), for g = nf of class cls (about
+    some base) moving vertices by ``move``.  S is a convex subtree, and
+    d(v, g v) = 2 d(v, S) + tau for every vertex v, with [v, g v] running
+    through v's projection onto S (Serre, Trees, §I.6; Culler-Morgan, Proc.
+    LMS 55 (1987), §1).  So once tau is known, one move of v projects it onto
+    S and decides whether v lies in S."""
+    nf: NormalForm
+    cls: ElementClass
+    move: Callable[[TreeVertex], TreeVertex]
+
+    def project(self, v: TreeVertex) -> TreeVertex:
+        gv = self.move(v)
+        return geodesic_vertex(v, gv, (tree_distance(v, gv) - self.cls.tau) // 2)
+
+    def contains(self, v: TreeVertex) -> bool:
+        return tree_distance(v, self.move(v)) == self.cls.tau
+
+
+def _subtree(spec: SplittingSpec, nf: NormalForm, base: Optional[TreeVertex] = None) -> Subtree:
+    """g = nf's ``Subtree``: two moves of the base v give
+    tau = max(d(v, g^2 v) - d(v, g v), 0), and the witness is v's projection."""
+    base = base or base_vertex()
+    move = _mover(spec, nf)
+    gv = move(base)
+    d1 = tree_distance(base, gv)
+    tau = max(tree_distance(base, move(gv)) - d1, 0)
+    return Subtree(nf, ElementClass("hyperbolic" if tau else "elliptic", tau,
+                                    geodesic_vertex(base, gv, (d1 - tau) // 2)), move)
+
+
 def classify(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None) -> ElementClass:
     """Elliptic/hyperbolic verdict via the two-displacement criterion.
 
     g is hyperbolic iff d(v, g^2 v) > d(v, g v), and then
     tau = d(v, g^2 v) - d(v, g v); the verdict does not depend on the base
-    vertex.  The witness is a fixed vertex (midpoint of [v, gv]) for elliptic
-    g, and an axis vertex for hyperbolic g.
+    vertex.  The witness, v's projection onto Fix(g) or Axis(g)
+    (``Subtree``), is a fixed vertex or an axis vertex.
     """
-    return _classify(spec, spec.normal_form(g), base)
-
-
-def _classify(spec: SplittingSpec, nf: NormalForm, base=None) -> ElementClass:
-    if base is None:
-        base = base_vertex()
-    move = _mover(spec, nf)
-    gv = move(base)
-    ggv = move(gv)
-    d1 = tree_distance(base, gv)
-    tau = max(tree_distance(base, ggv) - d1, 0)
-    return ElementClass("hyperbolic" if tau else "elliptic", tau,
-                        geodesic_vertex(base, gv, (d1 - tau) // 2))
-
-
-def _project(spec: SplittingSpec, nf: NormalForm, tau: int, v: TreeVertex) -> TreeVertex:
-    """The projection of v onto S = Fix(g) (tau = 0) or Axis(g), for g = nf
-    of translation length tau: d(v, g v) = 2 d(v, S) + tau and [v, g v]
-    runs through it (Serre, Trees, §I.6), so once tau is known it costs
-    one move.  Classify's witness is the projection of its base."""
-    gv = _mover(spec, nf)(v)
-    return geodesic_vertex(v, gv, (tree_distance(v, gv) - tau) // 2)
+    return _subtree(spec, spec.normal_form(g), base).cls
 
 
 def _power(spec: SplittingSpec, nf: NormalForm, n: int) -> NormalForm:
@@ -310,27 +320,27 @@ def element_order(spec: SplittingSpec, g: Word) -> Optional[int]:
     vertex hX, so x = h^-1 g h lies in the factor X and g, a conjugate of x,
     has the order of x in X.
     """
-    return _element_order(spec, nf := spec.normal_form(g), _classify(spec, nf))
+    return _element_order(spec, _subtree(spec, spec.normal_form(g)))
 
 
-def _element_order(spec: SplittingSpec, nf: NormalForm, cls: ElementClass) -> Optional[int]:
-    """``element_order`` of g = nf, whose class (about any base) is cls."""
-    if cls.is_hyperbolic:
+def _element_order(spec: SplittingSpec, s: Subtree) -> Optional[int]:
+    """``element_order`` of g, whose ``Subtree`` (about any base) is s."""
+    if s.cls.is_hyperbolic:
         return None
-    v = cls.witness_vertex
-    return spec.factor(v.side).element_order(_factor_element(spec, v, nf))
+    v = s.cls.witness_vertex
+    return spec.factor(v.side).element_order(_factor_element(spec, v, s.nf))
 
 
-def _fixed_window(spec: SplittingSpec, nf: NormalForm, cls: ElementClass, base: TreeVertex,
-                  radius: int, neighbor_cap: Optional[int]) -> Tuple[Dict[TreeVertex, int], bool]:
+def _fixed_window(spec: SplittingSpec, s: Subtree, base: TreeVertex, radius: int,
+                  neighbor_cap: Optional[int]) -> Tuple[Dict[TreeVertex, int], bool]:
     """Fix(g) within radius of base as {vertex: distance from base}, and the
-    flag, for g = nf of class cls about base, by the module docstring's walk."""
+    flag, for g of ``Subtree`` s about base, by the module docstring's walk."""
     check_count("window radius", radius)
-    start = cls.witness_vertex
+    start = s.cls.witness_vertex
     d0 = tree_distance(base, start)
-    if cls.is_hyperbolic or d0 > radius:
+    if s.cls.is_hyperbolic or d0 > radius:
         return {}, True
-    depth, complete = _walk(spec, start, radius - d0, _factor_element(spec, start, nf),
+    depth, complete = _walk(spec, start, radius - d0, _factor_element(spec, start, s.nf),
                             neighbor_cap)
     return {v: d0 + d for v, d in depth.items()}, complete
 
@@ -343,11 +353,9 @@ def fixed_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
     inside the window (the identity on a non-locally-finite tree, say) or
     the walk reaches ``MAX_WINDOW_VERTICES``.
     """
-    if base is None:
-        base = base_vertex()
-    nf = spec.normal_form(g)
-    return _region(base, radius, *_fixed_window(spec, nf, _classify(spec, nf, base), base,
-                                                radius, neighbor_cap))
+    base = base or base_vertex()
+    return _region(base, radius, *_fixed_window(spec, _subtree(spec, spec.normal_form(g), base),
+                                                base, radius, neighbor_cap))
 
 
 def _t_powers(order: int, max_power: int) -> List[int]:
@@ -368,15 +376,13 @@ def t_set(spec: SplittingSpec, g: Word, base: Optional[TreeVertex] = None,
     order of g.
     """
     check_count("max_power", max_power, 1)
-    if base is None:
-        base = base_vertex()
-    o = _element_order(spec, nf := spec.normal_form(g), _classify(spec, nf, base)) or 0
+    base = base or base_vertex()
+    o = _element_order(spec, s := _subtree(spec, spec.normal_form(g), base)) or 0
     dist: Dict[TreeVertex, int] = {}
     exhaustive = o != 0 and max_power >= o - 1
     for d in _t_powers(o, max_power):
-        nf_d = nf if d == 1 else spec.normal_form(g ** d)
-        window, complete = _fixed_window(spec, nf_d, _classify(spec, nf_d, base), base,
-                                         radius, NEIGHBOR_CAP)
+        s_d = s if d == 1 else _subtree(spec, spec.normal_form(g ** d), base)
+        window, complete = _fixed_window(spec, s_d, base, radius, NEIGHBOR_CAP)
         dist.update(window)
         exhaustive = exhaustive and complete
     return _region(base, radius, dist, exhaustive)
@@ -396,37 +402,29 @@ def axis_window(spec: SplittingSpec, h: Word, base: Optional[TreeVertex] = None,
                 radius: int = 8) -> VertexRegion:
     """Axis(h) intersected with ball(base, radius); errors on elliptic h.
 
-    Classify's witness p is the base's projection onto the axis: [v, h v]
-    reaches it after d(v, Axis) = (d(v, h v) - tau) / 2 steps, the index
-    classify reads.  So d(base, q) = d(base, p) + d(p, q) for axis vertices
-    q, and the window is p and radius - d(base, p) vertices on each side of
-    it, walked with the movers of h and h^-1 (empty when that is negative).
+    Classify's witness p is the base's projection onto the axis
+    (``Subtree``), so d(base, q) = d(base, p) + d(p, q) for axis vertices q,
+    and the window is p and radius - d(base, p) vertices on each side of it,
+    walked with the movers of h and h^-1 (empty when that is negative).
     Past ``MAX_WINDOW_SYLLABLES`` syllables the walk stops and reports an
     incomplete window.
     """
     check_count("window radius", radius)
-    if base is None:
-        base = base_vertex()
-    cls = _classify(spec, nf := spec.normal_form(h), base)
-    if not cls.is_hyperbolic:
+    base = base or base_vertex()
+    s = _subtree(spec, spec.normal_form(h), base)
+    if not s.cls.is_hyperbolic:
         raise EllipticElementError(f"element {h} is elliptic; it has no axis")
-    p, d0 = cls.witness_vertex, tree_distance(base, cls.witness_vertex)
+    p, d0 = s.cls.witness_vertex, tree_distance(base, s.cls.witness_vertex)
     if d0 > radius:
         return _region(base, radius, {}, True)
     dist, held = {p: d0}, len(p.syllables)
-    for move in (_mover(spec, nf), mover(spec, h.inverse())):
+    for move in (s.move, mover(spec, h.inverse())):
         for d, q in enumerate(itertools.islice(_axis_ray(move, p), radius - d0), d0 + 1):
             dist[q] = d
             held += len(q.syllables)
             if held > MAX_WINDOW_SYLLABLES:
                 return _region(base, radius, dist, False)
     return _region(base, radius, dist, True)
-
-
-def on_axis(move: Callable[[TreeVertex], TreeVertex], tau: int, v: TreeVertex) -> bool:
-    """Exact membership test: v is on Axis(h) iff it is moved exactly tau,
-    for ``move = mover(spec, h)``."""
-    return tree_distance(v, move(v)) == tau
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +453,8 @@ def fix_diameter_lb(spec: SplittingSpec, g: Word, radius: int = 8):
     for hyperbolic g.  The double sweep does not depend on member order, so
     the window is not sorted.
     """
-    base, nf = base_vertex(), spec.normal_form(g)
-    dist, _ = _fixed_window(spec, nf, _classify(spec, nf, base), base, radius, NEIGHBOR_CAP)
+    dist, _ = _fixed_window(spec, _subtree(spec, spec.normal_form(g)), base_vertex(), radius,
+                            NEIGHBOR_CAP)
     return region_diameter(tuple(dist))
 
 

@@ -398,6 +398,16 @@ def test_powers_past_the_word_budget_are_input_errors(tmp_path, element):
                           "than 1000000 letters\n")
 
 
+def test_axis_samples_past_the_word_budget_are_input_errors():
+    # the distinct-axes check samples h1^±(3k+2) p1, here (b d)^(3 * 10^9 + 2):
+    # refused as a word before its normal form is built
+    out = run_cli(["free-witness", "--group", data("f2_amalgam.json"), "--g1", "b d",
+                   "--g2", "d b", "--k", "1000000000", "--depth", "2"], 2, 256)
+    assert out.returncode == EXIT_INPUT and not out.stdout
+    assert out.stderr == ("error: the 3000000002-th power of a word of 2 letters has more "
+                          "than 1000000 letters\n")
+
+
 def test_input_errors(capsys):
     rc, _, err = invoke(capsys, "classify", "--group", "/does/not/exist.json",
                         "--element", "a")

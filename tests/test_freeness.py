@@ -19,8 +19,8 @@ from treegroups.freeness import (WitnessInputError,
                                  witness_length_bound_holds)
 from treegroups.splitting import SplittingSpec
 from treegroups.oracles import NEIGHBOR_CAP, make_free
-from treegroups.tree import (base_vertex, classify, element_order, fixed_set, geodesic, mover,
-                             on_axis, region_diameter, t_set, tree_distance)
+from treegroups.tree import (Subtree, base_vertex, classify, element_order, fixed_set, geodesic,
+                             region_diameter, t_set, tree_distance)
 from treegroups.words import Word
 
 from conftest import (count_calls, growth_exponent, random_elliptic, random_word,
@@ -539,54 +539,57 @@ def test_branch_totality_random_pairs(f2):
         checked += 1
 
 
-def scan_crossing(spec, r1, r2):
+def moved_by_tau(spec, s):
+    """Membership in S = Fix(g) or Axis(g), for g of ``Subtree`` s, as the
+    vertices g moves by tau, with g's own mover (not ``Subtree.contains``)."""
+    move = tree._mover(spec, s.nf)
+    return lambda v: tree_distance(v, move(v)) == s.cls.tau
+
+
+def scan_crossing(spec, s1, s2):
     """Reference for the end q2 of ``freeness._bridge``: the first vertex of
     [p1, p2], for classify's witnesses p_i, that lies on S2, scanned one
     vertex at a time, and whether it lies on S1 too.  S_i is Fix(g_i) or
-    Axis(g_i) for g_i of (form, class) r_i, the vertices g_i moves by tau."""
-    (nf1, c1), (nf2, c2) = r1, r2
-    q_star = next(v for v in geodesic(c1.witness_vertex, c2.witness_vertex)
-                  if on_axis(tree._mover(spec, nf2), c2.tau, v))
-    return q_star, on_axis(tree._mover(spec, nf1), c1.tau, q_star)
+    Axis(g_i) for g_i of ``Subtree`` s_i."""
+    q_star = next(filter(moved_by_tau(spec, s2),
+                         geodesic(s1.cls.witness_vertex, s2.cls.witness_vertex)))
+    return q_star, moved_by_tau(spec, s1)(q_star)
 
 
-def fixed_run_gap(spec, r1, r2):
+def fixed_run_gap(spec, s1, s2):
     """Reference for ``tree_distance(*freeness._bridge(...))``: [p1, p2]
     meets S1 in an initial run of a vertices and S2 in a final one of b, so
     d(S1, S2) = d(p1, p2) + 2 - a - b when the runs are disjoint, else 0;
     each run is scanned one vertex at a time."""
-    def run(r, vs):
-        move = tree._mover(spec, r[0])
-        return sum(1 for _ in itertools.takewhile(
-            lambda v: tree_distance(v, move(v)) == r[1].tau, vs))
+    def run(s, vs):
+        return sum(1 for _ in itertools.takewhile(moved_by_tau(spec, s), vs))
 
-    path = geodesic(r1[1].witness_vertex, r2[1].witness_vertex)
-    return max(0, len(path) + 1 - run(r1, path) - run(r2, reversed(path)))
+    path = geodesic(s1.cls.witness_vertex, s2.cls.witness_vertex)
+    return max(0, len(path) + 1 - run(s1, path) - run(s2, reversed(path)))
 
 
-def windowed_overlap(spec, h1, r1, h2, r2, radius):
+def windowed_overlap(spec, h1, s1, s2, radius):
     """Reference for ``freeness._axis_intersection``: the window of Axis(h1)
     of the given radius about the crossing q* (``scan_crossing``), read off
     a geodesic by ``reference_axis_window`` and kept where it lies on
     Axis(h2), then its ``region_diameter``."""
-    q_star, meets = scan_crossing(spec, r1, r2)
+    q_star, meets = scan_crossing(spec, s1, s2)
     if not meets:
         return -math.inf, q_star
-    move2, tau2 = mover(spec, h2), r2[1].tau
     window = reference_axis_window(spec, h1, q_star, radius)
-    return region_diameter([v for v in window.members if on_axis(move2, tau2, v)]), q_star
+    return region_diameter([*filter(moved_by_tau(spec, s2), window.members)]), q_star
 
 
 def reference_overlap_report(spec, k, h1, h2):
-    r1, r2 = (_, c1), (_, c2) = freeness._distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
-    diam, crossing = windowed_overlap(spec, h1, r1, h2, r2, 3 * k + c1.tau + c2.tau + 6)
+    s1, s2 = freeness._distinct_axes(spec, h1, h2, max(3 * k + 2, 8))
+    diam, crossing = windowed_overlap(spec, h1, s1, s2, 3 * k + s1.cls.tau + s2.cls.tau + 6)
     return diam, "small" if diam <= 3 * k else "large", crossing
 
 
 def reference_power_pair(spec, h1, h2, n, depth):
-    r1, r2 = (_, c1), (_, c2) = freeness._distinct_axes(spec, h1, h2, max(n + 2, 8))
-    bound = n * min(c1.tau, c2.tau)
-    diam, _ = windowed_overlap(spec, h1, r1, h2, r2, bound + c1.tau + c2.tau + 6)
+    s1, s2 = freeness._distinct_axes(spec, h1, h2, max(n + 2, 8))
+    bound = n * min(s1.cls.tau, s2.cls.tau)
+    diam, _ = windowed_overlap(spec, h1, s1, s2, bound + s1.cls.tau + s2.cls.tau + 6)
     if not diam < bound:
         raise WitnessInputError(
             f"axis overlap diameter {diam} is not < n*min(tau) = {bound}")
@@ -641,7 +644,7 @@ def test_overlap_is_walked_not_windowed(f2_amalgam, monkeypatch):
 
     monkeypatch.setattr(tree, "axis_window", no_window)
     monkeypatch.setattr(freeness, "axis_window", no_window, raising=False)
-    tests = count_calls(monkeypatch, freeness, "on_axis")
+    tests = count_calls(monkeypatch, Subtree, "contains")
     rep = overlap_report(f2_amalgam, 300, W("b d"), W("d b"))
     assert rep.diameter == 1 and rep.branch == "small"
     assert len(tests) <= 12
@@ -811,7 +814,7 @@ def windowed_fixed_set_distance(spec, g1, g2):
     windows = []
     for g in (g1, g2):
         nf = spec.normal_form(g)
-        window, complete = tree._fixed_window(spec, nf, tree._classify(spec, nf, base), base,
+        window, complete = tree._fixed_window(spec, tree._subtree(spec, nf, base), base,
                                               radius, NEIGHBOR_CAP)
         if not complete:
             return None
@@ -867,10 +870,21 @@ def test_a_gap_costs_two_moves(z2z3, monkeypatch):
         g2 = u * W("b") * u.inverse()
         pairs = [freeness._require(z2z3, g, "g", False) for g in (W("a"), g2)]
         calls = count_calls(monkeypatch, SplittingSpec, "extend")
-        assert tree_distance(*freeness._bridge(z2z3, *pairs)) == 2 * n - 1
+        assert tree_distance(*freeness._bridge(*pairs)) == 2 * n - 1
         assert len(calls) == 2
         assert tuple(product_translation_length(z2z3, W("a"), g2)) == (4 * n - 2, 2 * n - 1)
         assert len(calls) == 2 + 9
+        monkeypatch.undo()
+
+
+def test_t_set_classifies_its_element_once(z2z3, monkeypatch):
+    # a, b and b a b^-1 have orders 2, 3 and 3, so max_power 4 walks d = 1
+    # only: two moves classify g, and x_v is read off one extend for the
+    # order and one for the walk
+    for g in ("a", "b", "b a b^-1"):
+        calls = count_calls(monkeypatch, SplittingSpec, "extend")
+        t_set(z2z3, W(g), radius=5, max_power=4)
+        assert len(calls) == 4, g
         monkeypatch.undo()
 
 
@@ -886,9 +900,19 @@ def test_product_translation_length_pushes_grow_linearly(z2z3, monkeypatch):
     assert max(growth_exponent(run, [100, 200, 400], pushes)) <= 1.1
 
 
+def test_hyperbolic_pair_pushes_do_not_grow_with_k(f2_amalgam, monkeypatch):
+    # the powers (b d)^(3k+1), (d b)^(3k+1) and (b d)^±(3k+2) are extended
+    # from forms that meet with no push, and a certificate word's junction
+    # pushes the same few syllables at every k: 16 pushes at k = 4, 8 and 16
+    pushes = count_calls(monkeypatch, SplittingSpec, "_push")
+    slopes = growth_exponent(
+        lambda k: witness_hyperbolic_pair(f2_amalgam, k, W("b d"), W("d b")), [4, 8, 16], pushes)
+    assert slopes == [0, 0]
+
+
 def random_pair(spec, rng, hyperbolic):
-    """Two random (form, class) pairs of the given type, the second one
-    conjugated by up to 6 letters in one draw of three, or None."""
+    """The ``Subtree``s of two random elements of the given type, the second
+    one conjugated by up to 6 letters in one draw of three, or None."""
     pairs = []
     for _ in range(400):
         if hyperbolic:
@@ -898,10 +922,9 @@ def random_pair(spec, rng, hyperbolic):
         if pairs and rng.random() < 1 / 3:
             c = random_word(rng, spec.gen_names, 6, 1)
             g = c * g * c.inverse()
-        nf = spec.normal_form(g)
-        cls = tree._classify(spec, nf)
-        if not nf.is_trivial and cls.is_hyperbolic == hyperbolic:
-            pairs.append((nf, cls))
+        s = tree._subtree(spec, spec.normal_form(g))
+        if not s.nf.is_trivial and s.cls.is_hyperbolic == hyperbolic:
+            pairs.append(s)
             if len(pairs) == 2:
                 return pairs
     return None
@@ -920,7 +943,7 @@ def test_bridge_matches_the_scans(request, hyperbolic):
             pair = random_pair(spec, rng, hyperbolic)
             if pair is None:
                 break
-            q1, q2 = freeness._bridge(spec, *pair)
+            q1, q2 = freeness._bridge(*pair)
             gap = tree_distance(q1, q2)
             assert gap == fixed_run_gap(spec, *pair), name
             assert scan_crossing(spec, *pair) == (q2, gap == 0), name

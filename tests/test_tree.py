@@ -18,11 +18,11 @@ from treegroups.tree import (EllipticElementError, TreeVertex,
                              axis_window, ball, base_vertex,
                              check_acylindricity, classify, element_order,
                              fix_diameter_lb, fixed_set, geodesic,
-                             geodesic_vertex, mover, on_axis, region_diameter,
+                             geodesic_vertex, mover, region_diameter,
                              t_set, tree_distance, vertex_of)
 from treegroups.words import Word, shortlex
 
-from conftest import (_permutation_table, act, count_calls, cyclic_table,
+from conftest import (_permutation_table, act, count_calls, cyclic_table, growth_exponent,
                       min_displacement_bruteforce, random_elliptic, random_word,
                       reference_axis_window, reference_walk)
 
@@ -342,6 +342,14 @@ def test_classify_reads_one_vertex_off_the_geodesic(f2_amalgam, monkeypatch):
         assert len(calls) == 1
 
 
+def test_classify_pushes_grow_linearly(z2z3, monkeypatch):
+    # (a b)^n has 2n syllables: one normal form pushes each, and the two
+    # moves of A:1 push nothing, so the pushes grow like n
+    pushes = count_calls(monkeypatch, SplittingSpec, "_push")
+    slopes = growth_exponent(lambda n: classify(z2z3, W("a b") ** n), [100, 200, 400], pushes)
+    assert max(slopes) <= 1.1
+
+
 def test_classify_base_independent(z2z3, z3z4, klein):
     rng = random.Random(18)
     for spec in (z2z3, z3z4, klein):
@@ -631,7 +639,7 @@ def test_axis_window_matches_reference(z2z3, z3z4, klein, z4z6_table):
             base, radius = random_base(spec, rng), rng.randint(0, 5)
             window = reference_ball(spec, base, radius)
             move = mover(spec, h)
-            on = {v: d for v, d in window.items() if on_axis(move, cls.tau, v)}
+            on = {v: d for v, d in window.items() if tree_distance(v, move(v)) == cls.tau}
             region = axis_window(spec, h, base, radius)
             assert region.members == canonical_order(on), str(h)
             assert region.exhaustive_within_radius
@@ -671,6 +679,17 @@ def test_axis_window_normalizes_h_and_its_inverse_only(f2_amalgam, monkeypatch):
     assert len(region.members) == 601
     assert len(calls) <= 2
     assert all(w.letter_length() <= h.letter_length() for _, w in calls)
+
+
+def test_axis_window_pushes_grow_at_most_quadratically(klein, monkeypatch):
+    # nf((a b)^-1) ends in the central edge element a^-2, which a move pushes
+    # through every syllable of the vertex, so a window of radius R pushes
+    # about R^2 / 4 times: quadratic today, and this ceiling keeps it from
+    # getting worse
+    pushes = count_calls(monkeypatch, SplittingSpec, "_push")
+    slopes = growth_exponent(lambda r: axis_window(klein, W("a b"), radius=r), [40, 80, 160],
+                             pushes)
+    assert max(slopes) <= 2.1
 
 
 def test_t_set_is_the_union_over_every_power(z2z3, z3z4, klein, z4z6_table, z70z3):
